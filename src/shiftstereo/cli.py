@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import time
 
 THREADS_ENV = "SHIFTSTEREO_THREADS"
 _UNSET = object()
@@ -160,8 +159,7 @@ def cmd_infer(args) -> int:
 
     from .datasets import normalize_image, read_pnm, write_pfm
     from .errors import CheckpointError, ParseError, ShapeError
-    from .model import build_cost_volume, extract_features, refine, _project, \
-        _upsample_tensors
+    from .model import forward_tensors
     from .tensor import Tensor
     from .training import load_checkpoint, load_weights
 
@@ -180,27 +178,17 @@ def cmd_infer(args) -> int:
         return _fail(str(e))
     if left.shape != right.shape:
         return _fail(f"image extents differ: {left.shape[2:]} vs {right.shape[2:]}")
-    cfg = ckpt.config
-    _, _, h, w = left.shape
     try:
-        t0 = time.perf_counter()
-        f_left = extract_features(left, weights, cfg)
-        f_right = extract_features(right, weights, cfg)
-        t1 = time.perf_counter()
-        volume = build_cost_volume(f_left, f_right, weights, cfg, mode=args.mode)
-        t2 = time.perf_counter()
-        disp_low, ent_low = _project(volume)
-        coarse, ent_full = _upsample_tensors(disp_low, ent_low, h, w)
-        t3 = time.perf_counter()
-        refined = refine(coarse, left, ent_full, weights, cfg)
-        t4 = time.perf_counter()
+        out = forward_tensors(left, right, weights, ckpt.config, mode=args.mode)
     except ShapeError as e:
         return _fail(str(e))
-    write_pfm(refined.data[0, 0], args.out_disp)
+    refined = out["refined"].data[0, 0]
+    if not np.all(np.isfinite(refined)):
+        return _fail(f"refined disparity has {int(np.sum(~np.isfinite(refined)))} "
+                     f"non-finite values; no output written", code=3)
+    write_pfm(refined, args.out_disp)
     if args.out_entropy:
-        write_pfm(ent_full.data[0, 0], args.out_entropy)
-    print(f"timing: features={t1 - t0:.3f}s cost_volume={t2 - t1:.3f}s "
-          f"projection={t3 - t2:.3f}s refine={t4 - t3:.3f}s")
+        write_pfm(out["entropy"].data[0, 0], args.out_entropy)
     print(args.out_disp)
     return 0
 

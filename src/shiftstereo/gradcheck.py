@@ -206,6 +206,13 @@ def op_cases() -> list[CheckCase]:
         _conv_case("conv2d_s2_d2_p2", 2, 2, 2, in_shape=(1, 2, 8, 7)),
         _conv_case("conv2d_s3_p1", 3, 1, 1, in_shape=(1, 1, 9, 9), cout=2),
         _conv_case("conv2d_1x1", 1, 1, 0, in_shape=(2, 3, 4, 4), cout=2, k=1),
+        _conv_case("conv2d_s1_d4_p4", 1, 4, 4, in_shape=(1, 2, 9, 10)),
+        _conv_case("conv2d_s2_p1_odd_batch2", 2, 1, 1, in_shape=(2, 2, 7, 9)),
+        _conv_case("conv2d_s3_d2_p0", 3, 2, 0, in_shape=(1, 2, 11, 10)),
+        _conv_case("conv2d_cin1_s3_p1_uneven", 3, 1, 1, in_shape=(1, 1, 10, 8), cout=4),
+        # cin=4 stacks 8 taps per GEMM: one stacked group plus a lone tap
+        _conv_case("conv2d_cin4_split_groups", 1, 1, 1, in_shape=(1, 4, 5, 6), cout=2),
+        _conv_case("conv2d_cin33_one_tap_groups", 1, 1, 1, in_shape=(1, 33, 4, 5), cout=2),
         _bn_case("batch_norm_train", True),
         _bn_case("batch_norm_train_per_sample", True, per_sample=True),
         _bn_case("batch_norm_inference", False),

@@ -1,9 +1,17 @@
 """Forward kernels and their exact reverse-mode gradients.
 
-Convolutions run as im2col + BLAS matmul; bilinear resampling is a pair
-of small interpolation-matrix matmuls, so its backward is the exact
-transpose map. All reductions use a fixed order, which keeps repeated
-runs bit-identical.
+Convolutions build no column matrix. The input is copied once into a
+zeroed buffer that is already padded and split into stride x stride
+phase images, each flattened row-major with one slack row. Every kernel
+tap is then a contiguous window of one phase, and the output is a sum of
+BLAS GEMMs over taps, in a fixed tap order, whose few junk columns past
+each row end are cropped once. Taps are stacked per GEMM until its inner
+dimension reaches 32, so layers with few input channels stay
+BLAS-efficient. Backward reuses the same windows. Bilinear resampling is
+a pair of small interpolation-matrix matmuls, so its backward is the
+exact transpose map. All reductions use a fixed order, which keeps
+repeated runs bit-identical, and a batch item's result does not depend
+on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -92,23 +100,52 @@ def _conv_out_extent(extent: int, k: int, stride: int, dilation: int, padding: i
     return (extent + 2 * padding - dilation * (k - 1) - 1) // stride + 1
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
-            oh: int, ow: int) -> np.ndarray:
-    b, c = xp.shape[:2]
-    cols = np.empty((b, c, kh, kw, oh, ow), dtype=xp.dtype)
-    hspan = (oh - 1) * stride + 1
-    wspan = (ow - 1) * stride + 1
-    for ki in range(kh):
-        for kj in range(kw):
-            i0 = ki * dilation
-            j0 = kj * dilation
-            cols[:, :, ki, kj] = xp[:, :, i0:i0 + hspan:stride, j0:j0 + wspan:stride]
-    return cols
+# conv2d stacks ceil(_MIN_GEMM_K / cin) taps into one GEMM, so that its inner
+# dimension reaches this size (or the whole kernel) even for layers with one
+# or three input channels, which run several times slower one tap per GEMM.
+_MIN_GEMM_K = 32
+
+
+def _phase_index(h: int, w: int, stride: int, padding: int) -> list[tuple]:
+    """(phase-buffer index, input index) pairs that cover the input once.
+
+    Padded row ``r = i * stride + a`` lives at row ``i`` of row phase ``a``
+    (likewise for columns). Each pair addresses one (row phase, column
+    phase) block in a (stride, stride, B, C, rows, cols) buffer and the
+    input elements that land there.
+    """
+    def runs(extent):
+        out = []
+        for phase in range(stride):
+            i0 = max(0, -((phase - padding) // stride))
+            x0 = i0 * stride + phase - padding
+            out.append((slice(i0, i0 + len(range(x0, extent, stride))),
+                        slice(x0, None, stride)))
+        return out
+
+    return [((a, b, Ellipsis, rows, cols), (Ellipsis, x_rows, x_cols))
+            for a, (rows, x_rows) in enumerate(runs(h))
+            for b, (cols, x_cols) in enumerate(runs(w))]
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, dilation: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of x (B,Cin,H,W) with weight (Cout,Cin,KH,KW)."""
+    """Cross-correlation of x (B,Cin,H,W) with weight (Cout,Cin,KH,KW).
+
+    The input is written once into a zeroed buffer that is already padded
+    and split into stride x stride phase images, each flattened row-major
+    ``wq = ceil((W + 2*padding) / stride)`` wide with one slack row. Tap
+    (ki, kj) then reads the contiguous window ``off : off + oh*wq`` of
+    phase ((ki*dilation) % stride, (kj*dilation) % stride), where ``off =
+    ((ki*dilation) // stride) * wq + (kj*dilation) // stride``, and the
+    output is the sum over taps, in row-major tap order, of
+    ``weight[:, :, ki, kj] @ window``. Output columns ``ow .. wq-1`` read
+    past the row end; they are cropped once at the end. No column matrix
+    is built: taps are stacked ``ceil(32 / Cin)`` per GEMM so that layers
+    with few input channels still get an inner dimension of at least 32.
+    Backward reuses the same windows, with the output gradient zero-padded
+    to ``wq`` columns, and scatters into a phase-layout buffer.
+    """
     if stride < 1 or dilation < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride/dilation/padding ({stride}, {dilation}, {padding})")
     b, cin, h, w = x.shape
@@ -124,38 +161,60 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                          f"for input {h}x{w}, kernel {kh}x{kw}")
     dt = _same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
 
-    if padding:
-        xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    else:
-        xp = x.data
-    cols = _im2col(xp, kh, kw, stride, dilation, oh, ow)
-    ckk = cin * kh * kw
-    cols_mat = cols.reshape(b, ckk, oh * ow)
-    w_mat = weight.data.reshape(cout, ckk)
-    out_data = np.matmul(w_mat, cols_mat).reshape(b, cout, oh, ow)
-    if bias is not None:
-        out_data += bias.data
-    out = Tensor(out_data)
+    hq = -(-(h + 2 * padding) // stride)
+    wq = -(-(w + 2 * padding) // stride)
+    index = _phase_index(h, w, stride, padding)
+    phases = np.zeros((stride, stride, b, cin, hq + 1, wq), dtype=dt)
+    for at_phase, at_x in index:
+        phases[at_phase] = x.data[at_x]
+    buf = phases.reshape(stride * stride, b, cin, (hq + 1) * wq)
+    n = oh * wq
+    taps = []
+    for ki in range(kh):
+        for kj in range(kw):
+            (qi, ri), (qj, rj) = divmod(ki * dilation, stride), divmod(kj * dilation, stride)
+            taps.append((ri * stride + rj, qi * wq + qj))
+    w_taps = weight.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    per_gemm = -(-_MIN_GEMM_K // cin)
+    groups = [(w_taps[:, t * cin:(t + per_gemm) * cin], taps[t:t + per_gemm])
+              for t in range(0, len(taps), per_gemm)]
+
+    def window(group):
+        if len(group) == 1:
+            phase, off = group[0]
+            return buf[phase, :, :, off:off + n]
+        return np.concatenate([buf[phase, :, :, off:off + n] for phase, off in group], axis=1)
+
+    acc = np.matmul(groups[0][0], window(groups[0][1]))
+    part = np.empty_like(acc) if len(groups) > 1 else None
+    for w_group, group in groups[1:]:
+        acc += np.matmul(w_group, window(group), out=part)
+    out_data = acc.reshape(b, cout, oh, wq)[:, :, :, :ow]
+    out = Tensor(out_data + bias.data if bias is not None else out_data)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def grad_fn(g):
-        g_mat = g.reshape(b, cout, oh * ow)
-        dw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0).reshape(weight.shape)
-        dcols = np.matmul(w_mat.T, g_mat).reshape(b, cin, kh, kw, oh, ow)
-        dxp = np.zeros_like(xp)
-        hspan = (oh - 1) * stride + 1
-        wspan = (ow - 1) * stride + 1
-        for ki in range(kh):
-            for kj in range(kw):
-                i0 = ki * dilation
-                j0 = kj * dilation
-                dxp[:, :, i0:i0 + hspan:stride, j0:j0 + wspan:stride] += dcols[:, :, ki, kj]
-        dx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
+        gq = np.zeros((b, cout, oh, wq), dtype=g.dtype)
+        gq[:, :, :, :ow] = g
+        gq = gq.reshape(b, cout, n)
+        dbuf = np.zeros_like(buf)
+        dw = []
+        for w_group, group in groups:
+            dw.append(np.matmul(gq, window(group).transpose(0, 2, 1)).sum(axis=0))
+            dwin = np.matmul(w_group.T, gq)
+            for k, (phase, off) in enumerate(group):
+                dbuf[phase, :, :, off:off + n] += dwin[:, k * cin:(k + 1) * cin]
+        dw = np.ascontiguousarray(
+            np.concatenate(dw, axis=1).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+        dphases = dbuf.reshape(phases.shape)
+        dx = np.empty(x.shape, dtype=g.dtype)
+        for at_phase, at_x in index:
+            dx[at_x] = dphases[at_phase]
         if bias is None:
-            return np.ascontiguousarray(dx), dw
+            return dx, dw
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-        return np.ascontiguousarray(dx), dw, db
+        return dx, dw, db
 
     return record_op("conv2d", out, inputs, grad_fn)
 
@@ -273,17 +332,21 @@ def avg_pool(x: Tensor, window_h: int, window_w: int,
 
 
 def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
-    """Row-stochastic bilinear sampling matrix, half-pixel-center convention."""
+    """Row-stochastic bilinear sampling matrix, half-pixel-center convention.
+
+    Row i puts weight 1 - t on source index floor(src) and t on the next
+    one, both clamped to the input, where src = (i + 0.5) * n_in / n_out - 0.5
+    and t = src - floor(src). Where the two indices clamp to one entry, the
+    weights add in ``dtype`` arithmetic.
+    """
+    rows = np.arange(n_out)
+    src = (rows + 0.5) * (n_in / n_out) - 0.5
+    lo = np.floor(src)
+    t = src - lo
+    lo = lo.astype(np.intp)
     m = np.zeros((n_out, n_in), dtype=dtype)
-    scale = n_in / n_out
-    for i in range(n_out):
-        src = (i + 0.5) * scale - 0.5
-        lo = int(np.floor(src))
-        t = src - lo
-        lo_c = min(max(lo, 0), n_in - 1)
-        hi_c = min(max(lo + 1, 0), n_in - 1)
-        m[i, lo_c] += 1.0 - t
-        m[i, hi_c] += t
+    m[rows, np.clip(lo, 0, n_in - 1)] = (1.0 - t).astype(dtype)
+    m[rows, np.clip(lo + 1, 0, n_in - 1)] += t.astype(dtype)
     return m
 
 

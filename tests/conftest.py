@@ -53,6 +53,22 @@ def avg_pool_reference(x, window_h, window_w, stride_h, stride_w):
     return out
 
 
+def resize_matrix_reference(n_in, n_out, dtype):
+    """Per-row loop oracle for the bilinear sampling matrix
+    (half-pixel centers, source indices clamped to the input)."""
+    m = np.zeros((n_out, n_in), dtype=dtype)
+    scale = n_in / n_out
+    for i in range(n_out):
+        src = (i + 0.5) * scale - 0.5
+        lo = int(np.floor(src))
+        t = src - lo
+        lo_c = min(max(lo, 0), n_in - 1)
+        hi_c = min(max(lo + 1, 0), n_in - 1)
+        m[i, lo_c] += 1.0 - t
+        m[i, hi_c] += t
+    return m
+
+
 def ssd_reference(fl, fr, d, radius):
     """Triple-loop patch SSD against the d-shifted right features,
     with patches clipped at the image border."""

@@ -1,13 +1,15 @@
 """Forward-kernel oracles: hand-evaluated fixtures and naive-loop references."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import avg_pool_reference, conv2d_reference
+from conftest import avg_pool_reference, conv2d_reference, resize_matrix_reference
 from shiftstereo import ops
 from shiftstereo.errors import ShapeError
-from shiftstereo.tensor import HIGH, Tensor
+from shiftstereo.tensor import HIGH, Tape, Tensor
 
 
 class TestConv2d:
@@ -58,6 +60,39 @@ class TestConv2d:
     def test_rejects_vanishing_output(self):
         with pytest.raises(ShapeError):
             ops.conv2d(Tensor(np.ones((1, 1, 2, 2))), Tensor(np.ones((1, 1, 3, 3))))
+
+    @pytest.mark.parametrize("cin", [3, 32])
+    @pytest.mark.parametrize("stride, dilation, padding", [(1, 2, 2), (2, 1, 1)])
+    def test_batch_items_bit_identical_to_single_items(self, rng, cin, stride,
+                                                       dilation, padding):
+        """The parallel cost volume batches disparity levels through one
+        conv; each item must come out as if it ran alone."""
+        x = rng.standard_normal((5, cin, 13, 18)).astype(np.float32)
+        w = Tensor(rng.standard_normal((8, cin, 3, 3)).astype(np.float32))
+        b = Tensor(rng.standard_normal((1, 8, 1, 1)).astype(np.float32))
+        batched = ops.conv2d(Tensor(x), w, b, stride=stride, dilation=dilation,
+                             padding=padding).data
+        for i in range(5):
+            alone = ops.conv2d(Tensor(x[i:i + 1]), w, b, stride=stride,
+                               dilation=dilation, padding=padding).data
+            assert np.array_equal(batched[i:i + 1], alone)
+
+    def test_taped_conv_keeps_less_than_twice_its_operands(self, rng):
+        """What a taped refine-size conv holds for backward stays near the
+        size of its input, not a column matrix kh*kw times larger."""
+        x = Tensor(rng.standard_normal((1, 32, 144, 240)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((32, 32, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ops.conv2d(x, w, dilation=4, padding=4)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 1
+        assert kept < 2 * (x.data.nbytes + out.data.nbytes)
 
 
 class TestBatchNorm:
@@ -189,6 +224,15 @@ class TestAvgPool:
 
 
 class TestBilinearResize:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matrix_matches_loop_oracle(self, dtype):
+        sizes = list(range(1, 13)) + [16, 27, 32, 48, 80, 81, 144, 240]
+        for n_in in sizes:
+            for n_out in sizes:
+                assert np.array_equal(ops._resize_matrix(n_in, n_out, dtype),
+                                      resize_matrix_reference(n_in, n_out, dtype)), \
+                    (n_in, n_out)
+
     def test_same_size_is_exact_identity(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 5, 7)).astype(np.float32))
         out = ops.bilinear_resize(x, 5, 7)
