@@ -5,18 +5,23 @@ once per disparity shift (so every cost slice is a pure function of the
 left features and the shifted right features), a projection layer that
 turns the cost volume into a disparity and an entropy map, and an
 entropy-guided refinement network on the full-resolution disparity.
+
+An inference pass of :func:`forward_tensors` with no tape recording first
+folds every batch norm into the weights and bias of its conv
+(:meth:`ModelWeights.folded`), so each normed layer runs as one conv and
+one ReLU. Under a tape, and in training, the norms run as their own ops.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .tensor import HIGH, STANDARD, Tensor
+from .tensor import HIGH, STANDARD, Tensor, active_tape
 
 
 @dataclass(frozen=True)
@@ -169,19 +174,30 @@ def all_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
     return feature_layer_specs(cfg) + matching_layer_specs(cfg) + refine_layer_specs(cfg)
 
 
+def weight_shapes(config: ModelConfig) -> tuple[dict[str, tuple], dict[str, tuple]]:
+    """Names and shapes of the parameters and of the buffers, in layer order.
+
+    Every layer has ``"<layer>.w"`` (Cout, Cin, K, K) and ``"<layer>.b"``;
+    a normed layer adds the parameters ``.gamma`` / ``.beta`` and the
+    running-statistics buffers ``.mean`` / ``.var``, all (1, Cout, 1, 1).
+    """
+    params: dict[str, tuple] = {}
+    buffers: dict[str, tuple] = {}
+    for s in all_layer_specs(config):
+        channel = (1, s.cout, 1, 1)
+        params[s.name + ".w"] = (s.cout, s.cin, s.k, s.k)
+        params[s.name + ".b"] = channel
+        if s.norm:
+            params[s.name + ".gamma"] = params[s.name + ".beta"] = channel
+            buffers[s.name + ".mean"] = buffers[s.name + ".var"] = channel
+    return params, buffers
+
+
 def count_parameters(cfg: ModelConfig) -> dict[str, int]:
     """Learnable scalars per subnetwork (weights, biases, norm affine)."""
-    sections = {"feature": feature_layer_specs(cfg),
-                "matching": matching_layer_specs(cfg),
-                "refine": refine_layer_specs(cfg)}
-    counts = {}
-    for section, specs in sections.items():
-        total = 0
-        for s in specs:
-            total += s.cout * s.cin * s.k * s.k + s.cout
-            if s.norm:
-                total += 2 * s.cout
-        counts[section] = total
+    counts = {"feature": 0, "matching": 0, "refine": 0}
+    for name, shape in weight_shapes(cfg)[0].items():
+        counts[name.split(".", 1)[0]] += math.prod(shape)
     counts["total"] = sum(counts.values())
     return counts
 
@@ -190,7 +206,9 @@ class ModelWeights:
     """Named parameter and buffer tensors for the three subnetworks.
 
     One single matching-net parameter set serves all disparity levels;
-    the cost-volume builder references it, never copies it.
+    the cost-volume builder references it, never copies it. ``specs``
+    maps each layer name to its ConvSpec; :meth:`folded` returns weights
+    whose specs carry ``norm=False``.
     """
 
     def __init__(self, config: ModelConfig, params: dict[str, Tensor],
@@ -208,26 +226,51 @@ class ModelWeights:
         equals the clamped input disparity at initialization.
         """
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5157)))
-        params: dict[str, Tensor] = {}
-        buffers: dict[str, Tensor] = {}
-        for s in all_layer_specs(config):
-            shape = (s.cout, s.cin, s.k, s.k)
+        specs = {s.name: s for s in all_layer_specs(config)}
+
+        def value(name, shape):
+            layer, kind = name.rsplit(".", 1)
+            s = specs[layer]
+            if kind != "w":
+                return np.full(shape, 1.0 if kind in ("gamma", "var") else 0.0)
             if s.zero_init:
-                w = np.zeros(shape)
-            else:
-                bound = 1.0 / math.sqrt(s.cin * s.k * s.k)
-                w = rng.uniform(-bound, bound, size=shape)
-            params[s.name + ".w"] = Tensor(w, requires_grad=True, dtype=dtype)
-            params[s.name + ".b"] = Tensor(np.zeros((1, s.cout, 1, 1)),
-                                           requires_grad=True, dtype=dtype)
-            if s.norm:
-                params[s.name + ".gamma"] = Tensor(np.ones((1, s.cout, 1, 1)),
-                                                   requires_grad=True, dtype=dtype)
-                params[s.name + ".beta"] = Tensor(np.zeros((1, s.cout, 1, 1)),
-                                                  requires_grad=True, dtype=dtype)
-                buffers[s.name + ".mean"] = Tensor(np.zeros((1, s.cout, 1, 1)), dtype=dtype)
-                buffers[s.name + ".var"] = Tensor(np.ones((1, s.cout, 1, 1)), dtype=dtype)
+                return np.zeros(shape)
+            bound = 1.0 / math.sqrt(s.cin * s.k * s.k)
+            return rng.uniform(-bound, bound, size=shape)
+
+        param_shapes, buffer_shapes = weight_shapes(config)
+        params = {name: Tensor(value(name, shape), requires_grad=True, dtype=dtype)
+                  for name, shape in param_shapes.items()}
+        buffers = {name: Tensor(value(name, shape), dtype=dtype)
+                   for name, shape in buffer_shapes.items()}
         return cls(config, params, buffers)
+
+    def folded(self) -> "ModelWeights":
+        """Inference weights with every batch norm folded into its conv.
+
+        For a normed layer, ``scale = gamma / sqrt(var + eps)`` per output
+        channel gives ``w' = w * scale`` and ``b' = (b - mean) * scale +
+        beta``, computed in the weights' own dtype with the epsilon of
+        :func:`ops.batch_norm`. Its spec then carries ``norm=False``, so a
+        conv and its norm become one conv. Layers without a norm share
+        their tensors with ``self``; nothing of ``self`` is modified. The
+        result has the same ``"<layer>.w"`` / ``"<layer>.b"`` keys and no
+        buffers.
+        """
+        params: dict[str, Tensor] = {}
+        for name, spec in self.specs.items():
+            w, b = self.params[name + ".w"], self.params[name + ".b"]
+            if spec.norm:
+                var = self.buffers[name + ".var"].data
+                scale = self.params[name + ".gamma"].data / np.sqrt(
+                    var + var.dtype.type(ops.BN_EPSILON))
+                w = Tensor(w.data * scale.reshape(-1, 1, 1, 1))
+                b = Tensor((b.data - self.buffers[name + ".mean"].data) * scale
+                           + self.params[name + ".beta"].data)
+            params[name + ".w"], params[name + ".b"] = w, b
+        out = ModelWeights(self.config, params, {})
+        out.specs = {name: replace(spec, norm=False) for name, spec in self.specs.items()}
+        return out
 
     def zero_grads(self) -> None:
         for p in self.params.values():
@@ -447,9 +490,18 @@ def upsample_outputs(disp: DisparityMap, ent: EntropyMap,
 def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
                     cfg: ModelConfig, mode: str = "parallel",
                     training: bool = False, context_only: bool = False) -> dict[str, Tensor]:
-    """Run the full pipeline, returning all intermediate tensors by name."""
+    """Run the full pipeline, returning all intermediate tensors by name.
+
+    With ``training=False`` and no tape recording, the batch norms are
+    folded into their convs once per call (:meth:`ModelWeights.folded`)
+    and every stage runs on the folded copy; ``weights`` is not modified.
+    Under an active tape the norms run as their own ops, so gradients
+    still reach gamma and beta.
+    """
     if left.shape != right.shape:
         raise ShapeError(f"forward: image shapes differ {left.shape} vs {right.shape}")
+    if not training and active_tape() is None:
+        weights = weights.folded()
     _, _, h, w = left.shape
     f_left = extract_features(left, weights, cfg, training)
     f_right = extract_features(right, weights, cfg, training)

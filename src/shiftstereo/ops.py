@@ -69,8 +69,10 @@ def scalar_mul(a: Tensor, s: float) -> Tensor:
 
 def relu(x: Tensor) -> Tensor:
     out = Tensor(np.maximum(x.data, 0))
-    mask = x.data > 0  # subgradient at 0 is 0
-    return record_op("relu", out, (x,), lambda g: (g * mask,))
+    xd = x.data
+    # The mask is built in backward only, so an untaped ReLU allocates
+    # nothing but its output. The subgradient at 0 is 0.
+    return record_op("relu", out, (x,), lambda g: (g * (xd > 0),))
 
 
 def smooth_l1(x: Tensor) -> Tensor:
@@ -189,6 +191,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     part = np.empty_like(acc) if len(groups) > 1 else None
     for w_group, group in groups[1:]:
         acc += np.matmul(w_group, window(group), out=part)
+    # Free the scratch before the output is allocated: a refine conv sets
+    # the forward pass's memory peak.
+    del part
     out_data = acc.reshape(b, cout, oh, wq)[:, :, :, :ow]
     out = Tensor(out_data + bias.data if bias is not None else out_data)
 
@@ -223,10 +228,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 # batch normalization
 # ---------------------------------------------------------------------------
 
+# The variance offset of batch_norm; the inference-time fold of a norm into
+# its conv (model.ModelWeights.folded) uses the same value.
+BN_EPSILON = 1e-5
+
+
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: Tensor, running_var: Tensor, *,
                training: bool = False, momentum: float = 0.1,
-               epsilon: float = 1e-5, per_sample: bool = False) -> Tensor:
+               epsilon: float = BN_EPSILON, per_sample: bool = False) -> Tensor:
     """Channelwise normalization with learned scale/shift.
 
     Training mode normalizes by current statistics and updates the running

@@ -19,8 +19,8 @@ from .datasets import StereoSample
 from .errors import (CheckpointFormatError, CheckpointShapeError,
                      CheckpointVersionError, ConfigError, ShapeError,
                      TrainingDiverged)
-from .model import ModelConfig, ModelWeights, forward_tensors
-from .tensor import Tape, Tensor, backward
+from .model import ModelConfig, ModelWeights, forward_tensors, weight_shapes
+from .tensor import STANDARD, Tape, Tensor, backward
 
 smooth_l1 = ops.smooth_l1
 
@@ -245,24 +245,31 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def load_weights(ckpt: Checkpoint, config: ModelConfig | None = None) -> ModelWeights:
-    """Instantiate ModelWeights from a checkpoint, validating every name/shape."""
+    """Instantiate ModelWeights from a checkpoint, validating every name/shape.
+
+    Each tensor is built straight from its checkpoint entry, as float32;
+    the names and shapes come from :func:`model.weight_shapes`.
+    """
     config = config or ckpt.config
-    weights = ModelWeights.initialize(config, seed=0)
-    for store, saved in ((weights.params, ckpt.params), (weights.buffers, ckpt.buffers)):
-        for name, tensor in store.items():
+    stores = []
+    for shapes, saved, requires_grad in zip(weight_shapes(config),
+                                            (ckpt.params, ckpt.buffers), (True, False)):
+        store = {}
+        for name, shape in shapes.items():
             if name not in saved:
                 raise CheckpointShapeError(f"checkpoint is missing entry {name!r} "
                                            f"required by config")
-            if saved[name].shape != tensor.data.shape:
+            if saved[name].shape != shape:
                 raise CheckpointShapeError(
                     f"checkpoint entry {name!r} has shape {saved[name].shape}, "
-                    f"config expects {tensor.data.shape}")
-            tensor.data = np.ascontiguousarray(saved[name], dtype=tensor.data.dtype)
+                    f"config expects {shape}")
+            store[name] = Tensor(saved[name], requires_grad=requires_grad, dtype=STANDARD)
         for name in saved:
-            if name not in store:
+            if name not in shapes:
                 raise CheckpointShapeError(f"checkpoint entry {name!r} does not exist "
                                            f"in the configured model")
-    return weights
+        stores.append(store)
+    return ModelWeights(config, *stores)
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,113 @@ class TestForward:
                           weights, cfg)
 
 
+def drawn_weights(cfg, seed, dtype=np.float32):
+    """Seed-initialised weights whose norms and refine tail are drawn too:
+    gamma and var from U(0.5, 1.5), beta, mean and biases from
+    U(-0.1, 0.1), so that no norm is the identity and refine is visible."""
+    weights = model.ModelWeights.initialize(cfg, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed + 1000)
+    for name, t in list(weights.params.items()) + list(weights.buffers.items()):
+        if name.endswith(".w"):
+            if np.any(t.data):
+                continue
+            bound = 1.0 / np.sqrt(t.data[0].size)
+            low, high = -bound, bound
+        elif name.endswith((".gamma", ".var")):
+            low, high = 0.5, 1.5
+        else:
+            low, high = -0.1, 0.1
+        t.data = rng.uniform(low, high, size=t.shape).astype(dtype)
+    return weights
+
+
+class TestBatchNormFold:
+    """Inference folds every norm into its conv; taped and training passes
+    do not."""
+
+    def _pair(self, rng, dtype, h=48, w=60):
+        return (Tensor(rng.standard_normal((1, 1, h, w)), dtype=dtype),
+                Tensor(rng.standard_normal((1, 1, h, w)), dtype=dtype))
+
+    # |folded - unfolded| <= ATOL + RTOL * |unfolded|. Float32 stays 100x
+    # (atol) and 10x (rtol) inside the benchmark's float32-vs-float64 limit
+    # of 1e-3 + 1e-4 |ref|; measured errors are about 3e-7 relative in
+    # float32 and 5e-16 in float64.
+    @pytest.mark.parametrize("dtype,atol,rtol", [(np.float64, 1e-12, 1e-12),
+                                                 (np.float32, 1e-5, 1e-5)])
+    def test_inference_matches_unfused_chain(self, rng, dtype, atol, rtol):
+        cfg = model.ModelConfig.tiny()
+        for seed in (0, 1):
+            weights = drawn_weights(cfg, seed, dtype)
+            left, right = self._pair(rng, dtype)
+            folded = model.forward_tensors(left, right, weights, cfg, mode="sequential")
+            with Tape() as tape:  # under a tape the norms run as their own ops
+                unfused = model.forward_tensors(left, right, weights, cfg,
+                                                mode="sequential")
+            assert any(node.op == "batch_norm" for node in tape.nodes)
+            for key, ref in unfused.items():
+                out = folded[key].data
+                assert out.dtype == dtype
+                assert np.all(np.abs(out - ref.data) <= atol + rtol * np.abs(ref.data)), key
+
+    def test_untaped_inference_runs_no_batch_norm(self, rng, monkeypatch):
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 2)
+        left, right = self._pair(rng, np.float32)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("batch_norm ran in a folded inference pass")
+
+        monkeypatch.setattr(ops, "batch_norm", refuse)
+        model.forward(left, right, weights, cfg)
+
+    def test_weights_unchanged_by_inference(self, rng):
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 3)
+        stores = (weights.params, weights.buffers)
+        before = [{k: (t, t.data.copy()) for k, t in store.items()} for store in stores]
+        specs = dict(weights.specs)
+        model.forward_tensors(*self._pair(rng, np.float32), weights, cfg)
+        for store, saved in zip(stores, before):
+            assert store.keys() == saved.keys()
+            for k, (t, data) in saved.items():
+                assert store[k] is t and t.data.dtype == data.dtype
+                assert np.array_equal(t.data, data), k
+        assert weights.specs == specs
+
+    def test_folded_keeps_layer_keys_and_drops_norms(self):
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 4)
+        folded = weights.folded()
+        assert set(folded.params) == {k for k in weights.params if k.endswith((".w", ".b"))}
+        assert not any(s.norm for s in folded.specs.values())
+        for name, spec in weights.specs.items():
+            same = folded.params[name + ".w"] is weights.params[name + ".w"]
+            assert same == (not spec.norm)
+
+    def test_taped_inference_gives_gamma_a_gradient(self, rng):
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 5)
+        with Tape() as tape:
+            out = model.forward_tensors(*self._pair(rng, np.float32), weights, cfg,
+                                        training=False)
+            loss = ops.sum_all(out["refined"])
+        backward(loss, tape)
+        for name in ("feature.down.gamma", "matching.enc1.gamma", "refine.head.gamma"):
+            grad = weights.params[name].grad
+            assert grad is not None and np.any(grad != 0), name
+
+    def test_folded_cost_slices_sequential_parallel_bit_identical(self, rng):
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 6)
+        folded = weights.folded()
+        fl = model.extract_features(random_image(rng, 96, 96), folded, cfg)
+        fr = model.extract_features(random_image(rng, 96, 96), folded, cfg)
+        seq = model.build_cost_volume(fl, fr, folded, cfg, mode="sequential")
+        par = model.build_cost_volume(fl, fr, folded, cfg, mode="parallel")
+        assert np.array_equal(seq.data, par.data)
+
+
 class TestEndToEndGradients:
     def test_total_loss_finite_differences_on_sampled_parameters(self):
         """Micro profile, high precision, sampled parameter subset, 1e-3.

@@ -94,6 +94,21 @@ class TestConv2d:
         assert len(tape.nodes) == 1
         assert kept < 2 * (x.data.nbytes + out.data.nbytes)
 
+    def test_untaped_conv_peaks_below_three_and_a_half_outputs(self, rng):
+        """An inference refine-size conv holds the phase buffer, one
+        accumulator and the output at once: its scratch is freed before
+        the cropped, biased output is allocated."""
+        x = Tensor(rng.standard_normal((1, 32, 144, 240)).astype(np.float32))
+        w = Tensor(rng.standard_normal((32, 32, 3, 3)).astype(np.float32))
+        b = Tensor(rng.standard_normal((1, 32, 1, 1)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = ops.conv2d(x, w, b, dilation=4, padding=4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * out.data.nbytes
+
 
 class TestBatchNorm:
     def _identity_stats(self, c, dtype=np.float64):
@@ -194,6 +209,27 @@ class TestRelu:
             loss = ops.sum_all(ops.relu(x))
         backward(loss, tape)
         assert np.array_equal(x.grad.reshape(-1), [0.0, 1.0])
+
+    def test_taped_gradient_is_upstream_times_positive_mask(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 5, 7)).astype(np.float32),
+                   requires_grad=True)
+        x.data[0, 0, 0, :3] = 0.0
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        with Tape() as tape:
+            out = ops.relu(x)
+        (dx,) = tape.nodes[0].grad_fn(g)
+        assert dx.dtype == g.dtype
+        assert np.array_equal(dx, g * (x.data > 0))
+
+    def test_untaped_relu_allocates_only_its_output(self, rng):
+        x = Tensor(rng.standard_normal((1, 32, 144, 240)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = ops.relu(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * out.data.nbytes
 
 
 class TestAvgPool:
