@@ -4,7 +4,7 @@ analytic estimator for parameters, flops, and peak activation memory."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -94,7 +94,10 @@ class ResourceReport:
     kernel MACs only, while bias, normalization, activation, pooling, and
     resampling costs are collected separately under ``aux_flops``
     (bias 1, norm 4, relu 1 flop per output element; pooling 1 per input
-    element; bilinear 8 per output element). Peak figures count elements
+    element; bilinear 8 per output element). ``matching_per_level`` counts
+    the convs each disparity level runs and ``matching_per_volume`` the
+    feature-pair convs run once per cost volume; ``total`` is every conv of
+    one forward pass. Peak figures count elements
     of the matching-net input held live at once: the sequential schedule
     keeps one (H/3)(W/3)(2F) workspace, the parallel schedule holds all
     D/3 level slices, and a hypothetical 4D feature volume stores the
@@ -204,7 +207,19 @@ def estimate_resources(config: ModelConfig, height: int, width: int) -> Resource
             match_sizes[s.name] = scales[4 - int(s.name[-1])]
         else:
             match_sizes[s.name] = scales[0]
-    match_conv, match_aux = _section_cost(matching_layer_specs(config), match_sizes)
+    # The feature pair's convolutions run once per volume (model._pair_terms):
+    # enc1 reads L once and R twice (even and odd shifts), dec4 reads L once
+    # and, with its last-column-masked twin, R twice over a map one column
+    # wider; an odd feature width adds enc1's masked twin, two more maps.
+    # Per level, enc1 runs no conv and dec4 reads only the decoder's channels.
+    m0 = config.matching_channels[0]
+    enc1_maps = 1 + (2 if fw % 2 == 0 else 4)
+    per_volume = (enc1_maps * conv_flops(3, f, m0, *scales[1])
+                  + conv_flops(3, f, m0, fh, fw) + 2 * conv_flops(3, f, m0, fh, fw + 1))
+    per_level = [replace(s, cin=m0) if s.name == "matching.dec4" else s
+                 for s in matching_layer_specs(config) if s.name != "matching.enc1"]
+    match_conv, _ = _section_cost(per_level, match_sizes)
+    _, match_aux = _section_cost(matching_layer_specs(config), match_sizes)
 
     refine_sizes = {s.name: (height, width) for s in refine_layer_specs(config)}
     ref_conv, ref_aux = _section_cost(refine_layer_specs(config), refine_sizes)
@@ -215,8 +230,9 @@ def estimate_resources(config: ModelConfig, height: int, width: int) -> Resource
         "feature_both_images": 2 * feat_conv,
         "matching_per_level": match_conv,
         "matching_all_levels": match_conv * levels,
+        "matching_per_volume": per_volume,
         "refine": ref_conv,
-        "total": 2 * feat_conv + match_conv * levels + ref_conv,
+        "total": 2 * feat_conv + match_conv * levels + per_volume + ref_conv,
     }
     aux = 2 * feat_aux + match_aux * levels + ref_aux
     sequential = fh * fw * 2 * f

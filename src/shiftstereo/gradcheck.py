@@ -226,6 +226,11 @@ def op_cases() -> list[CheckCase]:
         _unary_case("bilinear_up", lambda x: ops.bilinear_resize(x, 7, 9), in_shape=(1, 2, 3, 4)),
         _unary_case("bilinear_down", lambda x: ops.bilinear_resize(x, 3, 3), in_shape=(1, 2, 6, 6)),
         _unary_case("shift_columns", lambda x: ops.shift_columns(x, 2), in_shape=(1, 2, 3, 5)),
+        _unary_case("slice_channels", lambda x: ops.slice_channels(x, 1, 3), in_shape=(2, 4, 3, 3)),
+        # both items, shifts either way, a row read twice, edge blocks
+        _unary_case("gather_columns",
+                    lambda x: ops.gather_columns(x, [1, 0, 1], [2, -1, 0], 6, edge=True),
+                    in_shape=(2, 4, 3, 5)),
         _unary_case("soft_argmin_path",
                     lambda x: ops.index_expectation(ops.softmax(ops.scalar_mul(x, -1.0), axis=1)),
                     in_shape=(1, 4, 3, 3)),

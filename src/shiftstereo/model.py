@@ -6,6 +6,19 @@ left features and the shifted right features), a projection layer that
 turns the cost volume into a disparity and an entropy map, and an
 entropy-guided refinement network on the full-resolution disparity.
 
+The matching net reads the pair ``[L, S_d R]`` (the right features shifted
+d columns to the right) in two layers, ``matching.enc1`` and the skip input
+``[x, L, S_d R]`` of ``matching.dec4``. Convolution is linear, so
+``conv([x, L, S_d R], W) = conv(x, W_x) + conv(L, W_L) + conv(S_d R, W_R)``:
+the L term is the same at every level and the R term is one map shifted by
+d (d // 2 at enc1's stride 2). Both are computed once per cost volume
+(:func:`_pair_terms`), from the weights split by input block
+(:func:`pair_blocks`). Each level shifts the R maps and so reproduces the
+direct form exactly, also at its two edge columns: the column where the
+kernel's last tap first reads ``R[0]`` (the R map is taken over R widened
+by one zero column on the left), and the last column, which reads padding
+in the direct form (a map made with the kernel's last column zeroed).
+
 An inference pass of :func:`forward_tensors` with no tape recording first
 folds every batch norm into the weights and bias of its conv
 (:meth:`ModelWeights.folded`), so each normed layer runs as one conv and
@@ -206,7 +219,8 @@ class ModelWeights:
     """Named parameter and buffer tensors for the three subnetworks.
 
     One single matching-net parameter set serves all disparity levels;
-    the cost-volume builder references it, never copies it. ``specs``
+    the cost-volume builder copies only the weight blocks of the two layers
+    that read the feature pair (:func:`pair_blocks`). ``specs``
     maps each layer name to its ConvSpec; :meth:`folded` returns weights
     whose specs carry ``norm=False``.
     """
@@ -280,10 +294,9 @@ class ModelWeights:
         return sum(p.data.size for p in self.params.values())
 
 
-def _block(x: Tensor, name: str, weights: ModelWeights, training: bool) -> Tensor:
+def _norm_act(out: Tensor, name: str, weights: ModelWeights, training: bool) -> Tensor:
+    """The norm and activation that follow layer ``name``'s convolution."""
     spec = weights.specs[name]
-    out = ops.conv2d(x, weights.params[name + ".w"], weights.params[name + ".b"],
-                     stride=spec.stride, dilation=spec.dilation, padding=spec.padding)
     if spec.norm:
         out = ops.batch_norm(out, weights.params[name + ".gamma"],
                              weights.params[name + ".beta"],
@@ -293,6 +306,13 @@ def _block(x: Tensor, name: str, weights: ModelWeights, training: bool) -> Tenso
     if spec.act:
         out = ops.relu(out)
     return out
+
+
+def _block(x: Tensor, name: str, weights: ModelWeights, training: bool) -> Tensor:
+    spec = weights.specs[name]
+    out = ops.conv2d(x, weights.params[name + ".w"], weights.params[name + ".b"],
+                     stride=spec.stride, dilation=spec.dilation, padding=spec.padding)
+    return _norm_act(out, name, weights, training)
 
 
 # ---------------------------------------------------------------------------
@@ -326,55 +346,198 @@ def extract_features(image: Tensor, weights: ModelWeights, cfg: ModelConfig,
 # matching net and cost volume
 # ---------------------------------------------------------------------------
 
-def _matching_body(pair: Tensor, weights: ModelWeights, cfg: ModelConfig,
-                   training: bool) -> Tensor:
-    """(B, 2F, H', W') concatenated feature pair -> (B, 1, H', W') cost map."""
-    _, c, h, w = pair.shape
-    if c != 2 * cfg.feature_channels:
-        raise ShapeError(f"matching net expects {2 * cfg.feature_channels} channels, got {c}")
+@dataclass(frozen=True)
+class BlockWeights:
+    """Weights of ``matching.enc1`` and ``matching.dec4`` restricted to the
+    channels of one of their input blocks (:func:`pair_blocks`).
+
+    ``params`` is keyed like :attr:`ModelWeights.params`, by the layer each
+    block belongs to, so a conv over a block reads a weight that is named
+    by its layer.
+    """
+
+    params: dict[str, Tensor]
+
+
+def _last_column_masked(w: Tensor) -> Tensor:
+    """w with the kernel's last column zeroed."""
+    mask = np.ones(w.shape, dtype=w.dtype)
+    mask[..., -1] = 0
+    return ops.mul(w, Tensor(mask))
+
+
+def pair_blocks(weights: ModelWeights, cfg: ModelConfig,
+                feature_width: int) -> dict[str, BlockWeights]:
+    """The weights of the two layers that read the feature pair, split by
+    input block, as the keyword arguments of :func:`build_cost_volume`.
+
+    ``matching.enc1`` reads ``[L, S_d R]`` and ``matching.dec4`` reads
+    ``[x, L, S_d R]``; ``x_block``, ``left_block`` and ``right_block`` hold
+    their blocks over x, L and R. Each R block is stacked along the output
+    channels with its twin whose kernel's last column is zeroed, which
+    gives the last output column (see :func:`_pair_terms`). enc1 has stride
+    2 and needs the twin only at an odd ``feature_width``, where its last
+    output column reads padding.
+    """
+    f, m0 = cfg.feature_channels, cfg.matching_channels[0]
+    enc1, dec4 = weights.params["matching.enc1.w"], weights.params["matching.dec4.w"]
+    enc1_right = ops.slice_channels(enc1, f, 2 * f)
+    dec4_right = ops.slice_channels(dec4, m0 + f, m0 + 2 * f)
+    if feature_width % 2:
+        enc1_right = ops.stack_batch([enc1_right, _last_column_masked(enc1_right)])
+    return {
+        "x_block": BlockWeights({"matching.dec4.w": ops.slice_channels(dec4, 0, m0)}),
+        "left_block": BlockWeights({
+            "matching.enc1.w": ops.slice_channels(enc1, 0, f),
+            "matching.dec4.w": ops.slice_channels(dec4, m0, m0 + f)}),
+        "right_block": BlockWeights({
+            "matching.enc1.w": enc1_right,
+            "matching.dec4.w": ops.stack_batch([dec4_right,
+                                                _last_column_masked(dec4_right)])}),
+    }
+
+
+@dataclass(frozen=True)
+class _PairTerms:
+    """The matching net's convolutions of the feature pair, once per volume.
+
+    ``enc1_left`` / ``dec4_left`` are ``conv(L, W_L) + bias`` of
+    ``matching.enc1`` / ``matching.dec4``; ``enc1_right`` / ``dec4_right``
+    are the maps of the R blocks that :func:`_match_levels` shifts per
+    level; ``dec4_x`` is dec4's weight block over the decoder input.
+    """
+
+    enc1_left: Tensor
+    enc1_right: Tensor
+    dec4_left: Tensor
+    dec4_right: Tensor
+    dec4_x: Tensor
+
+
+def _pair_terms(left_features: Tensor, source: Tensor, weights: ModelWeights,
+                cfg: ModelConfig, x_block: BlockWeights, left_block: BlockWeights,
+                right_block: BlockWeights) -> _PairTerms:
+    """Precompute everything the matching net reads of ``[L, S_d source]``.
+
+    With R = ``source`` and C = conv(R, W_R) at stride 1, padding 1, the
+    direct form's ``conv(S_d R, W_R)`` is C shifted right by d, except at two
+    edges. Column d - 1 reads ``R[0]`` through the kernel's last column, so
+    ``dec4_right`` is taken over R widened by one zero column on the left,
+    which holds that column. The last output column reads padding where the
+    shifted map reads ``R[W - d]``; the masked twin's channel block gives
+    it. ``matching.enc1`` has stride 2: ``enc1_right`` holds conv(R) and
+    conv(S_1 R) as two batch items, for even and odd d, which shift by
+    d // 2 with exact zero fill on the left; at an odd feature width its
+    masked block gives the last output column.
+    """
+    f, m0 = cfg.feature_channels, cfg.matching_channels[0]
+    _, c, h, w = left_features.shape
+    if c != f:
+        raise ShapeError(f"matching net expects {f}-channel features, got {c}")
     if min(h, w) < 16:
         raise ShapeError(f"matching net needs >= 16x16 at 1/3 resolution, got {h}x{w}")
-    skips = [pair]
-    x = pair
-    for i in range(1, 5):
+    if source.shape != left_features.shape:
+        raise ShapeError(f"matching net: feature shapes differ "
+                         f"{left_features.shape} vs {source.shape}")
+    enc1_right = right_block.params["matching.enc1.w"]
+    if enc1_right.shape[0] != m0 * (1 + w % 2):
+        raise ShapeError(f"matching net: right_block was split for another "
+                         f"feature width than {w}")
+    left = left_block.params
+    return _PairTerms(
+        enc1_left=ops.conv2d(left_features, left["matching.enc1.w"],
+                             weights.params["matching.enc1.b"], stride=2, padding=1),
+        enc1_right=ops.conv2d(ops.stack_batch([source, ops.shift_columns(source, 1)]),
+                              enc1_right, stride=2, padding=1),
+        dec4_left=ops.conv2d(left_features, left["matching.dec4.w"],
+                             weights.params["matching.dec4.b"], padding=1),
+        dec4_right=ops.conv2d(ops.gather_columns(source, [0], [1], w + 1),
+                              right_block.params["matching.dec4.w"], padding=1),
+        dec4_x=x_block.params["matching.dec4.w"])
+
+
+def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights,
+                  training: bool) -> Tensor:
+    """Cost maps (len(levels), 1, H', W') of the given disparity levels.
+
+    Each batch item runs the matching net on its own level only: the
+    per-sample norms and the convs keep batch items independent, so a
+    level's cost is bit-identical however the levels are batched.
+    """
+    n = len(levels)
+    _, _, h, w = terms.dec4_left.shape
+
+    def per_level(t):
+        return t if n == 1 else ops.stack_batch([t] * n)
+
+    x = ops.add(per_level(terms.enc1_left),
+                ops.gather_columns(terms.enc1_right, [d % 2 for d in levels],
+                                   [d // 2 for d in levels], terms.enc1_left.shape[3],
+                                   edge=w % 2 == 1))
+    x = _block(_norm_act(x, "matching.enc1", weights, training), "matching.filt1",
+               weights, training)
+    skips = [x]
+    for i in range(2, 5):
         x = _block(x, f"matching.enc{i}", weights, training)
         x = _block(x, f"matching.filt{i}", weights, training)
         skips.append(x)
-    x = skips[4]
-    for i, skip in enumerate((skips[3], skips[2], skips[1], skips[0]), 1):
+    for i, skip in enumerate((skips[2], skips[1], skips[0]), 1):
         _, _, sh, sw = skip.shape
         x = ops.bilinear_resize(x, sh, sw)
         x = _block(ops.concat_channels([x, skip]), f"matching.dec{i}", weights, training)
+    x = ops.conv2d(ops.bilinear_resize(x, h, w), terms.dec4_x, padding=1)
+    # dec4_right is one column wider on the left: level d reads it at d - 1.
+    x = ops.add(ops.add(x, per_level(terms.dec4_left)),
+                ops.gather_columns(terms.dec4_right, [0] * n, [d - 1 for d in levels], w,
+                                   edge=True))
+    x = _norm_act(x, "matching.dec4", weights, training)
     return ops.conv2d(x, weights.params["matching.out.w"],
                       weights.params["matching.out.b"], padding=1)
 
 
-def shift_features(features: Tensor, d: int) -> Tensor:
-    """Displace a feature map d columns to the right, zero-filling the gap."""
-    return ops.shift_columns(features, d)
-
-
-def compute_cost_map(left_features: Tensor, shifted_right_features: Tensor,
-                     weights: ModelWeights, cfg: ModelConfig,
-                     training: bool = False) -> Tensor:
-    if left_features.shape != shifted_right_features.shape:
-        raise ShapeError(f"compute_cost_map: feature shapes differ "
-                         f"{left_features.shape} vs {shifted_right_features.shape}")
-    pair = ops.concat_channels([left_features, shifted_right_features])
-    return _matching_body(pair, weights, cfg, training)
+def cost_level(left_features: Tensor, right_features: Tensor, d: int,
+               weights: ModelWeights, cfg: ModelConfig, training: bool = False) -> Tensor:
+    """Cost map (1, 1, H', W') of level d alone, bit-identical to slice d of
+    :func:`build_cost_volume`."""
+    if left_features.shape[0] != 1:
+        raise ShapeError("cost_level: one image pair at a time (batch extent 1)")
+    if not 0 <= d < left_features.shape[3]:
+        raise ShapeError(f"cost_level: level {d} outside the feature width")
+    terms = _pair_terms(left_features, right_features, weights, cfg,
+                        **pair_blocks(weights, cfg, left_features.shape[3]))
+    return _match_levels(terms, [d], weights, training)
 
 
 def build_cost_volume(left_features: Tensor, right_features: Tensor,
                       weights: ModelWeights, cfg: ModelConfig,
                       mode: str = "parallel", training: bool = False,
-                      context_only: bool = False) -> Tensor:
+                      context_only: bool = False, *,
+                      x_block: BlockWeights | None = None,
+                      left_block: BlockWeights | None = None,
+                      right_block: BlockWeights | None = None) -> Tensor:
     """Cost volume (1, D/3, H', W'); slice d is the matching net applied to
-    (left, right shifted by d).
+    the pair ``[L, S_d R]``: the left features and the right features
+    shifted d columns to the right.
+
+    The pair reaches two layers, ``matching.enc1`` and, through its skip
+    input ``[x, L, S_d R]``, ``matching.dec4``. Convolution is linear, so
+    ``conv([x, L, S_d R], W) = conv(x, W_x) + conv(L, W_L) + conv(S_d R, W_R)``.
+    The L and R terms are computed once per volume (:func:`_pair_terms`)
+    and each level shifts the R term, with its edge columns taken from
+    maps that reproduce the direct form exactly there. A level thus runs
+    no ``enc1`` conv and runs ``dec4`` over x only.
+
+    ``x_block``, ``left_block`` and ``right_block`` are
+    :func:`pair_blocks` of ``weights``, split here when not given.
+    :func:`forward_tensors` passes them, so that every weight a conv of
+    this stage reads is a tensor named among its arguments; the traced
+    benchmark run (``perfbench/spans.py``) attributes conv time to layers
+    by those names.
 
     ``sequential`` runs one level at a time so activations of one level can
     be recycled; ``parallel`` batches all levels through the net at once.
     Both produce bit-identical volumes. ``context_only`` replaces the right
-    features with shifted left features (the crippled control that cannot
+    features with the left features (the crippled control that cannot
     see the second view).
     """
     if mode not in ("sequential", "parallel"):
@@ -387,16 +550,17 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     levels = cfg.levels
     if levels > fw:
         raise ShapeError(f"build_cost_volume: {levels} levels exceed feature width {fw}")
+    if any(block is None for block in (x_block, left_block, right_block)):
+        blocks = pair_blocks(weights, cfg, fw)
+    else:
+        blocks = {"x_block": x_block, "left_block": left_block, "right_block": right_block}
     source = left_features if context_only else right_features
+    terms = _pair_terms(left_features, source, weights, cfg, **blocks)
     if mode == "sequential":
-        slices = [compute_cost_map(left_features, shift_features(source, d),
-                                   weights, cfg, training)
-                  for d in range(levels)]
-        return ops.concat_channels(slices)
-    pairs = [ops.concat_channels([left_features, shift_features(source, d)])
-             for d in range(levels)]
-    out = _matching_body(ops.stack_batch(pairs), weights, cfg, training)
-    return ops.batch_to_channels(out)
+        return ops.concat_channels([_match_levels(terms, [d], weights, training)
+                                    for d in range(levels)])
+    return ops.batch_to_channels(_match_levels(terms, list(range(levels)), weights,
+                                               training))
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +670,8 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     f_left = extract_features(left, weights, cfg, training)
     f_right = extract_features(right, weights, cfg, training)
     volume = build_cost_volume(f_left, f_right, weights, cfg, mode=mode,
-                               training=training, context_only=context_only)
+                               training=training, context_only=context_only,
+                               **pair_blocks(weights, cfg, f_left.shape[3]))
     disp_low, ent_low = _project(volume)
     coarse, ent_full = _upsample_tensors(disp_low, ent_low, h, w)
     refined = refine(coarse, left, ent_full, weights, cfg, training)

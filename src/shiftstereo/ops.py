@@ -16,6 +16,8 @@ on the rest of the batch.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import ShapeError
@@ -310,8 +312,12 @@ def avg_pool(x: Tensor, window_h: int, window_w: int,
              stride_h: int, stride_w: int) -> Tensor:
     """Mean pooling. Windows larger than the input are clipped to it.
 
-    Window elements accumulate in fixed row-major order, so the result is
-    bit-identical to a serial per-window loop.
+    Each window's elements are flattened row-major and summed with
+    ``np.add.accumulate``, which adds them one after another, so the result
+    is bit-identical to a serial per-window loop. Backward writes each
+    window's share through a strided view of the gradient, one pass per
+    group of mutually disjoint windows (a single pass when the stride is at
+    least the window, as in the feature net's pooling branches).
     """
     if window_h < 1 or window_w < 1 or stride_h < 1 or stride_w < 1:
         raise ShapeError("avg_pool: window and stride must be positive")
@@ -320,34 +326,40 @@ def avg_pool(x: Tensor, window_h: int, window_w: int,
     ww = min(window_w, w)
     oh = (h - wh) // stride_h + 1
     ow = (w - ww) // stride_w + 1
-    hspan = (oh - 1) * stride_h + 1
-    wspan = (ow - 1) * stride_w + 1
-    acc = np.zeros((b, c, oh, ow), dtype=x.dtype)
-    for dy in range(wh):
-        for dx in range(ww):
-            acc += x.data[:, :, dy:dy + hspan:stride_h, dx:dx + wspan:stride_w]
+    windows = np.lib.stride_tricks.sliding_window_view(
+        x.data, (wh, ww), axis=(2, 3))[:, :, ::stride_h, ::stride_w]
+    acc = np.add.accumulate(windows.reshape(b, c, oh, ow, wh * ww), axis=-1)[..., -1]
     out = Tensor(acc / (wh * ww))
     inv_area = 1.0 / (wh * ww)
     xshape = x.data.shape
+    # Windows p, p + groups_h, ... (likewise for columns) never overlap.
+    groups_h = -(-wh // stride_h)
+    groups_w = -(-ww // stride_w)
 
     def grad_fn(g):
         dx = np.zeros(xshape, dtype=g.dtype)
-        spread = g * inv_area
-        for dy in range(wh):
-            for dx_ in range(ww):
-                dx[:, :, dy:dy + hspan:stride_h, dx_:dx_ + wspan:stride_w] += spread
+        spread = (g * inv_area)[..., None, None]
+        view = np.lib.stride_tricks.sliding_window_view(dx, (wh, ww), axis=(2, 3),
+                                                        writeable=True)
+        for p in range(groups_h):
+            for q in range(groups_w):
+                view[:, :, p * stride_h::groups_h * stride_h,
+                     q * stride_w::groups_w * stride_w] += spread[:, :, p::groups_h,
+                                                                  q::groups_w]
         return (dx,)
 
     return record_op("avg_pool", out, (x,), grad_fn)
 
 
+@functools.lru_cache(maxsize=64)
 def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     """Row-stochastic bilinear sampling matrix, half-pixel-center convention.
 
     Row i puts weight 1 - t on source index floor(src) and t on the next
     one, both clamped to the input, where src = (i + 0.5) * n_in / n_out - 0.5
     and t = src - floor(src). Where the two indices clamp to one entry, the
-    weights add in ``dtype`` arithmetic.
+    weights add in ``dtype`` arithmetic. Matrices are cached per
+    ``(n_in, n_out, dtype)`` and returned read-only.
     """
     rows = np.arange(n_out)
     src = (rows + 0.5) * (n_in / n_out) - 0.5
@@ -357,6 +369,7 @@ def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
     m = np.zeros((n_out, n_in), dtype=dtype)
     m[rows, np.clip(lo, 0, n_in - 1)] = (1.0 - t).astype(dtype)
     m[rows, np.clip(lo + 1, 0, n_in - 1)] += t.astype(dtype)
+    m.flags.writeable = False
     return m
 
 
@@ -368,10 +381,9 @@ def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
     sy = _resize_matrix(h, out_h, x.dtype)
     sx = _resize_matrix(w, out_w, x.dtype)
     out = Tensor(np.matmul(np.matmul(sy, x.data), sx.T))
-    syt, sxt = sy.T.copy(), sx.T.copy()
 
     def grad_fn(g):
-        return (np.matmul(np.matmul(syt, g), sxt.T),)
+        return (np.matmul(np.matmul(sy.T, g), sx),)
 
     return record_op("bilinear_resize", out, (x,), grad_fn)
 
@@ -483,6 +495,40 @@ def batch_to_channels(x: Tensor) -> Tensor:
     return record_op("batch_to_channels", out, (x,), grad_fn)
 
 
+
+
+def _shifted_items(x: Tensor, items, shifts, width: int, edge: bool, op: str) -> Tensor:
+    """:func:`gather_columns`, recorded on the tape as ``op``."""
+    b, c, h, w = x.shape
+    items, shifts = [int(i) for i in items], [int(s) for s in shifts]
+    if len(items) != len(shifts) or not all(0 <= i < b for i in items):
+        raise ShapeError(f"{op}: items {items} with shifts {shifts} do not address "
+                         f"{b} batch items")
+    if width < 1 or (edge and c % 2):
+        raise ShapeError(f"{op}: width {width}, or {c} channels for two edge blocks")
+    cb = c // 2 if edge else c
+    body = width - 1 if edge else width
+    rows = [(i, item, s, max(s, 0), max(min(body, w + s), s, 0),
+             edge and 0 <= width - 1 - s < w)
+            for i, (item, s) in enumerate(zip(items, shifts))]
+    out = np.zeros((len(rows), cb, h, width), dtype=x.dtype)
+    for i, item, s, j0, j1, last in rows:
+        out[i, :, :, j0:j1] = x.data[item, :cb, :, j0 - s:j1 - s]
+        if last:
+            out[i, :, :, -1] = x.data[item, cb:, :, width - 1 - s]
+    shape = x.data.shape
+
+    def grad_fn(g):
+        dx = np.zeros(shape, dtype=g.dtype)
+        for i, item, s, j0, j1, last in rows:
+            dx[item, :cb, :, j0 - s:j1 - s] += g[i, :, :, j0:j1]
+            if last:
+                dx[item, cb:, :, width - 1 - s] += g[i, :, :, -1]
+        return (dx,)
+
+    return record_op(op, Tensor(out), (x,), grad_fn)
+
+
 def shift_columns(x: Tensor, d: int) -> Tensor:
     """Shift content right by d columns; vacated columns are zero-filled.
 
@@ -492,18 +538,36 @@ def shift_columns(x: Tensor, d: int) -> Tensor:
     b, c, h, w = x.shape
     if not 0 <= d <= w:
         raise ShapeError(f"shift_columns: shift {d} out of range [0, {w}]")
-    if d == 0:
-        out = Tensor(x.data.copy())
-        return record_op("shift_columns", out, (x,), lambda g: (g,))
-    out_data = np.zeros_like(x.data)
-    if d < w:
-        out_data[:, :, :, d:] = x.data[:, :, :, :w - d]
-    out = Tensor(out_data)
+    return _shifted_items(x, range(b), [d] * b, w, False, "shift_columns")
+
+
+def gather_columns(x: Tensor, items, shifts, width: int, edge: bool = False) -> Tensor:
+    """Shifted batch items of x, zero-filled, as a (len(items), C', H, width)
+    batch: row i is item ``items[i]`` shifted right by ``shifts[i]`` columns
+    (left when negative), so its column j is x's column ``j - shifts[i]``.
+
+    With ``edge``, x holds two channel blocks of C' = C / 2 channels and
+    each row's last column comes from the second block, at the same shift;
+    otherwise C' = C. The gradient scatters back, summing where rows read
+    the same column.
+    """
+    return _shifted_items(x, items, shifts, width, edge, "gather_columns")
+
+
+def slice_channels(x: Tensor, start: int, stop: int) -> Tensor:
+    """Channels ``start:stop`` of x (axis 1) as a new tensor.
+
+    The gradient is the upstream gradient zero-padded back to x's channels.
+    """
+    b, c, h, w = x.shape
+    if not 0 <= start < stop <= c:
+        raise ShapeError(f"slice_channels: range [{start}, {stop}) not inside [0, {c})")
+    out = Tensor(x.data[:, start:stop])
+    shape = x.data.shape
 
     def grad_fn(g):
-        dx = np.zeros_like(g)
-        if d < w:
-            dx[:, :, :, :w - d] = g[:, :, :, d:]
+        dx = np.zeros(shape, dtype=g.dtype)
+        dx[:, start:stop] = g
         return (dx,)
 
-    return record_op("shift_columns", out, (x,), grad_fn)
+    return record_op("slice_channels", out, (x,), grad_fn)

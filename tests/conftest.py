@@ -53,6 +53,30 @@ def avg_pool_reference(x, window_h, window_w, stride_h, stride_w):
     return out
 
 
+def avg_pool_strided_reference(x, wh, ww, sh, sw):
+    """Pooling as one strided add per window offset, in the input's dtype:
+    the serial order of ``avg_pool_reference`` at the dtype's precision.
+    Windows are assumed to fit the input. Returns (output, backward of an
+    upstream gradient g)."""
+    b, c, h, w = x.shape
+    oh, ow = (h - wh) // sh + 1, (w - ww) // sw + 1
+    hspan, wspan = (oh - 1) * sh + 1, (ow - 1) * sw + 1
+    acc = np.zeros((b, c, oh, ow), dtype=x.dtype)
+    for dy in range(wh):
+        for dx in range(ww):
+            acc += x[:, :, dy:dy + hspan:sh, dx:dx + wspan:sw]
+
+    def backward(g):
+        grad = np.zeros_like(x)
+        spread = g * (1.0 / (wh * ww))
+        for dy in range(wh):
+            for dx in range(ww):
+                grad[:, :, dy:dy + hspan:sh, dx:dx + wspan:sw] += spread
+        return grad
+
+    return acc / (wh * ww), backward
+
+
 def resize_matrix_reference(n_in, n_out, dtype):
     """Per-row loop oracle for the bilinear sampling matrix
     (half-pixel centers, source indices clamped to the input)."""

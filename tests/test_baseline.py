@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import ssd_reference
-from shiftstereo import baseline, model
+from shiftstereo import baseline, model, ops
 from shiftstereo.errors import ShapeError
 from shiftstereo.tensor import HIGH, Tensor
 
@@ -135,3 +135,34 @@ class TestResources:
     def test_rejects_bad_extents(self):
         with pytest.raises(ShapeError):
             baseline.estimate_resources(model.ModelConfig.tiny(), 0, 96)
+
+
+class TestConvMacsMatchWhatRuns:
+    """``estimate_resources`` conv flops equal twice the multiply-accumulates
+    of the conv2d calls one forward pass actually makes."""
+
+    # feature widths 16 (even) and 19 / 17 (odd)
+    @pytest.mark.parametrize("profile,height,width", [
+        ("tiny", 48, 48), ("tiny", 51, 57), ("full", 48, 48), ("full", 48, 51)])
+    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
+    def test_estimate_equals_counted_macs(self, monkeypatch, profile, height, width, mode):
+        cfg = (model.ModelConfig.tiny(max_disparity=12) if profile == "tiny"
+               else model.ModelConfig.full(max_disparity=12))
+        weights = model.ModelWeights.initialize(cfg, seed=0)
+        macs = []
+        conv2d = ops.conv2d
+
+        def counting(x, weight, *args, **kwargs):
+            out = conv2d(x, weight, *args, **kwargs)
+            b, cout, oh, ow = out.shape
+            _, cin, kh, kw = weight.shape
+            macs.append(b * cout * oh * ow * cin * kh * kw)
+            return out
+
+        monkeypatch.setattr(ops, "conv2d", counting)
+        rng = np.random.default_rng(0)
+        left, right = (Tensor(rng.standard_normal((1, cfg.in_channels, height, width))
+                              .astype(np.float32)) for _ in range(2))
+        model.forward_tensors(left, right, weights, cfg, mode=mode)
+        report = baseline.estimate_resources(cfg, height, width)
+        assert 2 * sum(macs) == report.conv_flops["total"]

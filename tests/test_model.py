@@ -112,11 +112,11 @@ class TestFeatureNet:
 class TestShiftFeatures:
     def test_identity_at_zero(self, rng):
         f = Tensor(rng.standard_normal((1, 4, 3, 5)).astype(np.float32))
-        assert np.array_equal(model.shift_features(f, 0).data, f.data)
+        assert np.array_equal(ops.shift_columns(f, 0).data, f.data)
 
     def test_shift_two_on_width_five(self, rng):
         f = Tensor(rng.standard_normal((1, 2, 3, 5)).astype(np.float32))
-        out = model.shift_features(f, 2)
+        out = ops.shift_columns(f, 2)
         assert not out.data[:, :, :, :2].any()
         assert np.array_equal(out.data[:, :, :, 2:], f.data[:, :, :, :3])
 
@@ -126,7 +126,7 @@ class TestMatchingNet:
         cfg, weights = tiny_weights()
         fl = model.extract_features(random_image(rng, 96, 96), weights, cfg)
         fr = model.extract_features(random_image(rng, 96, 96), weights, cfg)
-        cost = model.compute_cost_map(fl, fr, weights, cfg)
+        cost = model.cost_level(fl, fr, 0, weights, cfg)
         assert cost.shape == (1, 1, 32, 32)
 
     def test_pure_function_of_inputs(self, rng):
@@ -135,28 +135,32 @@ class TestMatchingNet:
         cfg, weights = tiny_weights()
         fl = model.extract_features(random_image(rng, 48, 48), weights, cfg)
         fr = model.extract_features(random_image(rng, 48, 48), weights, cfg)
-        a = model.compute_cost_map(fl, fr, weights, cfg)
-        b = model.compute_cost_map(fl, fr, weights, cfg)
+        a = model.cost_level(fl, fr, 3, weights, cfg)
+        b = model.cost_level(fl, fr, 3, weights, cfg)
         assert np.array_equal(a.data, b.data)
 
     def test_rejects_sub_16_extent(self, rng):
         cfg, weights = tiny_weights()
-        fl = Tensor(rng.standard_normal((1, 32, 15, 20)).astype(np.float32))
+        fl = Tensor(rng.standard_normal((1, 16, 15, 20)).astype(np.float32))
         with pytest.raises(ShapeError):
-            model.compute_cost_map(fl, fl, weights, cfg)
+            model.cost_level(fl, fl, 0, weights, cfg)
 
     def test_layer_by_layer_replay_oracle(self, rng):
-        """Re-execute the matching net layer list step by step with raw ops
-        and compare against the packaged forward."""
-        cfg, weights = tiny_weights()
-        pair = Tensor(rng.standard_normal((1, 32, 16, 16)).astype(np.float32))
-        expected = model._matching_body(pair, weights, cfg, training=False)
+        """Re-execute the matching net layer list step by step with raw ops,
+        assembling each shifted pair term with numpy slices by the edge
+        rules of ``model._pair_terms``, and compare against the packaged
+        forward, at an even and an odd feature width."""
+        for width in (16, 17):
+            self._replay(rng, width)
 
-        def conv_bn_relu(x, name):
-            spec = weights.specs[name]
-            y = ops.conv2d(x, weights.params[name + ".w"], weights.params[name + ".b"],
-                           stride=spec.stride, dilation=spec.dilation,
-                           padding=spec.padding)
+    @staticmethod
+    def _replay(rng, width):
+        cfg, weights = tiny_weights()
+        f, m0 = cfg.feature_channels, cfg.matching_channels[0]
+        fl = Tensor(rng.standard_normal((1, f, 16, width)).astype(np.float32))
+        fr = Tensor(rng.standard_normal((1, f, 16, width)).astype(np.float32))
+
+        def norm_relu(y, name):
             y = ops.batch_norm(y, weights.params[name + ".gamma"],
                                weights.params[name + ".beta"],
                                weights.buffers[name + ".mean"],
@@ -164,21 +168,63 @@ class TestMatchingNet:
                                training=False, per_sample=True)
             return ops.relu(y)
 
-        e1 = conv_bn_relu(pair, "matching.enc1")
-        f1 = conv_bn_relu(e1, "matching.filt1")
-        e2 = conv_bn_relu(f1, "matching.enc2")
-        f2 = conv_bn_relu(e2, "matching.filt2")
-        e3 = conv_bn_relu(f2, "matching.enc3")
-        f3 = conv_bn_relu(e3, "matching.filt3")
-        e4 = conv_bn_relu(f3, "matching.enc4")
-        f4 = conv_bn_relu(e4, "matching.filt4")
-        d = f4
-        for i, skip in enumerate((f3, f2, f1, pair), 1):
-            d = ops.bilinear_resize(d, skip.shape[2], skip.shape[3])
-            d = conv_bn_relu(ops.concat_channels([d, skip]), f"matching.dec{i}")
-        replay = ops.conv2d(d, weights.params["matching.out.w"],
-                            weights.params["matching.out.b"], padding=1)
-        assert np.array_equal(replay.data, expected.data)
+        def conv_bn_relu(x, name):
+            spec = weights.specs[name]
+            y = ops.conv2d(x, weights.params[name + ".w"], weights.params[name + ".b"],
+                           stride=spec.stride, dilation=spec.dilation,
+                           padding=spec.padding)
+            return norm_relu(y, name)
+
+        def blocks(name, *bounds):
+            w = weights.params[name + ".w"].data
+            return [Tensor(w[:, a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+        def masked(w):
+            data = w.data.copy()
+            data[..., -1] = 0
+            return Tensor(data)
+
+        w1_l, w1_r = blocks("matching.enc1", 0, f, 2 * f)
+        w4_x, w4_l, w4_r = blocks("matching.dec4", 0, m0, m0 + f, m0 + 2 * f)
+        shifted = Tensor(np.pad(fr.data, ((0, 0), (0, 0), (0, 0), (1, 0)))[..., :width])
+        widened = Tensor(np.pad(fr.data, ((0, 0), (0, 0), (0, 0), (1, 0))))
+        phases = [ops.conv2d(x, w, stride=2, padding=1).data
+                  for w in (w1_r, masked(w1_r)) for x in (fr, shifted)]
+        wide, wide_masked = (ops.conv2d(widened, w, padding=1).data
+                             for w in (w4_r, masked(w4_r)))
+        enc1_left = ops.conv2d(fl, w1_l, weights.params["matching.enc1.b"],
+                               stride=2, padding=1)
+        dec4_left = ops.conv2d(fl, w4_l, weights.params["matching.dec4.b"], padding=1)
+
+        for d in (0, 1, 4, 7):
+            e, p = divmod(d, 2)
+            w2 = enc1_left.shape[3]
+            enc1_right = np.zeros_like(enc1_left.data)
+            enc1_right[..., e:] = phases[p][..., :w2 - e]
+            if width % 2:
+                enc1_right[..., -1] = phases[2 + p][..., w2 - 1 - e]
+            dec4_right = np.zeros_like(dec4_left.data)
+            dec4_right[..., max(d - 1, 0):width - 1] = wide[..., max(1 - d, 0):width - d]
+            dec4_right[..., -1] = wide_masked[..., width - d]
+
+            e1 = norm_relu(ops.add(enc1_left, Tensor(enc1_right)), "matching.enc1")
+            f1 = conv_bn_relu(e1, "matching.filt1")
+            e2 = conv_bn_relu(f1, "matching.enc2")
+            f2 = conv_bn_relu(e2, "matching.filt2")
+            e3 = conv_bn_relu(f2, "matching.enc3")
+            f3 = conv_bn_relu(e3, "matching.filt3")
+            e4 = conv_bn_relu(f3, "matching.enc4")
+            x = conv_bn_relu(e4, "matching.filt4")
+            for i, skip in enumerate((f3, f2, f1), 1):
+                x = ops.bilinear_resize(x, skip.shape[2], skip.shape[3])
+                x = conv_bn_relu(ops.concat_channels([x, skip]), f"matching.dec{i}")
+            x = ops.conv2d(ops.bilinear_resize(x, 16, width), w4_x, padding=1)
+            x = norm_relu(ops.add(ops.add(x, dec4_left), Tensor(dec4_right)),
+                          "matching.dec4")
+            replay = ops.conv2d(x, weights.params["matching.out.w"],
+                                weights.params["matching.out.b"], padding=1)
+            expected = model.cost_level(fl, fr, d, weights, cfg)
+            assert np.array_equal(replay.data, expected.data), d
 
 
 class TestCostVolume:
@@ -192,8 +238,7 @@ class TestCostVolume:
         fl, fr = self._features(rng, cfg, weights)
         volume = model.build_cost_volume(fl, fr, weights, cfg, mode="parallel")
         for d in (0, 3, 7):
-            standalone = model.compute_cost_map(
-                fl, model.shift_features(fr, d), weights, cfg)
+            standalone = model.cost_level(fl, fr, d, weights, cfg)
             assert np.array_equal(volume.data[:, d:d + 1], standalone.data)
 
     def test_sequential_parallel_bit_identical(self, rng):
@@ -211,8 +256,7 @@ class TestCostVolume:
         perm = np.random.default_rng(5).permutation(cfg.levels)
         shuffled = np.empty_like(reference.data)
         for d in perm:
-            cost = model.compute_cost_map(fl, model.shift_features(fr, int(d)),
-                                          weights, cfg)
+            cost = model.cost_level(fl, fr, int(d), weights, cfg)
             shuffled[:, d] = cost.data[:, 0]
         assert np.array_equal(shuffled, reference.data)
 
@@ -225,6 +269,169 @@ class TestCostVolume:
         wide_weights = model.ModelWeights.initialize(wide_cfg, seed=0)
         with pytest.raises(ShapeError):
             model.build_cost_volume(fl, fr, wide_weights, wide_cfg)
+
+
+def direct_cost(fl, source, d, weights, training=False):
+    """The matching net on the concatenated pair ``[L, S_d source]``, layer
+    by layer with raw ops: the form the decomposed cost volume replaces."""
+    def conv_bn_relu(x, name):
+        spec = weights.specs[name]
+        y = ops.conv2d(x, weights.params[name + ".w"], weights.params[name + ".b"],
+                       stride=spec.stride, dilation=spec.dilation, padding=spec.padding)
+        y = ops.batch_norm(y, weights.params[name + ".gamma"],
+                           weights.params[name + ".beta"],
+                           weights.buffers[name + ".mean"],
+                           weights.buffers[name + ".var"],
+                           training=training, per_sample=True)
+        return ops.relu(y)
+
+    pair = ops.concat_channels([fl, ops.shift_columns(source, d)])
+    x, skips = pair, [pair]
+    for i in range(1, 5):
+        x = conv_bn_relu(x, f"matching.enc{i}")
+        x = conv_bn_relu(x, f"matching.filt{i}")
+        skips.append(x)
+    for i, skip in enumerate((skips[3], skips[2], skips[1], skips[0]), 1):
+        x = ops.bilinear_resize(x, skip.shape[2], skip.shape[3])
+        x = conv_bn_relu(ops.concat_channels([x, skip]), f"matching.dec{i}")
+    return ops.conv2d(x, weights.params["matching.out.w"],
+                      weights.params["matching.out.b"], padding=1)
+
+
+class TestDecomposition:
+    """The cost volume, which convolves the feature pair once per volume,
+    against the direct form, which convolves ``[L, S_d R]`` at every level."""
+
+    def _features(self, rng, cfg, weights, dtype, h, w):
+        return [model.extract_features(
+            Tensor(rng.standard_normal((1, 1, h, w)), dtype=dtype), weights, cfg)
+            for _ in range(2)]
+
+    @staticmethod
+    def _assert_close(out, ref, atol, rtol, label):
+        assert np.all(np.abs(out - ref) <= atol + rtol * np.abs(ref)), \
+            (label, float(np.max(np.abs(out - ref))))
+
+    # |volume - direct| <= ATOL + RTOL * |direct| at every level and column.
+    # Float32 stays 100x (atol) and 10x (rtol) inside the benchmark's
+    # float32-vs-float64 limit of 1e-3 + 1e-4 |ref|. Measured max |d|:
+    # 3.3e-16 in float64 and 1.8e-7 in float32, on costs of about 0.7.
+    @pytest.mark.parametrize("dtype,atol,rtol", [(np.float64, 1e-12, 1e-12),
+                                                 (np.float32, 1e-5, 1e-5)])
+    @pytest.mark.parametrize("h,w", [(96, 96), (99, 105)])  # feature widths 32, 35
+    def test_volume_matches_direct_form(self, rng, dtype, atol, rtol, h, w):
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 7, dtype)
+        fl, fr = self._features(rng, cfg, weights, dtype, h, w)
+        for mode in ("sequential", "parallel"):
+            volume = model.build_cost_volume(fl, fr, weights, cfg, mode=mode)
+            assert volume.data.dtype == dtype
+            for d in range(cfg.levels):
+                ref = direct_cost(fl, fr, d, weights).data[0, 0]
+                self._assert_close(volume.data[0, d], ref, atol, rtol, (mode, d))
+
+    def test_context_only_matches_direct_form(self, rng):
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 8, np.float64)
+        fl, fr = self._features(rng, cfg, weights, np.float64, 51, 57)
+        volume = model.build_cost_volume(fl, fr, weights, cfg, context_only=True)
+        for d in range(cfg.levels):
+            ref = direct_cost(fl, fl, d, weights).data[0, 0]
+            self._assert_close(volume.data[0, d], ref, 1e-12, 1e-12, d)
+
+    def test_training_under_tape_matches_direct_form(self, rng):
+        """Training-mode norms (batch statistics of the summed conv), their
+        running-statistics updates, and the gradients of every matching
+        parameter agree with the direct form in float64."""
+        cfg = model.ModelConfig.tiny()
+        ours, theirs = (drawn_weights(cfg, 9, np.float64) for _ in range(2))
+        fl, fr = (Tensor(rng.standard_normal((1, 16, 17, 19)), dtype=HIGH)
+                  for _ in range(2))
+        proj = Tensor(rng.standard_normal((1, cfg.levels, 17, 19)), dtype=HIGH)
+        with Tape() as tape:
+            volume = model.build_cost_volume(fl, fr, ours, cfg, mode="sequential",
+                                             training=True)
+            loss = ops.sum_all(ops.mul(volume, proj))
+        backward(loss, tape)
+        with Tape() as tape:
+            direct = ops.concat_channels([direct_cost(fl, fr, d, theirs, training=True)
+                                          for d in range(cfg.levels)])
+            direct_loss = ops.sum_all(ops.mul(direct, proj))
+        backward(direct_loss, tape)
+        self._assert_close(volume.data, direct.data, 1e-12, 1e-12, "volume")
+        for name in ours.specs:
+            if not name.startswith("matching."):
+                continue
+            for key in (".w", ".b", ".gamma", ".beta"):
+                if name + key in ours.params:
+                    self._assert_close(ours.params[name + key].grad,
+                                       theirs.params[name + key].grad,
+                                       1e-10, 1e-9, name + key)
+            for key in (".mean", ".var"):
+                if name + key in ours.buffers:
+                    self._assert_close(ours.buffers[name + key].data,
+                                       theirs.buffers[name + key].data,
+                                       1e-12, 1e-12, name + key)
+
+    def test_three_level_volume_gradcheck(self):
+        """Finite differences through a 3-level training-mode volume at an
+        odd feature width, in float64."""
+        cfg = model.ModelConfig.tiny(max_disparity=9, feature_channels=4,
+                                     matching_channels=(6, 8, 10, 12))
+        weights = drawn_weights(cfg, 10, np.float64)
+        rng = np.random.default_rng(31)
+        fl, fr = (Tensor(rng.standard_normal((1, 4, 16, 17)), requires_grad=True,
+                         dtype=HIGH) for _ in range(2))
+        proj = Tensor(rng.standard_normal((1, 3, 16, 17)), dtype=HIGH)
+        tracked = {"left": fl, "right": fr}
+        tracked.update({name: weights.params[name] for name in (
+            "matching.enc1.w", "matching.enc1.gamma", "matching.dec4.w",
+            "matching.dec4.gamma", "matching.out.w")})
+
+        def build():
+            def loss():
+                volume = model.build_cost_volume(fl, fr, weights, cfg, mode="parallel",
+                                                 training=True)
+                return ops.sum_all(ops.mul(volume, proj))
+            return tracked, loss
+
+        case = CheckCase("cost_volume", build, tolerance=1e-6, sample_elements=12)
+        for result in run_case(case, step=1e-6):
+            assert result.passed, (result.param, result.max_rel_err)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_every_conv_weight_is_named_by_its_stage(self, rng, monkeypatch, training):
+        """Each conv of a forward pass reads a ``<layer>.w`` tensor of the
+        ``params`` of an argument of its stage (``extract_features``,
+        ``build_cost_volume``, ``refine``), and every layer runs: the blocks
+        of ``matching.enc1`` / ``matching.dec4`` come in as the
+        ``pair_blocks`` arguments. Per-layer conv attribution relies on this
+        (``perfbench/spans.py``)."""
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 11)
+        named, layers = {}, []
+        real_conv = ops.conv2d
+
+        def stage(fn):
+            def wrapper(*args, **kwargs):
+                for arg in list(args) + list(kwargs.values()):
+                    for key, t in getattr(arg, "params", {}).items():
+                        if key.endswith(".w"):
+                            named[id(t)] = key[:-2]
+                return fn(*args, **kwargs)
+            return wrapper
+
+        def conv2d(x, weight, *args, **kwargs):
+            layers.append(named.get(id(weight)))
+            return real_conv(x, weight, *args, **kwargs)
+
+        for name in ("extract_features", "build_cost_volume", "refine"):
+            monkeypatch.setattr(model, name, stage(getattr(model, name)))
+        monkeypatch.setattr(ops, "conv2d", conv2d)
+        model.forward_tensors(random_image(rng, 48, 51), random_image(rng, 48, 51),
+                              weights, cfg, training=training)
+        assert None not in layers
+        assert set(layers) == set(weights.specs)
 
 
 class TestProjection:

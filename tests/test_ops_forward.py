@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import avg_pool_reference, conv2d_reference, resize_matrix_reference
+from conftest import (avg_pool_reference, avg_pool_strided_reference, conv2d_reference,
+                      resize_matrix_reference)
 from shiftstereo import ops
 from shiftstereo.errors import ShapeError
 from shiftstereo.tensor import HIGH, Tape, Tensor
@@ -258,6 +259,32 @@ class TestAvgPool:
         with pytest.raises(ShapeError):
             ops.avg_pool(Tensor(np.ones((1, 1, 4, 4))), 0, 2, 1, 1)
 
+    # The feature net's two pooling branches on the full profile's 48x80
+    # feature map: the 64-pixel window clipped to 48x64, and the 16-pixel one.
+    @pytest.mark.parametrize("window,clipped", [(64, (48, 64)), (16, (16, 16))])
+    def test_spp_shapes_bit_equal_to_strided_loop_float32(self, rng, window, clipped):
+        x = rng.standard_normal((1, 32, 48, 80)).astype(np.float32)
+        g = rng.standard_normal((1, 32, 48 // clipped[0], 80 // window)).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            out = ops.avg_pool(xt, window, window, window, window)
+        expected, expected_backward = avg_pool_strided_reference(x, *clipped, window, window)
+        assert out.data.dtype == np.float32 and out.shape == g.shape
+        assert np.array_equal(out.data, expected)
+        (grad,) = tape.nodes[-1].grad_fn(g)
+        assert np.array_equal(grad, expected_backward(g))
+
+    def test_overlapping_windows_gradient_matches_strided_loop(self, rng):
+        x = rng.standard_normal((2, 3, 9, 11))
+        g = rng.standard_normal((2, 3, 4, 4))
+        xt = Tensor(x, requires_grad=True, dtype=HIGH)
+        with Tape() as tape:
+            out = ops.avg_pool(xt, 3, 4, 2, 2)
+        expected, expected_backward = avg_pool_strided_reference(x, 3, 4, 2, 2)
+        assert np.array_equal(out.data, expected)
+        (grad,) = tape.nodes[-1].grad_fn(g)
+        np.testing.assert_allclose(grad, expected_backward(g), rtol=1e-15, atol=1e-15)
+
 
 class TestBilinearResize:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -268,6 +295,13 @@ class TestBilinearResize:
                 assert np.array_equal(ops._resize_matrix(n_in, n_out, dtype),
                                       resize_matrix_reference(n_in, n_out, dtype)), \
                     (n_in, n_out)
+
+    def test_cached_matrix_is_read_only_and_shared(self):
+        m = ops._resize_matrix(7, 12, np.dtype(np.float32))
+        assert m is ops._resize_matrix(7, 12, np.dtype(np.float32))
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 2.0
 
     def test_same_size_is_exact_identity(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 5, 7)).astype(np.float32))
@@ -375,6 +409,54 @@ class TestLayoutOps:
             ops.shift_columns(x, 6)
         with pytest.raises(ShapeError):
             ops.shift_columns(x, -1)
+
+    def test_gather_columns_shifts_items_with_zero_fill(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 4, 5)))
+        out = ops.gather_columns(x, [1, 0, 1], [2, -1, 7], 6)
+        assert out.shape == (3, 3, 4, 6)
+        for i, (item, shift) in enumerate(((1, 2), (0, -1), (1, 7))):
+            for j in range(6):
+                k = j - shift
+                want = x.data[item, :, :, k] if 0 <= k < 5 else np.zeros((3, 4))
+                assert np.array_equal(out.data[i, :, :, j], want), (i, j)
+
+    def test_gather_columns_edge_takes_last_column_from_second_block(self, rng):
+        x = Tensor(rng.standard_normal((1, 4, 3, 5)))
+        out = ops.gather_columns(x, [0, 0, 0], [1, -1, 0], 5, edge=True)
+        assert out.shape == (3, 2, 3, 5)
+        assert np.array_equal(out.data[0, :, :, 1:4], x.data[0, :2, :, :3])
+        assert np.array_equal(out.data[0, :, :, 4], x.data[0, 2:, :, 3])
+        assert np.array_equal(out.data[1, :, :, :4], x.data[0, :2, :, 1:])
+        assert not out.data[1, :, :, 4].any()  # column 5 is outside x
+        assert np.array_equal(out.data[2, :, :, 4], x.data[0, 2:, :, 4])
+
+    def test_gather_columns_backward_sums_shared_columns(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 3, 4)), requires_grad=True, dtype=HIGH)
+        g = rng.standard_normal((2, 2, 3, 3))
+        with Tape() as tape:
+            ops.gather_columns(x, [0, 0], [0, 1], 3)
+        (grad,) = tape.nodes[-1].grad_fn(g)
+        want = np.zeros_like(x.data)
+        want[..., :3] += g[0]
+        want[..., :2] += g[1, ..., 1:]
+        np.testing.assert_allclose(grad, want, rtol=1e-15)
+
+    def test_gather_columns_rejects_bad_rows(self):
+        x = Tensor(np.ones((1, 3, 2, 3)))
+        with pytest.raises(ShapeError):
+            ops.gather_columns(x, [1], [0], 3)
+        with pytest.raises(ShapeError):
+            ops.gather_columns(x, [0, 0], [0], 3)
+        with pytest.raises(ShapeError):
+            ops.gather_columns(x, [0], [0], 3, edge=True)  # odd channel count
+
+    def test_slice_channels(self, rng):
+        x = Tensor(rng.standard_normal((2, 5, 3, 3)))
+        assert np.array_equal(ops.slice_channels(x, 1, 4).data, x.data[:, 1:4])
+        with pytest.raises(ShapeError):
+            ops.slice_channels(x, 3, 3)
+        with pytest.raises(ShapeError):
+            ops.slice_channels(x, 0, 6)
 
     def test_stack_and_batch_to_channels_round_trip(self, rng):
         parts = [Tensor(rng.standard_normal((1, 1, 2, 3))) for _ in range(4)]
