@@ -10,20 +10,18 @@ import numpy as np
 
 from .errors import ShapeError
 from .model import (ConvSpec, DisparityMap, ModelConfig, count_parameters,
-                    feature_layer_specs, matching_layer_specs, refine_layer_specs)
+                    feature_layer_specs, levels_per_batch, matching_layer_specs,
+                    refine_layer_specs)
 from .tensor import Tensor
 
 
 @dataclass(frozen=True)
 class SsdConfig:
     patch_radius: int = 1
-    feature_source: str = "raw-intensity"  # or "feature-net"
 
     def __post_init__(self):
         if self.patch_radius < 0:
             raise ShapeError(f"patch_radius must be >= 0, got {self.patch_radius}")
-        if self.feature_source not in ("raw-intensity", "feature-net"):
-            raise ShapeError(f"unknown feature_source {self.feature_source!r}")
 
 
 def ssd_cost(left_features: Tensor, right_features: Tensor, d: int,
@@ -97,11 +95,10 @@ class ResourceReport:
     element; bilinear 8 per output element). ``matching_per_level`` counts
     the convs each disparity level runs and ``matching_per_volume`` the
     feature-pair convs run once per cost volume; ``total`` is every conv of
-    one forward pass. Peak figures count elements
-    of the matching-net input held live at once: the sequential schedule
-    keeps one (H/3)(W/3)(2F) workspace, the parallel schedule holds all
-    D/3 level slices, and a hypothetical 4D feature volume stores the
-    same D/3 stack explicitly before any cost computation.
+    one forward pass. ``peak_elements["matching_batch"]`` counts the
+    elements of the matching-net input of one batch of levels,
+    ``levels_per_batch`` (see :func:`model.levels_per_batch`) pairs of
+    (H/3)(W/3) maps with 2F channels each.
     """
 
     height: int
@@ -120,12 +117,11 @@ class ResourceReport:
         for section, count in self.conv_flops.items():
             lines.append(f"conv_flops_{section}={count}")
         lines.append(f"aux_flops={self.aux_flops}")
-        for mode, count in self.peak_elements.items():
-            lines.append(f"peak_elements_{mode}={count}")
+        for name, count in self.peak_elements.items():
+            lines.append(f"peak_elements_{name}={count}")
         return lines
 
     def text_table(self) -> str:
-        h3, w3, l2f = self.height, self.width, 2 * self.feature_channels
         rows = [
             f"input {self.height}x{self.width}, {self.levels} disparity levels "
             f"({self.levels * 3} px), {self.feature_channels} feature channels",
@@ -137,12 +133,8 @@ class ResourceReport:
         rows += [f"  {k:<22} {v:>16,}" for k, v in self.conv_flops.items()]
         rows.append(f"  {'aux (bias/norm/act)':<22} {self.aux_flops:>16,}")
         rows.append("peak matching activation elements:")
-        rows.append(f"  {'sequential':<16} {self.peak_elements['sequential']:>14,}"
-                    f"   = (H/3)(W/3)(2F)")
-        rows.append(f"  {'parallel':<16} {self.peak_elements['parallel']:>14,}"
-                    f"   = (H/3)(W/3)(D/3)(2F)")
-        rows.append(f"  {'hypothetical_4d':<16} {self.peak_elements['hypothetical_4d']:>14,}"
-                    f"   = (H/3)(W/3)(D/3)(2F)")
+        rows.append(f"  {'matching_batch':<16} {self.peak_elements['matching_batch']:>14,}"
+                    f"   = (H/3)(W/3)(2F) x levels per batch")
         return "\n".join(rows)
 
 
@@ -235,13 +227,8 @@ def estimate_resources(config: ModelConfig, height: int, width: int) -> Resource
         "total": 2 * feat_conv + match_conv * levels + per_volume + ref_conv,
     }
     aux = 2 * feat_aux + match_aux * levels + ref_aux
-    sequential = fh * fw * 2 * f
     return ResourceReport(
         height=height, width=width, levels=levels, feature_channels=f,
         params=params, conv_flops=conv, aux_flops=aux,
-        peak_elements={
-            "sequential": sequential,
-            "parallel": sequential * levels,
-            "hypothetical_4d": fh * fw * levels * 2 * f,
-        },
+        peak_elements={"matching_batch": levels_per_batch(config, fh, fw) * fh * fw * 2 * f},
     )

@@ -106,7 +106,7 @@ def cmd_gen_rds(args) -> int:
 TRAIN_DEFAULTS = dict(data=None, val_data="", profile="tiny", epochs=10, lr=1e-3,
                       lambda_weight=1.25, seed=0, out=None, max_disp=24,
                       in_channels=1, crop_height=0, crop_width=0,
-                      mode="parallel", log="", context_only=0)
+                      log="", context_only=0)
 
 
 def cmd_train(args) -> int:
@@ -133,11 +133,11 @@ def cmd_train(args) -> int:
         if args.crop_height and args.crop_width else None
     log_path = args.log or (args.out + ".log")
     print(f"log: lr={args.lr} lambda={args.lambda_weight} epochs={args.epochs} "
-          f"seed={args.seed} profile={args.profile} mode={args.mode}")
+          f"seed={args.seed} profile={args.profile}")
     try:
         train(train_samples, config, LossConfig(lambda_weight=args.lambda_weight),
               epochs=args.epochs, seed=args.seed, lr=args.lr,
-              val_samples=val_samples, crop=crop, mode=args.mode,
+              val_samples=val_samples, crop=crop,
               checkpoint_path=args.out, log_path=log_path,
               context_only=bool(args.context_only),
               progress=lambda s: print(s.log_line(), flush=True))
@@ -151,7 +151,7 @@ def cmd_train(args) -> int:
 
 
 INFER_DEFAULTS = dict(ckpt=None, left=None, right=None, out_disp=None,
-                      out_entropy="", mode="sequential")
+                      out_entropy="")
 
 
 def cmd_infer(args) -> int:
@@ -179,7 +179,7 @@ def cmd_infer(args) -> int:
     if left.shape != right.shape:
         return _fail(f"image extents differ: {left.shape[2:]} vs {right.shape[2:]}")
     try:
-        out = forward_tensors(left, right, weights, ckpt.config, mode=args.mode)
+        out = forward_tensors(left, right, weights, ckpt.config)
     except ShapeError as e:
         return _fail(str(e))
     refined = out["refined"].data[0, 0]

@@ -233,20 +233,28 @@ def _read_pnm_token(f, path):
         token += ch
 
 
+def _read_pnm_int(f, path, name: str) -> int:
+    """A header token that must be a positive decimal integer."""
+    token = _read_pnm_token(f, path)
+    if not token.isdigit() or int(token) == 0:
+        raise ParseError(f"{path}: PNM {name} must be a positive integer, got {token!r}")
+    return int(token)
+
+
 def read_pnm(path: str) -> np.ndarray:
     """Read binary P5/P6 into (1, H, W) or (3, H, W) floats scaled to [0, 1]."""
     with open(path, "rb") as f:
         magic = f.read(2)
         if magic not in (b"P5", b"P6"):
             raise ParseError(f"{path}: unsupported PNM magic {magic!r}")
-        width = int(_read_pnm_token(f, path))
-        height = int(_read_pnm_token(f, path))
-        maxval = int(_read_pnm_token(f, path))
+        width, height, maxval = (_read_pnm_int(f, path, name)
+                                 for name in ("width", "height", "maxval"))
         if maxval != 255:
             raise ParseError(f"{path}: only 8-bit PNM supported, maxval={maxval}")
         channels = 1 if magic == b"P5" else 3
         expected = width * height * channels
-        payload = f.read(expected)
+        # read no more than the file holds: f.read(n) allocates n bytes first
+        payload = f.read(min(expected, os.fstat(f.fileno()).st_size))
         if len(payload) != expected:
             raise ParseError(f"{path}: truncated PNM payload "
                              f"({len(payload)} of {expected} bytes)")

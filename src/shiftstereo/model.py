@@ -19,6 +19,12 @@ kernel's last tap first reads ``R[0]`` (the R map is taken over R widened
 by one zero column on the left), and the last column, which reads padding
 in the direct form (a map made with the kernel's last column zeroed).
 
+The levels then run through the rest of the net as batch items, in batches
+of :func:`levels_per_batch`: as many levels as fit in ``_LEVEL_BATCH_PIXELS``
+feature pixels, and at least one, so small inputs run all levels at once
+and large ones one level at a time. Batch items do not interact, so every
+batch size gives bit-identical cost slices.
+
 An inference pass of :func:`forward_tensors` with no tape recording first
 folds every batch norm into the weights and bias of its conv
 (:meth:`ModelWeights.folded`), so each normed layer runs as one conv and
@@ -34,7 +40,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .tensor import HIGH, STANDARD, Tensor, active_tape
+from .tensor import STANDARD, Tensor, active_tape
 
 
 @dataclass(frozen=True)
@@ -147,7 +153,8 @@ def matching_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
 
     Normalization inside the matching net is per-sample so that batching
     disparity levels together cannot couple them; this is what makes the
-    cost of each shift a pure function of that shift in every mode.
+    cost of each shift a pure function of that shift however the levels
+    are batched.
     """
     two_f = 2 * cfg.feature_channels
     m = cfg.matching_channels
@@ -508,10 +515,22 @@ def cost_level(left_features: Tensor, right_features: Tensor, d: int,
     return _match_levels(terms, [d], weights, training)
 
 
+# Feature pixels of one matching-net batch. Batching levels saves the fixed
+# cost of each op call, but a batch's activations grow with it: at 144x240
+# (48x80 features) 4 levels per batch keep the forward pass's peak memory
+# where one level puts it, while 8 raise it by about a quarter.
+_LEVEL_BATCH_PIXELS = 1 << 14
+
+
+def levels_per_batch(cfg: ModelConfig, fh: int, fw: int) -> int:
+    """Disparity levels the matching net runs as one batch on fh x fw
+    features: 4 of 16 at 48x80, all 8 at 32x32, 1 at 180x320."""
+    return max(1, min(cfg.levels, _LEVEL_BATCH_PIXELS // (fh * fw)))
+
+
 def build_cost_volume(left_features: Tensor, right_features: Tensor,
                       weights: ModelWeights, cfg: ModelConfig,
-                      mode: str = "parallel", training: bool = False,
-                      context_only: bool = False, *,
+                      training: bool = False, context_only: bool = False, *,
                       x_block: BlockWeights | None = None,
                       left_block: BlockWeights | None = None,
                       right_block: BlockWeights | None = None) -> Tensor:
@@ -527,6 +546,11 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     maps that reproduce the direct form exactly there. A level thus runs
     no ``enc1`` conv and runs ``dec4`` over x only.
 
+    The levels run through the net in batches of :func:`levels_per_batch`
+    consecutive levels, a choice of schedule only: every batch size gives
+    bit-identical slices. In training, each batch updates the running
+    statistics of the matching net's norms once, so those do depend on it.
+
     ``x_block``, ``left_block`` and ``right_block`` are
     :func:`pair_blocks` of ``weights``, split here when not given.
     :func:`forward_tensors` passes them, so that every weight a conv of
@@ -534,15 +558,10 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     benchmark run (``perfbench/spans.py``) attributes conv time to layers
     by those names.
 
-    ``sequential`` runs one level at a time so activations of one level can
-    be recycled; ``parallel`` batches all levels through the net at once.
-    Both produce bit-identical volumes. ``context_only`` replaces the right
-    features with the left features (the crippled control that cannot
-    see the second view).
+    ``context_only`` replaces the right features with the left features
+    (the crippled control that cannot see the second view).
     """
-    if mode not in ("sequential", "parallel"):
-        raise ShapeError(f"build_cost_volume: unknown mode {mode!r}")
-    b, _, _, fw = left_features.shape
+    b, _, fh, fw = left_features.shape
     if b != 1:
         raise ShapeError("build_cost_volume: one image pair at a time (batch extent 1)")
     if left_features.shape != right_features.shape:
@@ -556,30 +575,20 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
         blocks = {"x_block": x_block, "left_block": left_block, "right_block": right_block}
     source = left_features if context_only else right_features
     terms = _pair_terms(left_features, source, weights, cfg, **blocks)
-    if mode == "sequential":
-        return ops.concat_channels([_match_levels(terms, [d], weights, training)
-                                    for d in range(levels)])
-    return ops.batch_to_channels(_match_levels(terms, list(range(levels)), weights,
-                                               training))
+    n = levels_per_batch(cfg, fh, fw)
+    batches = [ops.batch_to_channels(_match_levels(
+        terms, list(range(start, min(start + n, levels))), weights, training))
+        for start in range(0, levels, n)]
+    return batches[0] if len(batches) == 1 else ops.concat_channels(batches)
 
 
 # ---------------------------------------------------------------------------
 # projection layer
 # ---------------------------------------------------------------------------
 
-def soft_argmin(volume: Tensor) -> Tensor:
-    """Expected disparity level under the softmax of negated costs."""
-    probs = ops.softmax(ops.scalar_mul(volume, -1.0), axis=1)
-    return ops.index_expectation(probs)
-
-
-def entropy(volume: Tensor) -> Tensor:
-    """Per-pixel Shannon entropy (nats) of the softmax cost distribution."""
-    probs = ops.softmax(ops.scalar_mul(volume, -1.0), axis=1)
-    return ops.channel_entropy(probs)
-
-
-def _project(volume: Tensor) -> tuple[Tensor, Tensor]:
+def project(volume: Tensor) -> tuple[Tensor, Tensor]:
+    """Softmax of the negated costs over the levels: its expected level (the
+    soft-argmin disparity) and its Shannon entropy in nats."""
     probs = ops.softmax(ops.scalar_mul(volume, -1.0), axis=1)
     return ops.index_expectation(probs), ops.channel_entropy(probs)
 
@@ -642,18 +651,9 @@ class EntropyMap:
     values: np.ndarray
 
 
-def upsample_outputs(disp: DisparityMap, ent: EntropyMap,
-                     out_h: int, out_w: int) -> tuple[DisparityMap, EntropyMap]:
-    """Map-level wrapper over the tensor upsampling used in the pipeline."""
-    dt = Tensor(disp.values[None, None].astype(STANDARD))
-    et = Tensor(ent.values[None, None].astype(STANDARD))
-    d, e = _upsample_tensors(dt, et, out_h, out_w)
-    return DisparityMap.dense(d.data[0, 0]), EntropyMap(e.data[0, 0])
-
-
 def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
-                    cfg: ModelConfig, mode: str = "parallel",
-                    training: bool = False, context_only: bool = False) -> dict[str, Tensor]:
+                    cfg: ModelConfig, training: bool = False,
+                    context_only: bool = False) -> dict[str, Tensor]:
     """Run the full pipeline, returning all intermediate tensors by name.
 
     With ``training=False`` and no tape recording, the batch norms are
@@ -669,10 +669,10 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     _, _, h, w = left.shape
     f_left = extract_features(left, weights, cfg, training)
     f_right = extract_features(right, weights, cfg, training)
-    volume = build_cost_volume(f_left, f_right, weights, cfg, mode=mode,
-                               training=training, context_only=context_only,
+    volume = build_cost_volume(f_left, f_right, weights, cfg, training=training,
+                               context_only=context_only,
                                **pair_blocks(weights, cfg, f_left.shape[3]))
-    disp_low, ent_low = _project(volume)
+    disp_low, ent_low = project(volume)
     coarse, ent_full = _upsample_tensors(disp_low, ent_low, h, w)
     refined = refine(coarse, left, ent_full, weights, cfg, training)
     return {"features_left": f_left, "features_right": f_right, "volume": volume,
@@ -680,10 +680,10 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
             "coarse": coarse, "entropy": ent_full, "refined": refined}
 
 
-def forward(left: Tensor, right: Tensor, weights: ModelWeights, cfg: ModelConfig,
-            mode: str = "parallel") -> tuple[DisparityMap, DisparityMap, EntropyMap]:
+def forward(left: Tensor, right: Tensor, weights: ModelWeights,
+            cfg: ModelConfig) -> tuple[DisparityMap, DisparityMap, EntropyMap]:
     """Inference entry point: (coarse disparity, refined disparity, entropy)."""
-    out = forward_tensors(left, right, weights, cfg, mode=mode, training=False)
+    out = forward_tensors(left, right, weights, cfg, training=False)
     coarse = DisparityMap.dense(out["coarse"].data[0, 0].copy())
     refined = DisparityMap.dense(out["refined"].data[0, 0].copy())
     ent = EntropyMap(out["entropy"].data[0, 0].copy())

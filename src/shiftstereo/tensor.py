@@ -66,14 +66,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        """A view of the same data with no gradient tracking."""
-        out = Tensor.__new__(Tensor)
-        out.data = self.data
-        out.grad = None
-        out.requires_grad = False
-        return out
-
     def assert_finite(self, label: str = "tensor") -> None:
         """Debug hook for the all-scalars-finite invariant."""
         if not np.all(np.isfinite(self.data)):
@@ -131,9 +123,6 @@ class Tape:
     def record(self, op: str, output: Tensor, inputs, grad_fn) -> None:
         output.requires_grad = True
         self.nodes.append(_Node(op, output, tuple(inputs), grad_fn))
-
-    def count_ops(self, op: str) -> int:
-        return sum(1 for node in self.nodes if node.op == op)
 
 
 def active_tape() -> Tape | None:

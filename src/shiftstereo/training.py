@@ -22,8 +22,6 @@ from .errors import (CheckpointFormatError, CheckpointShapeError,
 from .model import ModelConfig, ModelWeights, forward_tensors, weight_shapes
 from .tensor import STANDARD, Tape, Tensor, backward
 
-smooth_l1 = ops.smooth_l1
-
 
 @dataclass(frozen=True)
 class LossConfig:
@@ -291,13 +289,13 @@ def _to_tensors(sample: StereoSample) -> tuple[Tensor, Tensor]:
 
 
 def validation_epe(samples: list[StereoSample], weights: ModelWeights,
-                   config: ModelConfig, mode: str = "parallel") -> float:
+                   config: ModelConfig) -> float:
     """Pixel-weighted mean absolute error of the refined output."""
     total_err = 0.0
     total_count = 0
     for sample in samples:
         left, right = _to_tensors(sample)
-        out = forward_tensors(left, right, weights, config, mode=mode, training=False)
+        out = forward_tensors(left, right, weights, config, training=False)
         pred = out["refined"].data[0, 0]
         mask = sample.valid & np.isfinite(sample.gt) & (sample.gt < config.max_disparity)
         n = int(mask.sum())
@@ -311,14 +309,14 @@ def validation_epe(samples: list[StereoSample], weights: ModelWeights,
 def train(train_samples: list[StereoSample], config: ModelConfig,
           loss_cfg: LossConfig = LossConfig(), *, epochs: int, seed: int = 0,
           lr: float = 1e-3, val_samples: list[StereoSample] | None = None,
-          crop: tuple[int, int] | None = None, mode: str = "parallel",
+          crop: tuple[int, int] | None = None,
           checkpoint_path: str | None = None, log_path: str | None = None,
           context_only: bool = False,
           progress: callable | None = None) -> tuple[ModelWeights, Checkpoint, list[EpochStats]]:
     """Deterministic training run: a pure function of (data, config, seed).
 
-    Per epoch: shuffled iteration, optional random crop, forward in the
-    requested mode, supervised loss on both outputs, backward, Adam step.
+    Per epoch: shuffled iteration, optional random crop, forward, supervised
+    loss on both outputs, backward, Adam step.
     Checkpoints are written every epoch (plus ``.best`` on validation
     improvement). A non-finite loss aborts with TrainingDiverged.
     """
@@ -348,8 +346,8 @@ def train(train_samples: list[StereoSample], config: ModelConfig,
                 sample = random_crop(sample, crop[0], crop[1], data_rng)
             left, right = _to_tensors(sample)
             with Tape() as tape:
-                out = forward_tensors(left, right, weights, config, mode=mode,
-                                      training=True, context_only=context_only)
+                out = forward_tensors(left, right, weights, config, training=True,
+                                      context_only=context_only)
                 loss = total_loss(out["coarse"], out["refined"], sample.gt,
                                   sample.valid, loss_cfg,
                                   max_disparity=config.max_disparity)
@@ -362,7 +360,7 @@ def train(train_samples: list[StereoSample], config: ModelConfig,
             adam_step(weights.params, adam)
             weights.zero_grads()
             losses.append(value)
-        val = validation_epe(val_samples, weights, config, mode) if val_samples \
+        val = validation_epe(val_samples, weights, config) if val_samples \
             else float("nan")
         entry = EpochStats(epoch=epoch, mean_loss=float(np.mean(losses)), val_epe=val)
         stats.append(entry)

@@ -8,6 +8,8 @@ package's vectorized implementations.
 import numpy as np
 import pytest
 
+from shiftstereo import model
+
 
 def conv2d_reference(x, w, b=None, stride=1, dilation=1, padding=0):
     """Six-nested-loop cross-correlation oracle."""
@@ -126,6 +128,18 @@ def adam_reference_trace(theta0, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
         history.append(theta.copy())
     return history
+
+
+# Cost-volume schedules, by the disparity levels the matching net runs as
+# one batch: one level, the default picked from the feature size, all levels.
+LEVEL_BATCHES = ("sequential", "default", "parallel")
+_LEVEL_BATCH_PIXELS = {"sequential": 1, "default": model._LEVEL_BATCH_PIXELS,
+                       "parallel": 1 << 40}
+
+
+def set_level_batch(monkeypatch, schedule):
+    """Make the cost volume run ``schedule``, one of LEVEL_BATCHES."""
+    monkeypatch.setattr(model, "_LEVEL_BATCH_PIXELS", _LEVEL_BATCH_PIXELS[schedule])
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import ssd_reference
+from conftest import LEVEL_BATCHES, set_level_batch, ssd_reference
 from shiftstereo import baseline, model, ops
 from shiftstereo.errors import ShapeError
 from shiftstereo.tensor import HIGH, Tensor
@@ -71,7 +71,7 @@ class TestWta:
                 costs[0, winners[y, x], y, x] = 0.0
         volume = Tensor(costs, dtype=HIGH)
         hard = baseline.wta_disparity(volume).values
-        soft = model.soft_argmin(volume).data[0, 0]
+        soft = model.project(volume)[0].data[0, 0]
         assert np.array_equal(hard, winners.astype(np.float64))
         np.testing.assert_allclose(soft, hard, atol=1e-3)
 
@@ -100,15 +100,19 @@ class TestResources:
     def test_sequential_peak_formula(self):
         cfg = model.ModelConfig.full(max_disparity=192)
         report = baseline.estimate_resources(cfg, 540, 960)
-        assert report.peak_elements["sequential"] == 180 * 320 * 64 == 3_686_400
+        assert model.levels_per_batch(cfg, 180, 320) == 1
+        assert list(report.peak_elements) == ["matching_batch"]
+        assert report.peak_elements["matching_batch"] == 180 * 320 * 64 == 3_686_400
 
-    def test_parallel_and_4d_peaks(self):
-        cfg = model.ModelConfig.full(max_disparity=192)
-        report = baseline.estimate_resources(cfg, 540, 960)
-        assert report.peak_elements["parallel"] == 235_929_600
-        assert report.peak_elements["hypothetical_4d"] == 235_929_600
-        ratio = report.peak_elements["parallel"] / report.peak_elements["sequential"]
-        assert ratio == cfg.levels == 64
+    @pytest.mark.parametrize("profile,height,width,levels_per_batch", [
+        ("full", 144, 240, 4), ("tiny", 96, 96, 8)])
+    def test_matching_batch_peak_counts_each_level_of_a_batch(
+            self, profile, height, width, levels_per_batch):
+        cfg = (model.ModelConfig.tiny(max_disparity=24) if profile == "tiny"
+               else model.ModelConfig.full(max_disparity=48))
+        report = baseline.estimate_resources(cfg, height, width)
+        one_level = (height // 3) * (width // 3) * 2 * cfg.feature_channels
+        assert report.peak_elements["matching_batch"] == levels_per_batch * one_level
 
     def test_params_agree_with_model_audit(self):
         cfg = model.ModelConfig.tiny()
@@ -127,9 +131,9 @@ class TestResources:
     def test_report_serializations(self):
         report = baseline.estimate_resources(model.ModelConfig.tiny(), 96, 96)
         text = report.text_table()
-        assert "sequential" in text and "(H/3)(W/3)(2F)" in text
+        assert "matching_batch" in text and "(H/3)(W/3)(2F)" in text
         kv = report.kv_lines()
-        assert any(line.startswith("peak_elements_sequential=") for line in kv)
+        assert any(line.startswith("peak_elements_matching_batch=") for line in kv)
         assert any(line.startswith("params_total=") for line in kv)
 
     def test_rejects_bad_extents(self):
@@ -144,8 +148,9 @@ class TestConvMacsMatchWhatRuns:
     # feature widths 16 (even) and 19 / 17 (odd)
     @pytest.mark.parametrize("profile,height,width", [
         ("tiny", 48, 48), ("tiny", 51, 57), ("full", 48, 48), ("full", 48, 51)])
-    @pytest.mark.parametrize("mode", ["sequential", "parallel"])
-    def test_estimate_equals_counted_macs(self, monkeypatch, profile, height, width, mode):
+    @pytest.mark.parametrize("level_batch", LEVEL_BATCHES)
+    def test_estimate_equals_counted_macs(self, monkeypatch, profile, height, width,
+                                          level_batch):
         cfg = (model.ModelConfig.tiny(max_disparity=12) if profile == "tiny"
                else model.ModelConfig.full(max_disparity=12))
         weights = model.ModelWeights.initialize(cfg, seed=0)
@@ -160,9 +165,10 @@ class TestConvMacsMatchWhatRuns:
             return out
 
         monkeypatch.setattr(ops, "conv2d", counting)
+        set_level_batch(monkeypatch, level_batch)
         rng = np.random.default_rng(0)
         left, right = (Tensor(rng.standard_normal((1, cfg.in_channels, height, width))
                               .astype(np.float32)) for _ in range(2))
-        model.forward_tensors(left, right, weights, cfg, mode=mode)
+        model.forward_tensors(left, right, weights, cfg)
         report = baseline.estimate_resources(cfg, height, width)
         assert 2 * sum(macs) == report.conv_flops["total"]

@@ -42,15 +42,14 @@ def _infer(ckpt, left, right, out):
                      "--out-disp", out])
 
 
-def test_infer_writes_the_sequential_forward_pass(tmp_path, pair):
+def test_infer_writes_the_forward_pass(tmp_path, pair):
     ckpt = _checkpoint(tmp_path / "model.ckpt")
     out = str(tmp_path / "disp.pfm")
     assert _infer(ckpt, *pair, out) == 0
 
     weights = load_weights(load_checkpoint(ckpt))
     left, right = (Tensor(normalize_image(read_pnm(p))[None]) for p in pair)
-    expected = forward_tensors(left, right, weights, weights.config,
-                               mode="sequential")["refined"].data[0, 0]
+    expected = forward_tensors(left, right, weights, weights.config)["refined"].data[0, 0]
     assert np.array_equal(read_pfm(out), expected)
 
 
@@ -58,6 +57,27 @@ def test_infer_missing_input_is_a_usage_error(tmp_path, pair):
     ckpt = _checkpoint(tmp_path / "model.ckpt")
     out = str(tmp_path / "disp.pfm")
     assert _infer(ckpt, str(tmp_path / "absent.pgm"), pair[1], out) == 2
+    assert not os.path.exists(out)
+
+
+def test_infer_malformed_image_header_is_a_usage_error(tmp_path, pair, capsys):
+    ckpt = _checkpoint(tmp_path / "model.ckpt")
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\nab 4\n255\n" + bytes(16))
+    out = str(tmp_path / "disp.pfm")
+    assert _infer(ckpt, str(bad), pair[1], out) == 2
+    assert not os.path.exists(out)
+    assert "positive integer" in capsys.readouterr().err
+
+
+def test_infer_rejects_a_config_file_with_mode(tmp_path, pair, capsys):
+    ckpt = _checkpoint(tmp_path / "model.ckpt")
+    config = tmp_path / "infer.cfg"
+    config.write_text("mode=sequential\n")
+    out = str(tmp_path / "disp.pfm")
+    assert cli.main(["infer", "--config", str(config), "--ckpt", ckpt, "--left", pair[0],
+                     "--right", pair[1], "--out-disp", out]) == 2
+    assert "unknown key 'mode'" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

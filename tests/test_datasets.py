@@ -2,6 +2,7 @@
 
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,28 @@ class TestPnm:
         deep.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(ParseError, match="maxval"):
             read_pnm(str(deep))
+
+    @pytest.mark.parametrize("header", [
+        b"P5\nab 4\n255\n", b"P5\n4 x4\n255\n", b"P5\n4.0 4\n255\n",
+        b"P5\n-4 4\n255\n", b"P5\n4 -4\n255\n", b"P5\n0 4\n255\n",
+        b"P5\n4 0\n255\n", b"P6\n4 4\nff\n"])
+    def test_malformed_header_number(self, tmp_path, header):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(header + bytes(48))
+        with pytest.raises(ParseError, match="positive integer"):
+            read_pnm(str(path))
+
+    def test_header_extents_beyond_the_file_allocate_no_payload(self, tmp_path):
+        path = tmp_path / "huge.pgm"
+        path.write_bytes(b"P5\n10000 10000\n255\n" + bytes(10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="truncated"):
+                read_pnm(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.pgm"

@@ -1,8 +1,11 @@
 """Network wiring, displacement invariance, projection oracles, refinement."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from conftest import LEVEL_BATCHES, set_level_batch
 from shiftstereo import model, ops
 from shiftstereo.errors import ConfigError, ShapeError
 from shiftstereo.gradcheck import CheckCase, run_case
@@ -96,7 +99,7 @@ class TestFeatureNet:
         cfg, weights = tiny_weights()
         with Tape() as tape:
             model.extract_features(random_image(rng, 48, 48), weights, cfg)
-        assert tape.count_ops("conv2d") == 8
+        assert sum(node.op == "conv2d" for node in tape.nodes) == 8
 
     def test_rejects_tiny_images(self, rng):
         cfg, weights = tiny_weights()
@@ -236,23 +239,31 @@ class TestCostVolume:
     def test_slice_equality_bit_exact(self, rng):
         cfg, weights = tiny_weights()
         fl, fr = self._features(rng, cfg, weights)
-        volume = model.build_cost_volume(fl, fr, weights, cfg, mode="parallel")
+        volume = model.build_cost_volume(fl, fr, weights, cfg)
         for d in (0, 3, 7):
             standalone = model.cost_level(fl, fr, d, weights, cfg)
             assert np.array_equal(volume.data[:, d:d + 1], standalone.data)
 
-    def test_sequential_parallel_bit_identical(self, rng):
+    def test_sequential_parallel_bit_identical(self, rng, monkeypatch):
+        """Every level batch gives the same bits: one level, the default,
+        all levels, and 3 levels (batches of 3, 3 and 2)."""
         cfg, weights = tiny_weights()
         fl, fr = self._features(rng, cfg, weights)
-        seq = model.build_cost_volume(fl, fr, weights, cfg, mode="sequential")
-        par = model.build_cost_volume(fl, fr, weights, cfg, mode="parallel")
-        assert np.array_equal(seq.data, par.data)
+        volumes = []
+        for schedule in LEVEL_BATCHES:
+            set_level_batch(monkeypatch, schedule)
+            volumes.append(model.build_cost_volume(fl, fr, weights, cfg).data)
+        monkeypatch.setattr(model, "_LEVEL_BATCH_PIXELS", 3 * 32 * 32)
+        assert model.levels_per_batch(cfg, 32, 32) == 3
+        volumes.append(model.build_cost_volume(fl, fr, weights, cfg).data)
+        for volume in volumes[1:]:
+            assert np.array_equal(volume, volumes[0])
 
     def test_level_permutation_invariance(self, rng):
         # evaluate levels in shuffled order, inverse-permute, compare bits
         cfg, weights = tiny_weights()
         fl, fr = self._features(rng, cfg, weights)
-        reference = model.build_cost_volume(fl, fr, weights, cfg, mode="sequential")
+        reference = model.build_cost_volume(fl, fr, weights, cfg)
         perm = np.random.default_rng(5).permutation(cfg.levels)
         shuffled = np.empty_like(reference.data)
         for d in perm:
@@ -269,6 +280,38 @@ class TestCostVolume:
         wide_weights = model.ModelWeights.initialize(wide_cfg, seed=0)
         with pytest.raises(ShapeError):
             model.build_cost_volume(fl, fr, wide_weights, wide_cfg)
+
+    @pytest.mark.parametrize("profile,max_disparity,fh,fw,expected", [
+        ("full", 48, 48, 80, 4),     # 144x240, 16 levels
+        ("tiny", 24, 32, 32, 8),     # 96x96, all 8 levels
+        ("full", 192, 180, 320, 1),  # 540x960, 64 levels
+    ])
+    def test_levels_per_batch_follows_the_feature_size(self, profile, max_disparity,
+                                                        fh, fw, expected):
+        make = model.ModelConfig.tiny if profile == "tiny" else model.ModelConfig.full
+        assert model.levels_per_batch(make(max_disparity=max_disparity), fh, fw) == expected
+
+    def test_default_batch_keeps_the_one_level_peak(self, monkeypatch):
+        """An untaped full-profile forward pass at 144x240 (16 levels, 4 per
+        batch) peaks within 2 % of the one-level schedule; its peak lies in
+        the refine net. All 16 levels in one batch peak about twice as high."""
+        cfg = model.ModelConfig.full(max_disparity=48)
+        weights = model.ModelWeights.initialize(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        left, right = (Tensor(rng.standard_normal((1, 3, 144, 240)).astype(np.float32))
+                       for _ in range(2))
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                model.forward_tensors(left, right, weights, cfg)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        default = peak_bytes()
+        set_level_batch(monkeypatch, "sequential")
+        assert default <= 1.02 * peak_bytes()
 
 
 def direct_cost(fl, source, d, weights, training=False):
@@ -319,16 +362,17 @@ class TestDecomposition:
     @pytest.mark.parametrize("dtype,atol,rtol", [(np.float64, 1e-12, 1e-12),
                                                  (np.float32, 1e-5, 1e-5)])
     @pytest.mark.parametrize("h,w", [(96, 96), (99, 105)])  # feature widths 32, 35
-    def test_volume_matches_direct_form(self, rng, dtype, atol, rtol, h, w):
+    def test_volume_matches_direct_form(self, rng, monkeypatch, dtype, atol, rtol, h, w):
         cfg = model.ModelConfig.tiny()
         weights = drawn_weights(cfg, 7, dtype)
         fl, fr = self._features(rng, cfg, weights, dtype, h, w)
-        for mode in ("sequential", "parallel"):
-            volume = model.build_cost_volume(fl, fr, weights, cfg, mode=mode)
+        for schedule in LEVEL_BATCHES:
+            set_level_batch(monkeypatch, schedule)
+            volume = model.build_cost_volume(fl, fr, weights, cfg)
             assert volume.data.dtype == dtype
             for d in range(cfg.levels):
                 ref = direct_cost(fl, fr, d, weights).data[0, 0]
-                self._assert_close(volume.data[0, d], ref, atol, rtol, (mode, d))
+                self._assert_close(volume.data[0, d], ref, atol, rtol, (schedule, d))
 
     def test_context_only_matches_direct_form(self, rng):
         cfg = model.ModelConfig.tiny()
@@ -339,18 +383,20 @@ class TestDecomposition:
             ref = direct_cost(fl, fl, d, weights).data[0, 0]
             self._assert_close(volume.data[0, d], ref, 1e-12, 1e-12, d)
 
-    def test_training_under_tape_matches_direct_form(self, rng):
+    def test_training_under_tape_matches_direct_form(self, rng, monkeypatch):
         """Training-mode norms (batch statistics of the summed conv), their
         running-statistics updates, and the gradients of every matching
-        parameter agree with the direct form in float64."""
+        parameter agree with the direct form in float64. The direct form
+        runs one level at a time, and each batch updates the running
+        statistics once, so the volume runs one level per batch too."""
+        set_level_batch(monkeypatch, "sequential")
         cfg = model.ModelConfig.tiny()
         ours, theirs = (drawn_weights(cfg, 9, np.float64) for _ in range(2))
         fl, fr = (Tensor(rng.standard_normal((1, 16, 17, 19)), dtype=HIGH)
                   for _ in range(2))
         proj = Tensor(rng.standard_normal((1, cfg.levels, 17, 19)), dtype=HIGH)
         with Tape() as tape:
-            volume = model.build_cost_volume(fl, fr, ours, cfg, mode="sequential",
-                                             training=True)
+            volume = model.build_cost_volume(fl, fr, ours, cfg, training=True)
             loss = ops.sum_all(ops.mul(volume, proj))
         backward(loss, tape)
         with Tape() as tape:
@@ -390,8 +436,7 @@ class TestDecomposition:
 
         def build():
             def loss():
-                volume = model.build_cost_volume(fl, fr, weights, cfg, mode="parallel",
-                                                 training=True)
+                volume = model.build_cost_volume(fl, fr, weights, cfg, training=True)
                 return ops.sum_all(ops.mul(volume, proj))
             return tracked, loss
 
@@ -437,68 +482,70 @@ class TestDecomposition:
 class TestProjection:
     def test_soft_argmin_uniform_costs(self):
         volume = Tensor(np.zeros((1, 4, 2, 2)))
-        out = model.soft_argmin(volume)
+        out = model.project(volume)[0]
         np.testing.assert_allclose(out.data, 1.5, rtol=1e-6)
 
     def test_soft_argmin_hand_case(self):
         costs = -np.log(np.array([0.7, 0.2, 0.1])).reshape(1, 3, 1, 1)
-        out = model.soft_argmin(Tensor(costs, dtype=HIGH))
+        out = model.project(Tensor(costs, dtype=HIGH))[0]
         np.testing.assert_allclose(out.data.reshape(()), 0.4, atol=1e-12)
 
     def test_soft_argmin_dominant_level(self):
         costs = np.full((1, 5, 2, 2), 10.0)
         costs[0, 3] = 0.0
-        out = model.soft_argmin(Tensor(costs, dtype=HIGH))
+        out = model.project(Tensor(costs, dtype=HIGH))[0]
         np.testing.assert_allclose(out.data, 3.0, atol=1e-3)
 
     def test_soft_argmin_range_invariant(self, rng):
         volume = Tensor(rng.standard_normal((1, 8, 5, 5)) * 30, dtype=HIGH)
-        out = model.soft_argmin(volume).data
+        out = model.project(volume)[0].data
         assert np.all(out >= 0.0) and np.all(out <= 7.0)
 
     def test_entropy_uniform_is_log_n(self):
         volume = Tensor(np.zeros((1, 6, 3, 3)), dtype=HIGH)
-        np.testing.assert_allclose(model.entropy(volume).data, np.log(6), atol=1e-12)
+        np.testing.assert_allclose(model.project(volume)[1].data, np.log(6), atol=1e-12)
 
     def test_entropy_dominant_level_near_zero(self):
         costs = np.zeros((1, 4, 2, 2))
         costs[0, 1:] = 50.0
-        out = model.entropy(Tensor(costs, dtype=HIGH))
+        out = model.project(Tensor(costs, dtype=HIGH))[1]
         assert np.all(out.data < 1e-6)
 
     def test_entropy_hand_case(self):
         costs = -np.log(np.array([0.7, 0.2, 0.1])).reshape(1, 3, 1, 1)
-        out = model.entropy(Tensor(costs, dtype=HIGH))
+        out = model.project(Tensor(costs, dtype=HIGH))[1]
         np.testing.assert_allclose(out.data.reshape(()), 0.80182, atol=1e-4)
 
     def test_entropy_range_invariant(self, rng):
         volume = Tensor(rng.standard_normal((1, 8, 4, 4)) * 20, dtype=HIGH)
-        out = model.entropy(volume).data
+        out = model.project(volume)[1].data
         assert np.all(out >= 0.0) and np.all(out <= np.log(8) + 1e-12)
+
+
+def as_map(values):
+    return Tensor(np.asarray(values, dtype=np.float32)[None, None])
 
 
 class TestUpsampleOutputs:
     def test_constant_disparity_scales_by_three(self):
-        disp = model.DisparityMap.dense(np.full((4, 4), 5.0, dtype=np.float32))
-        ent = model.EntropyMap(np.full((4, 4), 0.3, dtype=np.float32))
-        d, e = model.upsample_outputs(disp, ent, 12, 12)
-        np.testing.assert_allclose(d.values, 15.0, rtol=1e-6)
-        np.testing.assert_allclose(e.values, 0.3, rtol=1e-6)
+        d, e = model._upsample_tensors(as_map(np.full((4, 4), 5.0)),
+                                       as_map(np.full((4, 4), 0.3)), 12, 12)
+        np.testing.assert_allclose(d.data, 15.0, rtol=1e-6)
+        np.testing.assert_allclose(e.data, 0.3, rtol=1e-6)
 
     def test_entropy_stays_within_source_range(self, rng):
         ent_src = rng.random((6, 6)).astype(np.float32)
-        disp = model.DisparityMap.dense(np.zeros((6, 6), dtype=np.float32))
-        _, e = model.upsample_outputs(disp, model.EntropyMap(ent_src), 17, 13)
-        assert e.values.min() >= ent_src.min() - 1e-6
-        assert e.values.max() <= ent_src.max() + 1e-6
+        _, e = model._upsample_tensors(as_map(np.zeros((6, 6))), as_map(ent_src), 17, 13)
+        assert e.shape == (1, 1, 17, 13)
+        assert e.data.min() >= ent_src.min() - 1e-6
+        assert e.data.max() <= ent_src.max() + 1e-6
 
     def test_integer_ratio_preserves_aligned_samples(self):
         # with half-pixel centers, output pixel 3k+1 lands exactly on source k
         src = np.arange(16, dtype=np.float32).reshape(4, 4)
-        disp = model.DisparityMap.dense(src)
-        d, _ = model.upsample_outputs(disp, model.EntropyMap(src), 12, 12)
+        d, _ = model._upsample_tensors(as_map(src), as_map(src), 12, 12)
         for k in range(4):
-            assert d.values[3 * k + 1, 3 * k + 1] == pytest.approx(3.0 * src[k, k])
+            assert d.data[0, 0, 3 * k + 1, 3 * k + 1] == pytest.approx(3.0 * src[k, k])
 
 
 class TestRefine:
@@ -619,10 +666,9 @@ class TestBatchNormFold:
         for seed in (0, 1):
             weights = drawn_weights(cfg, seed, dtype)
             left, right = self._pair(rng, dtype)
-            folded = model.forward_tensors(left, right, weights, cfg, mode="sequential")
+            folded = model.forward_tensors(left, right, weights, cfg)
             with Tape() as tape:  # under a tape the norms run as their own ops
-                unfused = model.forward_tensors(left, right, weights, cfg,
-                                                mode="sequential")
+                unfused = model.forward_tensors(left, right, weights, cfg)
             assert any(node.op == "batch_norm" for node in tape.nodes)
             for key, ref in unfused.items():
                 out = folded[key].data
@@ -676,15 +722,18 @@ class TestBatchNormFold:
             grad = weights.params[name].grad
             assert grad is not None and np.any(grad != 0), name
 
-    def test_folded_cost_slices_sequential_parallel_bit_identical(self, rng):
+    def test_folded_cost_slices_sequential_parallel_bit_identical(self, rng, monkeypatch):
         cfg = model.ModelConfig.tiny()
         weights = drawn_weights(cfg, 6)
         folded = weights.folded()
         fl = model.extract_features(random_image(rng, 96, 96), folded, cfg)
         fr = model.extract_features(random_image(rng, 96, 96), folded, cfg)
-        seq = model.build_cost_volume(fl, fr, folded, cfg, mode="sequential")
-        par = model.build_cost_volume(fl, fr, folded, cfg, mode="parallel")
-        assert np.array_equal(seq.data, par.data)
+        volumes = []
+        for schedule in LEVEL_BATCHES:
+            set_level_batch(monkeypatch, schedule)
+            volumes.append(model.build_cost_volume(fl, fr, folded, cfg).data)
+        for volume in volumes[1:]:
+            assert np.array_equal(volume, volumes[0])
 
 
 class TestEndToEndGradients:
@@ -717,8 +766,7 @@ class TestEndToEndGradients:
 
         def build():
             def loss():
-                out = model.forward_tensors(left, right, weights, cfg,
-                                            mode="parallel", training=True)
+                out = model.forward_tensors(left, right, weights, cfg, training=True)
                 return total_loss(out["coarse"], out["refined"], gt, mask,
                                   LossConfig(), max_disparity=cfg.max_disparity)
             return tracked, loss
