@@ -190,7 +190,8 @@ def read_pfm(path: str) -> np.ndarray:
             raise ParseError(f"{path}: malformed PFM scale line")
         if scale == 0:
             raise ParseError(f"{path}: PFM scale must be non-zero")
-        payload = f.read(width * height * 4)
+        # read no more than the file holds: f.read(n) allocates n bytes first
+        payload = f.read(min(width * height * 4, os.fstat(f.fileno()).st_size))
         if len(payload) != width * height * 4:
             raise ParseError(f"{path}: truncated PFM payload "
                              f"({len(payload)} of {width * height * 4} bytes)")

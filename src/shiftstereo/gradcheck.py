@@ -210,7 +210,7 @@ def op_cases() -> list[CheckCase]:
         _conv_case("conv2d_s2_p1_odd_batch2", 2, 1, 1, in_shape=(2, 2, 7, 9)),
         _conv_case("conv2d_s3_d2_p0", 3, 2, 0, in_shape=(1, 2, 11, 10)),
         _conv_case("conv2d_cin1_s3_p1_uneven", 3, 1, 1, in_shape=(1, 1, 10, 8), cout=4),
-        # cin=4 stacks 8 taps per GEMM: one stacked group plus a lone tap
+        # cin=4 copies all 9 taps for one GEMM; cin=33 runs one per kernel row
         _conv_case("conv2d_cin4_split_groups", 1, 1, 1, in_shape=(1, 4, 5, 6), cout=2),
         _conv_case("conv2d_cin33_one_tap_groups", 1, 1, 1, in_shape=(1, 33, 4, 5), cout=2),
         _bn_case("batch_norm_train", True),

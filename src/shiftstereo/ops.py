@@ -1,17 +1,16 @@
 """Forward kernels and their exact reverse-mode gradients.
 
-Convolutions build no column matrix. The input is copied once into a
-zeroed buffer that is already padded and split into stride x stride
-phase images, each flattened row-major with one slack row. Every kernel
-tap is then a contiguous window of one phase, and the output is a sum of
-BLAS GEMMs over taps, in a fixed tap order, whose few junk columns past
-each row end are cropped once. Taps are stacked per GEMM until its inner
-dimension reaches 32, so layers with few input channels stay
-BLAS-efficient. Backward reuses the same windows. Bilinear resampling is
-a pair of small interpolation-matrix matmuls, so its backward is the
-exact transpose map. All reductions use a fixed order, which keeps
-repeated runs bit-identical, and a batch item's result does not depend
-on the rest of the batch.
+Convolutions run one GEMM per kernel row. The input is copied once per
+kernel column, shifted by that column and cut to the output width, so a
+kernel row's taps form one (KW*Cin, rows*OW) matrix that BLAS reads in
+place, and the output is the sum of the kernel rows' products in a fixed
+order. Layers with few input channels copy every tap instead and run one
+GEMM. The copies are built one strip of output rows at a time, and
+backward rebuilds them from the input rather than keeping them on the
+tape. Bilinear resampling is a pair of small interpolation-matrix
+matmuls, so its backward is the exact transpose map. All reductions use
+a fixed order, which keeps repeated runs bit-identical, and a batch
+item's result does not depend on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -104,51 +103,70 @@ def _conv_out_extent(extent: int, k: int, stride: int, dilation: int, padding: i
     return (extent + 2 * padding - dilation * (k - 1) - 1) // stride + 1
 
 
-# conv2d stacks ceil(_MIN_GEMM_K / cin) taps into one GEMM, so that its inner
-# dimension reaches this size (or the whole kernel) even for layers with one
-# or three input channels, which run several times slower one tap per GEMM.
+# conv2d runs one GEMM per kernel row, with an inner dimension of KW*Cin.
+# Below this size it copies every KH*KW tap and runs one GEMM per kernel,
+# so that layers with one to five input channels stay BLAS-efficient.
 _MIN_GEMM_K = 32
 
+# conv2d copies its input one strip of output rows at a time. A strip's
+# copies hold at most _STRIP_INPUT_RATIO times the elements of one batch
+# item's input, or _MIN_STRIP_ELEMENTS (1 MiB of float32) where that is
+# more: maps that small set no memory peak, and splitting them costs more
+# in per-strip calls than it saves.
+_STRIP_INPUT_RATIO = 2
+_MIN_STRIP_ELEMENTS = 1 << 18
 
-def _phase_index(h: int, w: int, stride: int, padding: int) -> list[tuple]:
-    """(phase-buffer index, input index) pairs that cover the input once.
 
-    Padded row ``r = i * stride + a`` lives at row ``i`` of row phase ``a``
-    (likewise for columns). Each pair addresses one (row phase, column
-    phase) block in a (stride, stride, B, C, rows, cols) buffer and the
-    input elements that land there.
+def _row_strips(oh: int, row_elements: int, halo: int,
+                input_elements: int) -> list[tuple[int, int]]:
+    """Equal strips ``(r0, rows)`` of ``oh`` output rows, where the copies
+    of one output row take ``row_elements`` and a strip adds ``halo`` rows.
+
+    Everything here describes one batch item and the kernel, never Cout or
+    the batch size: a GEMM over other columns may round differently, and
+    batch items and blocks of stacked weights must stay bit-identical to
+    convolving them alone.
     """
-    def runs(extent):
-        out = []
-        for phase in range(stride):
-            i0 = max(0, -((phase - padding) // stride))
-            x0 = i0 * stride + phase - padding
-            out.append((slice(i0, i0 + len(range(x0, extent, stride))),
-                        slice(x0, None, stride)))
-        return out
+    budget = max(_STRIP_INPUT_RATIO * input_elements, _MIN_STRIP_ELEMENTS)
+    fit = max(1, int(budget // row_elements) - halo)
+    rows = -(-oh // -(-oh // fit))
+    return [(r0, min(rows, oh - r0)) for r0 in range(0, oh, rows)]
 
-    return [((a, b, Ellipsis, rows, cols), (Ellipsis, x_rows, x_cols))
-            for a, (rows, x_rows) in enumerate(runs(h))
-            for b, (cols, x_cols) in enumerate(runs(w))]
+
+def _in_range(n: int, start: int, step: int, extent: int) -> tuple[int, int, slice]:
+    """The run ``i0 <= i < i1`` of ``0 <= i < n`` where ``start + i * step``
+    indexes an extent-long axis, and the slice of that axis it reads."""
+    i0 = min(n, max(0, -(start // step)))
+    i1 = max(i0, min(n, -((start - extent) // step)))
+    if i1 == i0:
+        return i0, i1, slice(0, 0)
+    return i0, i1, slice(start + i0 * step, start + i1 * step - step + 1, step)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, dilation: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of x (B,Cin,H,W) with weight (Cout,Cin,KH,KW).
 
-    The input is written once into a zeroed buffer that is already padded
-    and split into stride x stride phase images, each flattened row-major
-    ``wq = ceil((W + 2*padding) / stride)`` wide with one slack row. Tap
-    (ki, kj) then reads the contiguous window ``off : off + oh*wq`` of
-    phase ((ki*dilation) % stride, (kj*dilation) % stride), where ``off =
-    ((ki*dilation) // stride) * wq + (kj*dilation) // stride``, and the
-    output is the sum over taps, in row-major tap order, of
-    ``weight[:, :, ki, kj] @ window``. Output columns ``ow .. wq-1`` read
-    past the row end; they are cropped once at the end. No column matrix
-    is built: taps are stacked ``ceil(32 / Cin)`` per GEMM so that layers
-    with few input channels still get an inner dimension of at least 32.
-    Backward reuses the same windows, with the output gradient zero-padded
-    to ``wq`` columns, and scatters into a phase-layout buffer.
+    The output is computed one strip of output rows at a time. For the
+    strip that starts at output row ``r0``, the input is copied once per
+    kernel column into ``buf[a, b, kj, c, i, j] = xpad[b, c, (r0 + i)*stride
+    + a, j*stride + kj*dilation]``, where ``xpad`` is x zero-padded and
+    ``a`` a row phase. Each copy is exactly ``ow`` wide. Kernel row ki
+    reads, in place, the (KW*Cin, rows*ow) window of phase ``(ki*dilation)
+    % stride`` that starts at row ``(ki*dilation) // stride``. The strip's
+    output is the sum over kernel rows, in order, of ``weight[:, :, ki, :]
+    @ window``: the first product is written into the output, the others
+    pass through a strip-sized scratch, and the bias is added last. Where
+    KW*Cin is below ``_MIN_GEMM_K`` the copies take every tap, and one GEMM
+    covers the kernel.
+
+    A strip's copies hold at most ``_STRIP_INPUT_RATIO`` times the elements
+    of one batch item's input (or ``_MIN_STRIP_ELEMENTS``), and the strips
+    are equal. The partition depends on the input extents and the kernel
+    only, never on Cout or the batch size, so a batch item comes out
+    bit-identical to convolving it alone. Backward rebuilds the copies
+    strip by strip from x and runs one dW and one dX GEMM per kernel row;
+    the tape keeps no copy of the input.
     """
     if stride < 1 or dilation < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride/dilation/padding ({stride}, {dilation}, {padding})")
@@ -165,59 +183,82 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                          f"for input {h}x{w}, kernel {kh}x{kw}")
     dt = _same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
 
-    hq = -(-(h + 2 * padding) // stride)
-    wq = -(-(w + 2 * padding) // stride)
-    index = _phase_index(h, w, stride, padding)
-    phases = np.zeros((stride, stride, b, cin, hq + 1, wq), dtype=dt)
-    for at_phase, at_x in index:
-        phases[at_phase] = x.data[at_x]
-    buf = phases.reshape(stride * stride, b, cin, (hq + 1) * wq)
-    n = oh * wq
-    taps = []
-    for ki in range(kh):
-        for kj in range(kw):
-            (qi, ri), (qj, rj) = divmod(ki * dilation, stride), divmod(kj * dilation, stride)
-            taps.append((ri * stride + rj, qi * wq + qj))
+    # Copy t holds the padded input at tap offset copies[t]; GEMM g reads
+    # the copies at the further row offset gemm_rows[g].
+    every_tap = kw * cin < _MIN_GEMM_K
+    copies = [(ki * dilation, kj * dilation)
+              for ki in range(kh if every_tap else 1) for kj in range(kw)]
+    gemm_rows = [0] if every_tap else [ki * dilation for ki in range(kh)]
+    phases = sorted({r % stride for r in gemm_rows})
+    halo = max(gemm_rows) // stride
+    k = len(copies) * cin
     w_taps = weight.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    per_gemm = -(-_MIN_GEMM_K // cin)
-    groups = [(w_taps[:, t * cin:(t + per_gemm) * cin], taps[t:t + per_gemm])
-              for t in range(0, len(taps), per_gemm)]
+    gemms = [(w_taps[:, g * k:(g + 1) * k], phases.index(r % stride), (r // stride) * ow)
+             for g, r in enumerate(gemm_rows)]
 
-    def window(group):
-        if len(group) == 1:
-            phase, off = group[0]
-            return buf[phase, :, :, off:off + n]
-        return np.concatenate([buf[phase, :, :, off:off + n] for phase, off in group], axis=1)
+    strips = _row_strips(oh, len(phases) * k * ow, halo, cin * h * w)
+    rows = strips[0][1]
+    cols = [_in_range(ow, dv - padding, stride, w) for _, dv in copies]
 
-    acc = np.matmul(groups[0][0], window(groups[0][1]))
-    part = np.empty_like(acc) if len(groups) > 1 else None
-    for w_group, group in groups[1:]:
-        acc += np.matmul(w_group, window(group), out=part)
-    # Free the scratch before the output is allocated: a refine conv sets
-    # the forward pass's memory peak.
-    del part
-    out_data = acc.reshape(b, cout, oh, wq)[:, :, :, :ow]
-    out = Tensor(out_data + bias.data if bias is not None else out_data)
+    def new_buf():
+        # Columns outside the input stay zero in every strip.
+        return np.zeros((len(phases), b, k, (rows + halo) * ow), dtype=dt)
+
+    def fill(buf, r0, n_rows):
+        view = buf.reshape(len(phases), b, len(copies), cin, rows + halo, ow)
+        end = n_rows + halo
+        for ai, a in enumerate(phases):
+            for t, (du, _) in enumerate(copies):
+                i0, i1, x_rows = _in_range(end, r0 * stride + a + du - padding, stride, h)
+                j0, j1, x_cols = cols[t]
+                copy = view[ai, :, t]
+                if i0:
+                    copy[:, :, :i0] = 0
+                if i1 < end:
+                    copy[:, :, i1:end] = 0
+                copy[:, :, i0:i1, j0:j1] = x.data[:, :, x_rows, x_cols]
+
+    buf = new_buf()
+    out = np.empty((b, cout, oh * ow), dtype=dt)
+    part = np.empty((b, cout, rows * ow), dtype=dt) if len(gemms) > 1 else None
+    for r0, n_rows in strips:
+        fill(buf, r0, n_rows)
+        n = n_rows * ow
+        dst = out[:, :, r0 * ow:r0 * ow + n]
+        for i, (w_g, ai, off) in enumerate(gemms):
+            window = buf[ai, :, :, off:off + n]
+            if i == 0:
+                np.matmul(w_g, window, out=dst)
+            else:
+                dst += np.matmul(w_g, window, out=part[:, :, :n])
+        if bias is not None:
+            dst += bias.data.reshape(1, cout, 1)
+    del buf, part
+    out = Tensor(out.reshape(b, cout, oh, ow))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def grad_fn(g):
-        gq = np.zeros((b, cout, oh, wq), dtype=g.dtype)
-        gq[:, :, :, :ow] = g
-        gq = gq.reshape(b, cout, n)
-        dbuf = np.zeros_like(buf)
-        dw = []
-        for w_group, group in groups:
-            dw.append(np.matmul(gq, window(group).transpose(0, 2, 1)).sum(axis=0))
-            dwin = np.matmul(w_group.T, gq)
-            for k, (phase, off) in enumerate(group):
-                dbuf[phase, :, :, off:off + n] += dwin[:, k * cin:(k + 1) * cin]
-        dw = np.ascontiguousarray(
-            np.concatenate(dw, axis=1).reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
-        dphases = dbuf.reshape(phases.shape)
-        dx = np.empty(x.shape, dtype=g.dtype)
-        for at_phase, at_x in index:
-            dx[at_x] = dphases[at_phase]
+        gflat = g.reshape(b, cout, oh * ow)
+        buf = new_buf()
+        dw = np.zeros((cout, kh * kw * cin), dtype=g.dtype)
+        dx = np.zeros(x.shape, dtype=g.dtype)
+        dwin = np.empty((b, k, rows * ow), dtype=g.dtype)
+        for r0, n_rows in strips:
+            fill(buf, r0, n_rows)
+            n = n_rows * ow
+            g_strip = gflat[:, :, r0 * ow:r0 * ow + n]
+            for i, (w_g, ai, off) in enumerate(gemms):
+                window = buf[ai, :, :, off:off + n]
+                dw[:, i * k:(i + 1) * k] += np.matmul(g_strip, window.transpose(0, 2, 1)).sum(axis=0)
+                d = np.matmul(w_g.T, g_strip, out=dwin[:, :, :n])
+                d = d.reshape(b, len(copies), cin, n_rows, ow)
+                for t, (du, _) in enumerate(copies):
+                    i0, i1, x_rows = _in_range(n_rows, r0 * stride + gemm_rows[i] + du - padding,
+                                               stride, h)
+                    j0, j1, x_cols = cols[t]
+                    dx[:, :, x_rows, x_cols] += d[:, t, :, i0:i1, j0:j1]
+        dw = np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         if bias is None:
             return dx, dw
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)

@@ -9,6 +9,7 @@ disparity cap, are excluded and contribute exactly zero gradient.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -182,14 +183,23 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         entries += [("m/" + k, v) for k, v in ckpt.adam.m.items()]
         entries += [("v/" + k, v) for k, v in ckpt.adam.v.items()]
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(meta_bytes)))
-        f.write(meta_bytes)
-        f.write(struct.pack("<I", len(entries)))
-        for name, arr in entries:
-            _write_entry(f, name, arr)
+    # Write beside the target, then rename over it: a crash mid-write
+    # leaves the previous checkpoint whole.
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(meta_bytes)))
+            f.write(meta_bytes)
+            f.write(struct.pack("<I", len(entries)))
+            for name, arr in entries:
+                _write_entry(f, name, arr)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _need(f, n: int, path: str) -> bytes:

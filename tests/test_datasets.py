@@ -152,6 +152,18 @@ class TestPfm:
         with pytest.raises(ParseError, match="scale"):
             read_pfm(str(zero_scale))
 
+    def test_header_extents_beyond_the_file_allocate_no_payload(self, tmp_path):
+        path = tmp_path / "huge.pfm"
+        path.write_bytes(b"Pf\n5000 5000\n-1.0\n" + bytes(10))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="truncated"):
+                read_pfm(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestPnm:
     def test_round_trip_bit_exact(self, rng, tmp_path):

@@ -10,6 +10,7 @@ from conftest import (avg_pool_reference, avg_pool_strided_reference, conv2d_ref
                       resize_matrix_reference)
 from shiftstereo import ops
 from shiftstereo.errors import ShapeError
+from shiftstereo.gradcheck import _conv_case, run_case
 from shiftstereo.tensor import HIGH, Tape, Tensor
 
 
@@ -95,6 +96,23 @@ class TestConv2d:
         assert len(tape.nodes) == 1
         assert kept < 2 * (x.data.nbytes + out.data.nbytes)
 
+    def test_taped_conv_keeps_little_more_than_its_output(self, rng):
+        """Backward rebuilds the input copies from x, so a taped refine-size
+        conv keeps its output and the repacked weight, no input copy."""
+        x = Tensor(rng.standard_normal((1, 32, 144, 240)).astype(np.float32),
+                   requires_grad=True)
+        w = Tensor(rng.standard_normal((32, 32, 3, 3)).astype(np.float32),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = ops.conv2d(x, w, dilation=4, padding=4)
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape.nodes) == 1
+        assert kept < 1.25 * out.data.nbytes
+
     def test_untaped_conv_peaks_below_three_and_a_half_outputs(self, rng):
         """An inference refine-size conv holds the phase buffer, one
         accumulator and the output at once: its scratch is freed before
@@ -109,6 +127,74 @@ class TestConv2d:
         finally:
             tracemalloc.stop()
         assert peak < 3.5 * out.data.nbytes
+
+
+# (stride, dilation, padding, cin, kernel): per-kernel-row GEMMs at cin 11,
+# 12 and 16, every tap in one GEMM at cin 3 and 8 and for the 1x1 kernel.
+STRIP_GEOMETRIES = [(1, 1, 1, 8, 3), (1, 2, 2, 16, 3), (2, 1, 1, 16, 3),
+                    (3, 1, 1, 3, 3), (1, 4, 4, 12, 3), (2, 2, 2, 11, 3), (1, 1, 0, 16, 1)]
+
+
+def _split_into_strips(monkeypatch):
+    """Make conv2d split a 13x18 map into several strips; returns the list
+    of partitions it used."""
+    monkeypatch.setattr(ops, "_STRIP_INPUT_RATIO", 0.5)
+    monkeypatch.setattr(ops, "_MIN_STRIP_ELEMENTS", 0)
+    seen = []
+    row_strips = ops._row_strips
+
+    def recording(*args):
+        seen.append(row_strips(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(ops, "_row_strips", recording)
+    return seen
+
+
+class TestConvStrips:
+    """conv2d in several strips of output rows, forced by a smaller budget."""
+
+    @pytest.mark.parametrize("stride, dilation, padding, cin, k", STRIP_GEOMETRIES)
+    def test_items_and_channel_blocks_bit_identical(self, rng, monkeypatch, stride,
+                                                    dilation, padding, cin, k):
+        seen = _split_into_strips(monkeypatch)
+        x = rng.standard_normal((3, cin, 13, 18)).astype(np.float32)
+        w = rng.standard_normal((16, cin, k, k)).astype(np.float32)
+        b = rng.standard_normal((1, 16, 1, 1)).astype(np.float32)
+        kw = dict(stride=stride, dilation=dilation, padding=padding)
+        batched = ops.conv2d(Tensor(x), Tensor(w), Tensor(b), **kw).data
+        assert all(len(strips) >= 2 for strips in seen)
+        for i in range(3):
+            alone = ops.conv2d(Tensor(x[i:i + 1]), Tensor(w), Tensor(b), **kw).data
+            assert np.array_equal(batched[i:i + 1], alone)
+        # Blocks of 8 channels, like the model's weights stacked along Cout
+        # (BLAS may round a 1- or 3-row GEMM differently, strips or not).
+        for lo, hi in ((0, 8), (8, 16)):
+            block = ops.conv2d(Tensor(x), Tensor(w[lo:hi]), Tensor(b[:, lo:hi]), **kw).data
+            assert np.array_equal(batched[:, lo:hi], block)
+
+    @pytest.mark.parametrize("stride, dilation, padding, cin, k", STRIP_GEOMETRIES)
+    def test_matches_loop_oracle(self, rng, monkeypatch, stride, dilation, padding, cin, k):
+        seen = _split_into_strips(monkeypatch)
+        x = rng.standard_normal((2, cin, 13, 18))
+        w = rng.standard_normal((4, cin, k, k))
+        b = rng.standard_normal((1, 4, 1, 1))
+        kw = dict(stride=stride, dilation=dilation, padding=padding)
+        out = ops.conv2d(Tensor(x, dtype=HIGH), Tensor(w, dtype=HIGH), Tensor(b, dtype=HIGH),
+                         **kw)
+        assert len(seen[0]) >= 2
+        np.testing.assert_allclose(out.data, conv2d_reference(x, w, b, **kw), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("stride, dilation, padding, cin",
+                             [(1, 1, 1, 3), (1, 2, 2, 11), (2, 1, 1, 11), (3, 1, 1, 2)])
+    def test_gradients_match_finite_differences(self, monkeypatch, stride, dilation,
+                                                padding, cin):
+        seen = _split_into_strips(monkeypatch)
+        case = _conv_case(f"strips_s{stride}_d{dilation}_c{cin}", stride, dilation, padding,
+                          in_shape=(2, cin, 6, 7))
+        for result in run_case(case):
+            assert result.passed, (result.param, result.max_rel_err)
+        assert all(len(strips) >= 2 for strips in seen)
 
 
 class TestBatchNorm:
