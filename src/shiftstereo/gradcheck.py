@@ -213,6 +213,13 @@ def op_cases() -> list[CheckCase]:
         # cin=4 copies all 9 taps for one GEMM; cin=33 runs one per kernel row
         _conv_case("conv2d_cin4_split_groups", 1, 1, 1, in_shape=(1, 4, 5, 6), cout=2),
         _conv_case("conv2d_cin33_one_tap_groups", 1, 1, 1, in_shape=(1, 33, 4, 5), cout=2),
+        # padding above dilation*(k-1): the outer output rows and columns
+        # read only zeros, and dX drops their gradient
+        _conv_case("conv2d_s1_d1_p2_overpad", 1, 1, 2, in_shape=(1, 2, 5, 6)),
+        _conv_case("conv2d_1x1_p1", 1, 1, 1, in_shape=(1, 3, 4, 5), cout=2, k=1),
+        # the last input row and column are read by no output (dX is 0 there)
+        _conv_case("conv2d_s2_unread_edge", 2, 1, 0, in_shape=(1, 2, 8, 8)),
+        _conv_case("conv2d_s3_unread_edge", 3, 1, 0, in_shape=(2, 2, 10, 10), cout=2),
         _bn_case("batch_norm_train", True),
         _bn_case("batch_norm_train_per_sample", True, per_sample=True),
         _bn_case("batch_norm_inference", False),

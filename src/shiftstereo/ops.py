@@ -5,12 +5,14 @@ kernel column, shifted by that column and cut to the output width, so a
 kernel row's taps form one (KW*Cin, rows*OW) matrix that BLAS reads in
 place, and the output is the sum of the kernel rows' products in a fixed
 order. Layers with few input channels copy every tap instead and run one
-GEMM. The copies are built one strip of output rows at a time, and
-backward rebuilds them from the input rather than keeping them on the
-tape. Bilinear resampling is a pair of small interpolation-matrix
-matmuls, so its backward is the exact transpose map. All reductions use
-a fixed order, which keeps repeated runs bit-identical, and a batch
-item's result does not depend on the rest of the batch.
+GEMM. The copies are built one strip of output rows at a time. Backward
+rebuilds them from the input for the weight gradient rather than keeping
+them on the tape, and computes the input gradient as a convolution of
+the output gradient with the flipped kernel, by the same code. Bilinear
+resampling is a pair of small interpolation-matrix matmuls, so its
+backward is the exact transpose map. All reductions use a fixed order,
+which keeps repeated runs bit-identical, and a batch item's result does
+not depend on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -143,6 +145,98 @@ def _in_range(n: int, start: int, step: int, extent: int) -> tuple[int, int, sli
     return i0, i1, slice(start + i0 * step, start + i1 * step - step + 1, step)
 
 
+def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
+                        padding: int):
+    """Yield ``(r0, n_rows, windows)`` for each strip of output rows, where
+    ``windows[g]`` is the (B, K, n_rows*ow) operand of GEMM g, read in place
+    from the strip's input copies. The copies of all strips share one
+    buffer, so a strip's windows are valid until the next one is yielded.
+    """
+    b, cin, h, w = x.shape
+    oh = _conv_out_extent(h, kh, stride, dilation, padding)
+    ow = _conv_out_extent(w, kw, stride, dilation, padding)
+    # Copy t holds the padded input at tap offset copies[t]; GEMM g reads
+    # the copies at the further row offset gemm_rows[g].
+    every_tap = kw * cin < _MIN_GEMM_K
+    copies = [(ki * dilation, kj * dilation)
+              for ki in range(kh if every_tap else 1) for kj in range(kw)]
+    gemm_rows = [0] if every_tap else [ki * dilation for ki in range(kh)]
+    phases = sorted({r % stride for r in gemm_rows})
+    halo = max(gemm_rows) // stride
+    k = len(copies) * cin
+    strips = _row_strips(oh, len(phases) * k * ow, halo, cin * h * w)
+    rows = strips[0][1]
+    cols = [_in_range(ow, dv - padding, stride, w) for _, dv in copies]
+
+    # Columns outside the input stay zero in every strip.
+    buf = np.zeros((len(phases), b, k, (rows + halo) * ow), dtype=x.dtype)
+    view = buf.reshape(len(phases), b, len(copies), cin, rows + halo, ow)
+    for r0, n_rows in strips:
+        end = n_rows + halo
+        for ai, a in enumerate(phases):
+            for t, (du, _) in enumerate(copies):
+                i0, i1, x_rows = _in_range(end, r0 * stride + a + du - padding, stride, h)
+                j0, j1, x_cols = cols[t]
+                copy = view[ai, :, t]
+                if i0:
+                    copy[:, :, :i0] = 0
+                if i1 < end:
+                    copy[:, :, i1:end] = 0
+                copy[:, :, i0:i1, j0:j1] = x[:, :, x_rows, x_cols]
+        n = n_rows * ow
+        yield r0, n_rows, [buf[phases.index(r % stride), :, :,
+                               (r // stride) * ow:(r // stride) * ow + n]
+                           for r in gemm_rows]
+
+
+def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
+               padding: int, bias: np.ndarray | None = None) -> np.ndarray:
+    """The forward kernel of :func:`conv2d` on arrays."""
+    b, _, h, w = x.shape
+    cout, cin, kh, kw = weight.shape
+    oh = _conv_out_extent(h, kh, stride, dilation, padding)
+    ow = _conv_out_extent(w, kw, stride, dilation, padding)
+    w_taps = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
+    out = None
+    for r0, n_rows, windows in _kernel_row_windows(x, kh, kw, stride, dilation, padding):
+        n = n_rows * ow
+        if out is None:
+            # Allocated after the first strip's copies, which are freed
+            # first, so the freed copies lie below the live output and the
+            # next conv reuses them; with the output allocated first, an
+            # infer-full pass took about twice the page faults. The first
+            # strip is the largest, so part fits every strip.
+            out = np.empty((b, cout, oh * ow), dtype=x.dtype)
+            part = np.empty((b, cout, n), dtype=x.dtype) if len(windows) > 1 else None
+        k = windows[0].shape[1]
+        dst = out[:, :, r0 * ow:r0 * ow + n]
+        np.matmul(w_taps[:, :k], windows[0], out=dst)
+        for i, window in enumerate(windows[1:], 1):
+            dst += np.matmul(w_taps[:, i * k:(i + 1) * k], window, out=part[:, :, :n])
+        if bias is not None:
+            dst += bias.reshape(1, cout, 1)
+    return out.reshape(b, cout, oh, ow)
+
+
+def _input_grad(g: np.ndarray, weight: np.ndarray, h: int, w: int,
+                stride: int, dilation: int, padding: int) -> np.ndarray:
+    """dX of a conv2d: the output gradient, spread onto the input grid,
+    correlated with the flipped, channel-transposed kernel."""
+    b, cout, oh, ow = g.shape
+    kh, kw = weight.shape[2:]
+    flipped = weight[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    # g[i, j] lands on (i*stride + lead_h, j*stride + lead_w) of a grid
+    # whose valid correlation with the dilated kernel is h x w.
+    lead_h, lead_w = dilation * (kh - 1) - padding, dilation * (kw - 1) - padding
+    if stride == 1 and lead_h == lead_w >= 0:
+        return _correlate(g, flipped, 1, dilation, lead_h)
+    grid = np.zeros((b, cout, h + dilation * (kh - 1), w + dilation * (kw - 1)), dtype=g.dtype)
+    i0, i1, rows = _in_range(oh, lead_h, stride, grid.shape[2])
+    j0, j1, cols = _in_range(ow, lead_w, stride, grid.shape[3])
+    grid[:, :, rows, cols] = g[:, :, i0:i1, j0:j1]
+    return _correlate(grid, flipped, 1, dilation, 0)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, dilation: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of x (B,Cin,H,W) with weight (Cout,Cin,KH,KW).
@@ -164,9 +258,17 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     of one batch item's input (or ``_MIN_STRIP_ELEMENTS``), and the strips
     are equal. The partition depends on the input extents and the kernel
     only, never on Cout or the batch size, so a batch item comes out
-    bit-identical to convolving it alone. Backward rebuilds the copies
-    strip by strip from x and runs one dW and one dX GEMM per kernel row;
-    the tape keeps no copy of the input.
+    bit-identical to convolving it alone.
+
+    Backward rebuilds the copies strip by strip from x and runs one dW
+    GEMM per kernel row; the tape keeps no copy of the input. dX is itself
+    a convolution by the same kernel code: the output gradient, placed at
+    stride on a zero grid ``dilation*(k-1)`` larger than x on each axis,
+    correlated with the flipped kernel with its channel axes swapped. At
+    stride 1, with a square kernel and ``padding <= dilation*(k-1)``, that
+    grid is the gradient zero-padded by ``dilation*(k-1) - padding`` on
+    every side, so the gradient is convolved directly with that padding.
+    dX is not computed when x does not require a gradient.
     """
     if stride < 1 or dilation < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride/dilation/padding ({stride}, {dilation}, {padding})")
@@ -181,84 +283,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: non-positive output extent ({oh}, {ow}) "
                          f"for input {h}x{w}, kernel {kh}x{kw}")
-    dt = _same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
-
-    # Copy t holds the padded input at tap offset copies[t]; GEMM g reads
-    # the copies at the further row offset gemm_rows[g].
-    every_tap = kw * cin < _MIN_GEMM_K
-    copies = [(ki * dilation, kj * dilation)
-              for ki in range(kh if every_tap else 1) for kj in range(kw)]
-    gemm_rows = [0] if every_tap else [ki * dilation for ki in range(kh)]
-    phases = sorted({r % stride for r in gemm_rows})
-    halo = max(gemm_rows) // stride
-    k = len(copies) * cin
-    w_taps = weight.data.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    gemms = [(w_taps[:, g * k:(g + 1) * k], phases.index(r % stride), (r // stride) * ow)
-             for g, r in enumerate(gemm_rows)]
-
-    strips = _row_strips(oh, len(phases) * k * ow, halo, cin * h * w)
-    rows = strips[0][1]
-    cols = [_in_range(ow, dv - padding, stride, w) for _, dv in copies]
-
-    def new_buf():
-        # Columns outside the input stay zero in every strip.
-        return np.zeros((len(phases), b, k, (rows + halo) * ow), dtype=dt)
-
-    def fill(buf, r0, n_rows):
-        view = buf.reshape(len(phases), b, len(copies), cin, rows + halo, ow)
-        end = n_rows + halo
-        for ai, a in enumerate(phases):
-            for t, (du, _) in enumerate(copies):
-                i0, i1, x_rows = _in_range(end, r0 * stride + a + du - padding, stride, h)
-                j0, j1, x_cols = cols[t]
-                copy = view[ai, :, t]
-                if i0:
-                    copy[:, :, :i0] = 0
-                if i1 < end:
-                    copy[:, :, i1:end] = 0
-                copy[:, :, i0:i1, j0:j1] = x.data[:, :, x_rows, x_cols]
-
-    buf = new_buf()
-    out = np.empty((b, cout, oh * ow), dtype=dt)
-    part = np.empty((b, cout, rows * ow), dtype=dt) if len(gemms) > 1 else None
-    for r0, n_rows in strips:
-        fill(buf, r0, n_rows)
-        n = n_rows * ow
-        dst = out[:, :, r0 * ow:r0 * ow + n]
-        for i, (w_g, ai, off) in enumerate(gemms):
-            window = buf[ai, :, :, off:off + n]
-            if i == 0:
-                np.matmul(w_g, window, out=dst)
-            else:
-                dst += np.matmul(w_g, window, out=part[:, :, :n])
-        if bias is not None:
-            dst += bias.data.reshape(1, cout, 1)
-    del buf, part
-    out = Tensor(out.reshape(b, cout, oh, ow))
+    _same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
+    out = Tensor(_correlate(x.data, weight.data, stride, dilation, padding,
+                            None if bias is None else bias.data))
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
 
     def grad_fn(g):
         gflat = g.reshape(b, cout, oh * ow)
-        buf = new_buf()
         dw = np.zeros((cout, kh * kw * cin), dtype=g.dtype)
-        dx = np.zeros(x.shape, dtype=g.dtype)
-        dwin = np.empty((b, k, rows * ow), dtype=g.dtype)
-        for r0, n_rows in strips:
-            fill(buf, r0, n_rows)
-            n = n_rows * ow
-            g_strip = gflat[:, :, r0 * ow:r0 * ow + n]
-            for i, (w_g, ai, off) in enumerate(gemms):
-                window = buf[ai, :, :, off:off + n]
+        for r0, n_rows, windows in _kernel_row_windows(x.data, kh, kw, stride, dilation,
+                                                       padding):
+            g_strip = gflat[:, :, r0 * ow:(r0 + n_rows) * ow]
+            k = windows[0].shape[1]
+            for i, window in enumerate(windows):
                 dw[:, i * k:(i + 1) * k] += np.matmul(g_strip, window.transpose(0, 2, 1)).sum(axis=0)
-                d = np.matmul(w_g.T, g_strip, out=dwin[:, :, :n])
-                d = d.reshape(b, len(copies), cin, n_rows, ow)
-                for t, (du, _) in enumerate(copies):
-                    i0, i1, x_rows = _in_range(n_rows, r0 * stride + gemm_rows[i] + du - padding,
-                                               stride, h)
-                    j0, j1, x_cols = cols[t]
-                    dx[:, :, x_rows, x_cols] += d[:, t, :, i0:i1, j0:j1]
         dw = np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
+        dx = (_input_grad(g, weight.data, h, w, stride, dilation, padding)
+              if x.requires_grad else None)
         if bias is None:
             return dx, dw
         db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)

@@ -9,6 +9,7 @@ disparity cap, are excluded and contribute exactly zero gradient.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -202,47 +203,86 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         raise
 
 
-def _need(f, n: int, path: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise CheckpointFormatError(f"{path}: truncated checkpoint "
-                                    f"(wanted {n} bytes, got {len(data)})")
-    return data
+# numpy 1.x arrays have at most 32 dimensions (2.x: 64).
+_MAX_RANK = 32
+_ADAM_KEYS = ("lr", "beta1", "beta2", "eps", "t")
+
+
+class _Reader:
+    """Reads a checkpoint's fields, never past the end of the file: the
+    size is taken once, so a length field cannot make it allocate more
+    than the file holds."""
+
+    def __init__(self, f, path: str):
+        self.f, self.path = f, path
+        self.left = os.fstat(f.fileno()).st_size
+
+    def need(self, n: int) -> bytes:
+        if n > self.left:
+            raise CheckpointFormatError(f"{self.path}: truncated checkpoint "
+                                        f"(wanted {n} bytes, {self.left} left)")
+        self.left -= n
+        return self.f.read(n)
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.need(struct.calcsize(fmt)))
+
+
+def _read_meta(r: _Reader) -> tuple[dict, ModelConfig]:
+    (meta_len,) = r.unpack("<I")
+    try:
+        meta = json.loads(r.need(meta_len).decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+        raise CheckpointFormatError(f"{r.path}: garbled metadata block ({e})")
+    if not isinstance(meta, dict) or "epoch" not in meta \
+            or not isinstance(meta.get("config"), dict):
+        raise CheckpointFormatError(f"{r.path}: metadata block lacks the checkpoint keys")
+    adam = meta.get("adam")
+    if adam is not None and not (isinstance(adam, dict) and all(k in adam for k in _ADAM_KEYS)):
+        raise CheckpointFormatError(f"{r.path}: metadata block has a malformed Adam state")
+    try:
+        # ConfigError is a ValueError; an unknown key is a TypeError.
+        config = ModelConfig.from_dict(meta["config"])
+    except (TypeError, KeyError, ValueError) as e:
+        raise CheckpointFormatError(f"{r.path}: bad model config in metadata ({e})")
+    return meta, config
 
 
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; any malformed content raises a CheckpointError."""
     with open(path, "rb") as f:
-        if _need(f, 4, path) != CHECKPOINT_MAGIC:
+        r = _Reader(f, path)
+        if r.need(4) != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"{path}: bad checkpoint magic")
-        (version,) = struct.unpack("<I", _need(f, 4, path))
+        (version,) = r.unpack("<I")
         if version != CHECKPOINT_VERSION:
             raise CheckpointVersionError(f"{path}: unsupported checkpoint version "
                                          f"{version} (expected {CHECKPOINT_VERSION})")
-        (meta_len,) = struct.unpack("<I", _need(f, 4, path))
-        try:
-            meta = json.loads(_need(f, meta_len, path).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointFormatError(f"{path}: garbled metadata block ({e})")
-        (count,) = struct.unpack("<I", _need(f, 4, path))
+        meta, config = _read_meta(r)
+        (count,) = r.unpack("<I")
         groups: dict[str, dict[str, np.ndarray]] = {"p": {}, "b": {}, "m": {}, "v": {}}
         for _ in range(count):
-            (name_len,) = struct.unpack("<H", _need(f, 2, path))
-            name = _need(f, name_len, path).decode("utf-8")
-            (rank,) = struct.unpack("<B", _need(f, 1, path))
-            extents = struct.unpack(f"<{rank}I", _need(f, 4 * rank, path))
-            (tag,) = struct.unpack("<B", _need(f, 1, path))
+            (name_len,) = r.unpack("<H")
+            try:
+                name = r.need(name_len).decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CheckpointFormatError(f"{path}: garbled entry name ({e})")
+            (rank,) = r.unpack("<B")
+            if rank > _MAX_RANK:
+                raise CheckpointFormatError(f"{path}: entry {name!r} has rank {rank}")
+            extents = r.unpack(f"<{rank}I")
+            (tag,) = r.unpack("<B")
             if tag not in _TAG_DTYPES:
                 raise CheckpointFormatError(f"{path}: unknown scalar-type tag {tag}")
             dtype = _TAG_DTYPES[tag]
-            size = int(np.prod(extents)) * dtype.itemsize
-            arr = np.frombuffer(_need(f, size, path), dtype=dtype).reshape(extents)
+            size = math.prod(extents) * dtype.itemsize
+            arr = np.frombuffer(r.need(size), dtype=dtype).reshape(extents)
             kind, _, base = name.partition("/")
             if kind not in groups or not base:
                 raise CheckpointFormatError(f"{path}: malformed entry name {name!r}")
             groups[kind][base] = arr.astype(arr.dtype.newbyteorder("="))
-        if f.read(1):
+        if r.left:
             raise CheckpointFormatError(f"{path}: trailing bytes after last entry")
-    config = ModelConfig.from_dict(meta["config"])
     adam = None
     if meta.get("adam") is not None:
         a = meta["adam"]

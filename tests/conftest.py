@@ -7,8 +7,14 @@ package's vectorized implementations.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from shiftstereo import model
+
+# ``pytest --hypothesis-profile=ci`` draws the same examples on every run,
+# so a fuzz failure in CI reproduces locally, and sets no per-example
+# deadline, which a loaded runner would trip.
+settings.register_profile("ci", derandomize=True, deadline=None)
 
 
 def conv2d_reference(x, w, b=None, stride=1, dilation=1, padding=0):

@@ -87,3 +87,20 @@ def test_infer_non_finite_disparity_is_a_divergence(tmp_path, pair, capsys):
     assert _infer(ckpt, *pair, out) == 3
     assert not os.path.exists(out)
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("damage", ["truncated", "unknown config key"])
+def test_infer_corrupt_checkpoint_is_a_usage_error(tmp_path, pair, capsys, damage):
+    ckpt = _checkpoint(tmp_path / "model.ckpt")
+    with open(ckpt, "rb") as f:
+        blob = f.read()
+    if damage == "truncated":
+        blob = blob[:len(blob) // 2]
+    else:
+        blob = blob.replace(b'"feature_channels"', b'"feature_channelZ"')
+    with open(ckpt, "wb") as f:
+        f.write(blob)
+    out = str(tmp_path / "disp.pfm")
+    assert _infer(ckpt, *pair, out) == 2
+    assert not os.path.exists(out)
+    assert ckpt in capsys.readouterr().err

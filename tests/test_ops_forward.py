@@ -79,6 +79,57 @@ class TestConv2d:
                                dilation=dilation, padding=padding).data
             assert np.array_equal(batched[i:i + 1], alone)
 
+    @pytest.mark.parametrize("cin", [3, 32])
+    @pytest.mark.parametrize("stride, dilation, padding",
+                             [(1, 2, 2), (2, 1, 1), (1, 1, 2), (3, 1, 1)])
+    def test_batch_items_input_grads_bit_identical_to_single_items(self, rng, cin, stride,
+                                                                   dilation, padding):
+        """dX is a convolution of the output gradient, so it inherits the
+        forward's independence of the batch."""
+        x = rng.standard_normal((5, cin, 13, 18)).astype(np.float32)
+        w = Tensor(rng.standard_normal((8, cin, 3, 3)).astype(np.float32))
+        kw = dict(stride=stride, dilation=dilation, padding=padding)
+
+        def dx_of(xs, g):
+            with Tape() as tape:
+                ops.conv2d(Tensor(xs, requires_grad=True), w, **kw)
+            return tape.nodes[0].grad_fn(g)[0]
+
+        oh, ow = ops.conv2d(Tensor(x[:1]), w, **kw).shape[2:]
+        g = rng.standard_normal((5, 8, oh, ow)).astype(np.float32)
+        batched = dx_of(x, g)
+        for i in range(5):
+            assert np.array_equal(batched[i:i + 1], dx_of(x[i:i + 1], g[i:i + 1]))
+
+    @pytest.mark.parametrize("stride, padding", [(1, 1), (2, 1), (1, 2)])
+    def test_input_without_grad_gets_no_dx_and_the_same_dw(self, rng, stride, padding):
+        x = rng.standard_normal((2, 3, 9, 10)).astype(np.float32)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+        b = Tensor(rng.standard_normal((1, 4, 1, 1)).astype(np.float32), requires_grad=True)
+        grads = []
+        for requires_grad in (True, False):
+            with Tape() as tape:
+                out = ops.conv2d(Tensor(x, requires_grad=requires_grad), w, b,
+                                 stride=stride, padding=padding)
+            g = np.random.default_rng(1).standard_normal(out.shape).astype(np.float32)
+            grads.append(tape.nodes[0].grad_fn(g))
+        (dx, dw, db), (no_dx, dw_alone, db_alone) = grads
+        assert dx is not None and no_dx is None
+        assert np.array_equal(dw, dw_alone) and np.array_equal(db, db_alone)
+
+    @pytest.mark.parametrize("stride, size", [(2, 8), (3, 10)])
+    def test_unread_last_row_and_column_get_zero_dx(self, rng, stride, size):
+        """A strided 3x3 conv without padding never reads the input's last
+        row and column here; their dX is exactly zero, and no other is."""
+        x = Tensor(rng.standard_normal((2, 3, size, size)), requires_grad=True, dtype=HIGH)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), dtype=HIGH)
+        with Tape() as tape:
+            out = ops.conv2d(x, w, stride=stride)
+        assert (out.shape[2] - 1) * stride + 2 == size - 2
+        (dx, _) = tape.nodes[0].grad_fn(rng.standard_normal(out.shape))
+        assert not dx[:, :, -1].any() and not dx[:, :, :, -1].any()
+        assert np.all(dx[:, :, :-1, :-1] != 0)
+
     def test_taped_conv_keeps_less_than_twice_its_operands(self, rng):
         """What a taped refine-size conv holds for backward stays near the
         size of its input, not a column matrix kh*kw times larger."""

@@ -2,13 +2,16 @@
 the Adam update."""
 
 import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import adam_reference_trace
 from shiftstereo import training
-from shiftstereo.errors import CheckpointShapeError
+from shiftstereo.errors import CheckpointError, CheckpointFormatError, CheckpointShapeError
 from shiftstereo.model import ModelConfig, ModelWeights
 from shiftstereo.tensor import HIGH, Tensor
 from shiftstereo.training import (AdamState, Checkpoint, adam_step, load_checkpoint,
@@ -105,3 +108,118 @@ def test_adam_step_follows_the_reference_trace():
     for g, want in zip(grads, expected):
         adam_step({"p": param}, state, {"p": g})
         np.testing.assert_allclose(param.data, want, rtol=1e-12, atol=1e-15)
+
+
+# A small config keeps the fuzzed file at 66 kB; with the Adam moments it
+# still has every kind of entry a training checkpoint holds.
+_SMALL = ModelConfig.tiny(feature_channels=4, matching_channels=(4, 4, 4, 4),
+                          spp_pools=((16, 4),), refine_channels=4, refine_blocks=(1,),
+                          max_disparity=6)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """Path of a saved small checkpoint with Adam moments."""
+    weights = ModelWeights.initialize(_SMALL, seed=3)
+    ckpt = Checkpoint.from_weights(weights, epoch=2, rng_state={"state": 7},
+                                   adam=AdamState.for_params(weights.params))
+    path = str(tmp_path_factory.mktemp("ckpt") / "small.ckpt")
+    save_checkpoint(ckpt, path)
+    return path
+
+
+def _read(path):
+    with open(path, "rb") as f:
+        return f.read()
+
+
+def _load_bytes(path, blob):
+    with open(path, "wb") as f:
+        f.write(blob)
+    return load_weights(load_checkpoint(path))
+
+
+_DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                                  st.integers(1, 255)),
+                                        min_size=1, max_size=3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(damage=_DAMAGE, header=st.booleans())
+def test_damaged_checkpoints_raise_only_checkpoint_errors(small_checkpoint, damage,
+                                                          header):
+    """Truncated or byte-flipped files: loading either succeeds or raises a
+    CheckpointError. ``header`` aims the damage at the first 2 kB, where the
+    metadata block and the first entry headers lie."""
+    path = small_checkpoint
+    blob = _read(path)
+    span = 2048 if header else len(blob)
+    kind, where = damage
+    if kind == "truncate":
+        damaged = blob[:int(where * span)]
+    else:
+        damaged = bytearray(blob)
+        for at, mask in where:
+            damaged[int(at * span)] ^= mask
+    try:
+        _load_bytes(path + ".damaged", bytes(damaged))
+    except CheckpointError:
+        pass
+
+
+def _header_end(blob):
+    """Offset just past the metadata block and the entry count."""
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    return 12 + meta_len + 4
+
+
+def test_entry_claiming_more_bytes_than_the_file_allocates_nothing(small_checkpoint):
+    path = small_checkpoint
+    blob = _read(path)
+    at = _header_end(blob)
+    (name_len,) = struct.unpack_from("<H", blob, at)
+    extents = at + 2 + name_len + 1
+    damaged = bytearray(blob)
+    struct.pack_into("<4I", damaged, extents, 65535, 65535, 65535, 65535)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointFormatError, match="truncated"):
+            _load_bytes(path + ".huge", bytes(damaged))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(blob)
+
+
+def test_entry_rank_above_the_numpy_limit_is_rejected(small_checkpoint):
+    path = small_checkpoint
+    blob = _read(path)
+    at = _header_end(blob)
+    (name_len,) = struct.unpack_from("<H", blob, at)
+    damaged = bytearray(blob)
+    damaged[at + 2 + name_len] = 65
+    with pytest.raises(CheckpointFormatError, match="rank 65"):
+        _load_bytes(path + ".rank", bytes(damaged))
+
+
+@pytest.mark.parametrize("old, new", [(b'"epoch"', b'"epocH"'),
+                                      (b'"feature_channels"', b'"feature_channelZ"'),
+                                      (b'"feature_channels": 4', b'"feature_channels": 0')])
+def test_bad_metadata_is_a_format_error(small_checkpoint, old, new):
+    path = small_checkpoint
+    blob = _read(path)
+    assert blob.count(old) == 1
+    with pytest.raises(CheckpointFormatError, match="metadata"):
+        _load_bytes(path + ".meta", blob.replace(old, new))
+
+
+def test_metadata_that_is_not_an_object_is_a_format_error(small_checkpoint):
+    path = small_checkpoint
+    blob = _read(path)
+    meta = b"[1, 2]"
+    damaged = blob[:8] + struct.pack("<I", len(meta)) + meta + blob[_header_end(blob) - 4:]
+    with pytest.raises(CheckpointFormatError, match="metadata"):
+        _load_bytes(path + ".list", damaged)
