@@ -3,15 +3,15 @@ analytic estimator for parameters, flops, and peak activation memory."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ShapeError
-from .model import (ConvSpec, DisparityMap, ModelConfig, count_parameters,
-                    feature_layer_specs, levels_per_batch, matching_layer_specs,
-                    refine_layer_specs)
+from .model import (ConvSpec, DisparityMap, ModelConfig, check_feature_extents,
+                    check_image_extents, count_parameters, feature_layer_specs,
+                    levels_per_batch, matching_layer_specs, refine_layer_specs)
+from .ops import conv_out_extent
 from .tensor import Tensor
 
 
@@ -138,14 +138,6 @@ class ResourceReport:
         return "\n".join(rows)
 
 
-def _conv_out(extent: int, s: ConvSpec) -> int:
-    return (extent + 2 * s.padding - s.dilation * (s.k - 1) - 1) // s.stride + 1
-
-
-def _feature_extent(extent: int) -> int:
-    return (extent - 1) // 3 + 1  # stride-3, pad-1, 3x3 output rule
-
-
 def _section_cost(specs: list[ConvSpec], sizes: dict[str, tuple[int, int]]):
     """(conv flops, aux flops) of one subnet given per-layer output sizes."""
     conv_total = 0
@@ -163,12 +155,17 @@ def _section_cost(specs: list[ConvSpec], sizes: dict[str, tuple[int, int]]):
 
 
 def estimate_resources(config: ModelConfig, height: int, width: int) -> ResourceReport:
-    """Analytic parameter/flop/memory figures at a given input size."""
-    if height <= 0 or width <= 0:
-        raise ShapeError(f"estimate_resources: bad extents {height}x{width}")
+    """Analytic parameter/flop/memory figures at a given input size.
+
+    Raises ShapeError on the extents the model refuses to run on.
+    """
+    check_image_extents(height, width)
+    down = feature_layer_specs(config)[0]
+    fh, fw = (conv_out_extent(n, down.k, down.stride, down.dilation, down.padding)
+              for n in (height, width))
+    check_feature_extents(config, fh, fw)
     f = config.feature_channels
     levels = config.levels
-    fh, fw = _feature_extent(height), _feature_extent(width)
 
     # feature net: stride-3 conv to (fh, fw); everything after preserves size
     # except the pooled branches, whose convs run on the pooled grid.

@@ -27,21 +27,23 @@ def _fail(message: str, code: int = 2) -> int:
 def _apply_config_file(args: argparse.Namespace, defaults: dict) -> str | None:
     """Overlay key=value file entries under explicit flags (file < flags)."""
     if args.config:
-        if not os.path.exists(args.config):
-            return f"config file not found: {args.config}"
-        with open(args.config) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    return f"{args.config}:{lineno}: expected key=value, got {line!r}"
-                key, _, value = line.partition("=")
-                key = key.strip().replace("-", "_")
-                if key not in defaults:
-                    return f"{args.config}:{lineno}: unknown key {key!r}"
-                if getattr(args, key) is _UNSET:
-                    setattr(args, key, value.strip())
+        try:
+            with open(args.config, encoding="utf-8") as f:
+                lines = f.readlines()
+        except (OSError, UnicodeDecodeError) as e:
+            return f"cannot read config file {args.config}: {e}"
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                return f"{args.config}:{lineno}: expected key=value, got {line!r}"
+            key, _, value = line.partition("=")
+            key = key.strip().replace("-", "_")
+            if key not in defaults:
+                return f"{args.config}:{lineno}: unknown key {key!r}"
+            if getattr(args, key) is _UNSET:
+                setattr(args, key, value.strip())
     for key, default in defaults.items():
         if getattr(args, key) is _UNSET:
             setattr(args, key, default)
@@ -54,6 +56,18 @@ def _apply_config_file(args: argparse.Namespace, defaults: dict) -> str | None:
                 except ValueError:
                     return f"bad value for --{key.replace('_', '-')}: {value!r}"
     return None
+
+
+def _model_config(args: argparse.Namespace):
+    """The ModelConfig of ``--profile``, ``--in-channels`` and ``--max-disp``;
+    ConfigError on a profile other than ``tiny`` or ``full``."""
+    from .errors import ConfigError
+    from .model import ModelConfig
+
+    make = {"tiny": ModelConfig.tiny, "full": ModelConfig.full}.get(args.profile)
+    if make is None:
+        raise ConfigError(f"unknown profile {args.profile!r}; expected 'tiny' or 'full'")
+    return make(in_channels=args.in_channels, max_disparity=args.max_disp)
 
 
 def _echo_settings(command: str, args: argparse.Namespace, defaults: dict) -> None:
@@ -111,21 +125,17 @@ TRAIN_DEFAULTS = dict(data=None, val_data="", profile="tiny", epochs=10, lr=1e-3
 
 def cmd_train(args) -> int:
     from .datasets import load_dataset
-    from .errors import ParseError, ShapeError, TrainingDiverged
-    from .model import ModelConfig
+    from .errors import ConfigError, ParseError, ShapeError, TrainingDiverged
     from .training import LossConfig, train
 
     if args.data is None or args.out is None:
         return _fail("--data and --out are required")
-    config = (ModelConfig.tiny(in_channels=args.in_channels, max_disparity=args.max_disp)
-              if args.profile == "tiny"
-              else ModelConfig.full(in_channels=args.in_channels,
-                                    max_disparity=args.max_disp))
     try:
+        config = _model_config(args)
         train_samples = load_dataset(args.data, config.max_disparity)
         val_samples = load_dataset(args.val_data, config.max_disparity) \
             if args.val_data else None
-    except (ParseError, ShapeError) as e:
+    except (ConfigError, ParseError, ShapeError) as e:
         return _fail(str(e))
     if not train_samples:
         return _fail(f"{args.data}: empty manifest")
@@ -167,7 +177,7 @@ def cmd_infer(args) -> int:
         if getattr(args, name) is None:
             return _fail(f"--{name.replace('_', '-')} is required")
     for path in (args.ckpt, args.left, args.right):
-        if not os.path.exists(path):
+        if not os.path.isfile(path):
             return _fail(f"no such file: {path}")
     try:
         ckpt = load_checkpoint(args.ckpt)
@@ -208,14 +218,14 @@ def cmd_eval(args) -> int:
         return _fail("--pred-manifest and --gt-manifest are required")
 
     def read_list(path):
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             return [line.strip() for line in f if line.strip()]
 
     try:
         preds = read_list(args.pred_manifest)
         gts = read_list(args.gt_manifest)
-    except OSError as e:
-        return _fail(str(e))
+    except (OSError, UnicodeDecodeError) as e:
+        return _fail(f"cannot read manifest: {e}")
     if len(preds) != len(gts):
         return _fail(f"manifest length mismatch: {len(preds)} predictions "
                      f"vs {len(gts)} ground truths")
@@ -227,7 +237,7 @@ def cmd_eval(args) -> int:
     try:
         for pred_path, gt_path in zip(preds, gts):
             for p in (pred_path, gt_path):
-                if not os.path.exists(p):
+                if not os.path.isfile(p):
                     return _fail(f"no such file: {p}")
             pred = read_pfm(pred_path)
             gt = read_pfm(gt_path)
@@ -244,7 +254,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-GRADCHECK_DEFAULTS = dict(profile="tiny", tol=1e-3, inject_fault=0)
+GRADCHECK_DEFAULTS = dict(tol=1e-3, inject_fault=0)
 
 
 def cmd_gradcheck(args) -> int:
@@ -271,15 +281,9 @@ RESOURCES_DEFAULTS = dict(profile="full", height=540, width=960, max_disp=192,
 def cmd_estimate_resources(args) -> int:
     from .baseline import estimate_resources
     from .errors import ConfigError, ShapeError
-    from .model import ModelConfig
 
     try:
-        config = (ModelConfig.tiny(in_channels=args.in_channels,
-                                   max_disparity=args.max_disp)
-                  if args.profile == "tiny"
-                  else ModelConfig.full(in_channels=args.in_channels,
-                                        max_disparity=args.max_disp))
-        report = estimate_resources(config, args.height, args.width)
+        report = estimate_resources(_model_config(args), args.height, args.width)
     except (ConfigError, ShapeError) as e:
         return _fail(str(e))
     print(report.text_table())
@@ -321,13 +325,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=None,
                        help="cap worker threads (or set $" + THREADS_ENV + ")")
         for key, default in defaults.items():
-            flag = "--" + key.replace("_", "-")
-            if isinstance(default, bool):
-                p.add_argument(flag, default=_UNSET, type=int)
-            else:
-                p.add_argument(flag, default=_UNSET,
-                               help=f"default: {default!r}" if default is not None
-                               else "required")
+            p.add_argument("--" + key.replace("_", "-"), default=_UNSET,
+                           help=f"default: {default!r}" if default is not None
+                           else "required")
     return parser
 
 

@@ -12,8 +12,7 @@ mask (they render as black holes in the left image).
 from __future__ import annotations
 
 import os
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ class RdsConfig:
     dot_density: float = 0.5
     num_shapes: int = 6
     disparity_range: tuple[int, int] = (6, 20)
-    shape_kinds: tuple[str, ...] = ("rectangle", "ellipse")
     seed: int = 0
 
     def __post_init__(self):
@@ -41,9 +39,6 @@ class RdsConfig:
             raise ConfigError(f"bad disparity_range {self.disparity_range}")
         if hi >= self.width:
             raise ConfigError(f"max disparity {hi} must be below the width {self.width}")
-        for kind in self.shape_kinds:
-            if kind not in ("rectangle", "ellipse"):
-                raise ConfigError(f"unknown shape kind {kind!r}")
 
 
 @dataclass
@@ -85,13 +80,13 @@ def _disparity_field(cfg: RdsConfig, rng: np.random.Generator) -> np.ndarray:
     max_half = max(3, min(h, w) // 4)
     yy, xx = np.mgrid[0:h, 0:w]
     for _ in range(cfg.num_shapes):
-        kind = cfg.shape_kinds[rng.integers(len(cfg.shape_kinds))]
+        rectangle = rng.integers(2) == 0  # otherwise an ellipse
         cy = int(rng.integers(0, h))
         cx = int(rng.integers(0, w))
         hy = int(rng.integers(3, max_half + 1))
         hx = int(rng.integers(3, max_half + 1))
         d = _even(int(rng.integers(lo, hi + 1)))
-        if kind == "rectangle":
+        if rectangle:
             disp[max(cy - hy, 0):cy + hy + 1, max(cx - hx, 0):cx + hx + 1] = d
         else:
             inside = ((yy - cy) / hy) ** 2 + ((xx - cx) / hx) ** 2 <= 1.0
@@ -300,23 +295,29 @@ def save_samples(samples: list[StereoSample], out_dir: str,
         write_pfm(sample.gt, gt_path)
         lines.append(f"{left_path}\t{right_path}\t{gt_path}")
     manifest_path = os.path.join(out_dir, manifest_name)
-    with open(manifest_path, "w") as f:
+    with open(manifest_path, "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + ("\n" if lines else ""))
     return manifest_path
 
 
 def read_manifest(path: str) -> list[tuple[str, ...]]:
+    """The (left, right, gt) path triples of a UTF-8 manifest, one
+    tab-separated line each; ParseError on an unreadable or malformed file."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read manifest {path}: {e}")
     entries = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = tuple(line.split("\t"))
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 tab-separated paths, "
-                                 f"got {len(parts)}")
-            entries.append(parts)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        parts = tuple(line.split("\t"))
+        if len(parts) != 3:
+            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated paths, "
+                             f"got {len(parts)}")
+        entries.append(parts)
     return entries
 
 
@@ -335,7 +336,7 @@ def load_dataset(manifest_path: str, max_disparity: int) -> list[StereoSample]:
     samples = []
     for left_path, right_path, gt_path in read_manifest(manifest_path):
         for p in (left_path, right_path, gt_path):
-            if not os.path.exists(p):
+            if not os.path.isfile(p):
                 raise ParseError(f"{manifest_path}: missing file {p}")
         left = normalize_image(_read_image_any(left_path))
         right = normalize_image(_read_image_any(right_path))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,9 +16,9 @@ class MetricReport:
 
     ``bad`` maps a threshold (px) to the percentage of valid pixels whose
     absolute error strictly exceeds it. ``a99`` is the nearest-rank 99th
-    percentile of the absolute error. ``errors`` keeps the raw error
-    multiset so aggregation can recompute the percentile exactly;
-    ``a99_pooled`` records whether that was possible.
+    percentile of the absolute error. ``errors`` holds the sorted absolute
+    errors, so that aggregation recomputes the percentile exactly over
+    the pooled pixels.
     """
 
     epe: float
@@ -26,8 +26,7 @@ class MetricReport:
     bad: dict[float, float]
     a99: float
     valid_pixel_count: int
-    errors: np.ndarray | None = None
-    a99_pooled: bool = True
+    errors: np.ndarray
 
     def kv_line(self) -> str:
         parts = [f"epe={self.epe:.6f}", f"rmse={self.rmse:.6f}"]
@@ -51,7 +50,7 @@ def nearest_rank_percentile(sorted_errors: np.ndarray, pct: float) -> float:
 
 
 def evaluate(pred, gt, mask: np.ndarray,
-             thresholds=(1.0, 2.0, 4.0), keep_errors: bool = True) -> MetricReport:
+             thresholds=(1.0, 2.0, 4.0)) -> MetricReport:
     """Metrics over ``mask``: mean, root-mean-square, bad-threshold rates,
     and the 99th-percentile absolute disparity error."""
     pred_v = _values(pred)
@@ -71,17 +70,16 @@ def evaluate(pred, gt, mask: np.ndarray,
         bad=bad,
         a99=nearest_rank_percentile(err_sorted, 99.0),
         valid_pixel_count=int(err.size),
-        errors=err_sorted if keep_errors else None,
+        errors=err_sorted,
     )
 
 
 def aggregate(reports: list[MetricReport]) -> MetricReport:
     """Valid-pixel-weighted combination of per-image reports.
 
-    epe and bad rates are weighted means, rmse is the root of the weighted
-    mean square. The 99th percentile is recomputed over the pooled error
-    multiset when every report kept one; otherwise it falls back to a
-    pixel-weighted mean and flags itself via ``a99_pooled=False``.
+    epe and bad rates are weighted means over the thresholds every report
+    has, rmse is the root of the weighted mean square, and the 99th
+    percentile is recomputed over the pooled errors.
     """
     if not reports:
         raise ShapeError("aggregate: empty report list")
@@ -94,17 +92,10 @@ def aggregate(reports: list[MetricReport]) -> MetricReport:
         thresholds &= set(r.bad)
     bad = {t: float(np.dot(weights, [r.bad[t] for r in reports]) / total)
            for t in sorted(thresholds)}
-    if all(r.errors is not None for r in reports):
-        pooled = np.sort(np.concatenate([r.errors for r in reports]))
-        a99 = nearest_rank_percentile(pooled, 99.0)
-        a99_pooled = True
-    else:
-        a99 = float(np.dot(weights, [r.a99 for r in reports]) / total)
-        a99_pooled = False
-        pooled = None
-    return MetricReport(epe=epe, rmse=float(np.sqrt(mse)), bad=bad, a99=a99,
-                        valid_pixel_count=int(total), errors=pooled,
-                        a99_pooled=a99_pooled)
+    pooled = np.sort(np.concatenate([r.errors for r in reports]))
+    return MetricReport(epe=epe, rmse=float(np.sqrt(mse)), bad=bad,
+                        a99=nearest_rank_percentile(pooled, 99.0),
+                        valid_pixel_count=int(total), errors=pooled)
 
 
 def report_table(rows: list[tuple[str, MetricReport]]) -> str:

@@ -129,7 +129,6 @@ class ConvSpec:
     padding: int = 0
     norm: bool = True
     act: bool = True
-    per_sample_norm: bool = False
     zero_init: bool = False
 
 
@@ -151,27 +150,24 @@ def feature_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
 def matching_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
     """U-shaped matching net over one concatenated feature pair.
 
-    Normalization inside the matching net is per-sample so that batching
-    disparity levels together cannot couple them; this is what makes the
-    cost of each shift a pure function of that shift however the levels
-    are batched.
+    Its levels run as batch items, and :func:`ops.batch_norm` normalizes
+    each item by its own statistics, so batching disparity levels together
+    cannot couple them: the cost of each shift is a pure function of that
+    shift however the levels are batched.
     """
     two_f = 2 * cfg.feature_channels
     m = cfg.matching_channels
     specs = []
     prev = two_f
     for i, ch in enumerate(m, 1):
-        specs.append(ConvSpec(f"matching.enc{i}", prev, ch, 3, stride=2, padding=1,
-                              per_sample_norm=True))
-        specs.append(ConvSpec(f"matching.filt{i}", ch, ch, 3, padding=1,
-                              per_sample_norm=True))
+        specs.append(ConvSpec(f"matching.enc{i}", prev, ch, 3, stride=2, padding=1))
+        specs.append(ConvSpec(f"matching.filt{i}", ch, ch, 3, padding=1))
         prev = ch
     skips = (m[2], m[1], m[0], two_f)
     outs = (m[2], m[1], m[0], m[0])
     prev = m[3]
     for i, (skip, out_ch) in enumerate(zip(skips, outs), 1):
-        specs.append(ConvSpec(f"matching.dec{i}", prev + skip, out_ch, 3, padding=1,
-                              per_sample_norm=True))
+        specs.append(ConvSpec(f"matching.dec{i}", prev + skip, out_ch, 3, padding=1))
         prev = out_ch
     specs.append(ConvSpec("matching.out", m[0], 1, 3, padding=1, norm=False, act=False))
     return specs
@@ -297,9 +293,6 @@ class ModelWeights:
         for p in self.params.values():
             p.grad = None
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.params.values())
-
 
 def _norm_act(out: Tensor, name: str, weights: ModelWeights, training: bool) -> Tensor:
     """The norm and activation that follow layer ``name``'s convolution."""
@@ -308,8 +301,7 @@ def _norm_act(out: Tensor, name: str, weights: ModelWeights, training: bool) -> 
         out = ops.batch_norm(out, weights.params[name + ".gamma"],
                              weights.params[name + ".beta"],
                              weights.buffers[name + ".mean"],
-                             weights.buffers[name + ".var"],
-                             training=training, per_sample=spec.per_sample_norm)
+                             weights.buffers[name + ".var"], training=training)
     if spec.act:
         out = ops.relu(out)
     return out
@@ -320,6 +312,28 @@ def _block(x: Tensor, name: str, weights: ModelWeights, training: bool) -> Tenso
     out = ops.conv2d(x, weights.params[name + ".w"], weights.params[name + ".b"],
                      stride=spec.stride, dilation=spec.dilation, padding=spec.padding)
     return _norm_act(out, name, weights, training)
+
+
+# The smallest inputs the model runs on: feature.down reads a 9x9 image,
+# and the matching net halves its input four times, from 16x16 features.
+_MIN_IMAGE = 9
+_MIN_FEATURES = 16
+
+
+def check_image_extents(h: int, w: int) -> None:
+    """Raise ShapeError on an image smaller than the model reads."""
+    if h < _MIN_IMAGE or w < _MIN_IMAGE:
+        raise ShapeError(f"image {h}x{w} is below the {_MIN_IMAGE}x{_MIN_IMAGE} minimum")
+
+
+def check_feature_extents(cfg: ModelConfig, fh: int, fw: int) -> None:
+    """Raise ShapeError on a feature map the matching net cannot run on:
+    below 16x16, or narrower than the number of disparity levels."""
+    if min(fh, fw) < _MIN_FEATURES:
+        raise ShapeError(f"matching net needs >= {_MIN_FEATURES}x{_MIN_FEATURES} "
+                         f"at 1/3 resolution, got {fh}x{fw}")
+    if cfg.levels > fw:
+        raise ShapeError(f"{cfg.levels} disparity levels exceed feature width {fw}")
 
 
 # ---------------------------------------------------------------------------
@@ -333,15 +347,14 @@ def extract_features(image: Tensor, weights: ModelWeights, cfg: ModelConfig,
     if c != cfg.in_channels:
         raise ShapeError(f"extract_features: image has {c} channels, "
                          f"config expects {cfg.in_channels}")
-    if h < 9 or w < 9:
-        raise ShapeError(f"extract_features: image {h}x{w} is below the 9x9 minimum")
+    check_image_extents(h, w)
     x = _block(image, "feature.down", weights, training)
     for i in range(1, 4):
         x = _block(x, f"feature.dil{i}", weights, training)
     _, _, fh, fw = x.shape
     branches = [x]
     for i, (window, _) in enumerate(cfg.spp_pools, 1):
-        p = ops.avg_pool(x, window, window, window, window)
+        p = ops.avg_pool(x, window)
         p = _block(p, f"feature.spp{i}", weights, training)
         branches.append(ops.bilinear_resize(p, fh, fw))
     fused = _block(ops.concat_channels(branches), "feature.fuse", weights, training)
@@ -441,8 +454,7 @@ def _pair_terms(left_features: Tensor, source: Tensor, weights: ModelWeights,
     _, c, h, w = left_features.shape
     if c != f:
         raise ShapeError(f"matching net expects {f}-channel features, got {c}")
-    if min(h, w) < 16:
-        raise ShapeError(f"matching net needs >= 16x16 at 1/3 resolution, got {h}x{w}")
+    check_feature_extents(cfg, h, w)
     if source.shape != left_features.shape:
         raise ShapeError(f"matching net: feature shapes differ "
                          f"{left_features.shape} vs {source.shape}")
@@ -468,7 +480,7 @@ def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights,
     """Cost maps (len(levels), 1, H', W') of the given disparity levels.
 
     Each batch item runs the matching net on its own level only: the
-    per-sample norms and the convs keep batch items independent, so a
+    per-item norms and the convs keep batch items independent, so a
     level's cost is bit-identical however the levels are batched.
     """
     n = len(levels)
@@ -567,8 +579,6 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     if left_features.shape != right_features.shape:
         raise ShapeError("build_cost_volume: left/right feature shapes differ")
     levels = cfg.levels
-    if levels > fw:
-        raise ShapeError(f"build_cost_volume: {levels} levels exceed feature width {fw}")
     if any(block is None for block in (x_block, left_block, right_block)):
         blocks = pair_blocks(weights, cfg, fw)
     else:
@@ -644,13 +654,6 @@ class DisparityMap:
         return cls(np.asarray(values), np.ones(np.asarray(values).shape, dtype=bool))
 
 
-@dataclass
-class EntropyMap:
-    """Per-pixel matching entropy in natural-log units."""
-
-    values: np.ndarray
-
-
 def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
                     cfg: ModelConfig, training: bool = False,
                     context_only: bool = False) -> dict[str, Tensor]:
@@ -679,12 +682,3 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
             "coarse_low": disp_low, "entropy_low": ent_low,
             "coarse": coarse, "entropy": ent_full, "refined": refined}
 
-
-def forward(left: Tensor, right: Tensor, weights: ModelWeights,
-            cfg: ModelConfig) -> tuple[DisparityMap, DisparityMap, EntropyMap]:
-    """Inference entry point: (coarse disparity, refined disparity, entropy)."""
-    out = forward_tensors(left, right, weights, cfg, training=False)
-    coarse = DisparityMap.dense(out["coarse"].data[0, 0].copy())
-    refined = DisparityMap.dense(out["refined"].data[0, 0].copy())
-    ent = EntropyMap(out["entropy"].data[0, 0].copy())
-    return coarse, refined, ent

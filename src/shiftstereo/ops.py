@@ -101,7 +101,7 @@ def sum_all(x: Tensor) -> Tensor:
 # convolution
 # ---------------------------------------------------------------------------
 
-def _conv_out_extent(extent: int, k: int, stride: int, dilation: int, padding: int) -> int:
+def conv_out_extent(extent: int, k: int, stride: int, dilation: int, padding: int) -> int:
     return (extent + 2 * padding - dilation * (k - 1) - 1) // stride + 1
 
 
@@ -153,8 +153,8 @@ def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: 
     buffer, so a strip's windows are valid until the next one is yielded.
     """
     b, cin, h, w = x.shape
-    oh = _conv_out_extent(h, kh, stride, dilation, padding)
-    ow = _conv_out_extent(w, kw, stride, dilation, padding)
+    oh = conv_out_extent(h, kh, stride, dilation, padding)
+    ow = conv_out_extent(w, kw, stride, dilation, padding)
     # Copy t holds the padded input at tap offset copies[t]; GEMM g reads
     # the copies at the further row offset gemm_rows[g].
     every_tap = kw * cin < _MIN_GEMM_K
@@ -194,8 +194,8 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
     """The forward kernel of :func:`conv2d` on arrays."""
     b, _, h, w = x.shape
     cout, cin, kh, kw = weight.shape
-    oh = _conv_out_extent(h, kh, stride, dilation, padding)
-    ow = _conv_out_extent(w, kw, stride, dilation, padding)
+    oh = conv_out_extent(h, kh, stride, dilation, padding)
+    ow = conv_out_extent(w, kw, stride, dilation, padding)
     w_taps = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     out = None
     for r0, n_rows, windows in _kernel_row_windows(x, kh, kw, stride, dilation, padding):
@@ -278,8 +278,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ShapeError(f"conv2d: input has {cin} channels, weight expects {wcin}")
     if bias is not None and bias.shape != (1, cout, 1, 1):
         raise ShapeError(f"conv2d: bias shape {bias.shape} != (1, {cout}, 1, 1)")
-    oh = _conv_out_extent(h, kh, stride, dilation, padding)
-    ow = _conv_out_extent(w, kw, stride, dilation, padding)
+    oh = conv_out_extent(h, kh, stride, dilation, padding)
+    ow = conv_out_extent(w, kw, stride, dilation, padding)
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: non-positive output extent ({oh}, {ow}) "
                          f"for input {h}x{w}, kernel {kh}x{kw}")
@@ -320,45 +320,38 @@ BN_EPSILON = 1e-5
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: Tensor, running_var: Tensor, *,
-               training: bool = False, momentum: float = 0.1,
-               epsilon: float = BN_EPSILON, per_sample: bool = False) -> Tensor:
+               training: bool = False) -> Tensor:
     """Channelwise normalization with learned scale/shift.
 
-    Training mode normalizes by current statistics and updates the running
-    buffers in place; inference mode uses the running buffers. With
-    ``per_sample=True`` the statistics reduce over spatial dims only, so
-    each batch item is normalized independently (keeps batched disparity
-    levels decoupled).
+    Training mode normalizes each batch item by its own statistics, over
+    its spatial extent only, so no item depends on the rest of the batch
+    (batched disparity levels stay decoupled), and moves the running
+    buffers a tenth of the way toward the mean over items of those
+    statistics (unbiased variance). Inference mode uses the running
+    buffers. The variance offset is ``BN_EPSILON``.
     """
     b, c, h, w = x.shape
     for name, t in (("gamma", gamma), ("beta", beta),
                     ("running_mean", running_mean), ("running_var", running_var)):
         if t.shape != (1, c, 1, 1):
             raise ShapeError(f"batch_norm: {name} shape {t.shape} != (1, {c}, 1, 1)")
-    if epsilon <= 0:
-        raise ShapeError("batch_norm: epsilon must be > 0")
     dt = _same_dtype(x, gamma, beta)
-    eps = dt.type(epsilon)
+    eps = dt.type(BN_EPSILON)
 
     if training:
-        axes = (2, 3) if per_sample else (0, 2, 3)
-        n = h * w if per_sample else b * h * w
+        n = h * w
         if n == 0 or b == 0:
             raise ShapeError("batch_norm: empty batch in training mode")
-        mu = x.data.mean(axis=axes, keepdims=True)
+        mu = x.data.mean(axis=(2, 3), keepdims=True)
         xc = x.data - mu
-        var = np.mean(xc * xc, axis=axes, keepdims=True)
+        var = np.mean(xc * xc, axis=(2, 3), keepdims=True)
         inv = 1.0 / np.sqrt(var + eps)
         xhat = xc * inv
-        # Running buffers track per-batch statistics (unbiased variance).
         correction = n / (n - 1) if n > 1 else 1.0
-        batch_mean = mu.mean(axis=0, keepdims=True) if per_sample else mu
-        batch_var = (var * correction).mean(axis=0, keepdims=True) if per_sample \
-            else var * correction
-        running_mean.data *= (1.0 - momentum)
-        running_mean.data += momentum * batch_mean.astype(dt)
-        running_var.data *= (1.0 - momentum)
-        running_var.data += momentum * batch_var.astype(dt)
+        running_mean.data *= 0.9
+        running_mean.data += 0.1 * mu.mean(axis=0, keepdims=True).astype(dt)
+        running_var.data *= 0.9
+        running_var.data += 0.1 * (var * correction).mean(axis=0, keepdims=True).astype(dt)
     else:
         inv = 1.0 / np.sqrt(running_var.data + eps)
         xhat = (x.data - running_mean.data) * inv
@@ -367,15 +360,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     gdata = gamma.data
 
     if training:
-        axes_ = axes
-
         def grad_fn(g):
             dgamma = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
             dbeta = g.sum(axis=(0, 2, 3), keepdims=True)
             dxhat = g * gdata
             dx = inv * (dxhat
-                        - dxhat.mean(axis=axes_, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=axes_, keepdims=True))
+                        - dxhat.mean(axis=(2, 3), keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=(2, 3), keepdims=True))
             return dx, dgamma, dbeta
     else:
         def grad_fn(g):
@@ -391,44 +382,33 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 # pooling and resizing
 # ---------------------------------------------------------------------------
 
-def avg_pool(x: Tensor, window_h: int, window_w: int,
-             stride_h: int, stride_w: int) -> Tensor:
-    """Mean pooling. Windows larger than the input are clipped to it.
+def avg_pool(x: Tensor, window: int) -> Tensor:
+    """Mean pooling over non-overlapping square windows, stride ``window``.
 
-    Each window's elements are flattened row-major and summed with
-    ``np.add.accumulate``, which adds them one after another, so the result
-    is bit-identical to a serial per-window loop. Backward writes each
-    window's share through a strided view of the gradient, one pass per
-    group of mutually disjoint windows (a single pass when the stride is at
-    least the window, as in the feature net's pooling branches).
+    A window larger than the input is clipped to it on that axis, so a
+    window at least as large as the map gives its global mean. Each
+    window's elements are flattened row-major and summed with
+    ``np.add.accumulate``, which adds them one after another, so the
+    result is bit-identical to a serial per-window loop. Backward writes
+    each window's share through one strided view of the gradient.
     """
-    if window_h < 1 or window_w < 1 or stride_h < 1 or stride_w < 1:
-        raise ShapeError("avg_pool: window and stride must be positive")
+    if window < 1:
+        raise ShapeError(f"avg_pool: window must be positive, got {window}")
     b, c, h, w = x.shape
-    wh = min(window_h, h)
-    ww = min(window_w, w)
-    oh = (h - wh) // stride_h + 1
-    ow = (w - ww) // stride_w + 1
+    wh, ww = min(window, h), min(window, w)
+    oh, ow = (h - wh) // window + 1, (w - ww) // window + 1
     windows = np.lib.stride_tricks.sliding_window_view(
-        x.data, (wh, ww), axis=(2, 3))[:, :, ::stride_h, ::stride_w]
+        x.data, (wh, ww), axis=(2, 3))[:, :, ::window, ::window]
     acc = np.add.accumulate(windows.reshape(b, c, oh, ow, wh * ww), axis=-1)[..., -1]
     out = Tensor(acc / (wh * ww))
     inv_area = 1.0 / (wh * ww)
     xshape = x.data.shape
-    # Windows p, p + groups_h, ... (likewise for columns) never overlap.
-    groups_h = -(-wh // stride_h)
-    groups_w = -(-ww // stride_w)
 
     def grad_fn(g):
         dx = np.zeros(xshape, dtype=g.dtype)
-        spread = (g * inv_area)[..., None, None]
         view = np.lib.stride_tricks.sliding_window_view(dx, (wh, ww), axis=(2, 3),
                                                         writeable=True)
-        for p in range(groups_h):
-            for q in range(groups_w):
-                view[:, :, p * stride_h::groups_h * stride_h,
-                     q * stride_w::groups_w * stride_w] += spread[:, :, p::groups_h,
-                                                                  q::groups_w]
+        view[:, :, ::window, ::window] += (g * inv_area)[..., None, None]
         return (dx,)
 
     return record_op("avg_pool", out, (x,), grad_fn)

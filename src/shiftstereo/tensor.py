@@ -17,16 +17,6 @@ from .errors import ShapeError
 STANDARD = np.float32
 HIGH = np.float64
 
-_MODES = {"standard": STANDARD, "high": HIGH}
-
-
-def dtype_for_mode(mode: str):
-    """Map a precision-mode name ("standard" | "high") to a numpy dtype."""
-    try:
-        return _MODES[mode]
-    except KeyError:
-        raise ShapeError(f"unknown scalar mode {mode!r}; expected one of {sorted(_MODES)}")
-
 
 class Tensor:
     """A dense (batch, channel, height, width) value with an optional gradient.
@@ -65,19 +55,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def assert_finite(self, label: str = "tensor") -> None:
-        """Debug hook for the all-scalars-finite invariant."""
-        if not np.all(np.isfinite(self.data)):
-            raise ShapeError(f"{label} contains non-finite values")
-
-
-def zeros(shape, dtype=STANDARD, requires_grad=False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=requires_grad)
-
-
-def full(shape, value, dtype=STANDARD, requires_grad=False) -> Tensor:
-    return Tensor(np.full(shape, value, dtype=dtype), requires_grad=requires_grad)
 
 
 class _Node:

@@ -76,9 +76,8 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, Tensor], lr: float = 1e-3,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params: dict[str, Tensor], lr: float = 1e-3) -> "AdamState":
+        state = cls(lr=lr)
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -292,13 +291,14 @@ def load_checkpoint(path: str) -> Checkpoint:
                       epoch=meta["epoch"], rng_state=meta.get("rng_state"), adam=adam)
 
 
-def load_weights(ckpt: Checkpoint, config: ModelConfig | None = None) -> ModelWeights:
+def load_weights(ckpt: Checkpoint) -> ModelWeights:
     """Instantiate ModelWeights from a checkpoint, validating every name/shape.
 
     Each tensor is built straight from its checkpoint entry, as float32;
-    the names and shapes come from :func:`model.weight_shapes`.
+    the names and shapes come from :func:`model.weight_shapes` of the
+    checkpoint's own config.
     """
-    config = config or ckpt.config
+    config = ckpt.config
     stores = []
     for shapes, saved, requires_grad in zip(weight_shapes(config),
                                             (ckpt.params, ckpt.buffers), (True, False)):

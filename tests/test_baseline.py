@@ -140,6 +140,32 @@ class TestResources:
         with pytest.raises(ShapeError):
             baseline.estimate_resources(model.ModelConfig.tiny(), 0, 96)
 
+    # params_total, conv_flops_total, aux_flops and the matching-batch peak of
+    # the benchmark's two workloads, as the stride-3 rule gave them
+    @pytest.mark.parametrize("profile,height,width,figures", [
+        ("tiny", 96, 96, (311_162, 1_409_159_168, 15_426_304, 262_144)),
+        ("full", 144, 240, (1_124_754, 16_563_503_104, 127_713_024, 983_040))])
+    def test_benchmark_extents_keep_their_figures(self, profile, height, width, figures):
+        make = model.ModelConfig.tiny if profile == "tiny" else model.ModelConfig.full
+        cfg = make(in_channels=1, max_disparity=24 if profile == "tiny" else 48)
+        report = baseline.estimate_resources(cfg, height, width)
+        assert (report.params["total"], report.conv_flops["total"], report.aux_flops,
+                report.peak_elements["matching_batch"]) == figures
+
+    @pytest.mark.parametrize("height,width,max_disparity", [
+        (20, 20, 24),    # 7x7 features, below the matching net's 16x16
+        (8, 96, 24),     # below the 9x9 image feature.down reads
+        (96, 48, 60)])   # 20 levels on 16 feature columns
+    def test_refuses_the_extents_the_model_refuses(self, rng, height, width,
+                                                   max_disparity):
+        cfg = model.ModelConfig.tiny(max_disparity=max_disparity)
+        with pytest.raises(ShapeError):
+            baseline.estimate_resources(cfg, height, width)
+        weights = model.ModelWeights.initialize(cfg, seed=0)
+        image = Tensor(rng.standard_normal((1, 1, height, width)).astype(np.float32))
+        with pytest.raises(ShapeError):
+            model.forward_tensors(image, image, weights, cfg)
+
 
 class TestConvMacsMatchWhatRuns:
     """``estimate_resources`` conv flops equal twice the multiply-accumulates

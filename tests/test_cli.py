@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftstereo import cli
 from shiftstereo.datasets import (RdsConfig, gen_rds, normalize_image, read_manifest,
@@ -60,6 +61,13 @@ def test_infer_missing_input_is_a_usage_error(tmp_path, pair):
     assert not os.path.exists(out)
 
 
+def test_infer_directory_input_is_a_usage_error(tmp_path, pair):
+    ckpt = _checkpoint(tmp_path / "model.ckpt")
+    out = str(tmp_path / "disp.pfm")
+    assert _infer(ckpt, str(tmp_path), pair[1], out) == 2
+    assert not os.path.exists(out)
+
+
 def test_infer_malformed_image_header_is_a_usage_error(tmp_path, pair, capsys):
     ckpt = _checkpoint(tmp_path / "model.ckpt")
     bad = tmp_path / "bad.pgm"
@@ -104,3 +112,99 @@ def test_infer_corrupt_checkpoint_is_a_usage_error(tmp_path, pair, capsys, damag
     assert _infer(ckpt, *pair, out) == 2
     assert not os.path.exists(out)
     assert ckpt in capsys.readouterr().err
+
+
+def test_smoke_chain_gen_rds_train_infer_eval(tmp_path):
+    """Every command a user chains, through ``cli.main``, exits 0."""
+    data, ckpt = str(tmp_path / "data"), str(tmp_path / "model.ckpt")
+    assert cli.main(["gen-rds", "--out", data, "--count", "4", "--width", "48",
+                     "--height", "48", "--split", "0.75"]) == 0
+    train_manifest = os.path.join(data, "manifest_train.txt")
+    val_manifest = os.path.join(data, "manifest_val.txt")
+    assert len(read_manifest(train_manifest)) == 3
+    assert cli.main(["train", "--data", train_manifest, "--val-data", val_manifest,
+                     "--profile", "tiny", "--epochs", "1", "--out", ckpt]) == 0
+    [(left, right, gt)] = read_manifest(val_manifest)
+    disp = str(tmp_path / "disp.pfm")
+    assert _infer(ckpt, left, right, disp) == 0
+    preds, gts = tmp_path / "preds.txt", tmp_path / "gts.txt"
+    preds.write_text(disp + "\n")
+    gts.write_text(gt + "\n")
+    assert cli.main(["eval", "--pred-manifest", str(preds),
+                     "--gt-manifest", str(gts)]) == 0
+
+
+def test_gradcheck_reports_an_injected_fault():
+    assert cli.main(["gradcheck", "--inject-fault", "1"]) == 1
+
+
+def test_train_on_a_missing_manifest_is_a_usage_error(tmp_path, capsys):
+    assert cli.main(["train", "--data", str(tmp_path / "nope.txt"),
+                     "--out", str(tmp_path / "model.ckpt")]) == 2
+    assert "nope.txt" in capsys.readouterr().err
+
+
+_NOT_UTF8 = b"left_\xff.pgm\tright.pgm\tgt.pfm\n"
+
+
+def test_train_on_a_non_utf8_manifest_is_a_usage_error(tmp_path):
+    manifest = tmp_path / "m.txt"
+    manifest.write_bytes(_NOT_UTF8)
+    assert cli.main(["train", "--data", str(manifest),
+                     "--out", str(tmp_path / "model.ckpt")]) == 2
+
+
+def test_eval_on_a_non_utf8_manifest_is_a_usage_error(tmp_path):
+    preds, gts = tmp_path / "preds.txt", tmp_path / "gts.txt"
+    preds.write_bytes(_NOT_UTF8)
+    gts.write_text("gt.pfm\n")
+    assert cli.main(["eval", "--pred-manifest", str(preds),
+                     "--gt-manifest", str(gts)]) == 2
+
+
+def test_non_utf8_config_file_is_a_usage_error(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"height=96\nwidth=\xff96\n")
+    assert cli.main(["estimate-resources", "--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate-resources"],
+    ["train", "--data", "unread.txt", "--out", "unwritten.ckpt"]])
+def test_unknown_profile_is_a_usage_error(capsys, command):
+    assert cli.main(command + ["--profile", "tny"]) == 2
+    assert "unknown profile 'tny'" in capsys.readouterr().err
+
+
+def test_estimate_resources_refuses_what_the_model_refuses(capsys):
+    # 20x20 gives 7x7 features: below the matching net's 16x16 and narrower
+    # than the full profile's 64 disparity levels
+    assert cli.main(["estimate-resources", "--height", "20", "--width", "20"]) == 2
+    assert "16x16" in capsys.readouterr().err
+    assert cli.main(["estimate-resources", "--profile", "tiny", "--height", "96",
+                     "--width", "96", "--max-disp", "24", "--in-channels", "1"]) == 0
+
+
+_CONFIG_KEYS = sorted(cli.RESOURCES_DEFAULTS) + ["bogus", "", "# note"]
+
+
+def _config_text(entries):
+    return "".join(f"{key}={value}\n" for key, value in entries).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("config") / "fuzz.cfg")
+
+
+@settings(max_examples=300, deadline=None)
+@given(blob=st.one_of(
+    st.binary(max_size=200),
+    st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), st.text(max_size=12)),
+             max_size=6).map(_config_text)))
+def test_fuzzed_config_files_never_escape_main(config_path, blob):
+    """A config overlay of arbitrary bytes, or of known keys with arbitrary
+    values, makes ``main`` return an exit code; no exception escapes."""
+    with open(config_path, "wb") as f:
+        f.write(blob)
+    assert cli.main(["estimate-resources", "--config", config_path]) in (0, 2)

@@ -6,12 +6,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shiftstereo import datasets
 from shiftstereo.datasets import (RdsConfig, StereoSample, gen_rds, load_dataset,
                                   read_manifest, read_pfm, read_pnm, save_samples,
                                   write_pfm, write_pnm)
-from shiftstereo.errors import ConfigError, ParseError, ShapeError
+from shiftstereo.errors import ConfigError, ParseError, ShapeError, ShiftStereoError
 
 
 class TestRdsGeneration:
@@ -297,3 +298,55 @@ class TestDatasetRoundTrip:
         manifest.write_text("only_two\tfields\n")
         with pytest.raises(ParseError, match="3 tab-separated"):
             read_manifest(str(manifest))
+
+    def test_unreadable_manifests_are_parse_errors(self, tmp_path):
+        with pytest.raises(ParseError, match="absent.txt"):
+            read_manifest(str(tmp_path / "absent.txt"))
+        with pytest.raises(ParseError):
+            read_manifest(str(tmp_path))  # a directory
+        manifest = tmp_path / "latin1.txt"
+        manifest.write_bytes("l\u00e9ft.pgm\tr.pgm\tg.pfm\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="latin1.txt"):
+            read_manifest(str(manifest))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """A one-pair dataset on disk: its manifest's bytes, and a path the
+    fuzzed manifests are written to."""
+    d = tmp_path_factory.mktemp("fuzz")
+    cfg = RdsConfig(width=16, height=16, disparity_range=(2, 6), seed=1)
+    with open(save_samples(gen_rds(cfg, 1), str(d)), "rb") as f:
+        blob = f.read()
+    return blob, str(d / "fuzzed.txt")
+
+
+@settings(max_examples=300, deadline=None)
+@given(edit=st.one_of(
+    st.tuples(st.just("bytes"), st.binary(max_size=200)),
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                                                  st.integers(1, 255)),
+                                        min_size=1, max_size=3)),
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True))))
+def test_fuzzed_manifests_raise_only_package_errors(fuzz_dataset, edit):
+    """Arbitrary bytes, or a real manifest with flipped bytes or cut short:
+    reading it, and loading the samples it names, either succeeds or
+    raises a ShiftStereoError."""
+    blob, path = fuzz_dataset
+    kind, how = edit
+    if kind == "bytes":
+        damaged = how
+    elif kind == "truncate":
+        damaged = blob[:int(how * len(blob))]
+    else:
+        damaged = bytearray(blob)
+        for at, mask in how:
+            damaged[int(at * len(blob))] ^= mask
+    with open(path, "wb") as f:
+        f.write(bytes(damaged))
+    try:
+        entries = read_manifest(path)
+        assert all(len(entry) == 3 for entry in entries)
+        load_dataset(path, max_disparity=24)
+    except ShiftStereoError:
+        pass

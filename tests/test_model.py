@@ -78,7 +78,8 @@ class TestParameterAudit:
 
     def test_initialize_matches_audit(self):
         cfg, weights = tiny_weights()
-        assert weights.num_parameters() == model.count_parameters(cfg)["total"]
+        total = sum(p.data.size for p in weights.params.values())
+        assert total == model.count_parameters(cfg)["total"]
 
 
 class TestFeatureNet:
@@ -168,7 +169,7 @@ class TestMatchingNet:
                                weights.params[name + ".beta"],
                                weights.buffers[name + ".mean"],
                                weights.buffers[name + ".var"],
-                               training=False, per_sample=True)
+                               training=False)
             return ops.relu(y)
 
         def conv_bn_relu(x, name):
@@ -325,7 +326,7 @@ def direct_cost(fl, source, d, weights, training=False):
                            weights.params[name + ".beta"],
                            weights.buffers[name + ".mean"],
                            weights.buffers[name + ".var"],
-                           training=training, per_sample=True)
+                           training=training)
         return ops.relu(y)
 
     pair = ops.concat_channels([fl, ops.shift_columns(source, d)])
@@ -592,39 +593,41 @@ class TestRefine:
 
 
 class TestForward:
+    @staticmethod
+    def _maps(out):
+        return {k: out[k].data[0, 0] for k in ("coarse", "refined", "entropy")}
+
     def test_output_shapes(self, rng):
         cfg, weights = tiny_weights()
         left = random_image(rng, 96, 93)
         right = random_image(rng, 96, 93)
-        coarse, refined, ent = model.forward(left, right, weights, cfg)
-        assert coarse.values.shape == (96, 93)
-        assert refined.values.shape == (96, 93)
-        assert ent.values.shape == (96, 93)
-        assert coarse.valid.all() and refined.valid.all()
+        maps = self._maps(model.forward_tensors(left, right, weights, cfg))
+        for values in maps.values():
+            assert values.shape == (96, 93)
 
     def test_deterministic_across_calls(self, rng):
         cfg, weights = tiny_weights()
         left = random_image(rng, 48, 48)
         right = random_image(rng, 48, 48)
-        a = model.forward(left, right, weights, cfg)
-        b = model.forward(left, right, weights, cfg)
-        assert np.array_equal(a[1].values, b[1].values)
-        assert np.array_equal(a[2].values, b[2].values)
+        a = self._maps(model.forward_tensors(left, right, weights, cfg))
+        b = self._maps(model.forward_tensors(left, right, weights, cfg))
+        assert np.array_equal(a["refined"], b["refined"])
+        assert np.array_equal(a["entropy"], b["entropy"])
 
     def test_coarse_disparity_within_unit_range(self, rng):
         cfg, weights = tiny_weights()
-        coarse, _, ent = model.forward(random_image(rng, 48, 60),
-                                       random_image(rng, 48, 60), weights, cfg)
-        assert coarse.values.min() >= 0.0
-        assert coarse.values.max() <= cfg.max_disparity - 3
-        assert ent.values.min() >= 0.0
-        assert ent.values.max() <= np.log(cfg.levels) + 1e-6
+        maps = self._maps(model.forward_tensors(random_image(rng, 48, 60),
+                                                random_image(rng, 48, 60), weights, cfg))
+        assert maps["coarse"].min() >= 0.0
+        assert maps["coarse"].max() <= cfg.max_disparity - 3
+        assert maps["entropy"].min() >= 0.0
+        assert maps["entropy"].max() <= np.log(cfg.levels) + 1e-6
 
     def test_rejects_mismatched_pair(self, rng):
         cfg, weights = tiny_weights()
         with pytest.raises(ShapeError):
-            model.forward(random_image(rng, 48, 48), random_image(rng, 48, 51),
-                          weights, cfg)
+            model.forward_tensors(random_image(rng, 48, 48), random_image(rng, 48, 51),
+                                  weights, cfg)
 
 
 def drawn_weights(cfg, seed, dtype=np.float32):
@@ -684,7 +687,7 @@ class TestBatchNormFold:
             raise AssertionError("batch_norm ran in a folded inference pass")
 
         monkeypatch.setattr(ops, "batch_norm", refuse)
-        model.forward(left, right, weights, cfg)
+        model.forward_tensors(left, right, weights, cfg)
 
     def test_weights_unchanged_by_inference(self, rng):
         cfg = model.ModelConfig.tiny()

@@ -5,7 +5,7 @@ import pytest
 
 from shiftstereo import ops
 from shiftstereo.errors import ShapeError
-from shiftstereo.tensor import HIGH, Tape, Tensor, backward, dtype_for_mode, zeros
+from shiftstereo.tensor import HIGH, STANDARD, Tape, Tensor, backward
 
 
 class TestTensor:
@@ -23,16 +23,11 @@ class TestTensor:
         assert t.grad is None
 
     def test_scalar_modes(self):
-        assert dtype_for_mode("standard") == np.float32
-        assert dtype_for_mode("high") == np.float64
-        with pytest.raises(ShapeError):
-            dtype_for_mode("quad")
-
-    def test_finite_check(self):
-        t = Tensor(np.array([[[[1.0, np.nan]]]]))
-        with pytest.raises(ShapeError):
-            t.assert_finite("probe")
-        Tensor(np.ones((1, 1, 1, 1))).assert_finite()
+        assert STANDARD == np.float32 and HIGH == np.float64
+        assert Tensor(np.ones((1, 1, 1, 1), dtype=np.float64), dtype=HIGH).dtype == HIGH
+        assert Tensor(np.ones((1, 1, 1, 1)), dtype=STANDARD).dtype == STANDARD
+        # integer data is stored in the standard precision
+        assert Tensor(np.ones((1, 1, 1, 1), dtype=np.int64)).dtype == STANDARD
 
 
 class TestBackward:
@@ -115,7 +110,7 @@ class TestBackward:
 class TestElementwiseContracts:
     def test_add_zero_identity(self, rng):
         a = Tensor(rng.standard_normal((1, 2, 3, 3)))
-        z = zeros(a.shape, dtype=a.dtype)
+        z = Tensor(np.zeros(a.shape, dtype=a.dtype))
         assert np.array_equal(ops.add(a, z).data, a.data)
 
     def test_mul_one_identity(self, rng):
