@@ -153,10 +153,10 @@ def _conv_case(name, stride, dilation, padding, in_shape=(1, 2, 6, 6), cout=3, k
     return CheckCase(name, build)
 
 
-def _bn_case(name, training):
+def _bn_case(name, training, batch=2):
     def build():
         rng = np.random.default_rng(11)
-        x = _leaf(rng, (2, 3, 4, 5))
+        x = _leaf(rng, (batch, 3, 4, 5))
         gamma = Tensor(1.0 + 0.1 * rng.standard_normal((1, 3, 1, 1)),
                        requires_grad=True, dtype=HIGH)
         beta = _leaf(rng, (1, 3, 1, 1), scale=0.1)
@@ -219,7 +219,8 @@ def op_cases() -> list[CheckCase]:
         # the last input row and column are read by no output (dX is 0 there)
         _conv_case("conv2d_s2_unread_edge", 2, 1, 0, in_shape=(1, 2, 8, 8)),
         _conv_case("conv2d_s3_unread_edge", 3, 1, 0, in_shape=(2, 2, 10, 10), cout=2),
-        _bn_case("batch_norm_train", True),
+        _bn_case("batch_norm_train", True, batch=1),
+        _bn_case("batch_norm_train_per_sample", True),
         _bn_case("batch_norm_inference", False),
         _unary_case("relu", ops.relu),
         _unary_case("smooth_l1", ops.smooth_l1),

@@ -275,7 +275,11 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise CheckpointFormatError(f"{path}: unknown scalar-type tag {tag}")
             dtype = _TAG_DTYPES[tag]
             size = math.prod(extents) * dtype.itemsize
-            arr = np.frombuffer(r.need(size), dtype=dtype).reshape(extents)
+            arr = np.frombuffer(r.need(size), dtype=dtype)
+            try:
+                arr = arr.reshape(extents)
+            except ValueError as e:  # a zero extent beside ones numpy cannot index
+                raise CheckpointFormatError(f"{path}: entry {name!r} has extents {extents} ({e})")
             kind, _, base = name.partition("/")
             if kind not in groups or not base:
                 raise CheckpointFormatError(f"{path}: malformed entry name {name!r}")

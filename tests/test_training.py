@@ -205,6 +205,19 @@ def test_entry_rank_above_the_numpy_limit_is_rejected(small_checkpoint):
         _load_bytes(path + ".rank", bytes(damaged))
 
 
+def test_empty_entry_with_unindexable_extents_is_rejected(small_checkpoint):
+    """Extents (0, 2**32 - 1, ...) claim zero bytes, but numpy cannot shape them."""
+    path = small_checkpoint
+    blob = _read(path)
+    at = _header_end(blob)
+    (name_len,) = struct.unpack_from("<H", blob, at)
+    extents = at + 2 + name_len + 1
+    damaged = bytearray(blob)
+    struct.pack_into("<4I", damaged, extents, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
+    with pytest.raises(CheckpointFormatError, match="extents"):
+        _load_bytes(path + ".empty", bytes(damaged))
+
+
 @pytest.mark.parametrize("old, new", [(b'"epoch"', b'"epocH"'),
                                       (b'"feature_channels"', b'"feature_channelZ"'),
                                       (b'"feature_channels": 4', b'"feature_channels": 0')])
