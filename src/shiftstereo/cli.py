@@ -156,6 +156,8 @@ def cmd_train(args) -> int:
         return 3
     except ShapeError as e:
         return _fail(str(e))
+    except OSError as e:
+        return _fail(f"cannot write the checkpoint or log: {e}")
     print(f"checkpoint: {args.out}")
     return 0
 
@@ -196,9 +198,12 @@ def cmd_infer(args) -> int:
     if not np.all(np.isfinite(refined)):
         return _fail(f"refined disparity has {int(np.sum(~np.isfinite(refined)))} "
                      f"non-finite values; no output written", code=3)
-    write_pfm(refined, args.out_disp)
-    if args.out_entropy:
-        write_pfm(out["entropy"].data[0, 0], args.out_entropy)
+    try:
+        write_pfm(refined, args.out_disp)
+        if args.out_entropy:
+            write_pfm(out["entropy"].data[0, 0], args.out_entropy)
+    except OSError as e:
+        return _fail(f"cannot write the output: {e}")
     print(args.out_disp)
     return 0
 

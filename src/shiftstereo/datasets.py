@@ -12,6 +12,7 @@ mask (they render as black holes in the left image).
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,13 +161,24 @@ def gen_rds(cfg: RdsConfig, count: int) -> list[StereoSample]:
     return samples
 
 
+@contextmanager
+def _reading(path: str):
+    """Open ``path`` for binary reading; an OSError of opening or reading it
+    (a missing or unreadable file, a directory) becomes a ParseError."""
+    try:
+        with open(path, "rb") as f:
+            yield f
+    except OSError as e:
+        raise ParseError(f"cannot read {path}: {e}") from e
+
+
 # ---------------------------------------------------------------------------
 # PFM (portable float map, grayscale "Pf")
 # ---------------------------------------------------------------------------
 
 def read_pfm(path: str) -> np.ndarray:
     """Read a grayscale PFM into an (H, W) float32 array (top row first)."""
-    with open(path, "rb") as f:
+    with _reading(path) as f:
         magic = f.readline().strip()
         if magic != b"Pf":
             raise ParseError(f"{path}: bad PFM magic {magic!r} (color 'PF' unsupported)")
@@ -239,7 +251,7 @@ def _read_pnm_int(f, path, name: str) -> int:
 
 def read_pnm(path: str) -> np.ndarray:
     """Read binary P5/P6 into (1, H, W) or (3, H, W) floats scaled to [0, 1]."""
-    with open(path, "rb") as f:
+    with _reading(path) as f:
         magic = f.read(2)
         if magic not in (b"P5", b"P6"):
             raise ParseError(f"{path}: unsupported PNM magic {magic!r}")

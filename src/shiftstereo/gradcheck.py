@@ -153,7 +153,7 @@ def _conv_case(name, stride, dilation, padding, in_shape=(1, 2, 6, 6), cout=3, k
     return CheckCase(name, build)
 
 
-def _bn_case(name, training, batch=2):
+def _bn_case(name, training, batch=2, relu=False):
     def build():
         rng = np.random.default_rng(11)
         x = _leaf(rng, (batch, 3, 4, 5))
@@ -164,7 +164,8 @@ def _bn_case(name, training, batch=2):
         rvar = Tensor(1.0 + 0.2 * rng.random((1, 3, 1, 1)), dtype=HIGH)
 
         def loss():
-            out = ops.batch_norm(x, gamma, beta, rmean, rvar, training=training)
+            out = ops.batch_norm(x, gamma, beta, rmean, rvar, training=training,
+                                 relu=relu)
             return _projected_sum(out, np.random.default_rng(8))
 
         return {"x": x, "gamma": gamma, "beta": beta}, loss
@@ -222,6 +223,9 @@ def op_cases() -> list[CheckCase]:
         _bn_case("batch_norm_train", True, batch=1),
         _bn_case("batch_norm_train_per_sample", True),
         _bn_case("batch_norm_inference", False),
+        _bn_case("batch_norm_relu_train", True, batch=1, relu=True),
+        _bn_case("batch_norm_relu_train_per_sample", True, relu=True),
+        _bn_case("batch_norm_relu_inference", False, relu=True),
         _unary_case("relu", ops.relu),
         _unary_case("smooth_l1", ops.smooth_l1),
         _unary_case("softmax_axis1", lambda x: ops.softmax(x, axis=1)),
@@ -285,8 +289,7 @@ def composite_cases(tolerance: float = 1e-3) -> list[CheckCase]:
 
         def loss():
             h = ops.conv2d(x, w1, b1, stride=1, padding=1)
-            h = ops.batch_norm(h, gamma, beta, rmean, rvar, training=True)
-            h = ops.relu(h)
+            h = ops.batch_norm(h, gamma, beta, rmean, rvar, training=True, relu=True)
             return ops.sum_all(h)
 
         return {"x": x, "w1": w1, "b1": b1, "gamma": gamma, "beta": beta}, loss

@@ -28,7 +28,8 @@ batch size gives bit-identical cost slices.
 An inference pass of :func:`forward_tensors` with no tape recording first
 folds every batch norm into the weights and bias of its conv
 (:meth:`ModelWeights.folded`), so each normed layer runs as one conv and
-one ReLU. Under a tape, and in training, the norms run as their own ops.
+one ReLU. Under a tape, and in training, each norm runs as its own op,
+which also applies the layer's ReLU (:func:`ops.batch_norm`).
 """
 
 from __future__ import annotations
@@ -298,13 +299,12 @@ def _norm_act(out: Tensor, name: str, weights: ModelWeights, training: bool) -> 
     """The norm and activation that follow layer ``name``'s convolution."""
     spec = weights.specs[name]
     if spec.norm:
-        out = ops.batch_norm(out, weights.params[name + ".gamma"],
-                             weights.params[name + ".beta"],
-                             weights.buffers[name + ".mean"],
-                             weights.buffers[name + ".var"], training=training)
-    if spec.act:
-        out = ops.relu(out)
-    return out
+        return ops.batch_norm(out, weights.params[name + ".gamma"],
+                              weights.params[name + ".beta"],
+                              weights.buffers[name + ".mean"],
+                              weights.buffers[name + ".var"], training=training,
+                              relu=spec.act)
+    return ops.relu(out) if spec.act else out
 
 
 def _block(x: Tensor, name: str, weights: ModelWeights, training: bool) -> Tensor:
@@ -662,8 +662,8 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     With ``training=False`` and no tape recording, the batch norms are
     folded into their convs once per call (:meth:`ModelWeights.folded`)
     and every stage runs on the folded copy; ``weights`` is not modified.
-    Under an active tape the norms run as their own ops, so gradients
-    still reach gamma and beta.
+    Under an active tape the norms run as their own ops (each fused with
+    its layer's ReLU), so gradients still reach gamma and beta.
     """
     if left.shape != right.shape:
         raise ShapeError(f"forward: image shapes differ {left.shape} vs {right.shape}")

@@ -4,8 +4,10 @@ Every tensor is a (batch, channel, height, width) array of float32
 ("standard" mode) or float64 ("high" mode, used by all numerical
 oracles and gradient checks). Operations in :mod:`shiftstereo.ops`
 record themselves onto the innermost active :class:`Tape`; calling
-:func:`backward` on a scalar loss replays the tape in exact reverse
-execution order and accumulates gradients into ``.grad`` buffers.
+:func:`backward` on a scalar loss consumes the tape in exact reverse
+execution order and accumulates gradients into the leaves' ``.grad``
+buffers. Each node, and the gradient of its output, is released as soon as
+backward has used it, so the memory of a step falls as backward runs.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ class Tensor:
     ``data`` is always a contiguous row-major array (width fastest).
     ``grad`` is lazily created by :func:`backward` and has the same shape
     and dtype as ``data``. Leaf tensors (weights, inputs) are created
-    directly; op outputs are produced by :mod:`shiftstereo.ops`.
+    directly and keep their gradient; op outputs are produced by
+    :mod:`shiftstereo.ops`, and backward drops their gradient once used.
     """
 
     __slots__ = ("data", "grad", "requires_grad")
@@ -81,8 +84,8 @@ class Tape:
     """Ordered record of executed operations for one forward pass.
 
     Use as a context manager; ops executed inside record themselves here.
-    A tape belongs to exactly one training step and is replayed at most
-    once by :func:`backward`.
+    A tape belongs to exactly one training step. :func:`backward` pops its
+    nodes as it replays them, so it is replayed once and is empty after.
     """
 
     def __init__(self):
@@ -115,29 +118,42 @@ def record_op(op: str, output: Tensor, inputs, grad_fn) -> Tensor:
 
 
 def backward(loss: Tensor, tape: Tape) -> None:
-    """Populate ``.grad`` on every requires_grad tensor reachable from ``loss``.
+    """Accumulate into ``.grad`` of every leaf reachable from ``loss``.
 
     ``loss`` must have extent 1 in every dimension. Gradients accumulate;
     callers zero leaf grads between steps. The first contribution to a
     tensor is copied, so grad buffers never alias each other.
+
+    The tape is consumed: nodes are popped in reverse execution order, and
+    once a node's ``grad_fn`` has used its output's gradient that
+    gradient is set to ``None`` and the node is dropped, together with the
+    arrays its closure saved. Afterwards the tape is empty and only leaf
+    tensors (those no op produced) hold a ``.grad``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
-        out_grad = node.output.grad
-        if out_grad is None:
+    nodes = tape.nodes
+    while nodes:
+        _replay(nodes.pop())
+
+
+def _replay(node: _Node) -> None:
+    # A function of its own, so the node's gradients are released on return
+    # and never live beside the next node's.
+    out_grad, node.output.grad = node.output.grad, None
+    if out_grad is None:
+        return
+    grads = node.grad_fn(out_grad)
+    for tensor, grad in zip(node.inputs, grads):
+        if grad is None or not tensor.requires_grad:
             continue
-        grads = node.grad_fn(out_grad)
-        for tensor, grad in zip(node.inputs, grads):
-            if grad is None or not tensor.requires_grad:
-                continue
-            if grad.shape != tensor.data.shape:
-                raise ShapeError(
-                    f"{node.op} backward produced grad shape {grad.shape} "
-                    f"for input shape {tensor.data.shape}"
-                )
-            if tensor.grad is None:
-                tensor.grad = np.array(grad)
-            else:
-                tensor.grad += grad
+        if grad.shape != tensor.data.shape:
+            raise ShapeError(
+                f"{node.op} backward produced grad shape {grad.shape} "
+                f"for input shape {tensor.data.shape}"
+            )
+        if tensor.grad is None:
+            tensor.grad = np.array(grad)
+        else:
+            tensor.grad += grad

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import settings
 
 from shiftstereo import model
+from shiftstereo.ops import BN_EPSILON
+from shiftstereo.tensor import Tensor, record_op
 
 # ``pytest --hypothesis-profile=ci`` draws the same examples on every run,
 # so a fuzz failure in CI reproduces locally, and sets no per-example
@@ -134,6 +136,65 @@ def adam_reference_trace(theta0, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
         history.append(theta.copy())
     return history
+
+
+def batch_norm_reference(x, gamma, beta, running_mean, running_var, training=False):
+    """Batch norm by the textbook formulas, as a tape op with no ReLU:
+    ``xhat`` is computed and saved in the forward pass, the variance is the
+    mean of ``(x - mu)**2``, and ``dx = inv * (dxhat - mean(dxhat)
+    - xhat * mean(dxhat * xhat))`` with ``dxhat = g * gamma``. Follow it
+    with ``ops.relu`` for the unfused chain that ``ops.batch_norm(...,
+    relu=True)`` replaces."""
+    b, c, h, w = x.shape
+    dt = x.dtype
+    eps = dt.type(BN_EPSILON)
+    if training:
+        n = h * w
+        mu = x.data.mean(axis=(2, 3), keepdims=True)
+        xc = x.data - mu
+        var = np.mean(xc * xc, axis=(2, 3), keepdims=True)
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat = xc * inv
+        correction = n / (n - 1) if n > 1 else 1.0
+        running_mean.data *= 0.9
+        running_mean.data += 0.1 * mu.mean(axis=0, keepdims=True).astype(dt)
+        running_var.data *= 0.9
+        running_var.data += 0.1 * (var * correction).mean(axis=0, keepdims=True).astype(dt)
+    else:
+        inv = 1.0 / np.sqrt(running_var.data + eps)
+        xhat = (x.data - running_mean.data) * inv
+
+    out = Tensor(gamma.data * xhat + beta.data)
+    gdata = gamma.data
+
+    def grad_fn(g):
+        dgamma = (g * xhat).sum(axis=(0, 2, 3), keepdims=True)
+        dbeta = g.sum(axis=(0, 2, 3), keepdims=True)
+        if not training:
+            return g * (gdata * inv), dgamma, dbeta
+        dxhat = g * gdata
+        dx = inv * (dxhat
+                    - dxhat.mean(axis=(2, 3), keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=(2, 3), keepdims=True))
+        return dx, dgamma, dbeta
+
+    return record_op("batch_norm", out, (x, gamma, beta), grad_fn)
+
+
+def backward_reference(loss, tape):
+    """Replay ``tape`` in reverse without consuming it: every node and every
+    intermediate gradient stays alive until the replay ends."""
+    loss.grad = np.ones_like(loss.data)
+    for node in reversed(tape.nodes):
+        if node.output.grad is None:
+            continue
+        for tensor, grad in zip(node.inputs, node.grad_fn(node.output.grad)):
+            if grad is None or not tensor.requires_grad:
+                continue
+            if tensor.grad is None:
+                tensor.grad = np.array(grad)
+            else:
+                tensor.grad += grad
 
 
 # Cost-volume schedules, by the disparity levels the matching net runs as

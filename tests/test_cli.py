@@ -97,6 +97,14 @@ def test_infer_non_finite_disparity_is_a_divergence(tmp_path, pair, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_infer_into_a_missing_directory_is_a_usage_error(tmp_path, pair, capsys):
+    ckpt = _checkpoint(tmp_path / "model.ckpt")
+    out = str(tmp_path / "absent" / "disp.pfm")
+    assert _infer(ckpt, *pair, out) == 2
+    assert not os.path.exists(tmp_path / "absent")
+    assert "absent" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", ["truncated", "unknown config key"])
 def test_infer_corrupt_checkpoint_is_a_usage_error(tmp_path, pair, capsys, damage):
     ckpt = _checkpoint(tmp_path / "model.ckpt")
@@ -142,6 +150,15 @@ def test_train_on_a_missing_manifest_is_a_usage_error(tmp_path, capsys):
     assert cli.main(["train", "--data", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "model.ckpt")]) == 2
     assert "nope.txt" in capsys.readouterr().err
+
+
+def test_train_into_a_missing_directory_is_a_usage_error(tmp_path, pair, capsys):
+    manifest = os.path.join(os.path.dirname(pair[0]), "manifest.txt")
+    out = str(tmp_path / "absent" / "model.ckpt")
+    assert cli.main(["train", "--data", manifest, "--profile", "tiny",
+                     "--epochs", "1", "--out", out]) == 2
+    assert not os.path.exists(tmp_path / "absent")
+    assert "absent" in capsys.readouterr().err
 
 
 _NOT_UTF8 = b"left_\xff.pgm\tright.pgm\tgt.pfm\n"

@@ -321,18 +321,16 @@ def fuzz_dataset(tmp_path_factory):
     return blob, str(d / "fuzzed.txt")
 
 
-@settings(max_examples=300, deadline=None)
-@given(edit=st.one_of(
+# Arbitrary bytes, or a real file with 1-3 bytes XOR-ed or cut short.
+_EDITS = st.one_of(
     st.tuples(st.just("bytes"), st.binary(max_size=200)),
     st.tuples(st.just("flip"), st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
                                                   st.integers(1, 255)),
                                         min_size=1, max_size=3)),
-    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True))))
-def test_fuzzed_manifests_raise_only_package_errors(fuzz_dataset, edit):
-    """Arbitrary bytes, or a real manifest with flipped bytes or cut short:
-    reading it, and loading the samples it names, either succeeds or
-    raises a ShiftStereoError."""
-    blob, path = fuzz_dataset
+    st.tuples(st.just("truncate"), st.floats(0, 1, exclude_max=True)))
+
+
+def _write_damaged(blob: bytes, edit, path: str) -> None:
     kind, how = edit
     if kind == "bytes":
         damaged = how
@@ -344,9 +342,59 @@ def test_fuzzed_manifests_raise_only_package_errors(fuzz_dataset, edit):
             damaged[int(at * len(blob))] ^= mask
     with open(path, "wb") as f:
         f.write(bytes(damaged))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edit=_EDITS)
+def test_fuzzed_manifests_raise_only_package_errors(fuzz_dataset, edit):
+    """Arbitrary bytes, or a real manifest with flipped bytes or cut short:
+    reading it, and loading the samples it names, either succeeds or
+    raises a ShiftStereoError."""
+    blob, path = fuzz_dataset
+    _write_damaged(blob, edit, path)
     try:
         entries = read_manifest(path)
         assert all(len(entry) == 3 for entry in entries)
         load_dataset(path, max_disparity=24)
+    except ShiftStereoError:
+        pass
+
+
+@pytest.mark.parametrize("reader", [read_pfm, read_pnm])
+def test_unreadable_image_paths_are_parse_errors(tmp_path, reader):
+    with pytest.raises(ParseError, match="absent"):
+        reader(str(tmp_path / "absent"))
+    with pytest.raises(ParseError, match="directory"):
+        reader(str(tmp_path))
+
+
+@pytest.fixture(scope="module")
+def image_files(tmp_path_factory):
+    """Bytes of a small PFM, PGM and PPM, and a path fuzzed files go to."""
+    d = tmp_path_factory.mktemp("images")
+    rng = np.random.default_rng(2)
+    write_pfm(rng.standard_normal((3, 4)).astype(np.float32), str(d / "map.pfm"))
+    write_pnm(rng.random((1, 3, 4)).astype(np.float32), str(d / "gray.pgm"))
+    write_pnm(rng.random((3, 3, 4)).astype(np.float32), str(d / "rgb.ppm"))
+    blobs = {name: (d / name).read_bytes() for name in ("map.pfm", "gray.pgm", "rgb.ppm")}
+    return blobs, str(d / "fuzzed")
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["map.pfm", "gray.pgm", "rgb.ppm"]), edit=_EDITS)
+def test_fuzzed_images_raise_only_package_errors(image_files, name, edit):
+    """A damaged or arbitrary PFM / PNM file either reads as a 2D map (PFM)
+    or a 1- or 3-channel image (PNM) in float32, or raises a
+    ShiftStereoError."""
+    blobs, path = image_files
+    _write_damaged(blobs[name], edit, path)
+    try:
+        if name.endswith(".pfm"):
+            out = read_pfm(path)
+            assert out.ndim == 2
+        else:
+            out = read_pnm(path)
+            assert out.ndim == 3 and out.shape[0] in (1, 3)
+        assert out.dtype == np.float32
     except ShiftStereoError:
         pass

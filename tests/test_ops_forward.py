@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (avg_pool_reference, avg_pool_strided_reference, conv2d_reference,
-                      resize_matrix_reference)
+from conftest import (avg_pool_reference, avg_pool_strided_reference, batch_norm_reference,
+                      conv2d_reference, resize_matrix_reference)
 from shiftstereo import ops
 from shiftstereo.errors import ShapeError
 from shiftstereo.gradcheck import _conv_case, run_case
-from shiftstereo.tensor import HIGH, Tape, Tensor
+from shiftstereo.tensor import HIGH, Tape, Tensor, backward
 
 
 class TestConv2d:
@@ -330,6 +330,82 @@ class TestBatchNorm:
         with pytest.raises(ShapeError):
             ops.batch_norm(Tensor(np.zeros((0, 1, 2, 2)), dtype=HIGH),
                            gamma, beta, rmean, rvar, training=True)
+
+
+class TestBatchNormRelu:
+    """``batch_norm(..., relu=True)``, one op, against the unfused chain it
+    replaces: ``batch_norm_reference`` (tests/conftest.py) then ``ops.relu``."""
+
+    # Each array of the fused op is within TOL * max|unfused| of the
+    # unfused chain's: 1e-12 in float64; 1e-5 in float32, about 80 ulps at
+    # the scale of the largest entry, for sums whose order changed.
+    TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+    @staticmethod
+    def _step(norm_relu, dtype, batch, training):
+        rng = np.random.default_rng(7)
+        x = Tensor(3.0 + 2.0 * rng.standard_normal((batch, 5, 12, 13)),
+                   requires_grad=True, dtype=dtype)
+        gamma = Tensor(rng.standard_normal((1, 5, 1, 1)), requires_grad=True, dtype=dtype)
+        beta = Tensor(0.3 * rng.standard_normal((1, 5, 1, 1)), requires_grad=True,
+                      dtype=dtype)
+        rmean = Tensor(3.0 + rng.standard_normal((1, 5, 1, 1)), dtype=dtype)
+        rvar = Tensor(4.0 + rng.random((1, 5, 1, 1)), dtype=dtype)
+        proj = Tensor(rng.standard_normal(x.shape), dtype=dtype)
+        with Tape() as tape:
+            out = norm_relu(x, gamma, beta, rmean, rvar, training)
+            loss = ops.sum_all(ops.mul(out, proj))
+        backward(loss, tape)
+        return {"out": out.data, "dx": x.grad, "dgamma": gamma.grad, "dbeta": beta.grad,
+                "running_mean": rmean.data, "running_var": rvar.data}
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_matches_the_unfused_chain(self, dtype, batch, training):
+        fused = self._step(
+            lambda x, g, b, m, v, t: ops.batch_norm(x, g, b, m, v, training=t, relu=True),
+            dtype, batch, training)
+        unfused = self._step(
+            lambda x, g, b, m, v, t: ops.relu(batch_norm_reference(x, g, b, m, v, t)),
+            dtype, batch, training)
+        clipped = np.mean(unfused["out"] == 0)
+        assert 0.2 < clipped < 0.8  # the ReLU is exercised both ways
+        for key, ref in unfused.items():
+            assert fused[key].dtype == dtype
+            err = np.max(np.abs(fused[key] - ref))
+            assert err <= self.TOL[dtype] * np.max(np.abs(ref)), (key, err)
+
+    def test_records_one_node_and_keeps_only_its_output(self, rng):
+        x = Tensor(rng.standard_normal((2, 16, 64, 64)).astype(np.float32),
+                   requires_grad=True)
+        gamma = Tensor(np.ones((1, 16, 1, 1), dtype=np.float32), requires_grad=True)
+        beta = Tensor(np.zeros((1, 16, 1, 1), dtype=np.float32), requires_grad=True)
+        rmean = Tensor(np.zeros((1, 16, 1, 1), dtype=np.float32))
+        rvar = Tensor(np.ones((1, 16, 1, 1), dtype=np.float32))
+        with Tape() as tape:
+            tracemalloc.start()
+            try:
+                out = ops.batch_norm(x, gamma, beta, rmean, rvar, training=True, relu=True)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert [node.op for node in tape.nodes] == ["batch_norm"]
+        assert peak < 1.1 * out.data.nbytes
+        assert kept < 1.1 * out.data.nbytes
+
+    def test_gradient_is_zero_where_the_output_is_clipped(self, rng):
+        x = Tensor(rng.standard_normal((1, 3, 6, 6)), requires_grad=True, dtype=HIGH)
+        gamma = Tensor(np.ones((1, 3, 1, 1)), dtype=HIGH)
+        beta = Tensor(np.zeros((1, 3, 1, 1)), dtype=HIGH)
+        rmean = Tensor(np.zeros((1, 3, 1, 1)), dtype=HIGH)
+        rvar = Tensor(np.ones((1, 3, 1, 1)), dtype=HIGH)
+        with Tape() as tape:
+            out = ops.batch_norm(x, gamma, beta, rmean, rvar, relu=True)
+            loss = ops.sum_all(out)
+        backward(loss, tape)
+        expected = np.where(out.data > 0, 1.0 / np.sqrt(1.0 + 1e-5), 0.0)
+        np.testing.assert_allclose(x.grad, expected, rtol=1e-15, atol=0)
 
 
 class TestRelu:

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import backward_reference
 from shiftstereo import ops
+from shiftstereo.datasets import RdsConfig, gen_rds
 from shiftstereo.errors import ShapeError
+from shiftstereo.model import ModelConfig, ModelWeights, forward_tensors
 from shiftstereo.tensor import HIGH, STANDARD, Tape, Tensor, backward
+from shiftstereo.training import total_loss
 
 
 class TestTensor:
@@ -105,6 +109,48 @@ class TestBackward:
         second = run()
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
+
+
+class TestTapeConsumption:
+    def test_backward_empties_the_tape_and_drops_intermediate_grads(self):
+        x = Tensor(np.linspace(-1, 1, 4).reshape(1, 1, 2, 2), requires_grad=True, dtype=HIGH)
+        with Tape() as tape:
+            a = ops.scalar_mul(x, 3.0)
+            b = ops.mul(a, x)
+            loss = ops.sum_all(b)
+        backward(loss, tape)
+        assert tape.nodes == []
+        assert a.grad is None and b.grad is None and loss.grad is None
+        np.testing.assert_allclose(x.grad, 6.0 * x.data, rtol=1e-15)
+
+    def test_training_step_leaf_grads_equal_a_replay_that_keeps_the_tape(self):
+        """A tiny-profile training step on a 48x48 stereogram: after
+        backward the tape is empty and no op output holds a gradient, and
+        every leaf gradient (parameters and the left image) is bit-equal
+        to that of ``backward_reference``, which consumes nothing."""
+        cfg = ModelConfig.tiny()
+        [sample] = gen_rds(RdsConfig(width=48, height=48, seed=1), 1)
+        runs = []
+        for replay in (backward, backward_reference):
+            weights = ModelWeights.initialize(cfg, seed=0)
+            tail = weights.params["refine.out.w"]
+            tail.data[...] = np.random.default_rng(5).standard_normal(tail.shape) * 0.1
+            left = Tensor(sample.left[None], requires_grad=True)
+            with Tape() as tape:
+                out = forward_tensors(left, Tensor(sample.right[None]), weights, cfg,
+                                      training=True)
+                loss = total_loss(out["coarse"], out["refined"], sample.gt, sample.valid,
+                                  max_disparity=cfg.max_disparity)
+            outputs = [node.output for node in tape.nodes]
+            replay(loss, tape)
+            if replay is backward:
+                assert tape.nodes == []
+                assert all(t.grad is None for t in outputs)
+            runs.append({"left": left.grad, **{k: p.grad for k, p in weights.params.items()}})
+        consumed, kept = runs
+        assert set(consumed) == set(kept)
+        for name, grad in kept.items():
+            assert grad is not None and np.array_equal(consumed[name], grad), name
 
 
 class TestElementwiseContracts:

@@ -1,5 +1,5 @@
-"""Checkpoint round trips, the checks ``load_weights`` makes on them, and
-the Adam update."""
+"""Checkpoint round trips, the checks ``load_weights`` makes on them, the
+Adam update, and the memory of one training step."""
 
 import os
 import struct
@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import adam_reference_trace
 from shiftstereo import training
+from shiftstereo.datasets import RdsConfig, gen_rds
 from shiftstereo.errors import CheckpointError, CheckpointFormatError, CheckpointShapeError
-from shiftstereo.model import ModelConfig, ModelWeights
-from shiftstereo.tensor import HIGH, Tensor
+from shiftstereo.model import ModelConfig, ModelWeights, forward_tensors
+from shiftstereo.tensor import HIGH, Tape, Tensor, backward
 from shiftstereo.training import (AdamState, Checkpoint, adam_step, load_checkpoint,
                                   load_weights, save_checkpoint)
 
@@ -236,3 +237,34 @@ def test_metadata_that_is_not_an_object_is_a_format_error(small_checkpoint):
     damaged = blob[:8] + struct.pack("<I", len(meta)) + meta + blob[_header_end(blob) - 4:]
     with pytest.raises(CheckpointFormatError, match="metadata"):
         _load_bytes(path + ".list", damaged)
+
+
+def test_training_step_peak_memory_is_bounded():
+    """One tiny-profile training step on a 48x48 stereogram, forward under
+    a tape plus backward, peaks below 16 MB of traced allocations. A
+    backward that keeps every node and gradient until it returns, with
+    norms that save their normalized input beside a separate ReLU's
+    output, peaked at 26.6 MB on this step; consuming the tape with fused
+    norm + ReLU ops peaks at 11.7 MB."""
+    cfg = ModelConfig.tiny()
+    weights = ModelWeights.initialize(cfg, seed=0)
+    [sample] = gen_rds(RdsConfig(width=48, height=48, seed=1), 1)
+    left, right = Tensor(sample.left[None]), Tensor(sample.right[None])
+
+    def step():
+        with Tape() as tape:
+            out = forward_tensors(left, right, weights, cfg, training=True)
+            loss = training.total_loss(out["coarse"], out["refined"], sample.gt,
+                                       sample.valid, max_disparity=cfg.max_disparity)
+        backward(loss, tape)
+        weights.zero_grads()
+
+    step()  # fills the resize-matrix cache
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
