@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ShapeError
-from .model import (ConvSpec, DisparityMap, ModelConfig, check_feature_extents,
+from .model import (ConvSpec, ModelConfig, check_feature_extents,
                     check_image_extents, count_parameters, feature_layer_specs,
                     levels_per_batch, matching_layer_specs, refine_layer_specs)
 from .ops import conv_out_extent
@@ -67,12 +67,12 @@ def build_ssd_volume(left_features: Tensor, right_features: Tensor,
     return Tensor(np.concatenate(slices, axis=1))
 
 
-def wta_disparity(volume: Tensor) -> DisparityMap:
-    """Per-pixel argmin over levels; ties break toward the smaller level."""
+def wta_disparity(volume: Tensor) -> np.ndarray:
+    """Per-pixel argmin over levels, as an (H, W) float32 map; ties break
+    toward the smaller level."""
     if volume.shape[1] < 1:
         raise ShapeError("wta_disparity: empty volume")
-    values = np.argmin(volume.data[0], axis=0).astype(np.float32)
-    return DisparityMap.dense(values)
+    return np.argmin(volume.data[0], axis=0).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -169,18 +169,10 @@ def estimate_resources(config: ModelConfig, height: int, width: int) -> Resource
 
     # feature net: stride-3 conv to (fh, fw); everything after preserves size
     # except the pooled branches, whose convs run on the pooled grid.
-    feat_sizes: dict[str, tuple[int, int]] = {}
-    for s in feature_layer_specs(config):
-        if s.name == "feature.down":
-            feat_sizes[s.name] = (fh, fw)
-        elif s.name.startswith("feature.spp"):
-            idx = int(s.name[-1]) - 1
-            window = config.spp_pools[idx][0]
-            ph = (fh - min(window, fh)) // window + 1
-            pw = (fw - min(window, fw)) // window + 1
-            feat_sizes[s.name] = (ph, pw)
-        else:
-            feat_sizes[s.name] = (fh, fw)
+    feat_sizes = {s.name: (fh, fw) for s in feature_layer_specs(config)}
+    for i, (window, _) in enumerate(config.spp_pools, 1):
+        feat_sizes[f"feature.spp{i}"] = ((fh - min(window, fh)) // window + 1,
+                                         (fw - min(window, fw)) // window + 1)
     feat_conv, feat_aux = _section_cost(feature_layer_specs(config), feat_sizes)
 
     # matching net per level: encoder halves four times, decoder mirrors.
@@ -188,14 +180,10 @@ def estimate_resources(config: ModelConfig, height: int, width: int) -> Resource
     for _ in range(4):
         h_prev, w_prev = scales[-1]
         scales.append(((h_prev - 1) // 2 + 1, (w_prev - 1) // 2 + 1))
-    match_sizes: dict[str, tuple[int, int]] = {}
-    for s in matching_layer_specs(config):
-        if s.name.startswith("matching.enc") or s.name.startswith("matching.filt"):
-            match_sizes[s.name] = scales[int(s.name[-1])]
-        elif s.name.startswith("matching.dec"):
-            match_sizes[s.name] = scales[4 - int(s.name[-1])]
-        else:
-            match_sizes[s.name] = scales[0]
+    match_sizes = {"matching.out": scales[0]}
+    for i in range(1, 5):
+        match_sizes[f"matching.enc{i}"] = match_sizes[f"matching.filt{i}"] = scales[i]
+        match_sizes[f"matching.dec{i}"] = scales[4 - i]
     # The feature pair's convolutions run once per volume (model._pair_terms):
     # enc1 reads L once and R twice (even and odd shifts), dec4 reads L once
     # and, with its last-column-masked twin, R twice over a map one column

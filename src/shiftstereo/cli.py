@@ -350,11 +350,11 @@ def entry() -> None:
     """Console-script entry: pins thread env vars before numpy loads."""
     argv = sys.argv[1:]
     threads = os.environ.get(THREADS_ENV)
-    if "--threads" in argv:
-        try:
-            threads = argv[argv.index("--threads") + 1]
-        except IndexError:
-            pass
+    for i, arg in enumerate(argv):
+        if arg == "--threads" and i + 1 < len(argv):
+            threads = argv[i + 1]
+        elif arg.startswith("--threads="):
+            threads = arg.partition("=")[2]
     if threads:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, str(threads))
@@ -362,4 +362,4 @@ def entry() -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

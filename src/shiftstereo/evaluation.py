@@ -38,10 +38,6 @@ class MetricReport:
         return " ".join(parts)
 
 
-def _values(map_or_array) -> np.ndarray:
-    return np.asarray(getattr(map_or_array, "values", map_or_array), dtype=np.float64)
-
-
 def nearest_rank_percentile(sorted_errors: np.ndarray, pct: float) -> float:
     """Smallest value with at least pct% of the samples at or below it."""
     n = len(sorted_errors)
@@ -53,8 +49,8 @@ def evaluate(pred, gt, mask: np.ndarray,
              thresholds=(1.0, 2.0, 4.0)) -> MetricReport:
     """Metrics over ``mask``: mean, root-mean-square, bad-threshold rates,
     and the 99th-percentile absolute disparity error."""
-    pred_v = _values(pred)
-    gt_v = _values(gt)
+    pred_v = np.asarray(pred, dtype=np.float64)
+    gt_v = np.asarray(gt, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if pred_v.shape != gt_v.shape or pred_v.shape != mask.shape:
         raise ShapeError(f"evaluate: extents differ (pred {pred_v.shape}, "

@@ -25,11 +25,13 @@ feature pixels, and at least one, so small inputs run all levels at once
 and large ones one level at a time. Batch items do not interact, so every
 batch size gives bit-identical cost slices.
 
-An inference pass of :func:`forward_tensors` with no tape recording first
-folds every batch norm into the weights and bias of its conv
-(:meth:`ModelWeights.folded`), so each normed layer runs as one conv and
-one ReLU. Under a tape, and in training, each norm runs as its own op,
-which also applies the layer's ReLU (:func:`ops.batch_norm`).
+A normed layer runs in one of two forms, chosen by the weights alone. With
+raw weights it is a conv without bias, then a norm over each batch item's
+own statistics that also applies the layer's ReLU (:func:`ops.batch_norm`).
+With folded weights (:meth:`ModelWeights.folded`), which an inference pass
+of :func:`forward_tensors` builds once per call, the norm's running
+statistics and affine are folded into the conv's weights and bias, so the
+layer is one conv and one ReLU.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .tensor import STANDARD, Tensor, active_tape
+from .tensor import STANDARD, Tensor
 
 
 @dataclass(frozen=True)
@@ -194,19 +196,23 @@ def all_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
 def weight_shapes(config: ModelConfig) -> tuple[dict[str, tuple], dict[str, tuple]]:
     """Names and shapes of the parameters and of the buffers, in layer order.
 
-    Every layer has ``"<layer>.w"`` (Cout, Cin, K, K) and ``"<layer>.b"``;
-    a normed layer adds the parameters ``.gamma`` / ``.beta`` and the
-    running-statistics buffers ``.mean`` / ``.var``, all (1, Cout, 1, 1).
+    Every layer has ``"<layer>.w"`` (Cout, Cin, K, K). A normed layer adds
+    the parameters ``.gamma`` / ``.beta`` and the running-statistics
+    buffers ``.mean`` / ``.var``, all (1, Cout, 1, 1), and has no bias: the
+    norm's mean subtraction cancels it and ``.beta`` does its job. A layer
+    without a norm has a bias ``.b`` (1, Cout, 1, 1), except
+    ``matching.out``, whose bias the softmax over levels cancels.
     """
     params: dict[str, tuple] = {}
     buffers: dict[str, tuple] = {}
     for s in all_layer_specs(config):
         channel = (1, s.cout, 1, 1)
         params[s.name + ".w"] = (s.cout, s.cin, s.k, s.k)
-        params[s.name + ".b"] = channel
         if s.norm:
             params[s.name + ".gamma"] = params[s.name + ".beta"] = channel
             buffers[s.name + ".mean"] = buffers[s.name + ".var"] = channel
+        elif s.name != "matching.out":  # the softmax over levels cancels its bias
+            params[s.name + ".b"] = channel
     return params, buffers
 
 
@@ -267,25 +273,27 @@ class ModelWeights:
         """Inference weights with every batch norm folded into its conv.
 
         For a normed layer, ``scale = gamma / sqrt(var + eps)`` per output
-        channel gives ``w' = w * scale`` and ``b' = (b - mean) * scale +
-        beta``, computed in the weights' own dtype with the epsilon of
+        channel gives ``w' = w * scale`` and the bias ``b' = beta - mean *
+        scale``, computed in the weights' own dtype with the epsilon of
         :func:`ops.batch_norm`. Its spec then carries ``norm=False``, so a
         conv and its norm become one conv. Layers without a norm share
         their tensors with ``self``; nothing of ``self`` is modified. The
-        result has the same ``"<layer>.w"`` / ``"<layer>.b"`` keys and no
-        buffers.
+        result has a ``"<layer>.w"`` for every layer, a ``"<layer>.b"`` for
+        every layer but ``matching.out``, and no buffers.
         """
         params: dict[str, Tensor] = {}
         for name, spec in self.specs.items():
-            w, b = self.params[name + ".w"], self.params[name + ".b"]
+            w, b = self.params[name + ".w"], self.params.get(name + ".b")
             if spec.norm:
                 var = self.buffers[name + ".var"].data
                 scale = self.params[name + ".gamma"].data / np.sqrt(
                     var + var.dtype.type(ops.BN_EPSILON))
                 w = Tensor(w.data * scale.reshape(-1, 1, 1, 1))
-                b = Tensor((b.data - self.buffers[name + ".mean"].data) * scale
-                           + self.params[name + ".beta"].data)
-            params[name + ".w"], params[name + ".b"] = w, b
+                b = Tensor(self.params[name + ".beta"].data
+                           - self.buffers[name + ".mean"].data * scale)
+            params[name + ".w"] = w
+            if b is not None:
+                params[name + ".b"] = b
         out = ModelWeights(self.config, params, {})
         out.specs = {name: replace(spec, norm=False) for name, spec in self.specs.items()}
         return out
@@ -295,23 +303,22 @@ class ModelWeights:
             p.grad = None
 
 
-def _norm_act(out: Tensor, name: str, weights: ModelWeights, training: bool) -> Tensor:
+def _norm_act(out: Tensor, name: str, weights: ModelWeights) -> Tensor:
     """The norm and activation that follow layer ``name``'s convolution."""
     spec = weights.specs[name]
     if spec.norm:
         return ops.batch_norm(out, weights.params[name + ".gamma"],
                               weights.params[name + ".beta"],
                               weights.buffers[name + ".mean"],
-                              weights.buffers[name + ".var"], training=training,
-                              relu=spec.act)
+                              weights.buffers[name + ".var"], relu=spec.act)
     return ops.relu(out) if spec.act else out
 
 
-def _block(x: Tensor, name: str, weights: ModelWeights, training: bool) -> Tensor:
+def _block(x: Tensor, name: str, weights: ModelWeights) -> Tensor:
     spec = weights.specs[name]
-    out = ops.conv2d(x, weights.params[name + ".w"], weights.params[name + ".b"],
+    out = ops.conv2d(x, weights.params[name + ".w"], weights.params.get(name + ".b"),
                      stride=spec.stride, dilation=spec.dilation, padding=spec.padding)
-    return _norm_act(out, name, weights, training)
+    return _norm_act(out, name, weights)
 
 
 # The smallest inputs the model runs on: feature.down reads a 9x9 image,
@@ -340,24 +347,23 @@ def check_feature_extents(cfg: ModelConfig, fh: int, fw: int) -> None:
 # feature net
 # ---------------------------------------------------------------------------
 
-def extract_features(image: Tensor, weights: ModelWeights, cfg: ModelConfig,
-                     training: bool = False) -> Tensor:
+def extract_features(image: Tensor, weights: ModelWeights, cfg: ModelConfig) -> Tensor:
     """Image (B, in_channels, H, W) -> features (B, F, ceil(H/3), ceil(W/3))."""
     b, c, h, w = image.shape
     if c != cfg.in_channels:
         raise ShapeError(f"extract_features: image has {c} channels, "
                          f"config expects {cfg.in_channels}")
     check_image_extents(h, w)
-    x = _block(image, "feature.down", weights, training)
+    x = _block(image, "feature.down", weights)
     for i in range(1, 4):
-        x = _block(x, f"feature.dil{i}", weights, training)
+        x = _block(x, f"feature.dil{i}", weights)
     _, _, fh, fw = x.shape
     branches = [x]
     for i, (window, _) in enumerate(cfg.spp_pools, 1):
         p = ops.avg_pool(x, window)
-        p = _block(p, f"feature.spp{i}", weights, training)
+        p = _block(p, f"feature.spp{i}", weights)
         branches.append(ops.bilinear_resize(p, fh, fw))
-    fused = _block(ops.concat_channels(branches), "feature.fuse", weights, training)
+    fused = _block(ops.concat_channels(branches), "feature.fuse", weights)
     return ops.conv2d(fused, weights.params["feature.out.w"],
                       weights.params["feature.out.b"], padding=0)
 
@@ -421,10 +427,11 @@ def pair_blocks(weights: ModelWeights, cfg: ModelConfig,
 class _PairTerms:
     """The matching net's convolutions of the feature pair, once per volume.
 
-    ``enc1_left`` / ``dec4_left`` are ``conv(L, W_L) + bias`` of
-    ``matching.enc1`` / ``matching.dec4``; ``enc1_right`` / ``dec4_right``
-    are the maps of the R blocks that :func:`_match_levels` shifts per
-    level; ``dec4_x`` is dec4's weight block over the decoder input.
+    ``enc1_left`` / ``dec4_left`` are ``conv(L, W_L)`` of ``matching.enc1``
+    / ``matching.dec4``, plus the layer's bias in folded weights;
+    ``enc1_right`` / ``dec4_right`` are the maps of the R blocks that
+    :func:`_match_levels` shifts per level; ``dec4_x`` is dec4's weight
+    block over the decoder input.
     """
 
     enc1_left: Tensor
@@ -465,18 +472,17 @@ def _pair_terms(left_features: Tensor, source: Tensor, weights: ModelWeights,
     left = left_block.params
     return _PairTerms(
         enc1_left=ops.conv2d(left_features, left["matching.enc1.w"],
-                             weights.params["matching.enc1.b"], stride=2, padding=1),
+                             weights.params.get("matching.enc1.b"), stride=2, padding=1),
         enc1_right=ops.conv2d(ops.stack_batch([source, ops.shift_columns(source, 1)]),
                               enc1_right, stride=2, padding=1),
         dec4_left=ops.conv2d(left_features, left["matching.dec4.w"],
-                             weights.params["matching.dec4.b"], padding=1),
+                             weights.params.get("matching.dec4.b"), padding=1),
         dec4_right=ops.conv2d(ops.gather_columns(source, [0], [1], w + 1),
                               right_block.params["matching.dec4.w"], padding=1),
         dec4_x=x_block.params["matching.dec4.w"])
 
 
-def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights,
-                  training: bool) -> Tensor:
+def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights) -> Tensor:
     """Cost maps (len(levels), 1, H', W') of the given disparity levels.
 
     Each batch item runs the matching net on its own level only: the
@@ -493,38 +499,23 @@ def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights,
                 ops.gather_columns(terms.enc1_right, [d % 2 for d in levels],
                                    [d // 2 for d in levels], terms.enc1_left.shape[3],
                                    edge=w % 2 == 1))
-    x = _block(_norm_act(x, "matching.enc1", weights, training), "matching.filt1",
-               weights, training)
+    x = _block(_norm_act(x, "matching.enc1", weights), "matching.filt1", weights)
     skips = [x]
     for i in range(2, 5):
-        x = _block(x, f"matching.enc{i}", weights, training)
-        x = _block(x, f"matching.filt{i}", weights, training)
+        x = _block(x, f"matching.enc{i}", weights)
+        x = _block(x, f"matching.filt{i}", weights)
         skips.append(x)
     for i, skip in enumerate((skips[2], skips[1], skips[0]), 1):
         _, _, sh, sw = skip.shape
         x = ops.bilinear_resize(x, sh, sw)
-        x = _block(ops.concat_channels([x, skip]), f"matching.dec{i}", weights, training)
+        x = _block(ops.concat_channels([x, skip]), f"matching.dec{i}", weights)
     x = ops.conv2d(ops.bilinear_resize(x, h, w), terms.dec4_x, padding=1)
     # dec4_right is one column wider on the left: level d reads it at d - 1.
     x = ops.add(ops.add(x, per_level(terms.dec4_left)),
                 ops.gather_columns(terms.dec4_right, [0] * n, [d - 1 for d in levels], w,
                                    edge=True))
-    x = _norm_act(x, "matching.dec4", weights, training)
-    return ops.conv2d(x, weights.params["matching.out.w"],
-                      weights.params["matching.out.b"], padding=1)
-
-
-def cost_level(left_features: Tensor, right_features: Tensor, d: int,
-               weights: ModelWeights, cfg: ModelConfig, training: bool = False) -> Tensor:
-    """Cost map (1, 1, H', W') of level d alone, bit-identical to slice d of
-    :func:`build_cost_volume`."""
-    if left_features.shape[0] != 1:
-        raise ShapeError("cost_level: one image pair at a time (batch extent 1)")
-    if not 0 <= d < left_features.shape[3]:
-        raise ShapeError(f"cost_level: level {d} outside the feature width")
-    terms = _pair_terms(left_features, right_features, weights, cfg,
-                        **pair_blocks(weights, cfg, left_features.shape[3]))
-    return _match_levels(terms, [d], weights, training)
+    x = _norm_act(x, "matching.dec4", weights)
+    return ops.conv2d(x, weights.params["matching.out.w"], padding=1)
 
 
 # Feature pixels of one matching-net batch. Batching levels saves the fixed
@@ -542,7 +533,7 @@ def levels_per_batch(cfg: ModelConfig, fh: int, fw: int) -> int:
 
 def build_cost_volume(left_features: Tensor, right_features: Tensor,
                       weights: ModelWeights, cfg: ModelConfig,
-                      training: bool = False, context_only: bool = False, *,
+                      context_only: bool = False, *,
                       x_block: BlockWeights | None = None,
                       left_block: BlockWeights | None = None,
                       right_block: BlockWeights | None = None) -> Tensor:
@@ -560,8 +551,10 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
 
     The levels run through the net in batches of :func:`levels_per_batch`
     consecutive levels, a choice of schedule only: every batch size gives
-    bit-identical slices. In training, each batch updates the running
-    statistics of the matching net's norms once, so those do depend on it.
+    bit-identical slices. With raw weights each norm uses every level's own
+    statistics, and each batch updates the running statistics of the
+    matching net's norms once, so those do depend on it. With
+    :meth:`ModelWeights.folded` weights no norm runs.
 
     ``x_block``, ``left_block`` and ``right_block`` are
     :func:`pair_blocks` of ``weights``, split here when not given.
@@ -587,7 +580,7 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     terms = _pair_terms(left_features, source, weights, cfg, **blocks)
     n = levels_per_batch(cfg, fh, fw)
     batches = [ops.batch_to_channels(_match_levels(
-        terms, list(range(start, min(start + n, levels))), weights, training))
+        terms, list(range(start, min(start + n, levels))), weights))
         for start in range(0, levels, n)]
     return batches[0] if len(batches) == 1 else ops.concat_channels(batches)
 
@@ -617,7 +610,7 @@ def _upsample_tensors(disp_low: Tensor, ent_low: Tensor,
 # ---------------------------------------------------------------------------
 
 def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
-           weights: ModelWeights, cfg: ModelConfig, training: bool = False) -> Tensor:
+           weights: ModelWeights, cfg: ModelConfig) -> Tensor:
     """Residual correction of the disparity, clamped to be non-negative."""
     if disp.shape[2:] != left_image.shape[2:] or disp.shape[2:] != ent.shape[2:]:
         raise ShapeError(f"refine: extents differ (disp {disp.shape}, "
@@ -628,10 +621,10 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
         ops.scalar_mul(disp, 1.0 / cfg.max_disparity),
         ops.scalar_mul(ent, 1.0 / ent_scale),
     ])
-    x = _block(x, "refine.head", weights, training)
+    x = _block(x, "refine.head", weights)
     for i in range(1, len(cfg.refine_blocks) + 1):
-        y = _block(x, f"refine.block{i}.conv1", weights, training)
-        y = _block(y, f"refine.block{i}.conv2", weights, training)
+        y = _block(x, f"refine.block{i}.conv1", weights)
+        y = _block(y, f"refine.block{i}.conv2", weights)
         x = ops.relu(ops.add(x, y))
     residual = ops.conv2d(x, weights.params["refine.out.w"],
                           weights.params["refine.out.b"], padding=1)
@@ -642,42 +635,30 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
 # full pipeline
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DisparityMap:
-    """Full-resolution disparities in pixels plus a validity mask."""
-
-    values: np.ndarray
-    valid: np.ndarray
-
-    @classmethod
-    def dense(cls, values: np.ndarray) -> "DisparityMap":
-        return cls(np.asarray(values), np.ones(np.asarray(values).shape, dtype=bool))
-
-
 def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
                     cfg: ModelConfig, training: bool = False,
                     context_only: bool = False) -> dict[str, Tensor]:
     """Run the full pipeline, returning all intermediate tensors by name.
 
-    With ``training=False`` and no tape recording, the batch norms are
-    folded into their convs once per call (:meth:`ModelWeights.folded`)
-    and every stage runs on the folded copy; ``weights`` is not modified.
-    Under an active tape the norms run as their own ops (each fused with
-    its layer's ReLU), so gradients still reach gamma and beta.
+    With ``training=False`` the batch norms are folded into their convs
+    once per call (:meth:`ModelWeights.folded`), also under a tape, and
+    every stage runs on the folded copy; ``weights`` is not modified. With
+    ``training=True`` the stages run on ``weights`` itself: each norm
+    normalizes every batch item by its own statistics, moves the running
+    statistics, and passes gradients to gamma and beta.
     """
     if left.shape != right.shape:
         raise ShapeError(f"forward: image shapes differ {left.shape} vs {right.shape}")
-    if not training and active_tape() is None:
+    if not training:
         weights = weights.folded()
     _, _, h, w = left.shape
-    f_left = extract_features(left, weights, cfg, training)
-    f_right = extract_features(right, weights, cfg, training)
-    volume = build_cost_volume(f_left, f_right, weights, cfg, training=training,
-                               context_only=context_only,
+    f_left = extract_features(left, weights, cfg)
+    f_right = extract_features(right, weights, cfg)
+    volume = build_cost_volume(f_left, f_right, weights, cfg, context_only=context_only,
                                **pair_blocks(weights, cfg, f_left.shape[3]))
     disp_low, ent_low = project(volume)
     coarse, ent_full = _upsample_tensors(disp_low, ent_low, h, w)
-    refined = refine(coarse, left, ent_full, weights, cfg, training)
+    refined = refine(coarse, left, ent_full, weights, cfg)
     return {"features_left": f_left, "features_right": f_right, "volume": volume,
             "coarse_low": disp_low, "entropy_low": ent_low,
             "coarse": coarse, "entropy": ent_full, "refined": refined}

@@ -320,23 +320,23 @@ BN_EPSILON = 1e-5
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: Tensor, running_var: Tensor, *,
-               training: bool = False, relu: bool = False) -> Tensor:
+               relu: bool = False) -> Tensor:
     """Channelwise normalization with learned scale/shift, then optionally a ReLU.
 
-    Training mode normalizes each batch item by its own statistics, over
-    its spatial extent only, so no item depends on the rest of the batch
-    (batched disparity levels stay decoupled), and moves the running
-    buffers a tenth of the way toward the mean over items of those
-    statistics (unbiased variance). Inference mode uses the running
-    buffers. The variance offset is ``BN_EPSILON``.
+    Each batch item is normalized by its own statistics, over its spatial
+    extent only, so no item depends on the rest of the batch (batched
+    disparity levels stay decoupled). The running buffers move a tenth of
+    the way toward the mean over items of those statistics (unbiased
+    variance); nothing here reads them, but the inference-time fold of the
+    norm into its conv (``model.ModelWeights.folded``) does. The variance
+    offset is ``BN_EPSILON``.
 
     ``y = xhat * gamma + beta``, with ``relu=True`` clipped at 0 in place,
     is one tape node that saves no activation-sized array: backward
     recomputes ``xhat`` from the input and takes the ReLU mask from the
     output, which the tape holds anyway. With ``k = gamma * inv``, and
     ``S1 = sum(g)``, ``S2 = sum(g * xhat)`` per item and channel over its
-    ``n`` pixels, ``dx = k * (g - S1/n - xhat * S2/n)`` in training mode
-    and ``k * g`` in inference mode.
+    ``n`` pixels, ``dx = k * (g - S1/n - xhat * S2/n)``.
     """
     b, c, h, w = x.shape
     for name, t in (("gamma", gamma), ("beta", beta),
@@ -347,24 +347,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     eps = dt.type(BN_EPSILON)
     xd = x.data
     n = h * w
+    if n == 0 or b == 0:
+        raise ShapeError("batch_norm: empty batch")
 
-    if training:
-        if n == 0 or b == 0:
-            raise ShapeError("batch_norm: empty batch in training mode")
-        mu = xd.mean(axis=(2, 3), keepdims=True)
-        y = xd - mu
-        var = np.einsum("bchw,bchw->bc", y, y).reshape(b, c, 1, 1) / n
-        inv = 1.0 / np.sqrt(var + eps)
-        correction = n / (n - 1) if n > 1 else 1.0
-        running_mean.data *= 0.9
-        running_mean.data += 0.1 * mu.mean(axis=0, keepdims=True).astype(dt)
-        running_var.data *= 0.9
-        running_var.data += 0.1 * (var * correction).mean(axis=0, keepdims=True).astype(dt)
-    else:
-        # A copy: a later training-mode call moves the buffers in place.
-        mu = running_mean.data.copy()
-        inv = 1.0 / np.sqrt(running_var.data + eps)
-        y = xd - mu
+    mu = xd.mean(axis=(2, 3), keepdims=True)
+    y = xd - mu
+    var = np.einsum("bchw,bchw->bc", y, y).reshape(b, c, 1, 1) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    correction = n / (n - 1) if n > 1 else 1.0
+    running_mean.data *= 0.9
+    running_mean.data += 0.1 * mu.mean(axis=0, keepdims=True).astype(dt)
+    running_var.data *= 0.9
+    running_var.data += 0.1 * (var * correction).mean(axis=0, keepdims=True).astype(dt)
     y *= inv
     y *= gamma.data
     y += beta.data
@@ -380,15 +374,11 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         xhat *= inv
         s1 = g.sum(axis=(2, 3), keepdims=True)
         s2 = np.einsum("bchw,bchw->bc", g, xhat).reshape(b, c, 1, 1)
-        k = gdata * inv
-        if training:
-            dx = xhat
-            dx *= s2 / -n
-            dx += g
-            dx -= s1 / n
-            dx *= k
-        else:
-            dx = g * k
+        dx = xhat
+        dx *= s2 / -n
+        dx += g
+        dx -= s1 / n
+        dx *= gdata * inv
         return dx, s2.sum(axis=0, keepdims=True), s1.sum(axis=0, keepdims=True)
 
     return record_op("batch_norm", out, (x, gamma, beta), grad_fn)

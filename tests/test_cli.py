@@ -1,6 +1,7 @@
 """The command-line entry point, driven through ``cli.main(argv)``."""
 
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -140,6 +141,30 @@ def test_smoke_chain_gen_rds_train_infer_eval(tmp_path):
     gts.write_text(gt + "\n")
     assert cli.main(["eval", "--pred-manifest", str(preds),
                      "--gt-manifest", str(gts)]) == 0
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("flags", [["--threads", "1"], ["--threads=1"]])
+def test_entry_pins_blas_threads_from_either_flag_form(monkeypatch, flags):
+    """The console-script entry sets the BLAS thread variables from
+    ``--threads N`` and from ``--threads=N`` before ``main`` runs."""
+    for var in _THREAD_VARS + (cli.THREADS_ENV,):
+        monkeypatch.setenv(var, "")  # so that teardown also removes what entry sets
+        monkeypatch.delenv(var)
+    seen = {}
+
+    def main(argv):
+        seen.update((var, os.environ.get(var)) for var in _THREAD_VARS)
+        return 0
+
+    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(sys, "argv", ["shiftstereo", "gradcheck"] + flags)
+    with pytest.raises(SystemExit) as stop:
+        cli.entry()
+    assert stop.value.code == 0
+    assert seen == dict.fromkeys(_THREAD_VARS, "1")
 
 
 def test_gradcheck_reports_an_injected_fault():

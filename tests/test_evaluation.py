@@ -40,15 +40,6 @@ class TestEvaluate:
         assert nearest_rank_percentile(np.array([1.0, 2.0, 3.0]), 50.0) == 2.0
         assert nearest_rank_percentile(np.array([4.0]), 99.0) == 4.0
 
-    def test_accepts_objects_with_values(self):
-        class Map:
-            def __init__(self, values):
-                self.values = values
-
-        gt = np.zeros((2, 2))
-        r = evaluate(Map(gt + 0.5), Map(gt), np.ones((2, 2), dtype=bool))
-        assert r.epe == 0.5 and r.a99 == 0.5
-
     def test_rejects_empty_mask_and_extent_mismatch(self):
         with pytest.raises(ShapeError):
             evaluate(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))

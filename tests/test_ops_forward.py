@@ -261,8 +261,7 @@ class TestBatchNorm:
         x -= x.mean(axis=(2, 3), keepdims=True)
         x /= x.std(axis=(2, 3), keepdims=True)
         gamma, beta, rmean, rvar = self._identity_stats(2)
-        out = ops.batch_norm(Tensor(x, dtype=HIGH), gamma, beta, rmean, rvar,
-                             training=True)
+        out = ops.batch_norm(Tensor(x, dtype=HIGH), gamma, beta, rmean, rvar)
         np.testing.assert_allclose(out.data, x, atol=1e-4)
 
     def test_zero_gamma_gives_beta(self, rng):
@@ -271,7 +270,7 @@ class TestBatchNorm:
         beta = Tensor(np.full((1, 3, 1, 1), 0.25, dtype=np.float32))
         rmean = Tensor(np.zeros((1, 3, 1, 1)), dtype=np.float32)
         rvar = Tensor(np.ones((1, 3, 1, 1)), dtype=np.float32)
-        out = ops.batch_norm(x, gamma, beta, rmean, rvar, training=True)
+        out = ops.batch_norm(x, gamma, beta, rmean, rvar)
         assert np.array_equal(out.data, np.full(x.shape, 0.25, dtype=np.float32))
 
     def test_rejects_mixed_precision(self, rng):
@@ -281,13 +280,13 @@ class TestBatchNorm:
         rmean = Tensor(np.zeros((1, 2, 1, 1)), dtype=np.float32)
         rvar = Tensor(np.ones((1, 2, 1, 1)), dtype=np.float32)
         with pytest.raises(ShapeError):
-            ops.batch_norm(x, gamma, beta, rmean, rvar, training=True)
+            ops.batch_norm(x, gamma, beta, rmean, rvar)
 
     def test_output_statistics(self, rng):
-        # Population statistics of the training-mode output per item and channel.
+        # Population statistics of the output per item and channel.
         x = Tensor(3.0 + 2.5 * rng.standard_normal((2, 4, 16, 16)), dtype=HIGH)
         gamma, beta, rmean, rvar = self._identity_stats(4)
-        out = ops.batch_norm(x, gamma, beta, rmean, rvar, training=True)
+        out = ops.batch_norm(x, gamma, beta, rmean, rvar)
         mean = out.data.mean(axis=(2, 3))
         var = out.data.var(axis=(2, 3))
         assert np.all(np.abs(mean) < 1e-6)
@@ -299,27 +298,18 @@ class TestBatchNorm:
         x1 = rng.standard_normal((1, 3, 6, 6))
         x2 = rng.standard_normal((1, 3, 6, 6))
         gamma, beta, rmean, rvar = self._identity_stats(3)
-        solo = ops.batch_norm(Tensor(x2, dtype=HIGH), gamma, beta, rmean, rvar,
-                              training=True)
+        solo = ops.batch_norm(Tensor(x2, dtype=HIGH), gamma, beta, rmean, rvar)
         gamma2, beta2, rmean2, rvar2 = self._identity_stats(3)
         batched = ops.batch_norm(Tensor(np.concatenate([x1, x2]), dtype=HIGH),
-                                 gamma2, beta2, rmean2, rvar2, training=True)
+                                 gamma2, beta2, rmean2, rvar2)
         assert np.array_equal(batched.data[1:], solo.data)
-
-    def test_inference_uses_running_stats(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 3, 3)), dtype=HIGH)
-        gamma, beta, rmean, rvar = self._identity_stats(2)
-        rmean.data[:] = 1.0
-        rvar.data[:] = 4.0
-        out = ops.batch_norm(x, gamma, beta, rmean, rvar, training=False)
-        np.testing.assert_allclose(out.data, (x.data - 1.0) / np.sqrt(4.0 + 1e-5))
 
     def test_running_stats_update(self, rng):
         # The buffers move a tenth of the way toward the mean over items of
         # each item's mean and unbiased variance.
         x = rng.standard_normal((2, 1, 4, 4))
         gamma, beta, rmean, rvar = self._identity_stats(1)
-        ops.batch_norm(Tensor(x, dtype=HIGH), gamma, beta, rmean, rvar, training=True)
+        ops.batch_norm(Tensor(x, dtype=HIGH), gamma, beta, rmean, rvar)
         np.testing.assert_allclose(rmean.data.reshape(()), 0.1 * x.mean(), atol=1e-12)
         np.testing.assert_allclose(rvar.data.reshape(()),
                                    0.9 + 0.1 * (x[0].var(ddof=1) + x[1].var(ddof=1)) / 2,
@@ -329,7 +319,7 @@ class TestBatchNorm:
         gamma, beta, rmean, rvar = self._identity_stats(1)
         with pytest.raises(ShapeError):
             ops.batch_norm(Tensor(np.zeros((0, 1, 2, 2)), dtype=HIGH),
-                           gamma, beta, rmean, rvar, training=True)
+                           gamma, beta, rmean, rvar)
 
 
 class TestBatchNormRelu:
@@ -342,7 +332,7 @@ class TestBatchNormRelu:
     TOL = {np.float64: 1e-12, np.float32: 1e-5}
 
     @staticmethod
-    def _step(norm_relu, dtype, batch, training):
+    def _step(norm_relu, dtype, batch):
         rng = np.random.default_rng(7)
         x = Tensor(3.0 + 2.0 * rng.standard_normal((batch, 5, 12, 13)),
                    requires_grad=True, dtype=dtype)
@@ -353,7 +343,7 @@ class TestBatchNormRelu:
         rvar = Tensor(4.0 + rng.random((1, 5, 1, 1)), dtype=dtype)
         proj = Tensor(rng.standard_normal(x.shape), dtype=dtype)
         with Tape() as tape:
-            out = norm_relu(x, gamma, beta, rmean, rvar, training)
+            out = norm_relu(x, gamma, beta, rmean, rvar)
             loss = ops.sum_all(ops.mul(out, proj))
         backward(loss, tape)
         return {"out": out.data, "dx": x.grad, "dgamma": gamma.grad, "dbeta": beta.grad,
@@ -361,14 +351,13 @@ class TestBatchNormRelu:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("batch", [1, 2])
-    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("training", [True])  # the reference's batch statistics
     def test_matches_the_unfused_chain(self, dtype, batch, training):
         fused = self._step(
-            lambda x, g, b, m, v, t: ops.batch_norm(x, g, b, m, v, training=t, relu=True),
-            dtype, batch, training)
+            lambda x, g, b, m, v: ops.batch_norm(x, g, b, m, v, relu=True), dtype, batch)
         unfused = self._step(
-            lambda x, g, b, m, v, t: ops.relu(batch_norm_reference(x, g, b, m, v, t)),
-            dtype, batch, training)
+            lambda x, g, b, m, v: ops.relu(batch_norm_reference(x, g, b, m, v, training)),
+            dtype, batch)
         clipped = np.mean(unfused["out"] == 0)
         assert 0.2 < clipped < 0.8  # the ReLU is exercised both ways
         for key, ref in unfused.items():
@@ -386,7 +375,7 @@ class TestBatchNormRelu:
         with Tape() as tape:
             tracemalloc.start()
             try:
-                out = ops.batch_norm(x, gamma, beta, rmean, rvar, training=True, relu=True)
+                out = ops.batch_norm(x, gamma, beta, rmean, rvar, relu=True)
                 kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -404,8 +393,14 @@ class TestBatchNormRelu:
             out = ops.batch_norm(x, gamma, beta, rmean, rvar, relu=True)
             loss = ops.sum_all(out)
         backward(loss, tape)
-        expected = np.where(out.data > 0, 1.0 / np.sqrt(1.0 + 1e-5), 0.0)
-        np.testing.assert_allclose(x.grad, expected, rtol=1e-15, atol=0)
+        fused, x.grad = x.grad, None
+        # The clipped outputs pass no gradient: the norm alone, with the
+        # output gradient zeroed where the ReLU clipped, gives the same dx.
+        kept = Tensor((out.data > 0).astype(np.float64), dtype=HIGH)
+        with Tape() as tape:
+            loss = ops.sum_all(ops.mul(ops.batch_norm(x, gamma, beta, rmean, rvar), kept))
+        backward(loss, tape)
+        np.testing.assert_allclose(fused, x.grad, rtol=1e-15, atol=0)
 
 
 class TestRelu:
