@@ -90,15 +90,16 @@ class ResourceReport:
 
     Conventions: 1 multiply-accumulate = 2 flops; the conv figures cover
     kernel MACs only, while bias, normalization, activation, pooling, and
-    resampling costs are collected separately under ``aux_flops``
-    (bias 1, norm 4, relu 1 flop per output element; pooling 1 per input
-    element; bilinear 8 per output element). ``matching_per_level`` counts
-    the convs each disparity level runs and ``matching_per_volume`` the
-    feature-pair convs run once per cost volume; ``total`` is every conv of
-    one forward pass. ``peak_elements["matching_batch"]`` counts the
-    elements of the matching-net input of one batch of levels,
-    ``levels_per_batch`` (see :func:`model.levels_per_batch`) pairs of
-    (H/3)(W/3) maps with 2F channels each.
+    resampling costs are collected separately under ``aux_flops`` (bias 1
+    where the folded layer adds one, norm 4, relu 1 flop per output
+    element; pooling 1 per input element; bilinear 8 per output element).
+    ``matching_per_level`` counts the convs each disparity level runs and
+    ``matching_per_volume`` the feature-pair convs run once per cost
+    volume; ``total`` is every conv of one forward pass.
+    ``peak_elements["matching_batch"]`` counts the elements of the
+    matching-net input of one batch of levels, ``levels_per_batch`` (see
+    :func:`model.levels_per_batch`) pairs of (H/3)(W/3) maps with 2F
+    channels each.
     """
 
     height: int
@@ -146,7 +147,8 @@ def _section_cost(specs: list[ConvSpec], sizes: dict[str, tuple[int, int]]):
         oh, ow = sizes[s.name]
         conv_total += conv_flops(s.k, s.cin, s.cout, oh, ow)
         elements = s.cout * oh * ow
-        aux_total += elements  # bias add
+        if s.bias:  # added by the folded conv, also for a normed layer
+            aux_total += elements
         if s.norm:
             aux_total += 4 * elements
         if s.act:

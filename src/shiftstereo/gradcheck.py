@@ -211,9 +211,11 @@ def op_cases() -> list[CheckCase]:
         _conv_case("conv2d_s2_p1_odd_batch2", 2, 1, 1, in_shape=(2, 2, 7, 9)),
         _conv_case("conv2d_s3_d2_p0", 3, 2, 0, in_shape=(1, 2, 11, 10)),
         _conv_case("conv2d_cin1_s3_p1_uneven", 3, 1, 1, in_shape=(1, 1, 10, 8), cout=4),
-        # cin=4 copies all 9 taps for one GEMM; cin=33 runs one per kernel row
+        # cin=4 copies all 9 taps for one GEMM; cin=33 to cout=2 runs kn2row,
+        # and so does the dX of cin=3 to cout=32
         _conv_case("conv2d_cin4_split_groups", 1, 1, 1, in_shape=(1, 4, 5, 6), cout=2),
         _conv_case("conv2d_cin33_one_tap_groups", 1, 1, 1, in_shape=(1, 33, 4, 5), cout=2),
+        _conv_case("conv2d_cin3_cout32_kn2row_dx", 1, 1, 1, in_shape=(1, 3, 5, 6), cout=32),
         # padding above dilation*(k-1): the outer output rows and columns
         # read only zeros, and dX drops their gradient
         _conv_case("conv2d_s1_d1_p2_overpad", 1, 1, 2, in_shape=(1, 2, 5, 6)),

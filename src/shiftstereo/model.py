@@ -121,7 +121,12 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class ConvSpec:
-    """One convolution layer plus its optional normalization/activation."""
+    """One convolution layer plus its optional normalization/activation.
+
+    ``bias`` is whether the layer adds a bias once its norm, if any, is
+    folded into it; only ``matching.out``, whose bias the softmax over
+    levels cancels, has none.
+    """
 
     name: str
     cin: int
@@ -133,6 +138,7 @@ class ConvSpec:
     norm: bool = True
     act: bool = True
     zero_init: bool = False
+    bias: bool = True
 
 
 def feature_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
@@ -172,7 +178,8 @@ def matching_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
     for i, (skip, out_ch) in enumerate(zip(skips, outs), 1):
         specs.append(ConvSpec(f"matching.dec{i}", prev + skip, out_ch, 3, padding=1))
         prev = out_ch
-    specs.append(ConvSpec("matching.out", m[0], 1, 3, padding=1, norm=False, act=False))
+    specs.append(ConvSpec("matching.out", m[0], 1, 3, padding=1, norm=False, act=False,
+                          bias=False))
     return specs
 
 
@@ -211,7 +218,7 @@ def weight_shapes(config: ModelConfig) -> tuple[dict[str, tuple], dict[str, tupl
         if s.norm:
             params[s.name + ".gamma"] = params[s.name + ".beta"] = channel
             buffers[s.name + ".mean"] = buffers[s.name + ".var"] = channel
-        elif s.name != "matching.out":  # the softmax over levels cancels its bias
+        elif s.bias:
             params[s.name + ".b"] = channel
     return params, buffers
 

@@ -1,18 +1,22 @@
 """Forward kernels and their exact reverse-mode gradients.
 
-Convolutions run one GEMM per kernel row. The input is copied once per
-kernel column, shifted by that column and cut to the output width, so a
-kernel row's taps form one (KW*Cin, rows*OW) matrix that BLAS reads in
-place, and the output is the sum of the kernel rows' products in a fixed
-order. Layers with few input channels copy every tap instead and run one
-GEMM. The copies are built one strip of output rows at a time. Backward
-rebuilds them from the input for the weight gradient rather than keeping
-them on the tape, and computes the input gradient as a convolution of
-the output gradient with the flipped kernel, by the same code. Bilinear
-resampling is a pair of small interpolation-matrix matmuls, so its
-backward is the exact transpose map. All reductions use a fixed order,
-which keeps repeated runs bit-identical, and a batch item's result does
-not depend on the rest of the batch.
+A convolution is lowered by its shape. At stride 1, a layer whose output
+is narrow (KH*Cout < Cin) runs kn2row: one GEMM multiplies every tap's
+weights with the unshifted input, and the taps' maps are shifted into a
+zeroed output and summed in kernel order. Every other layer runs one GEMM
+per kernel row. The input is copied once per kernel column, shifted by
+that column and cut to the output width, so a kernel row's taps form one
+(KW*Cin, rows*OW) matrix that BLAS reads in place, and the output is the
+sum of the kernel rows' products in a fixed order. Layers with few input
+channels copy every tap instead and run one GEMM. The copies are built one
+strip of output rows at a time, sized to stay in cache. Backward rebuilds
+them from the input for the weight gradient rather than keeping them on
+the tape, and computes the input gradient as a convolution of the output
+gradient with the flipped kernel, by the same code, so its lowering too
+follows its shape. Bilinear resampling is a pair of small
+interpolation-matrix matmuls, so its backward is the exact transpose map.
+All reductions use a fixed order, which keeps repeated runs bit-identical,
+and a batch item's result does not depend on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -114,9 +118,14 @@ _MIN_GEMM_K = 32
 # copies hold at most _STRIP_INPUT_RATIO times the elements of one batch
 # item's input, or _MIN_STRIP_ELEMENTS (1 MiB of float32) where that is
 # more: maps that small set no memory peak, and splitting them costs more
-# in per-strip calls than it saves.
+# in per-strip calls than it saves. They never hold more than
+# _MAX_STRIP_ELEMENTS (4 MiB of float32, two cores' 2 MiB L2 caches), so
+# that the GEMMs of a full-resolution layer read their operand from cache;
+# an input of at most 2^19 elements (32 channels at 128x128) keeps the
+# partition the ratio gives it.
 _STRIP_INPUT_RATIO = 2
 _MIN_STRIP_ELEMENTS = 1 << 18
+_MAX_STRIP_ELEMENTS = 1 << 20
 
 
 def _row_strips(oh: int, row_elements: int, halo: int,
@@ -129,7 +138,8 @@ def _row_strips(oh: int, row_elements: int, halo: int,
     batch items and blocks of stacked weights must stay bit-identical to
     convolving them alone.
     """
-    budget = max(_STRIP_INPUT_RATIO * input_elements, _MIN_STRIP_ELEMENTS)
+    budget = min(max(_STRIP_INPUT_RATIO * input_elements, _MIN_STRIP_ELEMENTS),
+                 _MAX_STRIP_ELEMENTS)
     fit = max(1, int(budget // row_elements) - halo)
     rows = -(-oh // -(-oh // fit))
     return [(r0, min(rows, oh - r0)) for r0 in range(0, oh, rows)]
@@ -189,6 +199,27 @@ def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: 
                            for r in gemm_rows]
 
 
+def _kn2row(x: np.ndarray, weight: np.ndarray, oh: int, ow: int, dilation: int,
+            padding: int, bias: np.ndarray | None) -> np.ndarray:
+    """The stride-1 forward kernel for narrow outputs: one GEMM of every
+    tap's weights with the unshifted input, then the taps' Cout-channel
+    maps shifted into a zeroed output and added in kernel order, and the
+    bias last."""
+    b, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
+    w_taps = weight.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
+    maps = np.matmul(w_taps, x.reshape(b, cin, h * w)).reshape(b, kh, kw, cout, h, w)
+    out = np.zeros((b, cout, oh, ow), dtype=x.dtype)
+    for ki in range(kh):
+        i0, i1, rows = _in_range(oh, ki * dilation - padding, 1, h)
+        for kj in range(kw):
+            j0, j1, cols = _in_range(ow, kj * dilation - padding, 1, w)
+            out[:, :, i0:i1, j0:j1] += maps[:, ki, kj, :, rows, cols]
+    if bias is not None:
+        out += bias.reshape(1, cout, 1, 1)
+    return out
+
+
 def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
                padding: int, bias: np.ndarray | None = None) -> np.ndarray:
     """The forward kernel of :func:`conv2d` on arrays."""
@@ -196,6 +227,8 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
     cout, cin, kh, kw = weight.shape
     oh = conv_out_extent(h, kh, stride, dilation, padding)
     ow = conv_out_extent(w, kw, stride, dilation, padding)
+    if stride == 1 and kh * cout < cin:
+        return _kn2row(x, weight, oh, ow, dilation, padding, bias)
     w_taps = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     out = None
     for r0, n_rows, windows in _kernel_row_windows(x, kh, kw, stride, dilation, padding):
@@ -241,24 +274,34 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, dilation: int = 1, padding: int = 0) -> Tensor:
     """Cross-correlation of x (B,Cin,H,W) with weight (Cout,Cin,KH,KW).
 
-    The output is computed one strip of output rows at a time. For the
-    strip that starts at output row ``r0``, the input is copied once per
-    kernel column into ``buf[a, b, kj, c, i, j] = xpad[b, c, (r0 + i)*stride
-    + a, j*stride + kj*dilation]``, where ``xpad`` is x zero-padded and
-    ``a`` a row phase. Each copy is exactly ``ow`` wide. Kernel row ki
-    reads, in place, the (KW*Cin, rows*ow) window of phase ``(ki*dilation)
-    % stride`` that starts at row ``(ki*dilation) // stride``. The strip's
-    output is the sum over kernel rows, in order, of ``weight[:, :, ki, :]
-    @ window``: the first product is written into the output, the others
-    pass through a strip-sized scratch, and the bias is added last. Where
-    KW*Cin is below ``_MIN_GEMM_K`` the copies take every tap, and one GEMM
-    covers the kernel.
+    The lowering follows the layer's shape. At stride 1 with ``KH*Cout <
+    Cin`` (a narrow output, such as a Cout-1 layer or a 1x1 conv that
+    shrinks its channels), kn2row runs: one (KH*KW*Cout, Cin) GEMM per batch
+    item over the unshifted input gives every tap's Cout-channel map, and
+    the output, zeroed, adds the maps in kernel order, each shifted by its
+    tap's offset and cut where it reads padding. The bias is added last.
+
+    Every other layer is computed one strip of output rows at a time. For
+    the strip that starts at output row ``r0``, the input is copied once
+    per kernel column into ``buf[a, b, kj, c, i, j] = xpad[b, c, (r0 +
+    i)*stride + a, j*stride + kj*dilation]``, where ``xpad`` is x
+    zero-padded and ``a`` a row phase. Each copy is exactly ``ow`` wide.
+    Kernel row ki reads, in place, the (KW*Cin, rows*ow) window of phase
+    ``(ki*dilation) % stride`` that starts at row ``(ki*dilation) //
+    stride``. The strip's output is the sum over kernel rows, in order, of
+    ``weight[:, :, ki, :] @ window``: the first product is written into the
+    output, the others pass through a strip-sized scratch, and the bias is
+    added last. Where KW*Cin is below ``_MIN_GEMM_K`` the copies take every
+    tap, and one GEMM covers the kernel.
 
     A strip's copies hold at most ``_STRIP_INPUT_RATIO`` times the elements
-    of one batch item's input (or ``_MIN_STRIP_ELEMENTS``), and the strips
-    are equal. The partition depends on the input extents and the kernel
-    only, never on Cout or the batch size, so a batch item comes out
-    bit-identical to convolving it alone.
+    of one batch item's input (or ``_MIN_STRIP_ELEMENTS``), and never more
+    than ``_MAX_STRIP_ELEMENTS``; the strips are equal. The partition
+    depends on the input extents and the kernel only, never on Cout or the
+    batch size, and either lowering runs one GEMM per batch item, so a
+    batch item comes out bit-identical to convolving it alone. Which
+    lowering runs does depend on Cout, so a block of output channels that
+    takes the other lowering than the whole may round differently.
 
     Backward rebuilds the copies strip by strip from x and runs one dW
     GEMM per kernel row; the tape keeps no copy of the input. dX is itself
@@ -268,6 +311,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     stride 1, with a square kernel and ``padding <= dilation*(k-1)``, that
     grid is the gradient zero-padded by ``dilation*(k-1) - padding`` on
     every side, so the gradient is convolved directly with that padding.
+    That convolution picks its lowering by its own shape, so a layer with
+    ``KH*Cin < Cout``, such as an image-reading head, gets its dX by kn2row.
     dX is not computed when x does not require a gradient.
     """
     if stride < 1 or dilation < 1 or padding < 0:

@@ -10,7 +10,7 @@ from conftest import (avg_pool_reference, avg_pool_strided_reference, batch_norm
                       conv2d_reference, resize_matrix_reference)
 from shiftstereo import ops
 from shiftstereo.errors import ShapeError
-from shiftstereo.gradcheck import _conv_case, run_case
+from shiftstereo.gradcheck import _conv_case, op_cases, run_case
 from shiftstereo.tensor import HIGH, Tape, Tensor, backward
 
 
@@ -227,9 +227,11 @@ class TestConvStrips:
     @pytest.mark.parametrize("stride, dilation, padding, cin, k", STRIP_GEOMETRIES)
     def test_matches_loop_oracle(self, rng, monkeypatch, stride, dilation, padding, cin, k):
         seen = _split_into_strips(monkeypatch)
+        # At stride 1, KH*Cout < Cin would take kn2row instead of strips.
+        cout = 4 if stride > 1 or k * 4 >= cin else cin
         x = rng.standard_normal((2, cin, 13, 18))
-        w = rng.standard_normal((4, cin, k, k))
-        b = rng.standard_normal((1, 4, 1, 1))
+        w = rng.standard_normal((cout, cin, k, k))
+        b = rng.standard_normal((1, cout, 1, 1))
         kw = dict(stride=stride, dilation=dilation, padding=padding)
         out = ops.conv2d(Tensor(x, dtype=HIGH), Tensor(w, dtype=HIGH), Tensor(b, dtype=HIGH),
                          **kw)
@@ -241,11 +243,107 @@ class TestConvStrips:
     def test_gradients_match_finite_differences(self, monkeypatch, stride, dilation,
                                                 padding, cin):
         seen = _split_into_strips(monkeypatch)
+        # Cout 4 keeps the forward of the stride-1 cin-11 case on strips.
         case = _conv_case(f"strips_s{stride}_d{dilation}_c{cin}", stride, dilation, padding,
-                          in_shape=(2, cin, 6, 7))
+                          in_shape=(2, cin, 6, 7), cout=4)
         for result in run_case(case):
             assert result.passed, (result.param, result.max_rel_err)
         assert all(len(strips) >= 2 for strips in seen)
+
+    @pytest.mark.parametrize("h, w, dilation, n_strips",
+                             [(144, 240, 1, 4), (144, 240, 8, 5), (96, 96, 1, 2), (96, 96, 8, 2)])
+    def test_strip_copies_fit_the_cap(self, rng, monkeypatch, h, w, dilation, n_strips):
+        """A full-resolution refine conv's strip copies hold at most 2^20
+        elements; a 96x96 map keeps the two strips its ratio gives it."""
+        seen = []
+        row_strips = ops._row_strips
+
+        def recording(oh, row_elements, halo, input_elements):
+            strips = row_strips(oh, row_elements, halo, input_elements)
+            seen.append((len(strips), (strips[0][1] + halo) * row_elements))
+            return strips
+
+        monkeypatch.setattr(ops, "_row_strips", recording)
+        x = rng.standard_normal((1, 32, h, w)).astype(np.float32)
+        wgt = rng.standard_normal((32, 32, 3, 3)).astype(np.float32)
+        ops.conv2d(Tensor(x), Tensor(wgt), dilation=dilation, padding=dilation)
+        [(n, copies)] = seen
+        assert n == n_strips and copies <= 1 << 20
+
+
+# (cin, cout, kernel, dilation, padding), stride 1 with KH*Cout < Cin:
+# matching.out and refine.out (Cout 1), feature.out (1x1), and dilation 2
+# at padding 0, 1 and 2.
+KN2ROW_GEOMETRIES = [(32, 1, 3, 1, 1), (48, 16, 1, 1, 0), (8, 5, 1, 1, 1),
+                     (16, 5, 3, 2, 2), (16, 3, 3, 2, 1), (16, 3, 3, 2, 0)]
+
+
+def _record_kn2row(monkeypatch):
+    """Count conv2d's kn2row calls; returns the list of their weight shapes."""
+    calls = []
+    kn2row = ops._kn2row
+
+    def recording(x, weight, *args):
+        calls.append(weight.shape)
+        return kn2row(x, weight, *args)
+
+    monkeypatch.setattr(ops, "_kn2row", recording)
+    return calls
+
+
+class TestKn2row:
+    """conv2d's lowering for narrow outputs at stride 1."""
+
+    @pytest.mark.parametrize("cin, cout, k, dilation, padding", KN2ROW_GEOMETRIES)
+    def test_matches_loop_oracle(self, rng, monkeypatch, cin, cout, k, dilation, padding):
+        calls = _record_kn2row(monkeypatch)
+        x = rng.standard_normal((2, cin, 13, 18))
+        w = rng.standard_normal((cout, cin, k, k))
+        b = rng.standard_normal((1, cout, 1, 1))
+        kw = dict(dilation=dilation, padding=padding)
+        out = ops.conv2d(Tensor(x, dtype=HIGH), Tensor(w, dtype=HIGH), Tensor(b, dtype=HIGH),
+                         **kw)
+        assert calls == [w.shape]
+        np.testing.assert_allclose(out.data, conv2d_reference(x, w, b, **kw), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("cin, cout, k, dilation, padding", KN2ROW_GEOMETRIES)
+    def test_batch_items_bit_identical_to_single_items(self, rng, monkeypatch, cin, cout,
+                                                       k, dilation, padding):
+        calls = _record_kn2row(monkeypatch)
+        x = rng.standard_normal((5, cin, 13, 18)).astype(np.float32)
+        w = Tensor(rng.standard_normal((cout, cin, k, k)).astype(np.float32))
+        b = Tensor(rng.standard_normal((1, cout, 1, 1)).astype(np.float32))
+        kw = dict(dilation=dilation, padding=padding)
+        batched = ops.conv2d(Tensor(x), w, b, **kw).data
+        for i in range(5):
+            alone = ops.conv2d(Tensor(x[i:i + 1]), w, b, **kw).data
+            assert np.array_equal(batched[i:i + 1], alone)
+        assert len(calls) == 6
+
+    def test_wide_output_input_grads_bit_identical_to_single_items(self, rng, monkeypatch):
+        """dX of a Cin-3, Cout-32 conv, like refine.head's, is a 32 -> 3
+        convolution and takes kn2row."""
+        calls = _record_kn2row(monkeypatch)
+        x = rng.standard_normal((5, 3, 13, 18)).astype(np.float32)
+        w = Tensor(rng.standard_normal((32, 3, 3, 3)).astype(np.float32))
+
+        def dx_of(xs, g):
+            with Tape() as tape:
+                ops.conv2d(Tensor(xs, requires_grad=True), w, padding=1)
+            return tape.nodes[0].grad_fn(g)[0]
+
+        g = rng.standard_normal((5, 32, 13, 18)).astype(np.float32)
+        batched = dx_of(x, g)
+        for i in range(5):
+            assert np.array_equal(batched[i:i + 1], dx_of(x[i:i + 1], g[i:i + 1]))
+        assert calls == [(3, 32, 3, 3)] * 6
+
+    def test_wide_output_gradients_match_finite_differences(self, monkeypatch):
+        calls = _record_kn2row(monkeypatch)
+        [case] = [c for c in op_cases() if c.name == "conv2d_cin3_cout32_kn2row_dx"]
+        for result in run_case(case):
+            assert result.passed, (result.param, result.max_rel_err)
+        assert (3, 32, 3, 3) in calls
 
 
 class TestBatchNorm:
