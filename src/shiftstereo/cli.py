@@ -182,8 +182,11 @@ def cmd_infer(args) -> int:
         if not os.path.isfile(path):
             return _fail(f"no such file: {path}")
     try:
+        # Only the folded weights run; the checkpoint's raw arrays are
+        # dropped before the forward pass.
         ckpt = load_checkpoint(args.ckpt)
-        weights = load_weights(ckpt)
+        config, weights = ckpt.config, load_weights(ckpt).folded()
+        del ckpt
         left = Tensor(normalize_image(read_pnm(args.left))[None])
         right = Tensor(normalize_image(read_pnm(args.right))[None])
     except (CheckpointError, ParseError) as e:
@@ -191,7 +194,7 @@ def cmd_infer(args) -> int:
     if left.shape != right.shape:
         return _fail(f"image extents differ: {left.shape[2:]} vs {right.shape[2:]}")
     try:
-        out = forward_tensors(left, right, weights, ckpt.config)
+        out = forward_tensors(left, right, weights, config)
     except ShapeError as e:
         return _fail(str(e))
     refined = out["refined"].data[0, 0]

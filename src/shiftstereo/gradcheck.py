@@ -139,23 +139,37 @@ def _seed(name: str) -> int:
     return zlib.crc32(name.encode())
 
 
-def _conv_case(name, stride, dilation, padding, in_shape=(1, 2, 6, 6), cout=3, k=3):
+def _residual_leaf(rng, out: np.ndarray) -> Tensor:
+    """A residual for ``out`` whose sum with it keeps 0.05 from the ReLU's
+    kink, so that no finite-difference step crosses it."""
+    r = rng.standard_normal(out.shape)
+    r += np.where(np.abs(out + r) < 0.05, 0.3, 0.0)
+    return Tensor(r, requires_grad=True, dtype=HIGH)
+
+
+def _conv_case(name, stride, dilation, padding, in_shape=(1, 2, 6, 6), cout=3, k=3,
+               fused=False):
+    """conv2d with a bias; ``fused`` adds a residual and the ReLU."""
     def build():
         rng = np.random.default_rng(_seed(name))
         x = _leaf(rng, in_shape)
         w = _leaf(rng, (cout, in_shape[1], k, k), scale=0.5)
         b = _leaf(rng, (1, cout, 1, 1), scale=0.1)
+        geometry = dict(stride=stride, dilation=dilation, padding=padding)
+        leaves = {"x": x, "w": w, "b": b}
+        if fused:
+            leaves["residual"] = _residual_leaf(rng, ops.conv2d(x, w, b, **geometry).data)
 
         def loss():
-            out = ops.conv2d(x, w, b, stride=stride, dilation=dilation, padding=padding)
+            out = ops.conv2d(x, w, b, residual=leaves.get("residual"), relu=fused, **geometry)
             return _projected_sum(out, np.random.default_rng(7))
 
-        return {"x": x, "w": w, "b": b}, loss
+        return leaves, loss
 
     return CheckCase(name, build)
 
 
-def _bn_case(name, batch=2, relu=False):
+def _bn_case(name, batch=2, relu=False, residual=False):
     def build():
         rng = np.random.default_rng(11)
         x = _leaf(rng, (batch, 3, 4, 5))
@@ -164,12 +178,18 @@ def _bn_case(name, batch=2, relu=False):
         beta = _leaf(rng, (1, 3, 1, 1), scale=0.1)
         rmean = Tensor(rng.standard_normal((1, 3, 1, 1)) * 0.2, dtype=HIGH)
         rvar = Tensor(1.0 + 0.2 * rng.random((1, 3, 1, 1)), dtype=HIGH)
+        leaves = {"x": x, "gamma": gamma, "beta": beta}
+        if residual:
+            normed = ops.batch_norm(x, gamma, beta, Tensor(rmean.data.copy()),
+                                    Tensor(rvar.data.copy()))
+            leaves["residual"] = _residual_leaf(rng, normed.data)
 
         def loss():
-            out = ops.batch_norm(x, gamma, beta, rmean, rvar, relu=relu)
+            out = ops.batch_norm(x, gamma, beta, rmean, rvar, relu=relu,
+                                 residual=leaves.get("residual"))
             return _projected_sum(out, np.random.default_rng(8))
 
-        return {"x": x, "gamma": gamma, "beta": beta}, loss
+        return leaves, loss
 
     return CheckCase(name, build)
 
@@ -223,10 +243,18 @@ def op_cases() -> list[CheckCase]:
         # the last input row and column are read by no output (dX is 0 there)
         _conv_case("conv2d_s2_unread_edge", 2, 1, 0, in_shape=(1, 2, 8, 8)),
         _conv_case("conv2d_s3_unread_edge", 3, 1, 0, in_shape=(2, 2, 10, 10), cout=2),
+        # the epilogue: bias, residual and ReLU, on each strip (one GEMM per
+        # kernel row, dilated like a refine block) and on kn2row's output
+        _conv_case("conv2d_bias_residual_relu", 1, 2, 2, in_shape=(1, 12, 5, 6), cout=4,
+                   fused=True),
+        _conv_case("conv2d_bias_residual_relu_kn2row", 1, 1, 1, in_shape=(1, 4, 5, 6),
+                   cout=1, fused=True),
         _bn_case("batch_norm_train", batch=1),
         _bn_case("batch_norm_train_per_sample"),
         _bn_case("batch_norm_relu_train", batch=1, relu=True),
         _bn_case("batch_norm_relu_train_per_sample", relu=True),
+        _bn_case("batch_norm_residual_relu_train", batch=1, relu=True, residual=True),
+        _bn_case("batch_norm_residual_relu_train_per_sample", relu=True, residual=True),
         _unary_case("relu", ops.relu),
         _unary_case("smooth_l1", ops.smooth_l1),
         _unary_case("softmax_axis1", lambda x: ops.softmax(x, axis=1)),

@@ -31,7 +31,16 @@ own statistics that also applies the layer's ReLU (:func:`ops.batch_norm`).
 With folded weights (:meth:`ModelWeights.folded`), which an inference pass
 of :func:`forward_tensors` builds once per call, the norm's running
 statistics and affine are folded into the conv's weights and bias, so the
-layer is one conv and one ReLU.
+layer is one conv that also applies the ReLU.
+
+A refinement block is two dilated 3x3 layers and a skip: ``x' = relu(x +
+conv2(conv1(x)))``, where conv2 has its norm but no ReLU of its own. The
+skip's sum and ReLU run inside the op that makes conv2's output: its norm
+with raw weights, its conv with folded ones (``residual=`` of
+:func:`ops.batch_norm` and :func:`ops.conv2d`), so the skip writes no map
+and records no tape node of its own. In a folded pass only the sums of
+pair terms in ``matching.enc1`` / ``matching.dec4`` and refine's final
+clamp still run :func:`ops.relu`.
 """
 
 from __future__ import annotations
@@ -284,7 +293,8 @@ class ModelWeights:
         scale``, computed in the weights' own dtype with the epsilon of
         :func:`ops.batch_norm`. Its spec then carries ``norm=False``, so a
         conv and its norm become one conv. Layers without a norm share
-        their tensors with ``self``; nothing of ``self`` is modified. The
+        their tensors with ``self``, so folding folded weights copies
+        nothing; nothing of ``self`` is modified. The
         result has a ``"<layer>.w"`` for every layer, a ``"<layer>.b"`` for
         every layer but ``matching.out``, and no buffers.
         """
@@ -311,7 +321,9 @@ class ModelWeights:
 
 
 def _norm_act(out: Tensor, name: str, weights: ModelWeights) -> Tensor:
-    """The norm and activation that follow layer ``name``'s convolution."""
+    """The norm and activation that follow layer ``name``'s sum of
+    convolutions (``matching.enc1`` / ``matching.dec4``, whose pair terms
+    are summed outside any conv)."""
     spec = weights.specs[name]
     if spec.norm:
         return ops.batch_norm(out, weights.params[name + ".gamma"],
@@ -321,11 +333,23 @@ def _norm_act(out: Tensor, name: str, weights: ModelWeights) -> Tensor:
     return ops.relu(out) if spec.act else out
 
 
-def _block(x: Tensor, name: str, weights: ModelWeights) -> Tensor:
+def _block(x: Tensor, name: str, weights: ModelWeights,
+           residual: Tensor | None = None) -> Tensor:
+    """Layer ``name`` on x; with a residual, ``relu(layer(x) + residual)``.
+
+    The epilogue, the residual and the ReLU, runs inside the op that makes
+    the layer's output: the norm with raw weights, the conv with folded ones.
+    """
     spec = weights.specs[name]
-    out = ops.conv2d(x, weights.params[name + ".w"], weights.params.get(name + ".b"),
-                     stride=spec.stride, dilation=spec.dilation, padding=spec.padding)
-    return _norm_act(out, name, weights)
+    relu = spec.act or residual is not None
+    p, buffers = weights.params, weights.buffers
+    geometry = dict(stride=spec.stride, dilation=spec.dilation, padding=spec.padding)
+    if not spec.norm:
+        return ops.conv2d(x, p[name + ".w"], p.get(name + ".b"), residual=residual,
+                          relu=relu, **geometry)
+    return ops.batch_norm(ops.conv2d(x, p[name + ".w"], **geometry), p[name + ".gamma"],
+                          p[name + ".beta"], buffers[name + ".mean"], buffers[name + ".var"],
+                          relu=relu, residual=residual)
 
 
 # The smallest inputs the model runs on: feature.down reads a 9x9 image,
@@ -631,8 +655,7 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
     x = _block(x, "refine.head", weights)
     for i in range(1, len(cfg.refine_blocks) + 1):
         y = _block(x, f"refine.block{i}.conv1", weights)
-        y = _block(y, f"refine.block{i}.conv2", weights)
-        x = ops.relu(ops.add(x, y))
+        x = _block(y, f"refine.block{i}.conv2", weights, residual=x)
     residual = ops.conv2d(x, weights.params["refine.out.w"],
                           weights.params["refine.out.b"], padding=1)
     return ops.relu(ops.add(disp, residual))
@@ -649,7 +672,9 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
 
     With ``training=False`` the batch norms are folded into their convs
     once per call (:meth:`ModelWeights.folded`), also under a tape, and
-    every stage runs on the folded copy; ``weights`` is not modified. With
+    every stage runs on the folded copy; ``weights`` is not modified.
+    Weights that are folded already are shared, not copied, so callers
+    that run many passes fold once themselves. With
     ``training=True`` the stages run on ``weights`` itself: each norm
     normalizes every batch item by its own statistics, moves the running
     statistics, and passes gradients to gamma and beta.

@@ -13,10 +13,21 @@ strip of output rows at a time, sized to stay in cache. Backward rebuilds
 them from the input for the weight gradient rather than keeping them on
 the tape, and computes the input gradient as a convolution of the output
 gradient with the flipped kernel, by the same code, so its lowering too
-follows its shape. Bilinear resampling is a pair of small
-interpolation-matrix matmuls, so its backward is the exact transpose map.
-All reductions use a fixed order, which keeps repeated runs bit-identical,
-and a batch item's result does not depend on the rest of the batch.
+follows its shape.
+
+A layer's epilogue runs inside the op that makes its output: a conv adds
+its bias, then an optional residual, then clamps at 0, on each strip of
+output rows while the strip is in cache (kn2row does it once, on the
+whole output), and a norm adds the residual after its affine transform
+and before its ReLU. A layer thus costs one output map and one tape node.
+Float addition of two terms commutes, so the fused op is bit-identical
+to ``relu(add(residual, op(x)))``; its backward masks the output gradient
+by ``out > 0`` and passes that masked gradient to the residual.
+
+Bilinear resampling is a pair of small interpolation-matrix matmuls, so
+its backward is the exact transpose map. All reductions use a fixed
+order, which keeps repeated runs bit-identical, and a batch item's result
+does not depend on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -199,12 +210,25 @@ def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: 
                            for r in gemm_rows]
 
 
+def _epilogue(dst: np.ndarray, bias: np.ndarray | None, residual: np.ndarray | None,
+              relu: bool) -> None:
+    """Add the bias, then the residual, then clamp at 0, in place on the
+    (B, Cout, N) output block ``dst``; ``residual`` is the same block."""
+    if bias is not None:
+        dst += bias.reshape(1, -1, 1)
+    if residual is not None:
+        dst += residual
+    if relu:
+        np.maximum(dst, 0, out=dst)
+
+
 def _kn2row(x: np.ndarray, weight: np.ndarray, oh: int, ow: int, dilation: int,
-            padding: int, bias: np.ndarray | None) -> np.ndarray:
+            padding: int, bias: np.ndarray | None, residual: np.ndarray | None,
+            relu: bool) -> np.ndarray:
     """The stride-1 forward kernel for narrow outputs: one GEMM of every
     tap's weights with the unshifted input, then the taps' Cout-channel
     maps shifted into a zeroed output and added in kernel order, and the
-    bias last."""
+    epilogue last, on the whole output."""
     b, cin, h, w = x.shape
     cout, _, kh, kw = weight.shape
     w_taps = weight.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
@@ -215,20 +239,22 @@ def _kn2row(x: np.ndarray, weight: np.ndarray, oh: int, ow: int, dilation: int,
         for kj in range(kw):
             j0, j1, cols = _in_range(ow, kj * dilation - padding, 1, w)
             out[:, :, i0:i1, j0:j1] += maps[:, ki, kj, :, rows, cols]
-    if bias is not None:
-        out += bias.reshape(1, cout, 1, 1)
+    _epilogue(out.reshape(b, cout, oh * ow), bias, residual, relu)
     return out
 
 
 def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
-               padding: int, bias: np.ndarray | None = None) -> np.ndarray:
+               padding: int, bias: np.ndarray | None = None,
+               residual: np.ndarray | None = None, relu: bool = False) -> np.ndarray:
     """The forward kernel of :func:`conv2d` on arrays."""
     b, _, h, w = x.shape
     cout, cin, kh, kw = weight.shape
     oh = conv_out_extent(h, kh, stride, dilation, padding)
     ow = conv_out_extent(w, kw, stride, dilation, padding)
+    if residual is not None:
+        residual = residual.reshape(b, cout, oh * ow)
     if stride == 1 and kh * cout < cin:
-        return _kn2row(x, weight, oh, ow, dilation, padding, bias)
+        return _kn2row(x, weight, oh, ow, dilation, padding, bias, residual, relu)
     w_taps = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     out = None
     for r0, n_rows, windows in _kernel_row_windows(x, kh, kw, stride, dilation, padding):
@@ -246,8 +272,8 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
         np.matmul(w_taps[:, :k], windows[0], out=dst)
         for i, window in enumerate(windows[1:], 1):
             dst += np.matmul(w_taps[:, i * k:(i + 1) * k], window, out=part[:, :, :n])
-        if bias is not None:
-            dst += bias.reshape(1, cout, 1)
+        _epilogue(dst, bias, None if residual is None else residual[:, :, r0 * ow:r0 * ow + n],
+                  relu)
     return out.reshape(b, cout, oh, ow)
 
 
@@ -271,15 +297,19 @@ def _input_grad(g: np.ndarray, weight: np.ndarray, h: int, w: int,
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
-           stride: int = 1, dilation: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of x (B,Cin,H,W) with weight (Cout,Cin,KH,KW).
+           stride: int = 1, dilation: int = 1, padding: int = 0,
+           residual: Tensor | None = None, relu: bool = False) -> Tensor:
+    """Cross-correlation of x (B,Cin,H,W) with weight (Cout,Cin,KH,KW),
+    plus the bias, plus ``residual`` (B,Cout,OH,OW) where given, clamped at
+    0 with ``relu``: one op and one output map for the whole layer.
 
     The lowering follows the layer's shape. At stride 1 with ``KH*Cout <
     Cin`` (a narrow output, such as a Cout-1 layer or a 1x1 conv that
     shrinks its channels), kn2row runs: one (KH*KW*Cout, Cin) GEMM per batch
     item over the unshifted input gives every tap's Cout-channel map, and
     the output, zeroed, adds the maps in kernel order, each shifted by its
-    tap's offset and cut where it reads padding. The bias is added last.
+    tap's offset and cut where it reads padding. The epilogue (bias,
+    residual, ReLU) runs last, once on the whole output.
 
     Every other layer is computed one strip of output rows at a time. For
     the strip that starts at output row ``r0``, the input is copied once
@@ -290,9 +320,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     ``(ki*dilation) % stride`` that starts at row ``(ki*dilation) //
     stride``. The strip's output is the sum over kernel rows, in order, of
     ``weight[:, :, ki, :] @ window``: the first product is written into the
-    output, the others pass through a strip-sized scratch, and the bias is
-    added last. Where KW*Cin is below ``_MIN_GEMM_K`` the copies take every
-    tap, and one GEMM covers the kernel.
+    output, the others pass through a strip-sized scratch, and the epilogue
+    runs last, on the strip while it is in cache: the bias is added, then
+    the residual's rows of the strip, then the strip is clamped at 0. Where
+    KW*Cin is below ``_MIN_GEMM_K`` the copies take every tap, and one GEMM
+    covers the kernel.
 
     A strip's copies hold at most ``_STRIP_INPUT_RATIO`` times the elements
     of one batch item's input (or ``_MIN_STRIP_ELEMENTS``), and never more
@@ -313,7 +345,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     every side, so the gradient is convolved directly with that padding.
     That convolution picks its lowering by its own shape, so a layer with
     ``KH*Cin < Cout``, such as an image-reading head, gets its dX by kn2row.
-    dX is not computed when x does not require a gradient.
+    dX is not computed when x does not require a gradient. With ``relu``,
+    backward first masks the output gradient by ``out > 0``; the residual
+    receives that masked gradient, and dW, dX and the bias gradient are
+    computed from it. The tape's inputs are ``(x, weight[, bias][,
+    residual])``, the weight always second.
     """
     if stride < 1 or dilation < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride/dilation/padding ({stride}, {dilation}, {padding})")
@@ -328,13 +364,18 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: non-positive output extent ({oh}, {ow}) "
                          f"for input {h}x{w}, kernel {kh}x{kw}")
-    _same_dtype(*([x, weight] + ([bias] if bias is not None else [])))
+    if residual is not None and residual.shape != (b, cout, oh, ow):
+        raise ShapeError(f"conv2d: residual shape {residual.shape} != {(b, cout, oh, ow)}")
+    inputs = (x, weight) + tuple(t for t in (bias, residual) if t is not None)
+    _same_dtype(*inputs)
     out = Tensor(_correlate(x.data, weight.data, stride, dilation, padding,
-                            None if bias is None else bias.data))
-
-    inputs = (x, weight) if bias is None else (x, weight, bias)
+                            None if bias is None else bias.data,
+                            None if residual is None else residual.data, relu))
+    out_data = out.data
 
     def grad_fn(g):
+        if relu:
+            g = g * (out_data > 0)
         gflat = g.reshape(b, cout, oh * ow)
         dw = np.zeros((cout, kh * kw * cin), dtype=g.dtype)
         for r0, n_rows, windows in _kernel_row_windows(x.data, kh, kw, stride, dilation,
@@ -346,10 +387,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         dw = np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         dx = (_input_grad(g, weight.data, h, w, stride, dilation, padding)
               if x.requires_grad else None)
-        if bias is None:
-            return dx, dw
-        db = g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1)
-        return dx, dw, db
+        grads = (dx, dw)
+        if bias is not None:
+            grads += (g.sum(axis=(0, 2, 3)).reshape(1, cout, 1, 1),)
+        return grads if residual is None else grads + (g,)
 
     return record_op("conv2d", out, inputs, grad_fn)
 
@@ -365,8 +406,9 @@ BN_EPSILON = 1e-5
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
                running_mean: Tensor, running_var: Tensor, *,
-               relu: bool = False) -> Tensor:
-    """Channelwise normalization with learned scale/shift, then optionally a ReLU.
+               relu: bool = False, residual: Tensor | None = None) -> Tensor:
+    """Channelwise normalization with learned scale/shift, then optionally
+    a residual of x's shape added and a ReLU.
 
     Each batch item is normalized by its own statistics, over its spatial
     extent only, so no item depends on the rest of the batch (batched
@@ -376,19 +418,24 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     norm into its conv (``model.ModelWeights.folded``) does. The variance
     offset is ``BN_EPSILON``.
 
-    ``y = xhat * gamma + beta``, with ``relu=True`` clipped at 0 in place,
-    is one tape node that saves no activation-sized array: backward
-    recomputes ``xhat`` from the input and takes the ReLU mask from the
-    output, which the tape holds anyway. With ``k = gamma * inv``, and
-    ``S1 = sum(g)``, ``S2 = sum(g * xhat)`` per item and channel over its
-    ``n`` pixels, ``dx = k * (g - S1/n - xhat * S2/n)``.
+    ``y = xhat * gamma + beta``, plus ``residual`` where given, and with
+    ``relu=True`` clipped at 0 in place, is one tape node that saves no
+    activation-sized array: backward recomputes ``xhat`` from the input and
+    takes the ReLU mask from the output, which the tape holds anyway. The
+    result is bit-identical to ``relu(add(residual, batch_norm(x)))``, and
+    the residual receives the masked output gradient ``g``. With ``k =
+    gamma * inv``, and ``S1 = sum(g)``, ``S2 = sum(g * xhat)`` per item and
+    channel over its ``n`` pixels, ``dx = k * (g - S1/n - xhat * S2/n)``.
     """
     b, c, h, w = x.shape
     for name, t in (("gamma", gamma), ("beta", beta),
                     ("running_mean", running_mean), ("running_var", running_var)):
         if t.shape != (1, c, 1, 1):
             raise ShapeError(f"batch_norm: {name} shape {t.shape} != (1, {c}, 1, 1)")
-    dt = _same_dtype(x, gamma, beta)
+    if residual is not None:
+        _check_same_shape(x, residual, "batch_norm")
+    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    dt = _same_dtype(*inputs)
     eps = dt.type(BN_EPSILON)
     xd = x.data
     n = h * w
@@ -407,6 +454,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     y *= inv
     y *= gamma.data
     y += beta.data
+    if residual is not None:
+        y += residual.data
     if relu:
         np.maximum(y, 0, out=y)
     out = Tensor(y)
@@ -424,9 +473,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         dx += g
         dx -= s1 / n
         dx *= gdata * inv
-        return dx, s2.sum(axis=0, keepdims=True), s1.sum(axis=0, keepdims=True)
+        grads = (dx, s2.sum(axis=0, keepdims=True), s1.sum(axis=0, keepdims=True))
+        return grads if residual is None else grads + (g,)
 
-    return record_op("batch_norm", out, (x, gamma, beta), grad_fn)
+    return record_op("batch_norm", out, inputs, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -344,7 +344,11 @@ def _to_tensors(sample: StereoSample) -> tuple[Tensor, Tensor]:
 
 def validation_epe(samples: list[StereoSample], weights: ModelWeights,
                    config: ModelConfig) -> float:
-    """Pixel-weighted mean absolute error of the refined output."""
+    """Pixel-weighted mean absolute error of the refined output.
+
+    The norms are folded into their convs once for the whole pass.
+    """
+    weights = weights.folded()
     total_err = 0.0
     total_count = 0
     for sample in samples:

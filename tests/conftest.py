@@ -5,11 +5,13 @@ The reference kernels here are deliberately written as plain nested loops
 package's vectorized implementations.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from shiftstereo import model
+from shiftstereo import model, ops
 from shiftstereo.ops import BN_EPSILON
 from shiftstereo.tensor import Tensor, record_op
 
@@ -179,6 +181,38 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, training=Fal
         return dx, dgamma, dbeta
 
     return record_op("batch_norm", out, (x, gamma, beta), grad_fn)
+
+
+def refine_unfused(disp, left_image, ent, weights, cfg):
+    """``model.refine`` with each residual block's sum and ReLU run as ops
+    of their own, ``relu(add(x, y))``, after a conv and a norm that know
+    nothing of the skip: the chain that the fused epilogue of
+    ``ops.conv2d`` / ``ops.batch_norm`` replaces."""
+    def layer(x, name):
+        spec = weights.specs[name]
+        params, buffers = weights.params, weights.buffers
+        y = ops.conv2d(x, params[name + ".w"], params.get(name + ".b"),
+                       dilation=spec.dilation, padding=spec.padding)
+        if spec.norm:
+            return ops.batch_norm(y, params[name + ".gamma"], params[name + ".beta"],
+                                  buffers[name + ".mean"], buffers[name + ".var"],
+                                  relu=spec.act)
+        return ops.relu(y) if spec.act else y
+
+    ent_scale = math.log(cfg.levels) if cfg.levels > 1 else 1.0
+    x = ops.concat_channels([
+        left_image,
+        ops.scalar_mul(disp, 1.0 / cfg.max_disparity),
+        ops.scalar_mul(ent, 1.0 / ent_scale),
+    ])
+    x = layer(x, "refine.head")
+    for i in range(1, len(cfg.refine_blocks) + 1):
+        y = layer(x, f"refine.block{i}.conv1")
+        y = layer(y, f"refine.block{i}.conv2")
+        x = ops.relu(ops.add(x, y))
+    residual = ops.conv2d(x, weights.params["refine.out.w"],
+                          weights.params["refine.out.b"], padding=1)
+    return ops.relu(ops.add(disp, residual))
 
 
 def backward_reference(loss, tape):

@@ -2,6 +2,7 @@
 
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,22 @@ def test_infer_writes_the_forward_pass(tmp_path, pair):
     left, right = (Tensor(normalize_image(read_pnm(p))[None]) for p in pair)
     expected = forward_tensors(left, right, weights, weights.config)["refined"].data[0, 0]
     assert np.array_equal(read_pfm(out), expected)
+
+
+def test_infer_holds_only_the_folded_weights(tmp_path, pair):
+    """Once folded, the checkpoint's raw weights are dropped before the
+    forward pass: a tiny 48x48 infer peaks at about 3.7 MB of traced
+    memory, and about 5.0 MB while the raw copy stays alive beside it."""
+    ckpt = _checkpoint(tmp_path / "model.ckpt")
+    out = str(tmp_path / "disp.pfm")
+    assert _infer(ckpt, *pair, out) == 0  # warm-up: imports and cached matrices
+    tracemalloc.start()
+    try:
+        assert _infer(ckpt, *pair, out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.3e6
 
 
 def test_infer_missing_input_is_a_usage_error(tmp_path, pair):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import LEVEL_BATCHES, batch_norm_reference, set_level_batch
+from conftest import LEVEL_BATCHES, batch_norm_reference, refine_unfused, set_level_batch
 from shiftstereo import model, ops
 from shiftstereo.errors import ConfigError, ShapeError
 from shiftstereo.gradcheck import CheckCase, run_case
@@ -591,6 +591,71 @@ class TestRefine:
                          weights, cfg)
 
 
+class TestFusedRefine:
+    """Each refine block's skip sum and ReLU run inside conv2's norm (raw
+    weights) or conv (folded weights); the results are bit-identical to
+    the unfused chain of ``conftest.refine_unfused``."""
+
+    @staticmethod
+    def _step(cfg, left, right):
+        from shiftstereo.training import LossConfig, total_loss
+
+        weights = drawn_weights(cfg, 12)
+        gt = np.random.default_rng(13).uniform(0, 20, left.shape[2:])
+        with Tape() as tape:
+            out = model.forward_tensors(left, right, weights, cfg, training=True)
+            loss = total_loss(out["coarse"], out["refined"], gt, np.ones(gt.shape, bool),
+                              LossConfig(), max_disparity=cfg.max_disparity)
+        nodes = len(tape.nodes)
+        backward(loss, tape)
+        return loss.item(), nodes, weights
+
+    def test_training_step_bit_identical_to_the_unfused_chain(self, rng, monkeypatch):
+        cfg = model.ModelConfig.tiny()
+        left, right = random_image(rng, 48, 48), random_image(rng, 48, 48)
+        loss, nodes, weights = self._step(cfg, left, right)
+        monkeypatch.setattr(model, "refine", refine_unfused)
+        ref_loss, ref_nodes, ref_weights = self._step(cfg, left, right)
+        assert loss == ref_loss
+        # two nodes, the add and the relu, fewer per refine block
+        assert nodes == ref_nodes - 2 * len(cfg.refine_blocks)
+        for store, ref_store in ((weights.params, ref_weights.params),
+                                 (weights.buffers, ref_weights.buffers)):
+            for name, t in store.items():
+                assert np.array_equal(t.data, ref_store[name].data), name
+        for name, p in weights.params.items():
+            assert np.array_equal(p.grad, ref_weights.params[name].grad), name
+            assert np.any(p.grad) or not name.startswith("refine."), name
+
+    def test_folded_pass_bit_identical_to_the_unfused_chain(self, rng, monkeypatch):
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 14)
+        left, right = random_image(rng, 48, 60), random_image(rng, 48, 60)
+        fused = model.forward_tensors(left, right, weights, cfg)
+        monkeypatch.setattr(model, "refine", refine_unfused)
+        unfused = model.forward_tensors(left, right, weights, cfg)
+        for key, t in unfused.items():
+            assert np.array_equal(fused[key].data, t.data), key
+
+    def test_folded_pass_runs_relu_only_on_pair_sums_and_the_clamp(self, rng, monkeypatch):
+        """An untaped folded pass calls ``ops.relu`` for ``matching.enc1``
+        and ``matching.dec4``, whose pair terms are summed outside a conv,
+        once per level batch, and for refine's final clamp."""
+        cfg = model.ModelConfig.tiny()
+        shapes, real_relu = [], ops.relu
+
+        def relu(x):
+            shapes.append(x.shape)
+            return real_relu(x)
+
+        monkeypatch.setattr(ops, "relu", relu)
+        set_level_batch(monkeypatch, "sequential")
+        model.forward_tensors(random_image(rng, 48, 60), random_image(rng, 48, 60),
+                              drawn_weights(cfg, 15), cfg)
+        m0 = cfg.matching_channels[0]
+        assert shapes == [(1, m0, 8, 10), (1, m0, 16, 20)] * cfg.levels + [(1, 1, 48, 60)]
+
+
 class TestForward:
     @staticmethod
     def _maps(out):
@@ -665,9 +730,12 @@ class TestBatchNormFold:
                                                  (np.float32, 1e-5, 1e-5)])
     def test_inference_matches_unfused_chain(self, rng, monkeypatch, dtype, atol, rtol):
         """The reference runs the raw weights with each norm replaced by
-        the textbook norm over the running statistics, then its ReLU."""
-        def running_norm(x, gamma, beta, mean, var, *, relu=False):
+        the textbook norm over the running statistics, then its residual
+        sum and its ReLU as ops of their own."""
+        def running_norm(x, gamma, beta, mean, var, *, relu=False, residual=None):
             y = batch_norm_reference(x, gamma, beta, mean, var, training=False)
+            if residual is not None:
+                y = ops.add(residual, y)
             return ops.relu(y) if relu else y
 
         cfg = model.ModelConfig.tiny()
@@ -709,6 +777,14 @@ class TestBatchNormFold:
                 assert store[k] is t and t.data.dtype == data.dtype
                 assert np.array_equal(t.data, data), k
         assert weights.specs == specs
+
+    def test_folding_folded_weights_shares_every_tensor(self):
+        cfg = model.ModelConfig.tiny()
+        folded = drawn_weights(cfg, 5).folded()
+        again = folded.folded()
+        assert again.params.keys() == folded.params.keys()
+        assert all(again.params[k] is t for k, t in folded.params.items())
+        assert again.specs == folded.specs
 
     def test_folded_keeps_layer_keys_and_drops_norms(self):
         cfg = model.ModelConfig.tiny()

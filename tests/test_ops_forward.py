@@ -501,6 +501,89 @@ class TestBatchNormRelu:
         np.testing.assert_allclose(fused, x.grad, rtol=1e-15, atol=0)
 
 
+class TestFusedEpilogue:
+    """``conv2d`` and ``batch_norm`` with ``residual=`` and ``relu=True``,
+    one tape node each, against the chain they replace, ``relu(add(residual,
+    op(x)))``: the output and every gradient bit for bit."""
+
+    @staticmethod
+    def _run(op, leaves, proj):
+        with Tape() as tape:
+            out = op()
+            loss = ops.sum_all(ops.mul(out, proj))
+        nodes = [node.op for node in tape.nodes]
+        backward(loss, tape)
+        grads = {name: t.grad for name, t in leaves.items()}
+        for t in leaves.values():
+            t.grad = None
+        return out.data, grads, nodes
+
+    def _check(self, fused, chain, op):
+        out, grads, nodes = fused
+        assert nodes == [op, "mul", "sum_all"]
+        assert chain[2] == [op, "add", "relu", "mul", "sum_all"]
+        assert 0.2 < np.mean(out == 0) < 0.8  # the ReLU is exercised both ways
+        assert np.array_equal(out, chain[0])
+        for name, grad in grads.items():
+            assert np.array_equal(grad, chain[1][name]), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cout, dilation", [(32, 2), (1, 1)])  # strips; kn2row
+    def test_conv2d_matches_the_unfused_chain(self, rng, monkeypatch, dtype, cout, dilation):
+        # Strips of two rows, so the residual is added strip by strip.
+        monkeypatch.setattr(ops, "_MIN_STRIP_ELEMENTS", 1 << 11)
+        calls = _record_kn2row(monkeypatch)
+        x = Tensor(rng.standard_normal((2, 32, 9, 11)), requires_grad=True, dtype=dtype)
+        w = Tensor(0.1 * rng.standard_normal((cout, 32, 3, 3)), requires_grad=True,
+                   dtype=dtype)
+        b = Tensor(0.1 * rng.standard_normal((1, cout, 1, 1)), requires_grad=True, dtype=dtype)
+        r = Tensor(rng.standard_normal((2, cout, 9, 11)), requires_grad=True, dtype=dtype)
+        proj = Tensor(rng.standard_normal(r.shape), dtype=dtype)
+        kw = dict(dilation=dilation, padding=dilation)
+        leaves = {"x": x, "w": w, "b": b, "residual": r}
+        fused = self._run(lambda: ops.conv2d(x, w, b, residual=r, relu=True, **kw),
+                          leaves, proj)
+        chain = self._run(lambda: ops.relu(ops.add(r, ops.conv2d(x, w, b, **kw))),
+                          leaves, proj)
+        self._check(fused, chain, "conv2d")
+        assert len(calls) == (2 if cout == 1 else 0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_batch_norm_matches_the_unfused_chain(self, rng, dtype, batch):
+        x = Tensor(1.0 + rng.standard_normal((batch, 5, 7, 8)), requires_grad=True,
+                   dtype=dtype)
+        gamma = Tensor(rng.uniform(0.5, 1.5, (1, 5, 1, 1)), requires_grad=True, dtype=dtype)
+        beta = Tensor(0.1 * rng.standard_normal((1, 5, 1, 1)), requires_grad=True,
+                      dtype=dtype)
+        r = Tensor(rng.standard_normal(x.shape), requires_grad=True, dtype=dtype)
+        proj = Tensor(rng.standard_normal(x.shape), dtype=dtype)
+        leaves = {"x": x, "gamma": gamma, "beta": beta, "residual": r}
+
+        def stats():
+            return (Tensor(np.zeros((1, 5, 1, 1)), dtype=dtype),
+                    Tensor(np.ones((1, 5, 1, 1)), dtype=dtype))
+
+        fused_stats, chain_stats = stats(), stats()
+        fused = self._run(lambda: ops.batch_norm(x, gamma, beta, *fused_stats, relu=True,
+                                                 residual=r), leaves, proj)
+        chain = self._run(lambda: ops.relu(ops.add(r, ops.batch_norm(x, gamma, beta,
+                                                                     *chain_stats))),
+                          leaves, proj)
+        self._check(fused, chain, "batch_norm")
+        for t, ref in zip(fused_stats, chain_stats):
+            assert np.array_equal(t.data, ref.data)
+
+    def test_rejects_a_residual_of_another_shape(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 5, 5)))
+        w = Tensor(rng.standard_normal((3, 2, 3, 3)))
+        with pytest.raises(ShapeError, match="residual"):
+            ops.conv2d(x, w, residual=Tensor(np.zeros((1, 3, 5, 5))))
+        ones = Tensor(np.ones((1, 2, 1, 1)))
+        with pytest.raises(ShapeError):
+            ops.batch_norm(x, ones, ones, ones, ones, residual=Tensor(np.zeros((1, 2, 4, 5))))
+
+
 class TestRelu:
     def test_definition(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3))
