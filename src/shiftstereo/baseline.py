@@ -92,7 +92,8 @@ class ResourceReport:
     kernel MACs only, while bias, normalization, activation, pooling, and
     resampling costs are collected separately under ``aux_flops`` (bias 1
     where the folded layer adds one, norm 4, relu 1 flop per output
-    element; pooling 1 per input element; bilinear 8 per output element).
+    element; pooling 1 per input element; bilinear 8 per output element;
+    a refinement block's skip sum and ReLU 2 per output element).
     ``matching_per_level`` counts the convs each disparity level runs and
     ``matching_per_volume`` the feature-pair convs run once per cost
     volume; ``total`` is every conv of one forward pass.
@@ -202,6 +203,8 @@ def estimate_resources(config: ModelConfig, height: int, width: int) -> Resource
 
     refine_sizes = {s.name: (height, width) for s in refine_layer_specs(config)}
     ref_conv, ref_aux = _section_cost(refine_layer_specs(config), refine_sizes)
+    # Each block's skip sum and its ReLU, which the epilogue of its conv2 runs.
+    ref_aux += 2 * len(config.refine_blocks) * config.refine_channels * height * width
 
     params = count_parameters(config)
     conv = {

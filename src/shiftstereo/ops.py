@@ -419,11 +419,18 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     offset is ``BN_EPSILON``.
 
     ``y = xhat * gamma + beta``, plus ``residual`` where given, and with
-    ``relu=True`` clipped at 0 in place, is one tape node that saves no
-    activation-sized array: backward recomputes ``xhat`` from the input and
-    takes the ReLU mask from the output, which the tape holds anyway. The
-    result is bit-identical to ``relu(add(residual, batch_norm(x)))``, and
-    the residual receives the masked output gradient ``g``. With ``k =
+    ``relu=True`` clipped at 0 in place, is one tape node that keeps no
+    activation-sized array of its own. It saves x's array, the per-item
+    ``mu`` / ``inv``, copies of gamma and beta taken now, and the
+    residual's array. On a tape, its output gets a ``rebuild`` that repeats
+    the forward's op sequence on them, so :func:`shiftstereo.tensor.backward`
+    drops the output and a read rebuilds it bit-identical to the forward's,
+    also after an optimizer step changed gamma and beta. Backward recomputes
+    ``xhat`` and, with ``relu``, takes the mask ``y > 0`` from the output:
+    where a conv reads y, its weight gradient has rebuilt y already.
+
+    The result is bit-identical to ``relu(add(residual, batch_norm(x)))``,
+    and the residual receives the masked output gradient ``g``. With ``k =
     gamma * inv``, and ``S1 = sum(g)``, ``S2 = sum(g * xhat)`` per item and
     channel over its ``n`` pixels, ``dx = k * (g - S1/n - xhat * S2/n)``.
     """
@@ -451,32 +458,45 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     running_mean.data += 0.1 * mu.mean(axis=0, keepdims=True).astype(dt)
     running_var.data *= 0.9
     running_var.data += 0.1 * (var * correction).mean(axis=0, keepdims=True).astype(dt)
+    gd, bd = gamma.data.copy(), beta.data.copy()
+    rd = None if residual is None else residual.data
+
+    def normalized():
+        xhat = xd - mu
+        xhat *= inv
+        return xhat
+
+    def affine(xhat):
+        """The forward's epilogue, in place on xhat and in its order."""
+        xhat *= gd
+        xhat += bd
+        if rd is not None:
+            xhat += rd
+        if relu:
+            np.maximum(xhat, 0, out=xhat)
+        return xhat
+
     y *= inv
-    y *= gamma.data
-    y += beta.data
-    if residual is not None:
-        y += residual.data
-    if relu:
-        np.maximum(y, 0, out=y)
-    out = Tensor(y)
-    gdata = gamma.data
+    out = Tensor(affine(y))
 
     def grad_fn(g):
         if relu:
-            g = g * (y > 0)
-        xhat = xd - mu
-        xhat *= inv
+            g = g * (out.data > 0)
+        xhat = normalized()
         s1 = g.sum(axis=(2, 3), keepdims=True)
         s2 = np.einsum("bchw,bchw->bc", g, xhat).reshape(b, c, 1, 1)
         dx = xhat
         dx *= s2 / -n
         dx += g
         dx -= s1 / n
-        dx *= gdata * inv
+        dx *= gd * inv
         grads = (dx, s2.sum(axis=0, keepdims=True), s1.sum(axis=0, keepdims=True))
         return grads if residual is None else grads + (g,)
 
-    return record_op("batch_norm", out, inputs, grad_fn)
+    record_op("batch_norm", out, inputs, grad_fn)
+    if out.requires_grad:  # on a tape
+        out.rebuild = lambda: affine(normalized())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,14 @@ record themselves onto the innermost active :class:`Tape`; calling
 execution order and accumulates gradients into the leaves' ``.grad``
 buffers. Each node, and the gradient of its output, is released as soon as
 backward has used it, so the memory of a step falls as backward runs.
+
+An op output on a tape may carry a ``rebuild``: a function that computes
+the output array again, bit for bit, from what the op saved for its
+backward anyway (:func:`shiftstereo.ops.batch_norm` sets one). Backward
+drops the arrays of such outputs before it replays the tape, and reading
+``Tensor.data`` rebuilds a dropped array once, when something needs it: a
+conv's weight gradient reading its input, or a caller reading an output
+after backward. Until then the tape holds no copy of them.
 """
 
 from __future__ import annotations
@@ -24,13 +32,18 @@ class Tensor:
     """A dense (batch, channel, height, width) value with an optional gradient.
 
     ``data`` is always a contiguous row-major array (width fastest).
-    ``grad`` is lazily created by :func:`backward` and has the same shape
-    and dtype as ``data``. Leaf tensors (weights, inputs) are created
-    directly and keep their gradient; op outputs are produced by
-    :mod:`shiftstereo.ops`, and backward drops their gradient once used.
+    ``shape`` and ``dtype`` are kept beside it, so reading them never
+    touches the array. ``grad`` is lazily created by :func:`backward` and
+    has the same shape and dtype as ``data``. Leaf tensors (weights,
+    inputs) are created directly and keep their gradient; op outputs are
+    produced by :mod:`shiftstereo.ops`, and backward drops their gradient
+    once used. ``rebuild``, None unless the op that recorded the tensor
+    sets it, returns an array bit-identical to ``data`` at any later time,
+    also after the op's inputs were updated in place; :func:`backward`
+    then drops the array.
     """
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("_data", "rebuild", "shape", "dtype", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -43,16 +56,22 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
 
     @property
-    def shape(self):
-        return self.data.shape
+    def data(self) -> np.ndarray:
+        """The array. One that :func:`backward` dropped is rebuilt by
+        ``rebuild`` on the first read, and then kept. An array assigned
+        here has no rebuild, so backward keeps it."""
+        if self._data is None:
+            self._data, self.rebuild = self.rebuild(), None
+        return self._data
 
-    @property
-    def dtype(self):
-        return self.data.dtype
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        self._data, self.rebuild = value, None
+        self.shape, self.dtype = value.shape, value.dtype
 
     def __repr__(self):
         req = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{req})"
+        return f"Tensor(shape={self.shape}, dtype={self.dtype}{req})"
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -64,8 +83,13 @@ class _Node:
     """One executed operation: output, inputs, and the gradient closure.
 
     ``grad_fn(out_grad)`` returns one gradient array (or None) per input,
-    in input order. Returned arrays may alias ``out_grad``; the backward
-    driver copies on first accumulation so aliasing stays safe.
+    in input order. Ownership: a returned array either is new, made by the
+    call and kept by nothing else, or may alias ``out_grad`` or another
+    array the same call returns (``add`` hands ``g`` to both inputs; a
+    layout op hands out views of ``g``). The backward driver keeps a new
+    array as the input's ``.grad`` and copies only one that may alias, so
+    grad buffers never alias each other. A ``grad_fn`` must never return
+    an array that it or the forward pass keeps.
     """
 
     __slots__ = ("op", "output", "inputs", "grad_fn")
@@ -110,7 +134,8 @@ def active_tape() -> Tape | None:
 
 
 def record_op(op: str, output: Tensor, inputs, grad_fn) -> Tensor:
-    """Attach ``output`` to the active tape if any input is differentiable."""
+    """Attach ``output`` to the active tape if any input is differentiable;
+    a recorded output then requires a gradient."""
     tape = active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         tape.record(op, output, inputs, grad_fn)
@@ -121,39 +146,54 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """Accumulate into ``.grad`` of every leaf reachable from ``loss``.
 
     ``loss`` must have extent 1 in every dimension. Gradients accumulate;
-    callers zero leaf grads between steps. The first contribution to a
-    tensor is copied, so grad buffers never alias each other.
+    callers zero leaf grads between steps.
 
-    The tape is consumed: nodes are popped in reverse execution order, and
-    once a node's ``grad_fn`` has used its output's gradient that
-    gradient is set to ``None`` and the node is dropped, together with the
-    arrays its closure saved. Afterwards the tape is empty and only leaf
-    tensors (those no op produced) hold a ``.grad``.
+    First, every output on the tape that has a ``rebuild`` drops its
+    array; it is rebuilt on its first read. The tape is then consumed:
+    nodes are popped in reverse execution order, and once a node's
+    ``grad_fn`` has used its output's gradient that gradient is set to
+    ``None`` and the node is dropped, together with the arrays its closure
+    saved. Afterwards the tape is empty and only leaf tensors (those no op
+    produced) hold a ``.grad``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
     nodes = tape.nodes
+    for node in nodes:
+        if node.output.rebuild is not None:
+            node.output._data = None
     while nodes:
         _replay(nodes.pop())
 
 
 def _replay(node: _Node) -> None:
+    """Run one node's ``grad_fn`` and accumulate into its inputs' grads.
+
+    An input's first gradient is the returned array itself, unless it may
+    share memory with ``out_grad`` or with a gradient already handed to an
+    earlier input of this node; only then is it copied (see :class:`_Node`).
+    Shapes are checked against the inputs' stored shapes, so the check
+    rebuilds no dropped array.
+    """
     # A function of its own, so the node's gradients are released on return
     # and never live beside the next node's.
     out_grad, node.output.grad = node.output.grad, None
     if out_grad is None:
         return
-    grads = node.grad_fn(out_grad)
-    for tensor, grad in zip(node.inputs, grads):
+    handed = [out_grad]
+    for tensor, grad in zip(node.inputs, node.grad_fn(out_grad)):
         if grad is None or not tensor.requires_grad:
             continue
-        if grad.shape != tensor.data.shape:
+        if grad.shape != tensor.shape:
             raise ShapeError(
                 f"{node.op} backward produced grad shape {grad.shape} "
-                f"for input shape {tensor.data.shape}"
+                f"for input shape {tensor.shape}"
             )
-        if tensor.grad is None:
-            tensor.grad = np.array(grad)
-        else:
+        if tensor.grad is not None:
             tensor.grad += grad
+            continue
+        if any(np.may_share_memory(grad, other) for other in handed):
+            grad = np.array(grad)
+        tensor.grad = grad
+        handed.append(grad)

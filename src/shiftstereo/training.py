@@ -415,6 +415,9 @@ def train(train_samples: list[StereoSample], config: ModelConfig,
                     f"non-finite loss {value} at epoch {epoch}",
                     checkpoint_path=checkpoint_path)
             backward(loss, tape)
+            # Nothing of this step's forward outlives its backward, so the
+            # next step's forward starts from the weights and the data only.
+            del out, loss
             adam_step(weights.params, adam)
             weights.zero_grads()
             losses.append(value)

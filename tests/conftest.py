@@ -183,6 +183,54 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, training=Fal
     return record_op("batch_norm", out, (x, gamma, beta), grad_fn)
 
 
+def batch_norm_kept(x, gamma, beta, running_mean, running_var, *, relu=False,
+                    residual=None):
+    """``ops.batch_norm`` as it was before its output could be rebuilt: the
+    tape keeps the output array, backward reads the ReLU mask from it and
+    the live gamma, and no rebuild is recorded."""
+    b, c, h, w = x.shape
+    inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
+    dt = x.dtype
+    eps = dt.type(BN_EPSILON)
+    xd = x.data
+    n = h * w
+    mu = xd.mean(axis=(2, 3), keepdims=True)
+    y = xd - mu
+    var = np.einsum("bchw,bchw->bc", y, y).reshape(b, c, 1, 1) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    correction = n / (n - 1) if n > 1 else 1.0
+    running_mean.data *= 0.9
+    running_mean.data += 0.1 * mu.mean(axis=0, keepdims=True).astype(dt)
+    running_var.data *= 0.9
+    running_var.data += 0.1 * (var * correction).mean(axis=0, keepdims=True).astype(dt)
+    y *= inv
+    y *= gamma.data
+    y += beta.data
+    if residual is not None:
+        y += residual.data
+    if relu:
+        np.maximum(y, 0, out=y)
+    out = Tensor(y)
+    gdata = gamma.data
+
+    def grad_fn(g):
+        if relu:
+            g = g * (y > 0)
+        xhat = xd - mu
+        xhat *= inv
+        s1 = g.sum(axis=(2, 3), keepdims=True)
+        s2 = np.einsum("bchw,bchw->bc", g, xhat).reshape(b, c, 1, 1)
+        dx = xhat
+        dx *= s2 / -n
+        dx += g
+        dx -= s1 / n
+        dx *= gdata * inv
+        grads = (dx, s2.sum(axis=0, keepdims=True), s1.sum(axis=0, keepdims=True))
+        return grads if residual is None else grads + (g,)
+
+    return record_op("batch_norm", out, inputs, grad_fn)
+
+
 def refine_unfused(disp, left_image, ent, weights, cfg):
     """``model.refine`` with each residual block's sum and ReLU run as ops
     of their own, ``relu(add(x, y))``, after a conv and a norm that know

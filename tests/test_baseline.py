@@ -145,14 +145,22 @@ class TestResources:
     # the benchmark's two workloads, as the stride-3 rule gave them; aux_flops
     # counts no bias add for matching.out, one output element per level
     @pytest.mark.parametrize("profile,height,width,figures", [
-        ("tiny", 96, 96, (310_329, 1_409_159_168, 15_418_112, 262_144)),
-        ("full", 144, 240, (1_123_121, 16_563_503_104, 127_651_584, 983_040))])
+        ("tiny", 96, 96, (310_329, 1_409_159_168, 17_187_584, 262_144)),
+        ("full", 144, 240, (1_123_121, 16_563_503_104, 140_922_624, 983_040))])
     def test_benchmark_extents_keep_their_figures(self, profile, height, width, figures):
         make = model.ModelConfig.tiny if profile == "tiny" else model.ModelConfig.full
         cfg = make(in_channels=1, max_disparity=24 if profile == "tiny" else 48)
         report = baseline.estimate_resources(cfg, height, width)
         assert (report.params["total"], report.conv_flops["total"], report.aux_flops,
                 report.peak_elements["matching_batch"]) == figures
+
+    def test_a_refine_block_adds_13_aux_flops_per_output_element(self):
+        """conv1: bias, norm, ReLU; conv2: bias, norm; the skip: sum, ReLU."""
+        cfg = model.ModelConfig.tiny()
+        more = model.ModelConfig.tiny(refine_blocks=cfg.refine_blocks + (2,))
+        added = (baseline.estimate_resources(more, 48, 60).aux_flops
+                 - baseline.estimate_resources(cfg, 48, 60).aux_flops)
+        assert added == 13 * cfg.refine_channels * 48 * 60
 
     @pytest.mark.parametrize("height,width,max_disparity", [
         (20, 20, 24),    # 7x7 features, below the matching net's 16x16

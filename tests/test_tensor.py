@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import backward_reference
+from conftest import backward_reference, batch_norm_kept
 from shiftstereo import ops
 from shiftstereo.datasets import RdsConfig, gen_rds
 from shiftstereo.errors import ShapeError
-from shiftstereo.model import ModelConfig, ModelWeights, forward_tensors
+from shiftstereo.model import (ModelConfig, ModelWeights, all_layer_specs,
+                               feature_layer_specs, forward_tensors)
 from shiftstereo.tensor import HIGH, STANDARD, Tape, Tensor, backward
-from shiftstereo.training import total_loss
+from shiftstereo.training import AdamState, adam_step, total_loss
 
 
 class TestTensor:
@@ -77,6 +78,34 @@ class TestBackward:
         assert np.array_equal(x.grad, np.ones_like(x.data))
         assert np.array_equal(w.grad, np.full_like(w.data, 2.0))
         assert x.grad is not w.grad
+
+    def test_a_conv_input_keeps_the_gradient_its_grad_fn_returned(self, rng):
+        x = Tensor(rng.standard_normal((2, 3, 6, 7)), requires_grad=True, dtype=HIGH)
+        w = Tensor(rng.standard_normal((4, 3, 3, 3)), requires_grad=True, dtype=HIGH)
+        with Tape() as tape:
+            y = ops.conv2d(x, w, padding=1)
+            loss = ops.sum_all(ops.mul(y, y))
+        conv = tape.nodes[0]
+        returned, grad_fn = [], conv.grad_fn
+        conv.grad_fn = lambda g: returned.extend(grad_fn(g)) or returned
+        backward(loss, tape)
+        assert x.grad is returned[0] and w.grad is returned[1]
+
+    @pytest.mark.parametrize("op", [ops.concat_channels, ops.stack_batch])
+    def test_views_of_the_output_grad_are_copied(self, rng, op):
+        # a layout op hands each input a view of its output's gradient
+        a, b = (Tensor(rng.standard_normal((1, 2, 3, 3)), requires_grad=True, dtype=HIGH)
+                for _ in range(2))
+        with Tape() as tape:
+            loss = ops.sum_all(ops.scalar_mul(op([a, b]), 2.0))
+        layout = tape.nodes[0]
+        out_grads, grad_fn = [], layout.grad_fn
+        layout.grad_fn = lambda g: out_grads.append(g) or grad_fn(g)
+        backward(loss, tape)
+        [g] = out_grads
+        assert not any(np.may_share_memory(t.grad, g) for t in (a, b))
+        assert np.array_equal(a.grad, np.full(a.shape, 2.0))
+        assert np.array_equal(b.grad, np.full(b.shape, 2.0))
 
     def test_no_tape_records_nothing(self):
         x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
@@ -178,3 +207,117 @@ class TestElementwiseContracts:
         for fn in (ops.add, ops.sub, ops.mul):
             with pytest.raises(ShapeError):
                 fn(a, b)
+
+
+def _count_rebuilds(tape):
+    """Wrap the ``rebuild`` of every output on the tape in a counter; list
+    them as ``[tensor, copy of its forward bits, rebuild count]``."""
+    outputs = []
+    for node in tape.nodes:
+        t = node.output
+        if t.rebuild is not None:
+            entry = [t, t.data.copy(), 0]
+            outputs.append(entry)
+
+            def counted(rebuild=t.rebuild, entry=entry):
+                entry[2] += 1
+                return rebuild()
+            t.rebuild = counted
+    return outputs
+
+
+class TestRebuiltNormOutputs:
+    """A taped norm keeps no output array: backward drops it and a read of
+    ``.data`` rebuilds it, bit for bit and at most once."""
+
+    @staticmethod
+    def _step(seed=4, outputs=None):
+        """One tiny training step on a 48x48 stereogram with every gamma,
+        beta and the refine tail drawn; returns the weights, the loss and
+        the left image's gradient. With a list ``outputs``, fills it with
+        ``_count_rebuilds`` of the tape before backward."""
+        cfg = ModelConfig.tiny()
+        [sample] = gen_rds(RdsConfig(width=48, height=48, seed=1), 1)
+        weights = ModelWeights.initialize(cfg, seed=0)
+        rng = np.random.default_rng(seed)
+        for name, p in weights.params.items():
+            if name.endswith((".gamma", ".beta")) or name == "refine.out.w":
+                p.data = (rng.uniform(0.5, 1.5, p.shape) if name.endswith(".gamma")
+                          else rng.uniform(-0.1, 0.1, p.shape)).astype(p.dtype)
+        left = Tensor(sample.left[None], requires_grad=True)
+        with Tape() as tape:
+            out = forward_tensors(left, Tensor(sample.right[None]), weights, cfg,
+                                  training=True)
+            loss = total_loss(out["coarse"], out["refined"], sample.gt, sample.valid,
+                              max_disparity=cfg.max_disparity)
+        if outputs is not None:
+            outputs += _count_rebuilds(tape)
+        backward(loss, tape)
+        return weights, loss.item(), left.grad
+
+    def test_training_step_bit_equal_to_a_norm_that_keeps_its_output(self, monkeypatch):
+        weights, loss, left_grad = self._step()
+        monkeypatch.setattr(ops, "batch_norm", batch_norm_kept)
+        kept, kept_loss, kept_left_grad = self._step()
+        assert loss == kept_loss
+        assert np.array_equal(left_grad, kept_left_grad)
+        for name, p in weights.params.items():
+            assert np.array_equal(p.grad, kept.params[name].grad), name
+        for name, t in weights.buffers.items():
+            assert np.array_equal(t.data, kept.buffers[name].data), name
+
+    def test_each_norm_output_is_rebuilt_at_most_once(self):
+        outputs = []
+        self._step(outputs=outputs)
+        # a normed layer runs once per pass (all levels are one batch), and
+        # once per image in the feature net
+        cfg = ModelConfig.tiny()
+        assert len(outputs) == sum(s.norm for s in all_layer_specs(cfg)
+                                   + feature_layer_specs(cfg))
+        assert all(count <= 1 for _, _, count in outputs)
+        for t, forward_bits, _ in outputs:
+            assert t.shape == forward_bits.shape and t.dtype == forward_bits.dtype
+            assert np.array_equal(t.data, forward_bits)
+            assert t.data is t.data
+        assert all(count == 1 for _, _, count in outputs)
+
+    @staticmethod
+    def _pooled_norm():
+        """A taped norm without ReLU that only a pooling reads, so backward
+        needs neither its output array nor a mask. Returns the output, the
+        norm's gamma and beta, and the ``_count_rebuilds`` entry of the
+        output, after backward."""
+        rng = np.random.default_rng(9)
+        c = (1, 3, 1, 1)
+        x = Tensor(rng.standard_normal((2, 3, 8, 8)), requires_grad=True)
+        params = {"gamma": Tensor(rng.uniform(0.5, 1.5, c), requires_grad=True),
+                  "beta": Tensor(rng.uniform(-0.1, 0.1, c), requires_grad=True)}
+        proj = Tensor(rng.standard_normal((2, 3, 4, 4)))
+        with Tape() as tape:
+            y = ops.batch_norm(x, params["gamma"], params["beta"],
+                               Tensor(np.zeros(c)), Tensor(np.ones(c)))
+            loss = ops.sum_all(ops.mul(ops.avg_pool(y, 2), proj))
+        [entry] = _count_rebuilds(tape)
+        backward(loss, tape)
+        return y, params, entry
+
+    def test_a_shape_check_rebuilds_nothing(self):
+        y, _, entry = self._pooled_norm()
+        assert entry[2] == 0  # avg_pool's backward checked y's shape
+        assert y.shape == entry[1].shape and y.dtype == entry[1].dtype
+        assert entry[2] == 0
+        assert np.array_equal(y.data, entry[1]) and entry[2] == 1
+
+    def test_a_read_after_adam_step_gives_the_forward_bits(self):
+        y, params, entry = self._pooled_norm()
+        before = {k: p.data.copy() for k, p in params.items()}
+        adam_step(params, AdamState.for_params(params))
+        assert all(not np.array_equal(params[k].data, v) for k, v in before.items())
+        assert entry[2] == 0
+        assert np.array_equal(y.data, entry[1]) and entry[2] == 1
+
+    def test_an_untaped_norm_output_has_no_rebuild(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 4, 4)))
+        c = (1, 2, 1, 1)
+        out = ops.batch_norm(x, *(Tensor(np.ones(c)) for _ in range(4)), relu=True)
+        assert out.rebuild is None and out.data is out.data
