@@ -41,6 +41,13 @@ with raw weights, its conv with folded ones (``residual=`` of
 and records no tape node of its own. In a folded pass only the sums of
 pair terms in ``matching.enc1`` / ``matching.dec4`` and refine's final
 clamp still run :func:`ops.relu`.
+
+An untaped pass keeps only the maps that a later op still reads: the
+features and the cost volume die once consumed, each matching skip once
+concatenated, and a folded refine block's conv2 writes its output over
+the block's input (:func:`ops.conv2d` consumes an untaped residual), so a
+block holds two full-resolution maps, not three. :func:`forward_tensors`
+returns only the coarse and refined disparities and the entropy map.
 """
 
 from __future__ import annotations
@@ -531,28 +538,31 @@ def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights) -
                                    [d // 2 for d in levels], terms.enc1_left.shape[3],
                                    edge=w % 2 == 1))
     x = _block(_norm_act(x, "matching.enc1", weights), "matching.filt1", weights)
-    skips = [x]
+    skips = []
     for i in range(2, 5):
+        skips.append(x)
         x = _block(x, f"matching.enc{i}", weights)
         x = _block(x, f"matching.filt{i}", weights)
-        skips.append(x)
-    for i, skip in enumerate((skips[2], skips[1], skips[0]), 1):
-        _, _, sh, sw = skip.shape
-        x = ops.bilinear_resize(x, sh, sw)
-        x = _block(ops.concat_channels([x, skip]), f"matching.dec{i}", weights)
+    for i in range(1, 4):
+        # Each skip is dropped once concatenated.
+        _, _, sh, sw = skips[-1].shape
+        x = _block(ops.concat_channels([ops.bilinear_resize(x, sh, sw), skips.pop()]),
+                   f"matching.dec{i}", weights)
     x = ops.conv2d(ops.bilinear_resize(x, h, w), terms.dec4_x, padding=1)
+    # Two statements, so the conv's output is freed before the second sum.
+    x = ops.add(x, per_level(terms.dec4_left))
     # dec4_right is one column wider on the left: level d reads it at d - 1.
-    x = ops.add(ops.add(x, per_level(terms.dec4_left)),
-                ops.gather_columns(terms.dec4_right, [0] * n, [d - 1 for d in levels], w,
-                                   edge=True))
+    x = ops.add(x, ops.gather_columns(terms.dec4_right, [0] * n, [d - 1 for d in levels], w,
+                                      edge=True))
     x = _norm_act(x, "matching.dec4", weights)
     return ops.conv2d(x, weights.params["matching.out.w"], padding=1)
 
 
 # Feature pixels of one matching-net batch. Batching levels saves the fixed
 # cost of each op call, but a batch's activations grow with it: at 144x240
-# (48x80 features) 4 levels per batch keep the forward pass's peak memory
-# where one level puts it, while 8 raise it by about a quarter.
+# (48x80 features) 4 levels per batch keep the untaped forward pass's peak
+# memory where one level puts it (19.9 and 20.1 MB), while 8 raise it by
+# about a third (26.5 MB).
 _LEVEL_BATCH_PIXELS = 1 << 14
 
 
@@ -654,8 +664,9 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
     ])
     x = _block(x, "refine.head", weights)
     for i in range(1, len(cfg.refine_blocks) + 1):
-        y = _block(x, f"refine.block{i}.conv1", weights)
-        x = _block(y, f"refine.block{i}.conv2", weights, residual=x)
+        # Off a tape, conv2 writes its output over x's array.
+        x = _block(_block(x, f"refine.block{i}.conv1", weights),
+                   f"refine.block{i}.conv2", weights, residual=x)
     residual = ops.conv2d(x, weights.params["refine.out.w"],
                           weights.params["refine.out.b"], padding=1)
     return ops.relu(ops.add(disp, residual))
@@ -668,7 +679,9 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
 def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
                     cfg: ModelConfig, training: bool = False,
                     context_only: bool = False) -> dict[str, Tensor]:
-    """Run the full pipeline, returning all intermediate tensors by name.
+    """Run the full pipeline, returning the upsampled coarse disparity
+    (``"coarse"``), the entropy map (``"entropy"``) and the refined
+    disparity (``"refined"``), all at the images' resolution.
 
     With ``training=False`` the batch norms are folded into their convs
     once per call (:meth:`ModelWeights.folded`), also under a tape, and
@@ -678,6 +691,10 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     ``training=True`` the stages run on ``weights`` itself: each norm
     normalizes every batch item by its own statistics, moves the running
     statistics, and passes gradients to gamma and beta.
+
+    Every other map is released at its last use, and a folded pass without
+    a tape writes each refine block's output over the block's input, so an
+    inference pass holds only what a later op reads.
     """
     if left.shape != right.shape:
         raise ShapeError(f"forward: image shapes differ {left.shape} vs {right.shape}")
@@ -688,10 +705,9 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     f_right = extract_features(right, weights, cfg)
     volume = build_cost_volume(f_left, f_right, weights, cfg, context_only=context_only,
                                **pair_blocks(weights, cfg, f_left.shape[3]))
-    disp_low, ent_low = project(volume)
-    coarse, ent_full = _upsample_tensors(disp_low, ent_low, h, w)
+    del f_left, f_right
+    coarse, ent_full = _upsample_tensors(*project(volume), h, w)
+    del volume
     refined = refine(coarse, left, ent_full, weights, cfg)
-    return {"features_left": f_left, "features_right": f_right, "volume": volume,
-            "coarse_low": disp_low, "entropy_low": ent_low,
-            "coarse": coarse, "entropy": ent_full, "refined": refined}
+    return {"coarse": coarse, "entropy": ent_full, "refined": refined}
 

@@ -22,7 +22,13 @@ whole output), and a norm adds the residual after its affine transform
 and before its ReLU. A layer thus costs one output map and one tape node.
 Float addition of two terms commutes, so the fused op is bit-identical
 to ``relu(add(residual, op(x)))``; its backward masks the output gradient
-by ``out > 0`` and passes that masked gradient to the residual.
+by ``out > 0`` and passes that masked gradient to the residual. Off a tape,
+a conv whose residual needs no gradient consumes it: the output is written
+over the residual's array, so a residual block holds its input and one
+new map, not three.
+
+A batch whose strip copies would together exceed the cap on one strip's
+copies runs its items one at a time, through the same strip loop.
 
 Bilinear resampling is a pair of small interpolation-matrix matmuls, so
 its backward is the exact transpose map. All reductions use a fixed
@@ -33,11 +39,12 @@ does not depend on the rest of the batch.
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import Tensor, record_op
+from .tensor import Tensor, active_tape, record_op
 
 
 def _same_dtype(*tensors: Tensor):
@@ -133,7 +140,9 @@ _MIN_GEMM_K = 32
 # _MAX_STRIP_ELEMENTS (4 MiB of float32, two cores' 2 MiB L2 caches), so
 # that the GEMMs of a full-resolution layer read their operand from cache;
 # an input of at most 2^19 elements (32 channels at 128x128) keeps the
-# partition the ratio gives it.
+# partition the ratio gives it. A batch whose items' copies together exceed
+# _MAX_STRIP_ELEMENTS is convolved one item at a time, so its copies stay
+# within the cap too (matching.dec4 at 144x240, 4 levels per batch).
 _STRIP_INPUT_RATIO = 2
 _MIN_STRIP_ELEMENTS = 1 << 18
 _MAX_STRIP_ELEMENTS = 1 << 20
@@ -166,26 +175,50 @@ def _in_range(n: int, start: int, step: int, extent: int) -> tuple[int, int, sli
     return i0, i1, slice(start + i0 * step, start + i1 * step - step + 1, step)
 
 
-def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
-                        padding: int):
-    """Yield ``(r0, n_rows, windows)`` for each strip of output rows, where
-    ``windows[g]`` is the (B, K, n_rows*ow) operand of GEMM g, read in place
-    from the strip's input copies. The copies of all strips share one
-    buffer, so a strip's windows are valid until the next one is yielded.
-    """
-    b, cin, h, w = x.shape
+class _StripPlan(NamedTuple):
+    """How :func:`_kernel_row_windows` copies one batch item's input. Copy
+    t holds the padded input at tap offset ``copies[t]``; GEMM g reads the
+    copies at the further row offset ``gemm_rows[g]``. ``elements`` is what
+    one item's copies of one strip take."""
+
+    copies: list[tuple[int, int]]
+    gemm_rows: list[int]
+    phases: list[int]
+    halo: int
+    strips: list[tuple[int, int]]
+    elements: int
+
+
+def _strip_plan(cin: int, h: int, w: int, kh: int, kw: int, stride: int, dilation: int,
+                padding: int) -> _StripPlan:
+    """The plan for a (Cin, H, W) item and a KH x KW kernel."""
     oh = conv_out_extent(h, kh, stride, dilation, padding)
     ow = conv_out_extent(w, kw, stride, dilation, padding)
-    # Copy t holds the padded input at tap offset copies[t]; GEMM g reads
-    # the copies at the further row offset gemm_rows[g].
     every_tap = kw * cin < _MIN_GEMM_K
     copies = [(ki * dilation, kj * dilation)
               for ki in range(kh if every_tap else 1) for kj in range(kw)]
     gemm_rows = [0] if every_tap else [ki * dilation for ki in range(kh)]
     phases = sorted({r % stride for r in gemm_rows})
     halo = max(gemm_rows) // stride
+    row_elements = len(phases) * len(copies) * cin * ow
+    strips = _row_strips(oh, row_elements, halo, cin * h * w)
+    return _StripPlan(copies, gemm_rows, phases, halo, strips,
+                      (strips[0][1] + halo) * row_elements)
+
+
+def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
+                        padding: int, plan: _StripPlan | None = None):
+    """Yield ``(r0, n_rows, windows)`` for each strip of output rows, where
+    ``windows[g]`` is the (B, K, n_rows*ow) operand of GEMM g, read in place
+    from the strip's input copies. The copies of all strips share one
+    buffer, so a strip's windows are valid until the next one is yielded.
+    ``plan`` is :func:`_strip_plan` of x's items, made here when not given.
+    """
+    b, cin, h, w = x.shape
+    ow = conv_out_extent(w, kw, stride, dilation, padding)
+    copies, gemm_rows, phases, halo, strips, _ = plan or _strip_plan(
+        cin, h, w, kh, kw, stride, dilation, padding)
     k = len(copies) * cin
-    strips = _row_strips(oh, len(phases) * k * ow, halo, cin * h * w)
     rows = strips[0][1]
     cols = [_in_range(ow, dv - padding, stride, w) for _, dv in copies]
 
@@ -211,20 +244,27 @@ def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: 
 
 
 def _epilogue(dst: np.ndarray, bias: np.ndarray | None, residual: np.ndarray | None,
-              relu: bool) -> None:
-    """Add the bias, then the residual, then clamp at 0, in place on the
-    (B, Cout, N) output block ``dst``; ``residual`` is the same block."""
+              relu: bool, overwrite: bool) -> np.ndarray:
+    """Add the bias, then the residual, then clamp at 0, on the (B, Cout, N)
+    output block ``dst``; ``residual`` is the same block. The result is
+    ``dst``, or with ``overwrite`` the residual's block, written in place."""
     if bias is not None:
         dst += bias.reshape(1, -1, 1)
     if residual is not None:
-        dst += residual
+        if overwrite:
+            # residual + dst == dst + residual, bit for bit
+            residual += dst
+            dst = residual
+        else:
+            dst += residual
     if relu:
         np.maximum(dst, 0, out=dst)
+    return dst
 
 
 def _kn2row(x: np.ndarray, weight: np.ndarray, oh: int, ow: int, dilation: int,
             padding: int, bias: np.ndarray | None, residual: np.ndarray | None,
-            relu: bool) -> np.ndarray:
+            relu: bool, overwrite: bool) -> np.ndarray:
     """The stride-1 forward kernel for narrow outputs: one GEMM of every
     tap's weights with the unshifted input, then the taps' Cout-channel
     maps shifted into a zeroed output and added in kernel order, and the
@@ -239,41 +279,56 @@ def _kn2row(x: np.ndarray, weight: np.ndarray, oh: int, ow: int, dilation: int,
         for kj in range(kw):
             j0, j1, cols = _in_range(ow, kj * dilation - padding, 1, w)
             out[:, :, i0:i1, j0:j1] += maps[:, ki, kj, :, rows, cols]
-    _epilogue(out.reshape(b, cout, oh * ow), bias, residual, relu)
-    return out
+    return _epilogue(out.reshape(b, cout, oh * ow), bias, residual, relu, overwrite)
 
 
 def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
                padding: int, bias: np.ndarray | None = None,
-               residual: np.ndarray | None = None, relu: bool = False) -> np.ndarray:
-    """The forward kernel of :func:`conv2d` on arrays."""
-    b, _, h, w = x.shape
-    cout, cin, kh, kw = weight.shape
+               residual: np.ndarray | None = None, relu: bool = False,
+               overwrite: bool = False) -> np.ndarray:
+    """The forward kernel of :func:`conv2d` on arrays; with ``overwrite``
+    the output is written over ``residual``'s array."""
+    b, cin, h, w = x.shape
+    cout, _, kh, kw = weight.shape
     oh = conv_out_extent(h, kh, stride, dilation, padding)
     ow = conv_out_extent(w, kw, stride, dilation, padding)
     if residual is not None:
         residual = residual.reshape(b, cout, oh * ow)
     if stride == 1 and kh * cout < cin:
-        return _kn2row(x, weight, oh, ow, dilation, padding, bias, residual, relu)
+        return _kn2row(x, weight, oh, ow, dilation, padding, bias, residual, relu,
+                       overwrite).reshape(b, cout, oh, ow)
     w_taps = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    out = None
-    for r0, n_rows, windows in _kernel_row_windows(x, kh, kw, stride, dilation, padding):
-        n = n_rows * ow
-        if out is None:
-            # Allocated after the first strip's copies, which are freed
-            # first, so the freed copies lie below the live output and the
-            # next conv reuses them; with the output allocated first, an
-            # infer-full pass took about twice the page faults. The first
-            # strip is the largest, so part fits every strip.
-            out = np.empty((b, cout, oh * ow), dtype=x.dtype)
-            part = np.empty((b, cout, n), dtype=x.dtype) if len(windows) > 1 else None
-        k = windows[0].shape[1]
-        dst = out[:, :, r0 * ow:r0 * ow + n]
-        np.matmul(w_taps[:, :k], windows[0], out=dst)
-        for i, window in enumerate(windows[1:], 1):
-            dst += np.matmul(w_taps[:, i * k:(i + 1) * k], window, out=part[:, :, :n])
-        _epilogue(dst, bias, None if residual is None else residual[:, :, r0 * ow:r0 * ow + n],
-                  relu)
+    plan = _strip_plan(cin, h, w, kh, kw, stride, dilation, padding)
+    items = ([slice(None)] if b * plan.elements <= _MAX_STRIP_ELEMENTS
+             else [slice(i, i + 1) for i in range(b)])
+    out = residual if overwrite else None
+    scratch = None
+    for item in items:
+        for r0, n_rows, windows in _kernel_row_windows(x[item], kh, kw, stride, dilation,
+                                                       padding, plan):
+            n = n_rows * ow
+            if scratch is None:
+                # Allocated after the first strip's copies, which are freed
+                # first, so the freed copies lie below the live output and
+                # the next conv reuses them; with the output allocated
+                # first, an infer-full pass took about twice the page
+                # faults. The first strip is the largest, so the scratch
+                # fits every strip: ``part`` takes the products after the
+                # first, ``acc`` the sum that is added into the residual.
+                if out is None:
+                    out = np.empty((b, cout, oh * ow), dtype=x.dtype)
+                shape = (windows[0].shape[0], cout, n)
+                scratch = (np.empty(shape, dtype=x.dtype) if len(windows) > 1 else None,
+                           np.empty(shape, dtype=x.dtype) if overwrite else None)
+            part, acc = scratch
+            rows = slice(r0 * ow, r0 * ow + n)
+            dst = acc[:, :, :n] if overwrite else out[item, :, rows]
+            k = windows[0].shape[1]
+            np.matmul(w_taps[:, :k], windows[0], out=dst)
+            for i, window in enumerate(windows[1:], 1):
+                dst += np.matmul(w_taps[:, i * k:(i + 1) * k], window, out=part[:, :, :n])
+            _epilogue(dst, bias, None if residual is None else residual[item, :, rows], relu,
+                      overwrite)
     return out.reshape(b, cout, oh, ow)
 
 
@@ -303,6 +358,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     plus the bias, plus ``residual`` (B,Cout,OH,OW) where given, clamped at
     0 with ``relu``: one op and one output map for the whole layer.
 
+    With no active tape, a residual that does not require a gradient is
+    consumed: the output is written over its array, which the returned
+    tensor shares, so the caller must not read the residual afterwards.
+    Each strip's products and the bias are summed in a strip scratch and
+    then added into the residual's rows (kn2row: its whole output into the
+    residual); the sum commutes, so the result is bit-identical. On a tape,
+    with a residual that requires a gradient (such as the leaves that
+    finite differences re-evaluate) or one that shares memory with x, the
+    residual is read only.
+
     The lowering follows the layer's shape. At stride 1 with ``KH*Cout <
     Cin`` (a narrow output, such as a Cout-1 layer or a 1x1 conv that
     shrinks its channels), kn2row runs: one (KH*KW*Cout, Cin) GEMM per batch
@@ -328,16 +393,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     A strip's copies hold at most ``_STRIP_INPUT_RATIO`` times the elements
     of one batch item's input (or ``_MIN_STRIP_ELEMENTS``), and never more
-    than ``_MAX_STRIP_ELEMENTS``; the strips are equal. The partition
-    depends on the input extents and the kernel only, never on Cout or the
-    batch size, and either lowering runs one GEMM per batch item, so a
-    batch item comes out bit-identical to convolving it alone. Which
+    than ``_MAX_STRIP_ELEMENTS``; the strips are equal. Where the copies of
+    all batch items together would exceed ``_MAX_STRIP_ELEMENTS``, the
+    forward runs the items one at a time. The partition depends on the
+    input extents and the kernel only, never on Cout or the batch size, and
+    either lowering runs one GEMM per batch item, so a batch item comes out
+    bit-identical to convolving it alone, in one batch or item by item. Which
     lowering runs does depend on Cout, so a block of output channels that
     takes the other lowering than the whole may round differently.
 
     Backward rebuilds the copies strip by strip from x and runs one dW
-    GEMM per kernel row; the tape keeps no copy of the input. dX is itself
-    a convolution by the same kernel code: the output gradient, placed at
+    GEMM per kernel row; the tape keeps no copy of the input. These copies
+    always take the whole batch: only the forward kernel runs items one at
+    a time, so dW keeps the order of its sum over items. dX is itself a
+    convolution by the same kernel code: the output gradient, placed at
     stride on a zero grid ``dilation*(k-1)`` larger than x on each axis,
     correlated with the flipped kernel with its channel axes swapped. At
     stride 1, with a square kernel and ``padding <= dilation*(k-1)``, that
@@ -368,9 +437,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         raise ShapeError(f"conv2d: residual shape {residual.shape} != {(b, cout, oh, ow)}")
     inputs = (x, weight) + tuple(t for t in (bias, residual) if t is not None)
     _same_dtype(*inputs)
+    overwrite = (residual is not None and active_tape() is None and not residual.requires_grad
+                 and not np.may_share_memory(residual.data, x.data))
     out = Tensor(_correlate(x.data, weight.data, stride, dilation, padding,
                             None if bias is None else bias.data,
-                            None if residual is None else residual.data, relu))
+                            None if residual is None else residual.data, relu, overwrite))
     out_data = out.data
 
     def grad_fn(g):

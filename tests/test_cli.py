@@ -56,6 +56,22 @@ def test_infer_writes_the_forward_pass(tmp_path, pair):
     assert np.array_equal(read_pfm(out), expected)
 
 
+def test_infer_writes_the_entropy_map(tmp_path, pair):
+    ckpt = _checkpoint(tmp_path / "model.ckpt")
+    out = str(tmp_path / "entropy.pfm")
+    assert cli.main(["infer", "--ckpt", ckpt, "--left", pair[0], "--right", pair[1],
+                     "--out-disp", str(tmp_path / "disp.pfm"), "--out-entropy", out]) == 0
+
+    weights = load_weights(load_checkpoint(ckpt))
+    left, right = (Tensor(normalize_image(read_pnm(p))[None]) for p in pair)
+    expected = forward_tensors(left, right, weights, weights.config)["entropy"].data[0, 0]
+    entropy = read_pfm(out)
+    assert np.array_equal(entropy, expected)
+    # Seeded weights give near-uniform level distributions, whose float32
+    # entropy can round one ulp above ln(levels).
+    assert 0 <= entropy.min() and entropy.max() <= np.log(weights.config.levels) + 1e-6
+
+
 def test_infer_holds_only_the_folded_weights(tmp_path, pair):
     """Once folded, the checkpoint's raw weights are dropped before the
     forward pass: a tiny 48x48 infer peaks at about 3.7 MB of traced

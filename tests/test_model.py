@@ -315,6 +315,24 @@ class TestCostVolume:
         set_level_batch(monkeypatch, "sequential")
         assert default <= 1.02 * peak_bytes()
 
+    def test_untaped_forward_holds_only_live_maps(self):
+        """The setup above peaks below 21.0 MB (about 20.1): the features
+        and the volume die once consumed, and each refine block writes its
+        sum over its input. Holding them all reads about 24.7 MB."""
+        cfg = model.ModelConfig.full(max_disparity=48)
+        weights = model.ModelWeights.initialize(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        left, right = (Tensor(rng.standard_normal((1, 3, 144, 240)).astype(np.float32))
+                       for _ in range(2))
+        tracemalloc.start()
+        try:
+            out = model.forward_tensors(left, right, weights, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(out) == ["coarse", "entropy", "refined"]
+        assert peak < 21.0e6
+
 
 def direct_cost(fl, source, d, weights):
     """The matching net on the concatenated pair ``[L, S_d source]``, layer

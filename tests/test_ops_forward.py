@@ -1,5 +1,6 @@
 """Forward-kernel oracles: hand-evaluated fixtures and naive-loop references."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -269,6 +270,42 @@ class TestConvStrips:
         ops.conv2d(Tensor(x), Tensor(wgt), dilation=dilation, padding=dilation)
         [(n, copies)] = seen
         assert n == n_strips and copies <= 1 << 20
+
+    def test_batch_above_the_cap_runs_items_one_at_a_time(self, rng, monkeypatch):
+        """A (4, 48, 48, 80) batch, ``matching.dec4``'s at 144x240 with 4
+        levels per batch, would take 4 x 299,520 elements of strip copies,
+        above 2^20: its items run one at a time, bit-identical to single
+        items, forward and dX, also when the output is written over the
+        residual."""
+        batches = []
+        windows = ops._kernel_row_windows
+
+        def recording(x, *args):
+            batches.append(x.shape[0])
+            return windows(x, *args)
+
+        monkeypatch.setattr(ops, "_kernel_row_windows", recording)
+        x = rng.standard_normal((4, 48, 48, 80)).astype(np.float32)
+        w = Tensor(0.1 * rng.standard_normal((48, 48, 3, 3)).astype(np.float32))
+        g = rng.standard_normal(x.shape).astype(np.float32)
+
+        def forward_and_dx(xs, gs):
+            with Tape() as tape:
+                out = ops.conv2d(Tensor(xs, requires_grad=True), w, padding=1)
+            return out.data, tape.nodes[0].grad_fn(gs)[0]
+
+        batched, batched_dx = forward_and_dx(x, g)
+        # the forward, the dW copies of the whole batch, and dX
+        assert batches == [1] * 4 + [4] + [1] * 4
+        for i in range(4):
+            alone, alone_dx = forward_and_dx(x[i:i + 1], g[i:i + 1])
+            assert np.array_equal(batched[i:i + 1], alone)
+            assert np.array_equal(batched_dx[i:i + 1], alone_dx)
+        r = Tensor(rng.standard_normal(x.shape).astype(np.float32))
+        expected = np.maximum(r.data + batched, 0)
+        fused = ops.conv2d(Tensor(x), w, padding=1, residual=r, relu=True)
+        assert np.shares_memory(fused.data, r.data)
+        assert np.array_equal(fused.data, expected)
 
 
 # (cin, cout, kernel, dilation, padding), stride 1 with KH*Cout < Cin:
@@ -547,6 +584,49 @@ class TestFusedEpilogue:
                           leaves, proj)
         self._check(fused, chain, "conv2d")
         assert len(calls) == (2 if cout == 1 else 0)
+
+    @staticmethod
+    def _conv_operands(rng, cout):
+        x = Tensor(rng.standard_normal((2, 32, 9, 11)).astype(np.float32))
+        w = Tensor(0.1 * rng.standard_normal((cout, 32, 3, 3)).astype(np.float32))
+        b = Tensor(0.1 * rng.standard_normal((1, cout, 1, 1)).astype(np.float32))
+        r = rng.standard_normal((2, cout, 9, 11)).astype(np.float32)
+        return x, w, b, r
+
+    @pytest.mark.parametrize("cout, dilation", [(32, 2), (1, 1)])  # strips; kn2row
+    def test_untaped_conv2d_writes_over_its_residual(self, rng, monkeypatch, cout, dilation):
+        """Off a tape, the output is the residual's array, summed in place,
+        bit-equal to the unfused chain run on a copy of the residual."""
+        monkeypatch.setattr(ops, "_MIN_STRIP_ELEMENTS", 1 << 11)
+        calls = _record_kn2row(monkeypatch)
+        x, w, b, r_data = self._conv_operands(rng, cout)
+        kw = dict(dilation=dilation, padding=dilation)
+        chain = ops.relu(ops.add(Tensor(r_data.copy()), ops.conv2d(x, w, b, **kw)))
+        r = Tensor(r_data)
+        fused = ops.conv2d(x, w, b, residual=r, relu=True, **kw)
+        assert np.shares_memory(fused.data, r.data)
+        assert 0.2 < np.mean(fused.data == 0) < 0.8
+        assert np.array_equal(fused.data, chain.data)
+        assert len(calls) == (2 if cout == 1 else 0)
+
+    @pytest.mark.parametrize("case, cout", [  # Cout 32 runs strips, Cout 1 kn2row
+        ("taped", 32), ("taped", 1), ("residual_requires_grad", 32),
+        ("residual_requires_grad", 1), ("residual_is_x", 32)])
+    def test_conv2d_keeps_a_residual_that_is_still_read(self, rng, case, cout):
+        """On a tape, with a residual that requires a gradient, or with the
+        conv's own input as its residual, the residual's array is left as
+        it was and the output is a new array."""
+        x, w, b, r_data = self._conv_operands(rng, cout)
+        if case == "residual_is_x":
+            r, r_data = x, x.data.copy()
+        else:
+            r = Tensor(r_data.copy(), requires_grad=case == "residual_requires_grad")
+        expected = ops.relu(ops.add(Tensor(r_data), ops.conv2d(x, w, b, padding=1)))
+        with Tape() if case == "taped" else contextlib.nullcontext():
+            out = ops.conv2d(x, w, b, residual=r, relu=True, padding=1)
+        assert np.array_equal(r.data, r_data)
+        assert not np.shares_memory(out.data, r.data)
+        assert np.array_equal(out.data, expected.data)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("batch", [1, 2])
