@@ -183,9 +183,10 @@ def cmd_infer(args) -> int:
             return _fail(f"no such file: {path}")
     try:
         # Only the folded weights run; the checkpoint's raw arrays are
-        # dropped before the forward pass.
+        # dropped before the forward pass. The one-item list lets the call
+        # below hand the weights over with no name here bound to them.
         ckpt = load_checkpoint(args.ckpt)
-        config, weights = ckpt.config, load_weights(ckpt).folded()
+        config, folded = ckpt.config, [load_weights(ckpt).folded()]
         del ckpt
         left = Tensor(normalize_image(read_pnm(args.left))[None])
         right = Tensor(normalize_image(read_pnm(args.right))[None])
@@ -194,7 +195,11 @@ def cmd_infer(args) -> int:
     if left.shape != right.shape:
         return _fail(f"image extents differ: {left.shape[2:]} vs {right.shape[2:]}")
     try:
-        out = forward_tensors(left, right, weights, config)
+        # The weights go over as a temporary: on CPython 3.11+ the callee
+        # then holds their only reference and frees each stage's weights
+        # once the stage has run. On 3.10 the caller's stack keeps them
+        # alive to the end of the call, with the same outputs.
+        out = forward_tensors(left, right, folded.pop(), config)
     except ShapeError as e:
         return _fail(str(e))
     refined = out["refined"].data[0, 0]

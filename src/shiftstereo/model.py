@@ -2,28 +2,10 @@
 
 Feature extraction at 1/3 resolution, a shared 2D matching network run
 once per disparity shift (so every cost slice is a pure function of the
-left features and the shifted right features), a projection layer that
-turns the cost volume into a disparity and an entropy map, and an
-entropy-guided refinement network on the full-resolution disparity.
-
-The matching net reads the pair ``[L, S_d R]`` (the right features shifted
-d columns to the right) in two layers, ``matching.enc1`` and the skip input
-``[x, L, S_d R]`` of ``matching.dec4``. Convolution is linear, so
-``conv([x, L, S_d R], W) = conv(x, W_x) + conv(L, W_L) + conv(S_d R, W_R)``:
-the L term is the same at every level and the R term is one map shifted by
-d (d // 2 at enc1's stride 2). Both are computed once per cost volume
-(:func:`_pair_terms`), from the weights split by input block
-(:func:`pair_blocks`). Each level shifts the R maps and so reproduces the
-direct form exactly, also at its two edge columns: the column where the
-kernel's last tap first reads ``R[0]`` (the R map is taken over R widened
-by one zero column on the left), and the last column, which reads padding
-in the direct form (a map made with the kernel's last column zeroed).
-
-The levels then run through the rest of the net as batch items, in batches
-of :func:`levels_per_batch`: as many levels as fit in ``_LEVEL_BATCH_PIXELS``
-feature pixels, and at least one, so small inputs run all levels at once
-and large ones one level at a time. Batch items do not interact, so every
-batch size gives bit-identical cost slices.
+left features and the shifted right features; see
+:func:`build_cost_volume`), a projection layer that turns the cost volume
+into a disparity and an entropy map, and an entropy-guided refinement
+network on the full-resolution disparity.
 
 A normed layer runs in one of two forms, chosen by the weights alone. With
 raw weights it is a conv without bias, then a norm over each batch item's
@@ -41,13 +23,6 @@ with raw weights, its conv with folded ones (``residual=`` of
 and records no tape node of its own. In a folded pass only the sums of
 pair terms in ``matching.enc1`` / ``matching.dec4`` and refine's final
 clamp still run :func:`ops.relu`.
-
-An untaped pass keeps only the maps that a later op still reads: the
-features and the cost volume die once consumed, each matching skip once
-concatenated, and a folded refine block's conv2 writes its output over
-the block's input (:func:`ops.conv2d` consumes an untaped residual), so a
-block holds two full-resolution maps, not three. :func:`forward_tensors`
-returns only the coarse and refined disparities and the entropy map.
 """
 
 from __future__ import annotations
@@ -173,13 +148,7 @@ def feature_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
 
 
 def matching_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
-    """U-shaped matching net over one concatenated feature pair.
-
-    Its levels run as batch items, and :func:`ops.batch_norm` normalizes
-    each item by its own statistics, so batching disparity levels together
-    cannot couple them: the cost of each shift is a pure function of that
-    shift however the levels are batched.
-    """
+    """U-shaped matching net over one concatenated feature pair."""
     two_f = 2 * cfg.feature_channels
     m = cfg.matching_channels
     specs = []
@@ -322,6 +291,17 @@ class ModelWeights:
         out.specs = {name: replace(spec, norm=False) for name, spec in self.specs.items()}
         return out
 
+    def stage(self, name: str) -> "ModelWeights":
+        """The layers of subnetwork ``name`` (``"feature"``, ``"matching"``
+        or ``"refine"``), sharing this object's tensors and specs."""
+        def own(store):
+            return {key: value for key, value in store.items()
+                    if key.startswith(name + ".")}
+
+        out = ModelWeights(self.config, own(self.params), own(self.buffers))
+        out.specs = own(self.specs)
+        return out
+
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.grad = None
@@ -435,13 +415,12 @@ def pair_blocks(weights: ModelWeights, cfg: ModelConfig,
     """The weights of the two layers that read the feature pair, split by
     input block, as the keyword arguments of :func:`build_cost_volume`.
 
-    ``matching.enc1`` reads ``[L, S_d R]`` and ``matching.dec4`` reads
-    ``[x, L, S_d R]``; ``x_block``, ``left_block`` and ``right_block`` hold
-    their blocks over x, L and R. Each R block is stacked along the output
-    channels with its twin whose kernel's last column is zeroed, which
-    gives the last output column (see :func:`_pair_terms`). enc1 has stride
-    2 and needs the twin only at an odd ``feature_width``, where its last
-    output column reads padding.
+    ``x_block``, ``left_block`` and ``right_block`` hold their blocks over
+    x, L and R. Each R block is stacked along the output channels with its
+    twin whose kernel's last column is zeroed, which gives the last output
+    column (see :func:`_pair_terms`). enc1 has stride 2 and needs the twin
+    only at an odd ``feature_width``, where its last output column reads
+    padding.
     """
     f, m0 = cfg.feature_channels, cfg.matching_channels[0]
     enc1, dec4 = weights.params["matching.enc1.w"], weights.params["matching.dec4.w"]
@@ -521,12 +500,8 @@ def _pair_terms(left_features: Tensor, source: Tensor, weights: ModelWeights,
 
 
 def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights) -> Tensor:
-    """Cost maps (len(levels), 1, H', W') of the given disparity levels.
-
-    Each batch item runs the matching net on its own level only: the
-    per-item norms and the convs keep batch items independent, so a
-    level's cost is bit-identical however the levels are batched.
-    """
+    """Cost maps (len(levels), 1, H', W') of the given disparity levels,
+    one batch item per level."""
     n = len(levels)
     _, _, h, w = terms.dec4_left.shape
 
@@ -559,16 +534,17 @@ def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights) -
 
 
 # Feature pixels of one matching-net batch. Batching levels saves the fixed
-# cost of each op call, but a batch's activations grow with it: at 144x240
-# (48x80 features) 4 levels per batch keep the untaped forward pass's peak
-# memory where one level puts it (19.9 and 20.1 MB), while 8 raise it by
-# about a third (26.5 MB).
-_LEVEL_BATCH_PIXELS = 1 << 14
+# cost of each op call, but a batch's activations grow with it. In an untaped
+# forward pass at 144x240 (48x80 features), whose stages hold only their own
+# weights, 1 and 2 levels per batch peak at 15.9 MB, in refine; 4 levels move
+# the peak into the matching net, at 17.9 MB, and 8 to 26.0 MB.
+_LEVEL_BATCH_PIXELS = 1 << 13
 
 
 def levels_per_batch(cfg: ModelConfig, fh: int, fw: int) -> int:
     """Disparity levels the matching net runs as one batch on fh x fw
-    features: 4 of 16 at 48x80, all 8 at 32x32, 1 at 180x320."""
+    features: as many as fit in ``_LEVEL_BATCH_PIXELS`` feature pixels, and
+    at least one; 2 of 16 at 48x80, all 8 at 32x32, 1 at 180x320."""
     return max(1, min(cfg.levels, _LEVEL_BATCH_PIXELS // (fh * fw)))
 
 
@@ -590,12 +566,13 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     maps that reproduce the direct form exactly there. A level thus runs
     no ``enc1`` conv and runs ``dec4`` over x only.
 
-    The levels run through the net in batches of :func:`levels_per_batch`
-    consecutive levels, a choice of schedule only: every batch size gives
-    bit-identical slices. With raw weights each norm uses every level's own
-    statistics, and each batch updates the running statistics of the
-    matching net's norms once, so those do depend on it. With
-    :meth:`ModelWeights.folded` weights no norm runs.
+    The levels run through the net as batch items, :func:`levels_per_batch`
+    consecutive levels at a time. Items do not interact (each norm uses its
+    own item's statistics), so the batch size is a choice of schedule only:
+    every size gives bit-identical slices. With raw weights each batch
+    updates the running statistics of the matching net's norms once, so
+    those do depend on it. With :meth:`ModelWeights.folded` weights no norm
+    runs.
 
     ``x_block``, ``left_block`` and ``right_block`` are
     :func:`pair_blocks` of ``weights``, split here when not given.
@@ -692,22 +669,36 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     normalizes every batch item by its own statistics, moves the running
     statistics, and passes gradients to gamma and beta.
 
-    Every other map is released at its last use, and a folded pass without
-    a tape writes each refine block's output over the block's input, so an
-    inference pass holds only what a later op reads.
+    An inference pass holds only what a later op reads: the weights are
+    split into one :meth:`ModelWeights.stage` view per subnetwork, each
+    dropped once its stage has run; the features and the volume die once
+    consumed, each matching skip once concatenated; and without a tape each
+    refine block's conv2 writes its output over the block's input
+    (:func:`ops.conv2d` consumes an untaped residual). Arrays this call
+    folds die with their view. Weights passed in folded die with it only
+    when this call holds their only reference: the caller passes them as a
+    temporary, with no name bound to them, and CPython 3.11+ moves call
+    arguments into the callee's frame (``cli.cmd_infer`` does so). The
+    outputs are the same either way.
     """
     if left.shape != right.shape:
         raise ShapeError(f"forward: image shapes differ {left.shape} vs {right.shape}")
-    if not training:
+    if training:  # the tape keeps every weight to the backward pass anyway
+        feature_w = matching_w = refine_w = weights
+    else:
         weights = weights.folded()
+        feature_w, matching_w, refine_w = (weights.stage(name)
+                                           for name in ("feature", "matching", "refine"))
+    del weights
     _, _, h, w = left.shape
-    f_left = extract_features(left, weights, cfg)
-    f_right = extract_features(right, weights, cfg)
-    volume = build_cost_volume(f_left, f_right, weights, cfg, context_only=context_only,
-                               **pair_blocks(weights, cfg, f_left.shape[3]))
-    del f_left, f_right
+    f_left = extract_features(left, feature_w, cfg)
+    f_right = extract_features(right, feature_w, cfg)
+    del feature_w
+    volume = build_cost_volume(f_left, f_right, matching_w, cfg, context_only=context_only,
+                               **pair_blocks(matching_w, cfg, f_left.shape[3]))
+    del f_left, f_right, matching_w
     coarse, ent_full = _upsample_tensors(*project(volume), h, w)
     del volume
-    refined = refine(coarse, left, ent_full, weights, cfg)
+    refined = refine(coarse, left, ent_full, refine_w, cfg)
     return {"coarse": coarse, "entropy": ent_full, "refined": refined}
 

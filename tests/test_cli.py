@@ -88,6 +88,31 @@ def test_infer_holds_only_the_folded_weights(tmp_path, pair):
     assert peak < 4.3e6
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before CPython 3.11 the caller's stack keeps a call's "
+                           "arguments alive to its end, so the weights of every "
+                           "stage live through refine")
+def test_infer_frees_each_stage_s_weights_once_it_has_run(tmp_path):
+    """A full-profile infer at 144x240 (16 levels) peaks at or below 17.0 MB
+    of traced memory (about 16.2): the folded weights go to the forward pass
+    as a temporary, so it frees each stage's weights once the stage has run.
+    Keeping them all through refine reads about 20.3 MB."""
+    cfg = ModelConfig.full(in_channels=1, max_disparity=48)
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(Checkpoint.from_weights(ModelWeights.initialize(cfg, seed=0)), ckpt)
+    rds = RdsConfig(width=240, height=144, disparity_range=(6, 42), seed=1)
+    left, right, _ = read_manifest(save_samples(gen_rds(rds, 1), str(tmp_path / "data")))[0]
+    out = str(tmp_path / "disp.pfm")
+    assert _infer(ckpt, left, right, out) == 0  # warm-up: imports and cached matrices
+    tracemalloc.start()
+    try:
+        assert _infer(ckpt, left, right, out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17.0e6
+
+
 def test_infer_missing_input_is_a_usage_error(tmp_path, pair):
     ckpt = _checkpoint(tmp_path / "model.ckpt")
     out = str(tmp_path / "disp.pfm")

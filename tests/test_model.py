@@ -1,6 +1,7 @@
 """Network wiring, displacement invariance, projection oracles, refinement."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -284,7 +285,7 @@ class TestCostVolume:
             model.build_cost_volume(fl, fr, wide_weights, wide_cfg)
 
     @pytest.mark.parametrize("profile,max_disparity,fh,fw,expected", [
-        ("full", 48, 48, 80, 4),     # 144x240, 16 levels
+        ("full", 48, 48, 80, 2),     # 144x240, 16 levels
         ("tiny", 24, 32, 32, 8),     # 96x96, all 8 levels
         ("full", 192, 180, 320, 1),  # 540x960, 64 levels
     ])
@@ -294,9 +295,11 @@ class TestCostVolume:
         assert model.levels_per_batch(make(max_disparity=max_disparity), fh, fw) == expected
 
     def test_default_batch_keeps_the_one_level_peak(self, monkeypatch):
-        """An untaped full-profile forward pass at 144x240 (16 levels, 4 per
+        """An untaped full-profile forward pass at 144x240 (16 levels, 2 per
         batch) peaks within 2 % of the one-level schedule; its peak lies in
-        the refine net. All 16 levels in one batch peak about twice as high."""
+        the refine net. 4 levels per batch move it into the matching net,
+        about 12 % higher, and all 16 in one batch peak near three times as
+        high."""
         cfg = model.ModelConfig.full(max_disparity=48)
         weights = model.ModelWeights.initialize(cfg, seed=0)
         rng = np.random.default_rng(0)
@@ -316,9 +319,10 @@ class TestCostVolume:
         assert default <= 1.02 * peak_bytes()
 
     def test_untaped_forward_holds_only_live_maps(self):
-        """The setup above peaks below 21.0 MB (about 20.1): the features
-        and the volume die once consumed, and each refine block writes its
-        sum over its input. Holding them all reads about 24.7 MB."""
+        """The setup above peaks below 17.0 MB (about 16.1): each stage's
+        folded weights, the features and the volume die once consumed, and
+        each refine block writes its sum over its input. Keeping every
+        stage's folded weights to the end of the pass reads about 19.9 MB."""
         cfg = model.ModelConfig.full(max_disparity=48)
         weights = model.ModelWeights.initialize(cfg, seed=0)
         rng = np.random.default_rng(0)
@@ -331,7 +335,36 @@ class TestCostVolume:
         finally:
             tracemalloc.stop()
         assert sorted(out) == ["coarse", "entropy", "refined"]
-        assert peak < 21.0e6
+        assert peak < 17.0e6
+
+    def test_refine_holds_only_its_own_weights(self, rng, monkeypatch):
+        """forward_tensors splits the folded weights by stage and drops each
+        view once its stage has run: refine's weights hold no feature or
+        matching layer, and no array that folding made for those layers is
+        alive. The test keeps the raw weights, so the folded copy belongs to
+        the pass alone on every Python version."""
+        cfg, weights = tiny_weights()
+        fold, run_refine = model.ModelWeights.folded, model.refine
+        made, seen = [], {}
+
+        def folded(self):
+            out = fold(self)
+            made.extend(weakref.ref(t.data) for name, t in out.params.items()
+                        if not name.startswith("refine.") and t is not self.params.get(name))
+            return out
+
+        def refine(disp, image, ent, stage, cfg):
+            seen["layers"] = {name.split(".")[0] for name in stage.params}
+            seen["alive"] = sum(ref() is not None for ref in made)
+            return run_refine(disp, image, ent, stage, cfg)
+
+        monkeypatch.setattr(model.ModelWeights, "folded", folded)
+        monkeypatch.setattr(model, "refine", refine)
+        model.forward_tensors(random_image(rng, 48, 48), random_image(rng, 48, 48), weights, cfg)
+        assert seen == {"layers": {"refine"}, "alive": 0}
+        # a folded w and b per normed feature or matching layer
+        assert len(made) == 2 * sum(s.norm for s in model.all_layer_specs(cfg)
+                                    if not s.name.startswith("refine."))
 
 
 def direct_cost(fl, source, d, weights):
