@@ -101,42 +101,32 @@ def _render_views(texture: np.ndarray, disp: np.ndarray
 
     Returns (left, right, gt, valid). Larger disparities (closer surfaces)
     win overlaps; winners are resolved per distinct disparity value in
-    ascending order, so the ordering is deterministic.
+    ascending order, so the ordering is deterministic. Each value scatters
+    its pixels of every row at once: within a row, its pixels land on
+    distinct columns.
     """
     h, w = texture.shape
-    left = np.zeros((h, w), dtype=np.float32)
-    right = np.zeros((h, w), dtype=np.float32)
+    left_src = np.full((h, w), -1, dtype=np.int64)
+    right_src = np.full((h, w), -1, dtype=np.int64)
+    left_d = np.zeros((h, w), dtype=np.int64)
+    for d_val in np.unique(disp):
+        half = int(d_val) // 2
+        ys, xs = np.nonzero(disp == d_val)
+        keep = xs + half < w
+        left_src[ys[keep], xs[keep] + half] = xs[keep]
+        left_d[ys[keep], xs[keep] + half] = d_val
+        keep = xs >= half
+        right_src[ys[keep], xs[keep] - half] = xs[keep]
+    rows = np.arange(h)[:, None]
+    filled = left_src >= 0
+    left = np.where(filled, texture[rows, left_src], np.float32(0))
+    right = np.where(right_src >= 0, texture[rows, right_src], np.float32(0))
+    # Valid: the same cyclopean column must have won both projections.
+    xr_corr = left_src - left_d // 2
+    both = filled & (xr_corr >= 0)
+    valid = both & (right_src[rows, np.maximum(xr_corr, 0)] == left_src)
     gt = np.full((h, w), np.inf, dtype=np.float32)
-    valid = np.zeros((h, w), dtype=bool)
-    xc = np.arange(w)
-    for y in range(h):
-        drow = disp[y]
-        trow = texture[y]
-        left_src = np.full(w, -1, dtype=np.int64)
-        right_src = np.full(w, -1, dtype=np.int64)
-        left_d = np.zeros(w, dtype=np.int64)
-        for d_val in np.unique(drow):
-            half = int(d_val) // 2
-            sel = drow == d_val
-            xl = xc[sel] + half
-            keep = xl < w
-            left_src[xl[keep]] = xc[sel][keep]
-            left_d[xl[keep]] = d_val
-            xr = xc[sel] - half
-            keep = xr >= 0
-            right_src[xr[keep]] = xc[sel][keep]
-        filled = left_src >= 0
-        left[y, filled] = trow[left_src[filled]]
-        right_filled = right_src >= 0
-        right[y, right_filled] = trow[right_src[right_filled]]
-        # Valid: the same cyclopean column must have won both projections.
-        xr_corr = left_src - left_d // 2
-        both = filled & (xr_corr >= 0)
-        cols = np.nonzero(both)[0]
-        agree = right_src[xr_corr[cols]] == left_src[cols]
-        ok = cols[agree]
-        valid[y, ok] = True
-        gt[y, ok] = left_d[ok]
+    gt[valid] = left_d[valid]
     return left, right, gt, valid
 
 

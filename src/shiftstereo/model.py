@@ -629,7 +629,12 @@ def _upsample_tensors(disp_low: Tensor, ent_low: Tensor,
 
 def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
            weights: ModelWeights, cfg: ModelConfig) -> Tensor:
-    """Residual correction of the disparity, clamped to be non-negative."""
+    """Residual correction of the disparity, clamped to be non-negative.
+
+    On a tape, a block's conv1 norm output is dropped once conv2 has read
+    it, and conv2's weight gradient rebuilds it. The block outputs are
+    kept: each one's rebuild would read the previous one, rebuilt too.
+    """
     if disp.shape[2:] != left_image.shape[2:] or disp.shape[2:] != ent.shape[2:]:
         raise ShapeError(f"refine: extents differ (disp {disp.shape}, "
                          f"image {left_image.shape}, entropy {ent.shape})")
@@ -641,9 +646,11 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
     ])
     x = _block(x, "refine.head", weights)
     for i in range(1, len(cfg.refine_blocks) + 1):
+        y = _block(x, f"refine.block{i}.conv1", weights)
         # Off a tape, conv2 writes its output over x's array.
-        x = _block(_block(x, f"refine.block{i}.conv1", weights),
-                   f"refine.block{i}.conv2", weights, residual=x)
+        x = _block(y, f"refine.block{i}.conv2", weights, residual=x)
+        y.drop()
+        del y  # so that it is not alive beside the next block's conv1
     residual = ops.conv2d(x, weights.params["refine.out.w"],
                           weights.params["refine.out.b"], padding=1)
     return ops.relu(ops.add(disp, residual))

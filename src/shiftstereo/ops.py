@@ -403,8 +403,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     takes the other lowering than the whole may round differently.
 
     Backward rebuilds the copies strip by strip from x and runs one dW
-    GEMM per kernel row; the tape keeps no copy of the input. These copies
-    always take the whole batch: only the forward kernel runs items one at
+    GEMM per kernel row; the tape keeps no copy, and dX runs once the dW
+    copies are freed. These copies always take the whole batch: only the forward kernel runs items one at
     a time, so dW keeps the order of its sum over items. dX is itself a
     convolution by the same kernel code: the output gradient, placed at
     stride on a zero grid ``dilation*(k-1)`` larger than x on each axis,
@@ -442,11 +442,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     out = Tensor(_correlate(x.data, weight.data, stride, dilation, padding,
                             None if bias is None else bias.data,
                             None if residual is None else residual.data, relu, overwrite))
-    out_data = out.data
+    # Only a ReLU's mask reads the output in backward.
+    mask_source = out.data if relu else None
 
     def grad_fn(g):
         if relu:
-            g = g * (out_data > 0)
+            g = g * (mask_source > 0)
         gflat = g.reshape(b, cout, oh * ow)
         dw = np.zeros((cout, kh * kw * cin), dtype=g.dtype)
         for r0, n_rows, windows in _kernel_row_windows(x.data, kh, kw, stride, dilation,
@@ -455,6 +456,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             k = windows[0].shape[1]
             for i, window in enumerate(windows):
                 dw[:, i * k:(i + 1) * k] += np.matmul(g_strip, window.transpose(0, 2, 1)).sum(axis=0)
+        del windows, window  # views that keep the strip copies alive through dX
         dw = np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         dx = (_input_grad(g, weight.data, h, w, stride, dilation, padding)
               if x.requires_grad else None)
@@ -493,12 +495,14 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     ``relu=True`` clipped at 0 in place, is one tape node that keeps no
     activation-sized array of its own. It saves x's array, the per-item
     ``mu`` / ``inv``, copies of gamma and beta taken now, and the
-    residual's array. On a tape, its output gets a ``rebuild`` that repeats
-    the forward's op sequence on them, so :func:`shiftstereo.tensor.backward`
-    drops the output and a read rebuilds it bit-identical to the forward's,
-    also after an optimizer step changed gamma and beta. Backward recomputes
-    ``xhat`` and, with ``relu``, takes the mask ``y > 0`` from the output:
-    where a conv reads y, its weight gradient has rebuilt y already.
+    residual's array. On a tape, once recorded, its output gets a
+    ``rebuild`` that repeats the forward's op sequence on them and joins
+    the tape's ``rebuildable``, so :func:`shiftstereo.tensor.backward` (or
+    forward code, by ``Tensor.drop``) drops the output and a read rebuilds
+    it bit-identical to the forward's, also after an optimizer step
+    changed gamma and beta. Backward recomputes ``xhat`` and, with
+    ``relu``, takes the mask ``y > 0`` from the output: where a conv reads
+    y, its weight gradient has rebuilt y already.
 
     The result is bit-identical to ``relu(add(residual, batch_norm(x)))``,
     and the residual receives the masked output gradient ``g``. With ``k =
@@ -567,6 +571,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     record_op("batch_norm", out, inputs, grad_fn)
     if out.requires_grad:  # on a tape
         out.rebuild = lambda: affine(normalized())
+        active_tape().rebuildable.append(out)
     return out
 
 

@@ -6,16 +6,18 @@ oracles and gradient checks). Operations in :mod:`shiftstereo.ops`
 record themselves onto the innermost active :class:`Tape`; calling
 :func:`backward` on a scalar loss consumes the tape in exact reverse
 execution order and accumulates gradients into the leaves' ``.grad``
-buffers. Each node, and the gradient of its output, is released as soon as
-backward has used it, so the memory of a step falls as backward runs.
+buffers. The tape holds gradient bookkeeping only: a node refers to
+tensors through their :class:`_Slot`, never to an array, so CPython frees
+each map at its last use by forward code or by a gradient closure that
+saved it, in forward or in backward (liveness as in Chen et al. 2016,
+arXiv 1604.06174).
 
 An op output on a tape may carry a ``rebuild``: a function that computes
 the output array again, bit for bit, from what the op saved for its
 backward anyway (:func:`shiftstereo.ops.batch_norm` sets one). Backward
-drops the arrays of such outputs before it replays the tape, and reading
-``Tensor.data`` rebuilds a dropped array once, when something needs it: a
-conv's weight gradient reading its input, or a caller reading an output
-after backward. Until then the tape holds no copy of them.
+drops the arrays of such outputs before it replays the tape, forward code
+may drop one earlier (:meth:`Tensor.drop`), and reading ``Tensor.data``
+rebuilds a dropped array once, when something needs it.
 """
 
 from __future__ import annotations
@@ -28,22 +30,36 @@ STANDARD = np.float32
 HIGH = np.float64
 
 
+class _Slot:
+    """What the tape keeps of a tensor: everything but its array."""
+
+    __slots__ = ("grad", "requires_grad", "shape", "dtype")
+
+
+def _slot_field(name: str) -> property:
+    return property(lambda t: getattr(t._slot, name),
+                    lambda t, value: setattr(t._slot, name, value))
+
+
 class Tensor:
     """A dense (batch, channel, height, width) value with an optional gradient.
 
     ``data`` is always a contiguous row-major array (width fastest).
-    ``shape`` and ``dtype`` are kept beside it, so reading them never
-    touches the array. ``grad`` is lazily created by :func:`backward` and
-    has the same shape and dtype as ``data``. Leaf tensors (weights,
-    inputs) are created directly and keep their gradient; op outputs are
-    produced by :mod:`shiftstereo.ops`, and backward drops their gradient
-    once used. ``rebuild``, None unless the op that recorded the tensor
-    sets it, returns an array bit-identical to ``data`` at any later time,
-    also after the op's inputs were updated in place; :func:`backward`
-    then drops the array.
+    ``shape``, ``dtype``, ``grad`` and ``requires_grad`` live in the
+    :class:`_Slot` that the tape shares. ``grad`` is lazily created by
+    :func:`backward`. Leaf tensors (weights, inputs) are created directly
+    and keep their gradient; backward drops an op output's gradient once
+    used. ``rebuild``, None unless the op that recorded the tensor sets it,
+    returns an array bit-identical to ``data`` at any later time, also
+    after the op's inputs were updated in place.
     """
 
-    __slots__ = ("_data", "rebuild", "shape", "dtype", "grad", "requires_grad")
+    __slots__ = ("_data", "rebuild", "_slot")
+
+    grad = _slot_field("grad")
+    requires_grad = _slot_field("requires_grad")
+    shape = property(lambda self: self._slot.shape)
+    dtype = property(lambda self: self._slot.dtype)
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -51,15 +67,16 @@ class Tensor:
             arr = arr.astype(STANDARD)
         if arr.ndim != 4:
             raise ShapeError(f"tensors are (batch, channel, height, width); got ndim={arr.ndim}")
+        self._slot = _Slot()
         self.data = np.ascontiguousarray(arr)
         self.grad = None
         self.requires_grad = bool(requires_grad)
 
     @property
     def data(self) -> np.ndarray:
-        """The array. One that :func:`backward` dropped is rebuilt by
-        ``rebuild`` on the first read, and then kept. An array assigned
-        here has no rebuild, so backward keeps it."""
+        """The array. One that was dropped is rebuilt by ``rebuild`` on the
+        first read, and then kept. An array assigned here has no rebuild,
+        so backward keeps it."""
         if self._data is None:
             self._data, self.rebuild = self.rebuild(), None
         return self._data
@@ -67,7 +84,12 @@ class Tensor:
     @data.setter
     def data(self, value: np.ndarray) -> None:
         self._data, self.rebuild = value, None
-        self.shape, self.dtype = value.shape, value.dtype
+        self._slot.shape, self._slot.dtype = value.shape, value.dtype
+
+    def drop(self) -> None:
+        """Free the array if ``rebuild`` can make it again."""
+        if self.rebuild is not None:
+            self._data = None
 
     def __repr__(self):
         req = ", requires_grad=True" if self.requires_grad else ""
@@ -80,16 +102,19 @@ class Tensor:
 
 
 class _Node:
-    """One executed operation: output, inputs, and the gradient closure.
+    """One executed operation: the slots of its output and inputs, and the
+    gradient closure.
 
+    Ownership: the node holds no array, so the only arrays that live to
+    backward are those a ``grad_fn`` saved, itself or through a tensor.
     ``grad_fn(out_grad)`` returns one gradient array (or None) per input,
-    in input order. Ownership: a returned array either is new, made by the
-    call and kept by nothing else, or may alias ``out_grad`` or another
-    array the same call returns (``add`` hands ``g`` to both inputs; a
-    layout op hands out views of ``g``). The backward driver keeps a new
-    array as the input's ``.grad`` and copies only one that may alias, so
-    grad buffers never alias each other. A ``grad_fn`` must never return
-    an array that it or the forward pass keeps.
+    in input order. A returned array either is new, made by the call and
+    kept by nothing else, or may alias ``out_grad`` or another array the
+    same call returns (``add`` hands ``g`` to both inputs; a layout op
+    hands out views of ``g``). The backward driver keeps a new array as the
+    input's ``.grad`` and copies only one that may alias, so grad buffers
+    never alias each other. A ``grad_fn`` must never return an array that
+    it or the forward pass keeps.
     """
 
     __slots__ = ("op", "output", "inputs", "grad_fn")
@@ -110,10 +135,12 @@ class Tape:
     Use as a context manager; ops executed inside record themselves here.
     A tape belongs to exactly one training step. :func:`backward` pops its
     nodes as it replays them, so it is replayed once and is empty after.
+    ``rebuildable`` lists the recorded outputs that have a ``rebuild``.
     """
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.rebuildable: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -126,7 +153,7 @@ class Tape:
 
     def record(self, op: str, output: Tensor, inputs, grad_fn) -> None:
         output.requires_grad = True
-        self.nodes.append(_Node(op, output, tuple(inputs), grad_fn))
+        self.nodes.append(_Node(op, output._slot, tuple(t._slot for t in inputs), grad_fn))
 
 
 def active_tape() -> Tape | None:
@@ -148,21 +175,21 @@ def backward(loss: Tensor, tape: Tape) -> None:
     ``loss`` must have extent 1 in every dimension. Gradients accumulate;
     callers zero leaf grads between steps.
 
-    First, every output on the tape that has a ``rebuild`` drops its
-    array; it is rebuilt on its first read. The tape is then consumed:
-    nodes are popped in reverse execution order, and once a node's
-    ``grad_fn`` has used its output's gradient that gradient is set to
-    ``None`` and the node is dropped, together with the arrays its closure
-    saved. Afterwards the tape is empty and only leaf tensors (those no op
-    produced) hold a ``.grad``.
+    First, every output in the tape's ``rebuildable`` drops its array, and
+    the tape lets go of the list. The tape is then consumed: nodes are
+    popped in reverse execution order, and once a node's ``grad_fn`` has
+    used its output's gradient that gradient is set to ``None`` and the
+    node is dropped, together with what its closure saved, so each map
+    dies after the last node that reads it. Afterwards the tape is empty
+    and only leaf tensors (those no op produced) hold a ``.grad``.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
+    for t in tape.rebuildable:
+        t.drop()
+    tape.rebuildable.clear()
     nodes = tape.nodes
-    for node in nodes:
-        if node.output.rebuild is not None:
-            node.output._data = None
     while nodes:
         _replay(nodes.pop())
 
@@ -173,8 +200,8 @@ def _replay(node: _Node) -> None:
     An input's first gradient is the returned array itself, unless it may
     share memory with ``out_grad`` or with a gradient already handed to an
     earlier input of this node; only then is it copied (see :class:`_Node`).
-    Shapes are checked against the inputs' stored shapes, so the check
-    rebuilds no dropped array.
+    Shapes are checked against the input slots' shapes, so the check
+    reads no array.
     """
     # A function of its own, so the node's gradients are released on return
     # and never live beside the next node's.
@@ -182,18 +209,18 @@ def _replay(node: _Node) -> None:
     if out_grad is None:
         return
     handed = [out_grad]
-    for tensor, grad in zip(node.inputs, node.grad_fn(out_grad)):
-        if grad is None or not tensor.requires_grad:
+    for slot, grad in zip(node.inputs, node.grad_fn(out_grad)):
+        if grad is None or not slot.requires_grad:
             continue
-        if grad.shape != tensor.shape:
+        if grad.shape != slot.shape:
             raise ShapeError(
                 f"{node.op} backward produced grad shape {grad.shape} "
-                f"for input shape {tensor.shape}"
+                f"for input shape {slot.shape}"
             )
-        if tensor.grad is not None:
-            tensor.grad += grad
+        if slot.grad is not None:
+            slot.grad += grad
             continue
         if any(np.may_share_memory(grad, other) for other in handed):
             grad = np.array(grad)
-        tensor.grad = grad
+        slot.grad = grad
         handed.append(grad)

@@ -46,6 +46,45 @@ def conv2d_reference(x, w, b=None, stride=1, dilation=1, padding=0):
     return out
 
 
+def render_views_reference(texture, disp):
+    """Per-row oracle of ``datasets._render_views``: one 1D z-buffer per
+    row, filled by the row's distinct disparities in ascending order."""
+    h, w = texture.shape
+    left = np.zeros((h, w), dtype=np.float32)
+    right = np.zeros((h, w), dtype=np.float32)
+    gt = np.full((h, w), np.inf, dtype=np.float32)
+    valid = np.zeros((h, w), dtype=bool)
+    xc = np.arange(w)
+    for y in range(h):
+        drow = disp[y]
+        trow = texture[y]
+        left_src = np.full(w, -1, dtype=np.int64)
+        right_src = np.full(w, -1, dtype=np.int64)
+        left_d = np.zeros(w, dtype=np.int64)
+        for d_val in np.unique(drow):
+            half = int(d_val) // 2
+            sel = drow == d_val
+            xl = xc[sel] + half
+            keep = xl < w
+            left_src[xl[keep]] = xc[sel][keep]
+            left_d[xl[keep]] = d_val
+            xr = xc[sel] - half
+            keep = xr >= 0
+            right_src[xr[keep]] = xc[sel][keep]
+        filled = left_src >= 0
+        left[y, filled] = trow[left_src[filled]]
+        right_filled = right_src >= 0
+        right[y, right_filled] = trow[right_src[right_filled]]
+        xr_corr = left_src - left_d // 2
+        both = filled & (xr_corr >= 0)
+        cols = np.nonzero(both)[0]
+        agree = right_src[xr_corr[cols]] == left_src[cols]
+        ok = cols[agree]
+        valid[y, ok] = True
+        gt[y, ok] = left_d[ok]
+    return left, right, gt, valid
+
+
 def avg_pool_reference(x, window_h, window_w, stride_h, stride_w):
     """Loop oracle including the clip-to-input rule for oversized windows."""
     bs, c, h, w = x.shape

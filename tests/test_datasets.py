@@ -1,5 +1,6 @@
 """Stereogram generation, stereo constraint audits, and file format I/O."""
 
+import hashlib
 import os
 import struct
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import render_views_reference
 from shiftstereo import datasets
 from shiftstereo.datasets import (RdsConfig, StereoSample, gen_rds, load_dataset,
                                   read_manifest, read_pfm, read_pnm, save_samples,
@@ -90,6 +92,47 @@ class TestRdsGeneration:
         # right view: shape lands on 3..6, right column 7 is the right hole
         assert np.array_equal(right[0, 3:7], texture[0, 4:8])
         assert right[0, 7] == 0.0
+
+    @pytest.mark.parametrize("height, width, disparity_range", [
+        (48, 48, (6, 20)), (96, 96, (6, 18)), (144, 240, (6, 42)), (47, 53, (0, 21))],
+        ids=["48x48", "96x96", "144x240", "47x53"])
+    def test_render_views_equals_the_per_row_loop(self, height, width, disparity_range):
+        """The renderer, which scatters each disparity value over all rows at
+        once, is bit-identical to the per-row oracle on 20 seeds."""
+        for seed in range(20):
+            cfg = RdsConfig(width=width, height=height, disparity_range=disparity_range,
+                            seed=seed)
+            rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+            disp = datasets._disparity_field(cfg, rng)
+            texture = (rng.random((height, width)) < cfg.dot_density).astype(np.float32)
+            got = datasets._render_views(texture, disp)
+            for a, b in zip(got, render_views_reference(texture, disp)):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b), seed
+
+    # sha256 of every sample's left, right, gt and valid bytes at seed 1, for
+    # the stereo sets the benchmark workloads generate (perfbench/workloads.py):
+    # (height, width, max_disparity, count, digest). A change to the
+    # stereogram data must change these on purpose, and say so in CHANGES.md.
+    BENCHMARK_SETS = {
+        "infer-full": (144, 240, 48, 4,
+                       "89c53c9c08fe9f3161f0ae18e62826f0bf4d658aff95d04355080486f95ca77a"),
+        "infer-tiny": (96, 96, 24, 16,
+                       "bbb46f64bdbc20dad01b42dbea90f2402713c29f638dc8b9ec162eeec0018fb1"),
+        "train-tiny": (96, 96, 24, 10,
+                       "5cd7e470b07f89efd57556365fbdfcd672cec4b7d956db9cabb01330e423d87d"),
+    }
+
+    @pytest.mark.parametrize("workload", sorted(BENCHMARK_SETS))
+    def test_benchmark_stereograms_keep_their_bytes(self, workload):
+        height, width, max_disparity, count, digest = self.BENCHMARK_SETS[workload]
+        cfg = RdsConfig(width=width, height=height,
+                        disparity_range=(6, max_disparity - 6), seed=1)
+        h = hashlib.sha256()
+        for s in gen_rds(cfg, count):
+            for a in (s.left, s.right, s.gt, s.valid):
+                h.update(np.ascontiguousarray(a).tobytes())
+        assert h.hexdigest() == digest
 
     def test_rejects_bad_configs(self):
         with pytest.raises(ConfigError):

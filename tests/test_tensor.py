@@ -1,10 +1,12 @@
 """Tensor container, tape mechanics, and the backward driver."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from conftest import backward_reference, batch_norm_kept
-from shiftstereo import ops
+from shiftstereo import model, ops
 from shiftstereo.datasets import RdsConfig, gen_rds
 from shiftstereo.errors import ShapeError
 from shiftstereo.model import (ModelConfig, ModelWeights, all_layer_specs,
@@ -210,19 +212,19 @@ class TestElementwiseContracts:
 
 
 def _count_rebuilds(tape):
-    """Wrap the ``rebuild`` of every output on the tape in a counter; list
-    them as ``[tensor, copy of its forward bits, rebuild count]``."""
+    """Wrap the ``rebuild`` of every output in the tape's ``rebuildable`` in
+    a counter; list them as ``[tensor, copy of its forward bits, rebuild
+    count]``. An output that forward code dropped already (refine's conv1
+    norms) gives its bits by a rebuild that is not counted."""
     outputs = []
-    for node in tape.nodes:
-        t = node.output
-        if t.rebuild is not None:
-            entry = [t, t.data.copy(), 0]
-            outputs.append(entry)
+    for t in tape.rebuildable:
+        entry = [t, t.rebuild() if t._data is None else t.data.copy(), 0]
+        outputs.append(entry)
 
-            def counted(rebuild=t.rebuild, entry=entry):
-                entry[2] += 1
-                return rebuild()
-            t.rebuild = counted
+        def counted(rebuild=t.rebuild, entry=entry):
+            entry[2] += 1
+            return rebuild()
+        t.rebuild = counted
     return outputs
 
 
@@ -254,6 +256,56 @@ class TestRebuiltNormOutputs:
             outputs += _count_rebuilds(tape)
         backward(loss, tape)
         return weights, loss.item(), left.grad
+
+    def test_a_taped_forward_keeps_only_what_backward_reads(self, monkeypatch):
+        """The tape holds slots, not maps: after a taped tiny forward the
+        matching net's per-level ``stack_batch`` and ``gather_columns`` maps,
+        which no gradient closure reads, are dead, and refine's conv1 norm
+        outputs hold no array. Backward rebuilds each of those once."""
+        per_level, conv1, inside = [], [], []
+
+        def watched(op):
+            def wrapper(*args, **kwargs):
+                out = op(*args, **kwargs)
+                if inside:
+                    per_level.append(weakref.ref(out.data))
+                return out
+            return wrapper
+
+        def match_levels(*args, inner=model._match_levels):
+            inside.append(True)
+            try:
+                return inner(*args)
+            finally:
+                inside.pop()
+
+        def block(x, name, *args, inner=model._block, **kwargs):
+            out = inner(x, name, *args, **kwargs)
+            if name.startswith("refine.block") and name.endswith(".conv1"):
+                conv1.append((out, out.data.copy(), weakref.ref(out.data)))
+            return out
+
+        for name in ("stack_batch", "gather_columns"):
+            monkeypatch.setattr(ops, name, watched(getattr(ops, name)))
+        monkeypatch.setattr(model, "_match_levels", match_levels)
+        monkeypatch.setattr(model, "_block", block)
+        cfg = ModelConfig.tiny()
+        [sample] = gen_rds(RdsConfig(width=48, height=48, seed=1), 1)
+        weights = ModelWeights.initialize(cfg, seed=0)
+        with Tape() as tape:
+            out = forward_tensors(Tensor(sample.left[None], requires_grad=True),
+                                  Tensor(sample.right[None]), weights, cfg, training=True)
+            loss = total_loss(out["coarse"], out["refined"], sample.gt, sample.valid,
+                              max_disparity=cfg.max_disparity)
+        # all 8 levels run as one batch: two stacks and two gathers
+        assert len(per_level) == 4 and all(ref() is None for ref in per_level)
+        assert len(conv1) == len(cfg.refine_blocks)
+        assert all(ref() is None for _, _, ref in conv1)
+        counts = {id(entry[0]): entry for entry in _count_rebuilds(tape)}
+        backward(loss, tape)
+        for t, forward_bits, _ in conv1:
+            assert counts[id(t)][2] == 1
+            assert np.array_equal(t.data, forward_bits)
 
     def test_training_step_bit_equal_to_a_norm_that_keeps_its_output(self, monkeypatch):
         weights, loss, left_grad = self._step()
