@@ -153,13 +153,14 @@ def gen_rds(cfg: RdsConfig, count: int) -> list[StereoSample]:
 
 @contextmanager
 def _reading(path: str):
-    """Open ``path`` for binary reading; an OSError of opening or reading it
-    (a missing or unreadable file, a directory) becomes a ParseError."""
+    """Open ``path`` for binary reading; a path that cannot be opened (a
+    missing or unreadable file, a directory, a NUL byte) is a ParseError."""
     try:
-        with open(path, "rb") as f:
-            yield f
-    except OSError as e:
+        f = open(path, "rb")
+    except (OSError, ValueError) as e:
         raise ParseError(f"cannot read {path}: {e}") from e
+    with f:
+        yield f
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +309,7 @@ def read_manifest(path: str) -> list[tuple[str, ...]]:
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
-    except (OSError, UnicodeDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: undecodable text, a NUL byte
         raise ParseError(f"cannot read manifest {path}: {e}")
     entries = []
     for lineno, line in enumerate(lines, 1):
@@ -337,9 +338,6 @@ def load_dataset(manifest_path: str, max_disparity: int) -> list[StereoSample]:
     ground truth is finite and below ``max_disparity``."""
     samples = []
     for left_path, right_path, gt_path in read_manifest(manifest_path):
-        for p in (left_path, right_path, gt_path):
-            if not os.path.isfile(p):
-                raise ParseError(f"{manifest_path}: missing file {p}")
         left = normalize_image(_read_image_any(left_path))
         right = normalize_image(_read_image_any(right_path))
         gt = read_pfm(gt_path)

@@ -77,15 +77,13 @@ class CheckReport:
         return out
 
 
-def run_case(case: CheckCase, step: float = 1e-4, rng: np.random.Generator | None = None
-             ) -> list[CheckResult]:
+def run_case(case: CheckCase, step: float = 1e-4) -> list[CheckResult]:
     params, loss_fn = case.build()
     with Tape() as tape:
         loss = loss_fn()
     backward(loss, tape)
 
-    if rng is None:
-        rng = np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     results = []
     for name, p in params.items():
         if not p.requires_grad:
@@ -194,14 +192,14 @@ def _bn_case(name, batch=2, relu=False, residual=False):
     return CheckCase(name, build)
 
 
-def _unary_case(name, fn, in_shape=(1, 3, 4, 5), offset=0.0):
+def _unary_case(name, fn, in_shape=(1, 3, 4, 5)):
     def build():
         rng = np.random.default_rng(_seed(name))
         data = rng.standard_normal(in_shape)
         # keep samples away from kinks (relu at 0, smooth-l1 at |x|=1)
         data = np.where(np.abs(data) < 0.05, 0.3, data)
         data = np.where(np.abs(np.abs(data) - 1.0) < 0.05, 1.3 * np.sign(data), data)
-        x = Tensor(data + offset, requires_grad=True, dtype=HIGH)
+        x = Tensor(data, requires_grad=True, dtype=HIGH)
 
         def loss():
             return _projected_sum(fn(x), np.random.default_rng(9))
@@ -304,8 +302,9 @@ def op_cases() -> list[CheckCase]:
     return cases
 
 
-def composite_cases(tolerance: float = 1e-3) -> list[CheckCase]:
-    """Deeper graphs: conv->bn->relu chains and the refine subnetwork."""
+def composite_cases() -> list[CheckCase]:
+    """Deeper graphs at tolerance 1e-3: conv->bn->relu chains and the
+    refine subnetwork."""
     def build_chain():
         rng = np.random.default_rng(31)
         x = _leaf(rng, (1, 2, 6, 6))
@@ -346,9 +345,8 @@ def composite_cases(tolerance: float = 1e-3) -> list[CheckCase]:
         return tracked, loss
 
     return [
-        CheckCase("composite_conv_bn_relu_sum", build_chain, tolerance=tolerance),
-        CheckCase("composite_refine", build_refine, tolerance=tolerance,
-                  sample_elements=24),
+        CheckCase("composite_conv_bn_relu_sum", build_chain, tolerance=1e-3),
+        CheckCase("composite_refine", build_refine, tolerance=1e-3, sample_elements=24),
     ]
 
 
@@ -357,9 +355,8 @@ def fault_case() -> CheckCase:
     return _unary_case("relu_injected_fault", _faulty_relu)
 
 
-def standard_suite(composite_tolerance: float = 1e-3,
-                   inject_fault: bool = False) -> list[CheckCase]:
-    cases = op_cases() + composite_cases(composite_tolerance)
+def standard_suite(inject_fault: bool = False) -> list[CheckCase]:
+    cases = op_cases() + composite_cases()
     if inject_fault:
         cases.append(fault_case())
     return cases

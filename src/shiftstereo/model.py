@@ -1,28 +1,12 @@
-"""The four-stage stereo network.
+"""The four-stage stereo network, chained by :func:`forward_tensors`.
 
-Feature extraction at 1/3 resolution, a shared 2D matching network run
-once per disparity shift (so every cost slice is a pure function of the
-left features and the shifted right features; see
-:func:`build_cost_volume`), a projection layer that turns the cost volume
-into a disparity and an entropy map, and an entropy-guided refinement
-network on the full-resolution disparity.
-
-A normed layer runs in one of two forms, chosen by the weights alone. With
-raw weights it is a conv without bias, then a norm over each batch item's
-own statistics that also applies the layer's ReLU (:func:`ops.batch_norm`).
-With folded weights (:meth:`ModelWeights.folded`), which an inference pass
-of :func:`forward_tensors` builds once per call, the norm's running
-statistics and affine are folded into the conv's weights and bias, so the
-layer is one conv that also applies the ReLU.
-
-A refinement block is two dilated 3x3 layers and a skip: ``x' = relu(x +
-conv2(conv1(x)))``, where conv2 has its norm but no ReLU of its own. The
-skip's sum and ReLU run inside the op that makes conv2's output: its norm
-with raw weights, its conv with folded ones (``residual=`` of
-:func:`ops.batch_norm` and :func:`ops.conv2d`), so the skip writes no map
-and records no tape node of its own. In a folded pass only the sums of
-pair terms in ``matching.enc1`` / ``matching.dec4`` and refine's final
-clamp still run :func:`ops.relu`.
+Features at 1/3 resolution (:func:`extract_features`); one shared 2D
+matching net per disparity shift, whose pair-term and level-batching rules
+:func:`build_cost_volume` owns; the soft-argmin and entropy projection
+(:func:`project`); and entropy-guided refinement (:func:`refine`). Every
+``ConvSpec`` layer runs through :func:`_block`, and its norm and ReLU
+through :func:`_norm_act`: with raw weights a norm over each batch item's
+own statistics, with folded ones (:meth:`ModelWeights.folded`) none.
 """
 
 from __future__ import annotations
@@ -307,17 +291,17 @@ class ModelWeights:
             p.grad = None
 
 
-def _norm_act(out: Tensor, name: str, weights: ModelWeights) -> Tensor:
-    """The norm and activation that follow layer ``name``'s sum of
-    convolutions (``matching.enc1`` / ``matching.dec4``, whose pair terms
-    are summed outside any conv)."""
+def _norm_act(out: Tensor, name: str, weights: ModelWeights,
+              residual: Tensor | None = None) -> Tensor:
+    """The norm and activation of layer ``name`` on its convolutions' sum
+    ``out``; with a residual, ``relu(norm(out) + residual)`` as one op."""
     spec = weights.specs[name]
-    if spec.norm:
-        return ops.batch_norm(out, weights.params[name + ".gamma"],
-                              weights.params[name + ".beta"],
-                              weights.buffers[name + ".mean"],
-                              weights.buffers[name + ".var"], relu=spec.act)
-    return ops.relu(out) if spec.act else out
+    if not spec.norm:
+        return ops.relu(out) if spec.act else out
+    p, buffers = weights.params, weights.buffers
+    return ops.batch_norm(out, p[name + ".gamma"], p[name + ".beta"], buffers[name + ".mean"],
+                          buffers[name + ".var"], relu=spec.act or residual is not None,
+                          residual=residual)
 
 
 def _block(x: Tensor, name: str, weights: ModelWeights,
@@ -328,15 +312,12 @@ def _block(x: Tensor, name: str, weights: ModelWeights,
     the layer's output: the norm with raw weights, the conv with folded ones.
     """
     spec = weights.specs[name]
-    relu = spec.act or residual is not None
-    p, buffers = weights.params, weights.buffers
+    w = weights.params[name + ".w"]
     geometry = dict(stride=spec.stride, dilation=spec.dilation, padding=spec.padding)
-    if not spec.norm:
-        return ops.conv2d(x, p[name + ".w"], p.get(name + ".b"), residual=residual,
-                          relu=relu, **geometry)
-    return ops.batch_norm(ops.conv2d(x, p[name + ".w"], **geometry), p[name + ".gamma"],
-                          p[name + ".beta"], buffers[name + ".mean"], buffers[name + ".var"],
-                          relu=relu, residual=residual)
+    if spec.norm:
+        return _norm_act(ops.conv2d(x, w, **geometry), name, weights, residual)
+    return ops.conv2d(x, w, weights.params.get(name + ".b"), residual=residual,
+                      relu=spec.act or residual is not None, **geometry)
 
 
 # The smallest inputs the model runs on: feature.down reads a 9x9 image,
@@ -382,8 +363,7 @@ def extract_features(image: Tensor, weights: ModelWeights, cfg: ModelConfig) -> 
         p = _block(p, f"feature.spp{i}", weights)
         branches.append(ops.bilinear_resize(p, fh, fw))
     fused = _block(ops.concat_channels(branches), "feature.fuse", weights)
-    return ops.conv2d(fused, weights.params["feature.out.w"],
-                      weights.params["feature.out.b"], padding=0)
+    return _block(fused, "feature.out", weights)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +439,7 @@ class _PairTerms:
 
 
 def _pair_terms(left_features: Tensor, source: Tensor, weights: ModelWeights,
-                cfg: ModelConfig, x_block: BlockWeights, left_block: BlockWeights,
+                x_block: BlockWeights, left_block: BlockWeights,
                 right_block: BlockWeights) -> _PairTerms:
     """Precompute everything the matching net reads of ``[L, S_d source]``.
 
@@ -474,28 +454,19 @@ def _pair_terms(left_features: Tensor, source: Tensor, weights: ModelWeights,
     d // 2 with exact zero fill on the left; at an odd feature width its
     masked block gives the last output column.
     """
-    f, m0 = cfg.feature_channels, cfg.matching_channels[0]
-    _, c, h, w = left_features.shape
-    if c != f:
-        raise ShapeError(f"matching net expects {f}-channel features, got {c}")
-    check_feature_extents(cfg, h, w)
-    if source.shape != left_features.shape:
-        raise ShapeError(f"matching net: feature shapes differ "
-                         f"{left_features.shape} vs {source.shape}")
-    enc1_right = right_block.params["matching.enc1.w"]
-    if enc1_right.shape[0] != m0 * (1 + w % 2):
-        raise ShapeError(f"matching net: right_block was split for another "
-                         f"feature width than {w}")
+    w = left_features.shape[3]
+    enc1, dec4 = ({"stride": s.stride, "dilation": s.dilation, "padding": s.padding}
+                  for s in (weights.specs["matching.enc1"], weights.specs["matching.dec4"]))
     left = left_block.params
     return _PairTerms(
         enc1_left=ops.conv2d(left_features, left["matching.enc1.w"],
-                             weights.params.get("matching.enc1.b"), stride=2, padding=1),
+                             weights.params.get("matching.enc1.b"), **enc1),
         enc1_right=ops.conv2d(ops.stack_batch([source, ops.shift_columns(source, 1)]),
-                              enc1_right, stride=2, padding=1),
+                              right_block.params["matching.enc1.w"], **enc1),
         dec4_left=ops.conv2d(left_features, left["matching.dec4.w"],
-                             weights.params.get("matching.dec4.b"), padding=1),
+                             weights.params.get("matching.dec4.b"), **dec4),
         dec4_right=ops.conv2d(ops.gather_columns(source, [0], [1], w + 1),
-                              right_block.params["matching.dec4.w"], padding=1),
+                              right_block.params["matching.dec4.w"], **dec4),
         dec4_x=x_block.params["matching.dec4.w"])
 
 
@@ -523,14 +494,16 @@ def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights) -
         _, _, sh, sw = skips[-1].shape
         x = _block(ops.concat_channels([ops.bilinear_resize(x, sh, sw), skips.pop()]),
                    f"matching.dec{i}", weights)
-    x = ops.conv2d(ops.bilinear_resize(x, h, w), terms.dec4_x, padding=1)
+    dec4 = weights.specs["matching.dec4"]
+    x = ops.conv2d(ops.bilinear_resize(x, h, w), terms.dec4_x, stride=dec4.stride,
+                   dilation=dec4.dilation, padding=dec4.padding)
     # Two statements, so the conv's output is freed before the second sum.
     x = ops.add(x, per_level(terms.dec4_left))
     # dec4_right is one column wider on the left: level d reads it at d - 1.
     x = ops.add(x, ops.gather_columns(terms.dec4_right, [0] * n, [d - 1 for d in levels], w,
                                       edge=True))
     x = _norm_act(x, "matching.dec4", weights)
-    return ops.conv2d(x, weights.params["matching.out.w"], padding=1)
+    return _block(x, "matching.out", weights)
 
 
 # Feature pixels of one matching-net batch. Batching levels saves the fixed
@@ -584,18 +557,23 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     ``context_only`` replaces the right features with the left features
     (the crippled control that cannot see the second view).
     """
-    b, _, fh, fw = left_features.shape
+    b, c, fh, fw = left_features.shape
     if b != 1:
         raise ShapeError("build_cost_volume: one image pair at a time (batch extent 1)")
     if left_features.shape != right_features.shape:
-        raise ShapeError("build_cost_volume: left/right feature shapes differ")
+        raise ShapeError(f"build_cost_volume: feature shapes differ {left_features.shape} "
+                         f"vs {right_features.shape}")
+    if c != cfg.feature_channels:
+        raise ShapeError(f"matching net expects {cfg.feature_channels}-channel features, "
+                         f"got {c}")
+    check_feature_extents(cfg, fh, fw)
     levels = cfg.levels
     if any(block is None for block in (x_block, left_block, right_block)):
         blocks = pair_blocks(weights, cfg, fw)
     else:
         blocks = {"x_block": x_block, "left_block": left_block, "right_block": right_block}
     source = left_features if context_only else right_features
-    terms = _pair_terms(left_features, source, weights, cfg, **blocks)
+    terms = _pair_terms(left_features, source, weights, **blocks)
     n = levels_per_batch(cfg, fh, fw)
     batches = [ops.batch_to_channels(_match_levels(
         terms, list(range(start, min(start + n, levels))), weights))
@@ -631,7 +609,8 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
            weights: ModelWeights, cfg: ModelConfig) -> Tensor:
     """Residual correction of the disparity, clamped to be non-negative.
 
-    On a tape, a block's conv1 norm output is dropped once conv2 has read
+    A block is ``x' = relu(x + conv2(conv1(x)))``, whose sum and ReLU run
+    inside the op that makes conv2's output (:func:`_block`). On a tape, a block's conv1 norm output is dropped once conv2 has read
     it, and conv2's weight gradient rebuilds it. The block outputs are
     kept: each one's rebuild would read the previous one, rebuilt too.
     """
@@ -651,9 +630,7 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
         x = _block(y, f"refine.block{i}.conv2", weights, residual=x)
         y.drop()
         del y  # so that it is not alive beside the next block's conv1
-    residual = ops.conv2d(x, weights.params["refine.out.w"],
-                          weights.params["refine.out.b"], padding=1)
-    return ops.relu(ops.add(disp, residual))
+    return ops.relu(ops.add(disp, _block(x, "refine.out", weights)))
 
 
 # ---------------------------------------------------------------------------

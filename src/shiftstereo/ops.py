@@ -1,39 +1,13 @@
 """Forward kernels and their exact reverse-mode gradients.
 
-A convolution is lowered by its shape. At stride 1, a layer whose output
-is narrow (KH*Cout < Cin) runs kn2row: one GEMM multiplies every tap's
-weights with the unshifted input, and the taps' maps are shifted into a
-zeroed output and summed in kernel order. Every other layer runs one GEMM
-per kernel row. The input is copied once per kernel column, shifted by
-that column and cut to the output width, so a kernel row's taps form one
-(KW*Cin, rows*OW) matrix that BLAS reads in place, and the output is the
-sum of the kernel rows' products in a fixed order. Layers with few input
-channels copy every tap instead and run one GEMM. The copies are built one
-strip of output rows at a time, sized to stay in cache. Backward rebuilds
-them from the input for the weight gradient rather than keeping them on
-the tape, and computes the input gradient as a convolution of the output
-gradient with the flipped kernel, by the same code, so its lowering too
-follows its shape.
-
-A layer's epilogue runs inside the op that makes its output: a conv adds
-its bias, then an optional residual, then clamps at 0, on each strip of
-output rows while the strip is in cache (kn2row does it once, on the
-whole output), and a norm adds the residual after its affine transform
-and before its ReLU. A layer thus costs one output map and one tape node.
-Float addition of two terms commutes, so the fused op is bit-identical
-to ``relu(add(residual, op(x)))``; its backward masks the output gradient
-by ``out > 0`` and passes that masked gradient to the residual. Off a tape,
-a conv whose residual needs no gradient consumes it: the output is written
-over the residual's array, so a residual block holds its input and one
-new map, not three.
-
-A batch whose strip copies would together exceed the cap on one strip's
-copies runs its items one at a time, through the same strip loop.
-
-Bilinear resampling is a pair of small interpolation-matrix matmuls, so
-its backward is the exact transpose map. All reductions use a fixed
-order, which keeps repeated runs bit-identical, and a batch item's result
-does not depend on the rest of the batch.
+Each rule is said once, by the function that owns it: :func:`conv2d`, how
+a convolution is lowered by its shape and what its backward rebuilds;
+:func:`_row_strips` and the constants above it, how large a strip of
+copies gets; :func:`_epilogue`, the bias, residual and ReLU that end a conv
+or a :func:`batch_norm` inside the op that makes the output; :func:`_join`,
+the concatenation behind :func:`concat_channels` and :func:`stack_batch`.
+All reductions use a fixed order, so repeated runs are bit-identical, and a
+batch item's result does not depend on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -245,9 +219,10 @@ def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: 
 
 def _epilogue(dst: np.ndarray, bias: np.ndarray | None, residual: np.ndarray | None,
               relu: bool, overwrite: bool) -> np.ndarray:
-    """Add the bias, then the residual, then clamp at 0, on the (B, Cout, N)
-    output block ``dst``; ``residual`` is the same block. The result is
-    ``dst``, or with ``overwrite`` the residual's block, written in place."""
+    """Add the bias, then the residual, then clamp at 0, on the (B, C, N)
+    output block ``dst`` of a conv or a norm; ``residual`` is the same
+    block. The result is ``dst``, or with ``overwrite`` the residual's
+    block, written in place."""
     if bias is not None:
         dst += bias.reshape(1, -1, 1)
     if residual is not None:
@@ -389,36 +364,28 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     runs last, on the strip while it is in cache: the bias is added, then
     the residual's rows of the strip, then the strip is clamped at 0. Where
     KW*Cin is below ``_MIN_GEMM_K`` the copies take every tap, and one GEMM
-    covers the kernel.
-
-    A strip's copies hold at most ``_STRIP_INPUT_RATIO`` times the elements
-    of one batch item's input (or ``_MIN_STRIP_ELEMENTS``), and never more
-    than ``_MAX_STRIP_ELEMENTS``; the strips are equal. Where the copies of
-    all batch items together would exceed ``_MAX_STRIP_ELEMENTS``, the
-    forward runs the items one at a time. The partition depends on the
-    input extents and the kernel only, never on Cout or the batch size, and
-    either lowering runs one GEMM per batch item, so a batch item comes out
-    bit-identical to convolving it alone, in one batch or item by item. Which
-    lowering runs does depend on Cout, so a block of output channels that
-    takes the other lowering than the whole may round differently.
+    covers the kernel. Either lowering runs one GEMM per batch item, so an
+    item comes out bit-identical to convolving it alone. Which lowering runs
+    depends on Cout, so a block of output channels that takes the other
+    lowering than the whole may round differently.
 
     Backward rebuilds the copies strip by strip from x and runs one dW
     GEMM per kernel row; the tape keeps no copy, and dX runs once the dW
-    copies are freed. These copies always take the whole batch: only the forward kernel runs items one at
-    a time, so dW keeps the order of its sum over items. dX is itself a
-    convolution by the same kernel code: the output gradient, placed at
-    stride on a zero grid ``dilation*(k-1)`` larger than x on each axis,
-    correlated with the flipped kernel with its channel axes swapped. At
-    stride 1, with a square kernel and ``padding <= dilation*(k-1)``, that
-    grid is the gradient zero-padded by ``dilation*(k-1) - padding`` on
-    every side, so the gradient is convolved directly with that padding.
-    That convolution picks its lowering by its own shape, so a layer with
-    ``KH*Cin < Cout``, such as an image-reading head, gets its dX by kn2row.
-    dX is not computed when x does not require a gradient. With ``relu``,
-    backward first masks the output gradient by ``out > 0``; the residual
-    receives that masked gradient, and dW, dX and the bias gradient are
-    computed from it. The tape's inputs are ``(x, weight[, bias][,
-    residual])``, the weight always second.
+    copies are freed. These copies always take the whole batch: only the
+    forward kernel runs items one at a time, so dW keeps the order of its
+    sum over items. dX is itself a convolution by the same kernel code: the
+    output gradient, placed at stride on a zero grid ``dilation*(k-1)``
+    larger than x on each axis, correlated with the flipped kernel with its
+    channel axes swapped. At stride 1, with a square kernel and ``padding <=
+    dilation*(k-1)``, that grid is the gradient zero-padded by
+    ``dilation*(k-1) - padding`` on every side, so the gradient is convolved
+    directly with that padding. That convolution picks its lowering by its
+    own shape, so a layer with ``KH*Cin < Cout``, such as an image-reading
+    head, gets its dX by kn2row. dX is not computed when x does not require
+    a gradient. With ``relu``, backward first masks the output gradient by
+    ``out > 0``; the residual receives that masked gradient, and dW, dX and
+    the bias gradient are computed from it. The tape's inputs are ``(x,
+    weight[, bias][, residual])``, the weight always second.
     """
     if stride < 1 or dilation < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride/dilation/padding ({stride}, {dilation}, {padding})")
@@ -491,18 +458,19 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     norm into its conv (``model.ModelWeights.folded``) does. The variance
     offset is ``BN_EPSILON``.
 
-    ``y = xhat * gamma + beta``, plus ``residual`` where given, and with
-    ``relu=True`` clipped at 0 in place, is one tape node that keeps no
-    activation-sized array of its own. It saves x's array, the per-item
-    ``mu`` / ``inv``, copies of gamma and beta taken now, and the
-    residual's array. On a tape, once recorded, its output gets a
-    ``rebuild`` that repeats the forward's op sequence on them and joins
-    the tape's ``rebuildable``, so :func:`shiftstereo.tensor.backward` (or
-    forward code, by ``Tensor.drop``) drops the output and a read rebuilds
-    it bit-identical to the forward's, also after an optimizer step
-    changed gamma and beta. Backward recomputes ``xhat`` and, with
-    ``relu``, takes the mask ``y > 0`` from the output: where a conv reads
-    y, its weight gradient has rebuilt y already.
+    ``y = xhat * gamma``, then the conv's :func:`_epilogue` in place, with
+    beta as its bias, the residual where given, and the ReLU with
+    ``relu=True``, is one tape node that keeps no activation-sized array of
+    its own. It saves x's array, the per-item ``mu`` / ``inv``, copies of
+    gamma and beta taken now, and the residual's array. On a tape, once
+    recorded, its output gets a ``rebuild`` that repeats the forward's op
+    sequence on them and joins the tape's ``rebuildable``, so
+    :func:`shiftstereo.tensor.backward` (or forward code, by
+    ``Tensor.drop``) drops the output and a read rebuilds it bit-identical
+    to the forward's, also after an optimizer step changed gamma and beta.
+    Backward recomputes ``xhat`` and, with ``relu``, takes the mask ``y >
+    0`` from the output: where a conv reads y, its weight gradient has
+    rebuilt y already.
 
     The result is bit-identical to ``relu(add(residual, batch_norm(x)))``,
     and the residual receives the masked output gradient ``g``. With ``k =
@@ -534,7 +502,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     running_var.data *= 0.9
     running_var.data += 0.1 * (var * correction).mean(axis=0, keepdims=True).astype(dt)
     gd, bd = gamma.data.copy(), beta.data.copy()
-    rd = None if residual is None else residual.data
+    rd = None if residual is None else residual.data.reshape(b, c, n)
 
     def normalized():
         xhat = xd - mu
@@ -542,13 +510,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
         return xhat
 
     def affine(xhat):
-        """The forward's epilogue, in place on xhat and in its order."""
+        """The scale, then the conv's epilogue, in place on xhat."""
         xhat *= gd
-        xhat += bd
-        if rd is not None:
-            xhat += rd
-        if relu:
-            np.maximum(xhat, 0, out=xhat)
+        _epilogue(xhat.reshape(b, c, n), bd, rd, relu, False)
         return xhat
 
     y *= inv
@@ -634,7 +598,8 @@ def _resize_matrix(n_in: int, n_out: int, dtype) -> np.ndarray:
 
 
 def bilinear_resize(x: Tensor, out_h: int, out_w: int) -> Tensor:
-    """Bilinear resampling (align_corners=false) to (out_h, out_w)."""
+    """Bilinear resampling (align_corners=false) to (out_h, out_w): two
+    :func:`_resize_matrix` matmuls, so backward is the exact transpose."""
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"bilinear_resize: bad target extents ({out_h}, {out_w})")
     b, c, h, w = x.shape
@@ -701,45 +666,34 @@ def channel_entropy(probs: Tensor) -> Tensor:
 # layout ops
 # ---------------------------------------------------------------------------
 
-def concat_channels(inputs: list[Tensor]) -> Tensor:
+def _join(inputs: list[Tensor], axis: int, op: str) -> Tensor:
+    """``inputs`` concatenated along ``axis``, recorded on the tape as ``op``;
+    the other axes must agree. Each input's gradient is its slice of the
+    output's."""
     if not inputs:
-        raise ShapeError("concat_channels: empty input list")
-    b, _, h, w = inputs[0].shape
+        raise ShapeError(f"{op}: empty input list")
+    rest = inputs[0].shape[:axis] + inputs[0].shape[axis + 1:]
     for t in inputs[1:]:
-        tb, _, th, tw = t.shape
-        if (tb, th, tw) != (b, h, w):
-            raise ShapeError(f"concat_channels: {t.shape} incompatible with "
-                             f"(batch={b}, height={h}, width={w})")
+        if t.shape[:axis] + t.shape[axis + 1:] != rest:
+            raise ShapeError(f"{op}: {t.shape} incompatible with {inputs[0].shape} "
+                             f"off axis {axis}")
     _same_dtype(*inputs)
-    out = Tensor(np.concatenate([t.data for t in inputs], axis=1))
-    sizes = [t.shape[1] for t in inputs]
-    offsets = np.cumsum([0] + sizes)
+    out = Tensor(np.concatenate([t.data for t in inputs], axis=axis))
+    cuts = np.cumsum([t.shape[axis] for t in inputs])[:-1]
 
     def grad_fn(g):
-        return tuple(np.ascontiguousarray(g[:, offsets[i]:offsets[i + 1]])
-                     for i in range(len(sizes)))
+        return tuple(np.ascontiguousarray(part) for part in np.split(g, cuts, axis=axis))
 
-    return record_op("concat_channels", out, tuple(inputs), grad_fn)
+    return record_op(op, out, tuple(inputs), grad_fn)
+
+
+def concat_channels(inputs: list[Tensor]) -> Tensor:
+    return _join(inputs, 1, "concat_channels")
 
 
 def stack_batch(inputs: list[Tensor]) -> Tensor:
     """Concatenate along the batch axis (inverse of slicing per item)."""
-    if not inputs:
-        raise ShapeError("stack_batch: empty input list")
-    tail = inputs[0].shape[1:]
-    for t in inputs[1:]:
-        if t.shape[1:] != tail:
-            raise ShapeError(f"stack_batch: {t.shape} incompatible with (*, {tail})")
-    _same_dtype(*inputs)
-    out = Tensor(np.concatenate([t.data for t in inputs], axis=0))
-    sizes = [t.shape[0] for t in inputs]
-    offsets = np.cumsum([0] + sizes)
-
-    def grad_fn(g):
-        return tuple(np.ascontiguousarray(g[offsets[i]:offsets[i + 1]])
-                     for i in range(len(sizes)))
-
-    return record_op("stack_batch", out, tuple(inputs), grad_fn)
+    return _join(inputs, 0, "stack_batch")
 
 
 def batch_to_channels(x: Tensor) -> Tensor:

@@ -1,23 +1,12 @@
 """Dense 4D tensors with tape-based reverse-mode differentiation.
 
-Every tensor is a (batch, channel, height, width) array of float32
-("standard" mode) or float64 ("high" mode, used by all numerical
-oracles and gradient checks). Operations in :mod:`shiftstereo.ops`
-record themselves onto the innermost active :class:`Tape`; calling
-:func:`backward` on a scalar loss consumes the tape in exact reverse
-execution order and accumulates gradients into the leaves' ``.grad``
-buffers. The tape holds gradient bookkeeping only: a node refers to
-tensors through their :class:`_Slot`, never to an array, so CPython frees
-each map at its last use by forward code or by a gradient closure that
-saved it, in forward or in backward (liveness as in Chen et al. 2016,
-arXiv 1604.06174).
-
-An op output on a tape may carry a ``rebuild``: a function that computes
-the output array again, bit for bit, from what the op saved for its
-backward anyway (:func:`shiftstereo.ops.batch_norm` sets one). Backward
-drops the arrays of such outputs before it replays the tape, forward code
-may drop one earlier (:meth:`Tensor.drop`), and reading ``Tensor.data``
-rebuilds a dropped array once, when something needs it.
+A :class:`Tensor` is a (batch, channel, height, width) float32 ("standard")
+or float64 ("high", for the numeric oracles) array. Ops record themselves
+on the innermost active :class:`Tape` through :func:`record_op`, and
+:func:`backward` replays it in reverse. What the tape keeps, so that each
+map dies at its last use (liveness as in Chen et al. 2016, arXiv
+1604.06174), is :class:`_Node`'s rule; how a dropped output is rebuilt is
+:class:`Tensor`'s.
 """
 
 from __future__ import annotations

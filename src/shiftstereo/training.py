@@ -18,7 +18,7 @@ import numpy as np
 
 from . import ops
 from .datasets import StereoSample
-from .errors import (CheckpointFormatError, CheckpointShapeError,
+from .errors import (CheckpointError, CheckpointFormatError, CheckpointShapeError,
                      CheckpointVersionError, ConfigError, ShapeError,
                      TrainingDiverged)
 from .model import ModelConfig, ModelWeights, forward_tensors, weight_shapes
@@ -84,14 +84,14 @@ class AdamState:
         return state
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState,
-              grads: dict[str, np.ndarray] | None = None) -> None:
-    """One in-place update; a missing gradient counts as zero."""
+def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
+    """One in-place update from each parameter's ``.grad``; a missing
+    gradient counts as zero."""
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
     for name, p in params.items():
-        g = grads.get(name) if grads is not None else p.grad
+        g = p.grad
         if g is None:
             g = np.zeros_like(p.data)
         if g.shape != p.data.shape:
@@ -248,8 +248,13 @@ def _read_meta(r: _Reader) -> tuple[dict, ModelConfig]:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; any malformed content raises a CheckpointError."""
-    with open(path, "rb") as f:
+    """Read a checkpoint; a path that cannot be opened or any malformed
+    content raises a CheckpointError."""
+    try:
+        f = open(path, "rb")
+    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
+        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
+    with f:
         r = _Reader(f, path)
         if r.need(4) != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"{path}: bad checkpoint magic")

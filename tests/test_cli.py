@@ -120,6 +120,13 @@ def test_infer_missing_input_is_a_usage_error(tmp_path, pair):
     assert not os.path.exists(out)
 
 
+def test_infer_missing_checkpoint_is_a_usage_error(tmp_path, pair, capsys):
+    out = str(tmp_path / "disp.pfm")
+    assert _infer(str(tmp_path / "absent.ckpt"), *pair, out) == 2
+    assert not os.path.exists(out)
+    assert "absent.ckpt" in capsys.readouterr().err
+
+
 def test_infer_directory_input_is_a_usage_error(tmp_path, pair):
     ckpt = _checkpoint(tmp_path / "model.ckpt")
     out = str(tmp_path / "disp.pfm")
@@ -223,6 +230,25 @@ def test_entry_pins_blas_threads_from_either_flag_form(monkeypatch, flags):
         cli.entry()
     assert stop.value.code == 0
     assert seen == dict.fromkeys(_THREAD_VARS, "1")
+
+
+@pytest.mark.parametrize("split", ["-0.5", "1.5"])
+def test_gen_rds_rejects_a_split_outside_zero_to_one(tmp_path, capsys, split):
+    """A split below 0 named negative file indices in the val manifest, and
+    one above 1 wrote an empty val set; both are refused before any file."""
+    out = tmp_path / "data"
+    assert cli.main(["gen-rds", "--out", str(out), "--count", "4", "--width", "48",
+                     "--height", "48", "--split", split]) == 2
+    assert not out.exists()
+    assert "--split" in capsys.readouterr().err
+
+
+def test_eval_missing_prediction_is_a_usage_error(tmp_path, capsys):
+    preds, gts = tmp_path / "preds.txt", tmp_path / "gts.txt"
+    preds.write_text(str(tmp_path / "absent.pfm") + "\n")
+    gts.write_text(str(tmp_path / "gt.pfm") + "\n")
+    assert cli.main(["eval", "--pred-manifest", str(preds), "--gt-manifest", str(gts)]) == 2
+    assert "absent.pfm" in capsys.readouterr().err
 
 
 def test_gradcheck_reports_an_injected_fault():

@@ -411,6 +411,13 @@ def test_unreadable_image_paths_are_parse_errors(tmp_path, reader):
         reader(str(tmp_path))
 
 
+@pytest.mark.parametrize("reader", [read_pfm, read_pnm, read_manifest])
+def test_a_path_with_a_nul_byte_is_a_parse_error(tmp_path, reader):
+    # open() refuses such a path with a ValueError, not an OSError
+    with pytest.raises(ParseError, match="null byte"):
+        reader(str(tmp_path / "a\0b"))
+
+
 @pytest.fixture(scope="module")
 def image_files(tmp_path_factory):
     """Bytes of a small PFM, PGM and PPM, and a path fuzzed files go to."""

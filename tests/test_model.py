@@ -269,10 +269,19 @@ class TestCostVolume:
         fl, fr = self._features(rng, cfg, weights)
         reference = model.build_cost_volume(fl, fr, weights, cfg)
         perm = np.random.default_rng(5).permutation(cfg.levels)
-        terms = model._pair_terms(fl, fr, weights, cfg,
+        terms = model._pair_terms(fl, fr, weights,
                                   **model.pair_blocks(weights, cfg, fl.shape[3]))
         shuffled = model._match_levels(terms, [int(d) for d in perm], weights)
         assert np.array_equal(shuffled.data[np.argsort(perm), 0], reference.data[0])
+
+    @pytest.mark.parametrize("width", [96, 99])
+    def test_refuses_pair_blocks_split_for_another_width(self, rng, width):
+        # enc1's right block has a masked twin at odd feature widths only
+        cfg, weights = tiny_weights()
+        fl, fr = self._features(rng, cfg, weights, w=width)
+        with pytest.raises(ShapeError):
+            model.build_cost_volume(fl, fr, weights, cfg,
+                                    **model.pair_blocks(weights, cfg, fl.shape[3] + 1))
 
     def test_volume_shape_and_level_cap(self, rng):
         cfg, weights = tiny_weights()
@@ -502,10 +511,11 @@ class TestDecomposition:
         ``build_cost_volume``, ``refine``), and every layer runs: the blocks
         of ``matching.enc1`` / ``matching.dec4`` come in as the
         ``pair_blocks`` arguments. Per-layer conv attribution relies on this
-        (``perfbench/spans.py``)."""
+        (``perfbench/spans.py``). Each conv also runs at its layer's
+        ``ConvSpec`` stride, dilation and padding."""
         cfg = model.ModelConfig.tiny()
         weights = drawn_weights(cfg, 11)
-        named, layers = {}, []
+        named, layers, geometries = {}, [], []
         real_conv = ops.conv2d
 
         def stage(fn):
@@ -517,9 +527,11 @@ class TestDecomposition:
                 return fn(*args, **kwargs)
             return wrapper
 
-        def conv2d(x, weight, *args, **kwargs):
+        def conv2d(x, weight, *args, stride=1, dilation=1, padding=0, **kwargs):
             layers.append(named.get(id(weight)))
-            return real_conv(x, weight, *args, **kwargs)
+            geometries.append((stride, dilation, padding))
+            return real_conv(x, weight, *args, stride=stride, dilation=dilation,
+                             padding=padding, **kwargs)
 
         for name in ("extract_features", "build_cost_volume", "refine"):
             monkeypatch.setattr(model, name, stage(getattr(model, name)))
@@ -528,6 +540,9 @@ class TestDecomposition:
                               weights, cfg, training=training)
         assert None not in layers
         assert set(layers) == set(weights.specs)
+        for layer, geometry in zip(layers, geometries):
+            spec = weights.specs[layer]
+            assert geometry == (spec.stride, spec.dilation, spec.padding), layer
 
 
 class TestProjection:

@@ -108,7 +108,8 @@ def test_adam_step_follows_the_reference_trace():
     state = AdamState.for_params({"p": param}, lr=0.01)
     expected = adam_reference_trace(theta0, grads, lr=0.01)
     for g, want in zip(grads, expected):
-        adam_step({"p": param}, state, {"p": g})
+        param.grad = g
+        adam_step({"p": param}, state)
         np.testing.assert_allclose(param.data, want, rtol=1e-12, atol=1e-15)
 
 
@@ -147,6 +148,13 @@ _DAMAGE = st.one_of(
                                                   st.integers(1, 255)),
                                         min_size=1, max_size=3)),
 )
+
+
+@pytest.mark.parametrize("name", ["absent.ckpt", "", "a\0b.ckpt"],
+                         ids=["missing", "directory", "nul byte"])
+def test_unopenable_checkpoint_paths_are_checkpoint_errors(tmp_path, name):
+    with pytest.raises(CheckpointError, match="cannot read checkpoint"):
+        load_checkpoint(os.path.join(str(tmp_path), name))
 
 
 @settings(max_examples=300, deadline=None)
