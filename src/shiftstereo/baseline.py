@@ -3,15 +3,13 @@ analytic estimator for parameters, flops, and peak activation memory."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ShapeError
-from .model import (ConvSpec, ModelConfig, check_feature_extents,
-                    check_image_extents, count_parameters, feature_layer_specs,
-                    levels_per_batch, matching_layer_specs, refine_layer_specs)
-from .ops import conv_out_extent
+from .model import (ModelConfig, all_layer_specs, count_parameters, layer_extents,
+                    levels_per_batch)
 from .tensor import Tensor
 
 
@@ -140,85 +138,48 @@ class ResourceReport:
         return "\n".join(rows)
 
 
-def _section_cost(specs: list[ConvSpec], sizes: dict[str, tuple[int, int]]):
-    """(conv flops, aux flops) of one subnet given per-layer output sizes."""
-    conv_total = 0
-    aux_total = 0
-    for s in specs:
-        oh, ow = sizes[s.name]
-        conv_total += conv_flops(s.k, s.cin, s.cout, oh, ow)
-        elements = s.cout * oh * ow
-        if s.bias:  # added by the folded conv, also for a normed layer
-            aux_total += elements
-        if s.norm:
-            aux_total += 4 * elements
-        if s.act:
-            aux_total += elements
-    return conv_total, aux_total
-
-
 def estimate_resources(config: ModelConfig, height: int, width: int) -> ResourceReport:
-    """Analytic parameter/flop/memory figures at a given input size.
+    """Analytic parameter/flop/memory figures at a given input size, over
+    the extents of :func:`model.layer_extents`.
 
     Raises ShapeError on the extents the model refuses to run on.
     """
-    check_image_extents(height, width)
-    down = feature_layer_specs(config)[0]
-    fh, fw = (conv_out_extent(n, down.k, down.stride, down.dilation, down.padding)
-              for n in (height, width))
-    check_feature_extents(config, fh, fw)
-    f = config.feature_channels
-    levels = config.levels
+    extents = layer_extents(config, height, width)
+    f, m0, levels = config.feature_channels, config.matching_channels[0], config.levels
+    conv = dict.fromkeys(("feature", "matching", "refine"), 0)
+    aux = dict(conv)
+    for s in all_layer_specs(config):
+        oh, ow = extents[s.name]
+        subnet = s.name.split(".", 1)[0]
+        # Per level, enc1 runs no conv and dec4 reads only the decoder's channels.
+        if s.name != "matching.enc1":
+            cin = m0 if s.name == "matching.dec4" else s.cin
+            conv[subnet] += conv_flops(s.k, cin, s.cout, oh, ow)
+        # The bias is added by the folded conv, also for a normed layer; a
+        # refine block's conv2 also runs the block's skip sum and its ReLU.
+        per_element = s.bias + 4 * s.norm + s.act + 2 * s.name.endswith(".conv2")
+        aux[subnet] += per_element * s.cout * oh * ow
 
-    # feature net: stride-3 conv to (fh, fw); everything after preserves size
-    # except the pooled branches, whose convs run on the pooled grid.
-    feat_sizes = {s.name: (fh, fw) for s in feature_layer_specs(config)}
-    for i, (window, _) in enumerate(config.spp_pools, 1):
-        feat_sizes[f"feature.spp{i}"] = ((fh - min(window, fh)) // window + 1,
-                                         (fw - min(window, fw)) // window + 1)
-    feat_conv, feat_aux = _section_cost(feature_layer_specs(config), feat_sizes)
-
-    # matching net per level: encoder halves four times, decoder mirrors.
-    scales = [(fh, fw)]
-    for _ in range(4):
-        h_prev, w_prev = scales[-1]
-        scales.append(((h_prev - 1) // 2 + 1, (w_prev - 1) // 2 + 1))
-    match_sizes = {"matching.out": scales[0]}
-    for i in range(1, 5):
-        match_sizes[f"matching.enc{i}"] = match_sizes[f"matching.filt{i}"] = scales[i]
-        match_sizes[f"matching.dec{i}"] = scales[4 - i]
     # The feature pair's convolutions run once per volume (model._pair_terms):
     # enc1 reads L once and R twice (even and odd shifts), dec4 reads L once
     # and, with its last-column-masked twin, R twice over a map one column
     # wider; an odd feature width adds enc1's masked twin, two more maps.
-    # Per level, enc1 runs no conv and dec4 reads only the decoder's channels.
-    m0 = config.matching_channels[0]
+    fh, fw = extents["matching.dec4"]
     enc1_maps = 1 + (2 if fw % 2 == 0 else 4)
-    per_volume = (enc1_maps * conv_flops(3, f, m0, *scales[1])
+    per_volume = (enc1_maps * conv_flops(3, f, m0, *extents["matching.enc1"])
                   + conv_flops(3, f, m0, fh, fw) + 2 * conv_flops(3, f, m0, fh, fw + 1))
-    per_level = [replace(s, cin=m0) if s.name == "matching.dec4" else s
-                 for s in matching_layer_specs(config) if s.name != "matching.enc1"]
-    match_conv, _ = _section_cost(per_level, match_sizes)
-    _, match_aux = _section_cost(matching_layer_specs(config), match_sizes)
-
-    refine_sizes = {s.name: (height, width) for s in refine_layer_specs(config)}
-    ref_conv, ref_aux = _section_cost(refine_layer_specs(config), refine_sizes)
-    # Each block's skip sum and its ReLU, which the epilogue of its conv2 runs.
-    ref_aux += 2 * len(config.refine_blocks) * config.refine_channels * height * width
-
-    params = count_parameters(config)
-    conv = {
-        "feature_per_image": feat_conv,
-        "feature_both_images": 2 * feat_conv,
-        "matching_per_level": match_conv,
-        "matching_all_levels": match_conv * levels,
+    flops = {
+        "feature_per_image": conv["feature"],
+        "feature_both_images": 2 * conv["feature"],
+        "matching_per_level": conv["matching"],
+        "matching_all_levels": conv["matching"] * levels,
         "matching_per_volume": per_volume,
-        "refine": ref_conv,
-        "total": 2 * feat_conv + match_conv * levels + per_volume + ref_conv,
+        "refine": conv["refine"],
+        "total": 2 * conv["feature"] + conv["matching"] * levels + per_volume + conv["refine"],
     }
-    aux = 2 * feat_aux + match_aux * levels + ref_aux
     return ResourceReport(
         height=height, width=width, levels=levels, feature_channels=f,
-        params=params, conv_flops=conv, aux_flops=aux,
+        params=count_parameters(config), conv_flops=flops,
+        aux_flops=2 * aux["feature"] + aux["matching"] * levels + aux["refine"],
         peak_elements={"matching_batch": levels_per_batch(config, fh, fw) * fh * fw * 2 * f},
     )

@@ -100,20 +100,15 @@ def cmd_gen_rds(args) -> int:
         samples = gen_rds(cfg, args.count)
     except ConfigError as e:
         return _fail(str(e))
-    try:
-        os.makedirs(args.out, exist_ok=True)
-        probe = os.path.join(args.out, ".write_probe")
-        with open(probe, "w"):
-            pass
-        os.remove(probe)
-    except OSError as e:
-        return _fail(f"output directory not writable: {e}")
     n_train = int(round(args.split * args.count))
-    train_manifest = save_samples(samples[:n_train], args.out,
-                                  manifest_name="manifest_train.txt")
-    val_manifest = save_samples(samples[n_train:], args.out,
-                                manifest_name="manifest_val.txt",
-                                start_index=n_train)
+    try:
+        train_manifest = save_samples(samples[:n_train], args.out,
+                                      manifest_name="manifest_train.txt")
+        val_manifest = save_samples(samples[n_train:], args.out,
+                                    manifest_name="manifest_val.txt",
+                                    start_index=n_train)
+    except OSError as e:
+        return _fail(f"cannot write the dataset: {e}")
     print(train_manifest)
     print(val_manifest)
     return 0
@@ -132,6 +127,8 @@ def cmd_train(args) -> int:
 
     if args.data is None or args.out is None:
         return _fail("--data and --out are required")
+    if bool(args.crop_height) != bool(args.crop_width):
+        return _fail("--crop-height and --crop-width go together: give both or neither")
     try:
         config = _model_config(args)
         train_samples = load_dataset(args.data, config.max_disparity)
@@ -141,8 +138,7 @@ def cmd_train(args) -> int:
         return _fail(str(e))
     if not train_samples:
         return _fail(f"{args.data}: empty manifest")
-    crop = (args.crop_height, args.crop_width) \
-        if args.crop_height and args.crop_width else None
+    crop = (args.crop_height, args.crop_width) if args.crop_height else None
     log_path = args.log or (args.out + ".log")
     try:
         train(train_samples, config, LossConfig(lambda_weight=args.lambda_weight),
@@ -201,11 +197,17 @@ def cmd_infer(args) -> int:
     if not np.all(np.isfinite(refined)):
         return _fail(f"refined disparity has {int(np.sum(~np.isfinite(refined)))} "
                      f"non-finite values; no output written", code=3)
+    outputs = {args.out_disp: refined}
+    if args.out_entropy:
+        outputs[args.out_entropy] = out["entropy"].data[0, 0]
+    written = []  # both outputs or neither: a failed write removes the others
     try:
-        write_pfm(refined, args.out_disp)
-        if args.out_entropy:
-            write_pfm(out["entropy"].data[0, 0], args.out_entropy)
+        for path, values in outputs.items():
+            write_pfm(values, path)
+            written.append(path)
     except OSError as e:
+        for path in written:
+            os.remove(path)
         return _fail(f"cannot write the output: {e}")
     print(args.out_disp)
     return 0

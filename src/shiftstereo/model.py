@@ -7,6 +7,7 @@ matching net per disparity shift, whose pair-term and level-batching rules
 ``ConvSpec`` layer runs through :func:`_block`, and its norm and ReLU
 through :func:`_norm_act`: with raw weights a norm over each batch item's
 own statistics, with folded ones (:meth:`ModelWeights.folded`) none.
+:func:`layer_extents` owns each layer's output extent.
 """
 
 from __future__ import annotations
@@ -320,16 +321,9 @@ def _block(x: Tensor, name: str, weights: ModelWeights,
                       relu=spec.act or residual is not None, **geometry)
 
 
-# The smallest inputs the model runs on: feature.down reads a 9x9 image,
-# and the matching net halves its input four times, from 16x16 features.
-_MIN_IMAGE = 9
+# The smallest features the model runs on: the matching net halves its
+# input four times, from 16x16 features, which takes a 46x46 image.
 _MIN_FEATURES = 16
-
-
-def check_image_extents(h: int, w: int) -> None:
-    """Raise ShapeError on an image smaller than the model reads."""
-    if h < _MIN_IMAGE or w < _MIN_IMAGE:
-        raise ShapeError(f"image {h}x{w} is below the {_MIN_IMAGE}x{_MIN_IMAGE} minimum")
 
 
 def check_feature_extents(cfg: ModelConfig, fh: int, fw: int) -> None:
@@ -342,18 +336,55 @@ def check_feature_extents(cfg: ModelConfig, fh: int, fw: int) -> None:
         raise ShapeError(f"{cfg.levels} disparity levels exceed feature width {fw}")
 
 
+def layer_extents(cfg: ModelConfig, height: int, width: int) -> dict[str, tuple[int, int]]:
+    """The output extent (rows, columns) of every ``ConvSpec`` layer of a
+    forward pass on height x width images, in layer order.
+
+    Each is :func:`ops.conv_out_extent` of the layer's input grid and its
+    spec. A pooling branch's conv runs on the pool's grid, a window at its
+    own stride as :func:`ops.avg_pool` runs it, and each decoder conv on its
+    skip's grid. Raises ShapeError where :func:`check_feature_extents`
+    refuses the features.
+    """
+    extents: dict[str, tuple[int, int]] = {}
+
+    def run(spec: ConvSpec, grid) -> tuple[int, int]:
+        extents[spec.name] = tuple(ops.conv_out_extent(n, spec.k, spec.stride, spec.dilation,
+                                                       spec.padding) for n in grid)
+        return extents[spec.name]
+
+    pools = {f"feature.spp{i}": window for i, (window, _) in enumerate(cfg.spp_pools, 1)}
+    grid = (height, width)
+    for spec in feature_layer_specs(cfg):
+        if spec.name in pools:
+            window = pools[spec.name]
+            run(spec, [ops.conv_out_extent(n, min(window, n), window, 1, 0) for n in grid])
+        else:
+            grid = run(spec, grid)
+    check_feature_extents(cfg, *grid)
+    skips = []  # the grid before each encoder conv; dec4's skip is the feature pair
+    for spec in matching_layer_specs(cfg):
+        if spec.name.startswith("matching.enc"):
+            skips.append(grid)
+        grid = run(spec, skips.pop() if spec.name.startswith("matching.dec") else grid)
+    grid = (height, width)
+    for spec in refine_layer_specs(cfg):
+        grid = run(spec, grid)
+    return extents
+
+
 # ---------------------------------------------------------------------------
 # feature net
 # ---------------------------------------------------------------------------
 
 def extract_features(image: Tensor, weights: ModelWeights, cfg: ModelConfig) -> Tensor:
     """Image (B, in_channels, H, W) -> features (B, F, ceil(H/3), ceil(W/3))."""
-    b, c, h, w = image.shape
+    c = image.shape[1]
     if c != cfg.in_channels:
         raise ShapeError(f"extract_features: image has {c} channels, "
                          f"config expects {cfg.in_channels}")
-    check_image_extents(h, w)
     x = _block(image, "feature.down", weights)
+    check_feature_extents(cfg, *x.shape[2:])
     for i in range(1, 4):
         x = _block(x, f"feature.dil{i}", weights)
     _, _, fh, fw = x.shape
@@ -523,10 +554,8 @@ def levels_per_batch(cfg: ModelConfig, fh: int, fw: int) -> int:
 
 def build_cost_volume(left_features: Tensor, right_features: Tensor,
                       weights: ModelWeights, cfg: ModelConfig,
-                      context_only: bool = False, *,
-                      x_block: BlockWeights | None = None,
-                      left_block: BlockWeights | None = None,
-                      right_block: BlockWeights | None = None) -> Tensor:
+                      context_only: bool = False, *, x_block: BlockWeights,
+                      left_block: BlockWeights, right_block: BlockWeights) -> Tensor:
     """Cost volume (1, D/3, H', W'); slice d is the matching net applied to
     the pair ``[L, S_d R]``: the left features and the right features
     shifted d columns to the right.
@@ -547,12 +576,10 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     those do depend on it. With :meth:`ModelWeights.folded` weights no norm
     runs.
 
-    ``x_block``, ``left_block`` and ``right_block`` are
-    :func:`pair_blocks` of ``weights``, split here when not given.
-    :func:`forward_tensors` passes them, so that every weight a conv of
-    this stage reads is a tensor named among its arguments; the traced
-    benchmark run (``perfbench/spans.py``) attributes conv time to layers
-    by those names.
+    ``x_block``, ``left_block`` and ``right_block`` are :func:`pair_blocks`
+    of ``weights``, so that every weight a conv of this stage reads is a
+    tensor named among its arguments; the traced benchmark run
+    (``perfbench/spans.py``) attributes conv time to layers by those names.
 
     ``context_only`` replaces the right features with the left features
     (the crippled control that cannot see the second view).
@@ -568,12 +595,8 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
                          f"got {c}")
     check_feature_extents(cfg, fh, fw)
     levels = cfg.levels
-    if any(block is None for block in (x_block, left_block, right_block)):
-        blocks = pair_blocks(weights, cfg, fw)
-    else:
-        blocks = {"x_block": x_block, "left_block": left_block, "right_block": right_block}
     source = left_features if context_only else right_features
-    terms = _pair_terms(left_features, source, weights, **blocks)
+    terms = _pair_terms(left_features, source, weights, x_block, left_block, right_block)
     n = levels_per_batch(cfg, fh, fw)
     batches = [ops.batch_to_channels(_match_levels(
         terms, list(range(start, min(start + n, levels))), weights))

@@ -557,7 +557,7 @@ def avg_pool(x: Tensor, window: int) -> Tensor:
         raise ShapeError(f"avg_pool: window must be positive, got {window}")
     b, c, h, w = x.shape
     wh, ww = min(window, h), min(window, w)
-    oh, ow = (h - wh) // window + 1, (w - ww) // window + 1
+    oh, ow = conv_out_extent(h, wh, window, 1, 0), conv_out_extent(w, ww, window, 1, 0)
     windows = np.lib.stride_tricks.sliding_window_view(
         x.data, (wh, ww), axis=(2, 3))[:, :, ::window, ::window]
     acc = np.add.accumulate(windows.reshape(b, c, oh, ow, wh * ww), axis=-1)[..., -1]

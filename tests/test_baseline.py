@@ -164,7 +164,8 @@ class TestResources:
 
     @pytest.mark.parametrize("height,width,max_disparity", [
         (20, 20, 24),    # 7x7 features, below the matching net's 16x16
-        (8, 96, 24),     # below the 9x9 image feature.down reads
+        (8, 96, 24),     # 3x32 features: 16 feature rows need 46 image rows
+        (45, 96, 24),    # 15x32 features
         (96, 48, 60)])   # 20 levels on 16 feature columns
     def test_refuses_the_extents_the_model_refuses(self, rng, height, width,
                                                    max_disparity):

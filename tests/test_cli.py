@@ -171,6 +171,17 @@ def test_infer_into_a_missing_directory_is_a_usage_error(tmp_path, pair, capsys)
     assert "absent" in capsys.readouterr().err
 
 
+def test_infer_writes_both_outputs_or_neither(tmp_path, pair, capsys):
+    """An unwritable entropy path used to leave the disparity PFM behind."""
+    ckpt = _checkpoint(tmp_path / "model.ckpt")
+    out = str(tmp_path / "disp.pfm")
+    assert cli.main(["infer", "--ckpt", ckpt, "--left", pair[0], "--right", pair[1],
+                     "--out-disp", out,
+                     "--out-entropy", str(tmp_path / "absent" / "ent.pfm")]) == 2
+    assert not os.path.exists(out)
+    assert "cannot write the output" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage", ["truncated", "unknown config key"])
 def test_infer_corrupt_checkpoint_is_a_usage_error(tmp_path, pair, capsys, damage):
     ckpt = _checkpoint(tmp_path / "model.ckpt")
@@ -243,6 +254,15 @@ def test_gen_rds_rejects_a_split_outside_zero_to_one(tmp_path, capsys, split):
     assert "--split" in capsys.readouterr().err
 
 
+def test_gen_rds_under_a_regular_file_is_a_usage_error(tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("x")
+    assert cli.main(["gen-rds", "--out", str(plain / "sub"), "--count", "4", "--width",
+                     "48", "--height", "48"]) == 2
+    assert os.listdir(tmp_path) == ["plain"] and plain.read_text() == "x"
+    assert str(plain / "sub") in capsys.readouterr().err
+
+
 def test_eval_missing_prediction_is_a_usage_error(tmp_path, capsys):
     preds, gts = tmp_path / "preds.txt", tmp_path / "gts.txt"
     preds.write_text(str(tmp_path / "absent.pfm") + "\n")
@@ -268,6 +288,18 @@ def test_train_into_a_missing_directory_is_a_usage_error(tmp_path, pair, capsys)
                      "--epochs", "1", "--out", out]) == 2
     assert not os.path.exists(tmp_path / "absent")
     assert "absent" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--crop-height", "--crop-width"])
+def test_train_with_half_a_crop_is_a_usage_error(tmp_path, pair, capsys, flag):
+    """One crop extent without the other used to train uncropped, with exit 0."""
+    manifest = os.path.join(os.path.dirname(pair[0]), "manifest.txt")
+    out = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--data", manifest, "--profile", "tiny", "--epochs", "1",
+                     "--out", str(out), flag, "32"]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--crop-height" in err and "--crop-width" in err
 
 
 _NOT_UTF8 = b"left_\xff.pgm\tright.pgm\tgt.pfm\n"

@@ -22,6 +22,44 @@ def random_image(rng, h, w, c=1):
     return Tensor(rng.standard_normal((1, c, h, w)).astype(np.float32))
 
 
+def cost_volume(fl, fr, weights, cfg, **kwargs):
+    """``model.build_cost_volume`` with the pair blocks of ``weights``."""
+    return model.build_cost_volume(fl, fr, weights, cfg, **kwargs,
+                                   **model.pair_blocks(weights, cfg, fl.shape[3]))
+
+
+def record_convs(monkeypatch):
+    """Record every conv of the stages (``extract_features``,
+    ``build_cost_volume``, ``refine``) as (layer, block, (stride, dilation,
+    padding), output extent). A conv's layer is the ``<layer>.w`` key under
+    which an argument of its stage holds the weight, None if none does;
+    block is the keyword that passed that argument (``right_block`` and so
+    on), None for a positional one."""
+    named, convs = {}, []
+    real_conv = ops.conv2d
+
+    def stage(fn):
+        def wrapper(*args, **kwargs):
+            for block, arg in [(None, arg) for arg in args] + list(kwargs.items()):
+                for key, t in getattr(arg, "params", {}).items():
+                    if key.endswith(".w"):
+                        named[id(t)] = (key[:-2], block)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def conv2d(x, weight, *args, stride=1, dilation=1, padding=0, **kwargs):
+        out = real_conv(x, weight, *args, stride=stride, dilation=dilation,
+                        padding=padding, **kwargs)
+        convs.append((*named.get(id(weight), (None, None)), (stride, dilation, padding),
+                      out.shape[2:]))
+        return out
+
+    for name in ("extract_features", "build_cost_volume", "refine"):
+        monkeypatch.setattr(model, name, stage(getattr(model, name)))
+    monkeypatch.setattr(ops, "conv2d", conv2d)
+    return convs
+
+
 class TestConfig:
     def test_levels(self):
         assert model.ModelConfig.tiny(max_disparity=24).levels == 8
@@ -133,7 +171,7 @@ class TestMatchingNet:
         cfg, weights = tiny_weights()
         fl = model.extract_features(random_image(rng, 96, 96), weights, cfg)
         fr = model.extract_features(random_image(rng, 96, 96), weights, cfg)
-        volume = model.build_cost_volume(fl, fr, weights, cfg)
+        volume = cost_volume(fl, fr, weights, cfg)
         assert volume.data[:, :1].shape == (1, 1, 32, 32)
 
     def test_pure_function_of_inputs(self, rng):
@@ -141,15 +179,15 @@ class TestMatchingNet:
         cfg, weights = tiny_weights()
         fl = model.extract_features(random_image(rng, 48, 48), weights, cfg)
         fr = model.extract_features(random_image(rng, 48, 48), weights, cfg)
-        a = model.build_cost_volume(fl, fr, weights, cfg)
-        b = model.build_cost_volume(fl, fr, weights, cfg)
+        a = cost_volume(fl, fr, weights, cfg)
+        b = cost_volume(fl, fr, weights, cfg)
         assert np.array_equal(a.data, b.data)
 
     def test_rejects_sub_16_extent(self, rng):
         cfg, weights = tiny_weights()
         fl = Tensor(rng.standard_normal((1, 16, 15, 20)).astype(np.float32))
         with pytest.raises(ShapeError):
-            model.build_cost_volume(fl, fl, weights, cfg)
+            cost_volume(fl, fl, weights, cfg)
 
     def test_layer_by_layer_replay_oracle(self, rng):
         """Re-execute the matching net layer list step by step with raw ops,
@@ -198,7 +236,7 @@ class TestMatchingNet:
                              for w in (w4_r, masked(w4_r)))
         enc1_left = ops.conv2d(fl, w1_l, stride=2, padding=1)
         dec4_left = ops.conv2d(fl, w4_l, padding=1)
-        volume = model.build_cost_volume(fl, fr, weights, cfg)
+        volume = cost_volume(fl, fr, weights, cfg)
 
         for d in (0, 1, 4, 7):
             e, p = divmod(d, 2)
@@ -239,10 +277,10 @@ class TestCostVolume:
         # slice d of a volume does not depend on how many levels it holds
         cfg, weights = tiny_weights()
         fl, fr = self._features(rng, cfg, weights)
-        volume = model.build_cost_volume(fl, fr, weights, cfg)
+        volume = cost_volume(fl, fr, weights, cfg)
         for d in (0, 3, 6):
             fewer = model.ModelConfig.tiny(max_disparity=3 * (d + 1))
-            short = model.build_cost_volume(
+            short = cost_volume(
                 fl, fr, model.ModelWeights(fewer, weights.params, weights.buffers), fewer)
             assert short.shape[1] == d + 1
             assert np.array_equal(volume.data[:, :d + 1], short.data)
@@ -255,10 +293,10 @@ class TestCostVolume:
         volumes = []
         for schedule in LEVEL_BATCHES:
             set_level_batch(monkeypatch, schedule)
-            volumes.append(model.build_cost_volume(fl, fr, weights, cfg).data)
+            volumes.append(cost_volume(fl, fr, weights, cfg).data)
         monkeypatch.setattr(model, "_LEVEL_BATCH_PIXELS", 3 * 32 * 32)
         assert model.levels_per_batch(cfg, 32, 32) == 3
-        volumes.append(model.build_cost_volume(fl, fr, weights, cfg).data)
+        volumes.append(cost_volume(fl, fr, weights, cfg).data)
         for volume in volumes[1:]:
             assert np.array_equal(volume, volumes[0])
 
@@ -267,7 +305,7 @@ class TestCostVolume:
         # compare bits
         cfg, weights = tiny_weights()
         fl, fr = self._features(rng, cfg, weights)
-        reference = model.build_cost_volume(fl, fr, weights, cfg)
+        reference = cost_volume(fl, fr, weights, cfg)
         perm = np.random.default_rng(5).permutation(cfg.levels)
         terms = model._pair_terms(fl, fr, weights,
                                   **model.pair_blocks(weights, cfg, fl.shape[3]))
@@ -286,12 +324,12 @@ class TestCostVolume:
     def test_volume_shape_and_level_cap(self, rng):
         cfg, weights = tiny_weights()
         fl, fr = self._features(rng, cfg, weights)
-        volume = model.build_cost_volume(fl, fr, weights, cfg)
+        volume = cost_volume(fl, fr, weights, cfg)
         assert volume.shape == (1, cfg.levels, 32, 32)
         wide_cfg = model.ModelConfig.tiny(max_disparity=120)
         wide_weights = model.ModelWeights.initialize(wide_cfg, seed=0)
         with pytest.raises(ShapeError):
-            model.build_cost_volume(fl, fr, wide_weights, wide_cfg)
+            cost_volume(fl, fr, wide_weights, wide_cfg)
 
     @pytest.mark.parametrize("profile,max_disparity,fh,fw,expected", [
         ("full", 48, 48, 80, 2),     # 144x240, 16 levels
@@ -428,7 +466,7 @@ class TestDecomposition:
         fl, fr = self._features(rng, cfg, weights, dtype, h, w)
         for schedule in LEVEL_BATCHES:
             set_level_batch(monkeypatch, schedule)
-            volume = model.build_cost_volume(fl, fr, weights, cfg)
+            volume = cost_volume(fl, fr, weights, cfg)
             assert volume.data.dtype == dtype
             for d in range(cfg.levels):
                 ref = direct_cost(fl, fr, d, weights).data[0, 0]
@@ -438,7 +476,7 @@ class TestDecomposition:
         cfg = model.ModelConfig.tiny()
         weights = drawn_weights(cfg, 8, np.float64)
         fl, fr = self._features(rng, cfg, weights, np.float64, 51, 57)
-        volume = model.build_cost_volume(fl, fr, weights, cfg, context_only=True)
+        volume = cost_volume(fl, fr, weights, cfg, context_only=True)
         for d in range(cfg.levels):
             ref = direct_cost(fl, fl, d, weights).data[0, 0]
             self._assert_close(volume.data[0, d], ref, 1e-12, 1e-12, d)
@@ -456,7 +494,7 @@ class TestDecomposition:
                   for _ in range(2))
         proj = Tensor(rng.standard_normal((1, cfg.levels, 17, 19)), dtype=HIGH)
         with Tape() as tape:
-            volume = model.build_cost_volume(fl, fr, ours, cfg)
+            volume = cost_volume(fl, fr, ours, cfg)
             loss = ops.sum_all(ops.mul(volume, proj))
         backward(loss, tape)
         with Tape() as tape:
@@ -496,7 +534,7 @@ class TestDecomposition:
 
         def build():
             def loss():
-                volume = model.build_cost_volume(fl, fr, weights, cfg)
+                volume = cost_volume(fl, fr, weights, cfg)
                 return ops.sum_all(ops.mul(volume, proj))
             return tracked, loss
 
@@ -515,34 +553,46 @@ class TestDecomposition:
         ``ConvSpec`` stride, dilation and padding."""
         cfg = model.ModelConfig.tiny()
         weights = drawn_weights(cfg, 11)
-        named, layers, geometries = {}, [], []
-        real_conv = ops.conv2d
-
-        def stage(fn):
-            def wrapper(*args, **kwargs):
-                for arg in list(args) + list(kwargs.values()):
-                    for key, t in getattr(arg, "params", {}).items():
-                        if key.endswith(".w"):
-                            named[id(t)] = key[:-2]
-                return fn(*args, **kwargs)
-            return wrapper
-
-        def conv2d(x, weight, *args, stride=1, dilation=1, padding=0, **kwargs):
-            layers.append(named.get(id(weight)))
-            geometries.append((stride, dilation, padding))
-            return real_conv(x, weight, *args, stride=stride, dilation=dilation,
-                             padding=padding, **kwargs)
-
-        for name in ("extract_features", "build_cost_volume", "refine"):
-            monkeypatch.setattr(model, name, stage(getattr(model, name)))
-        monkeypatch.setattr(ops, "conv2d", conv2d)
+        convs = record_convs(monkeypatch)
         model.forward_tensors(random_image(rng, 48, 51), random_image(rng, 48, 51),
                               weights, cfg, training=training)
+        layers = [layer for layer, *_ in convs]
         assert None not in layers
         assert set(layers) == set(weights.specs)
-        for layer, geometry in zip(layers, geometries):
+        for layer, _, geometry, _ in convs:
             spec = weights.specs[layer]
             assert geometry == (spec.stride, spec.dilation, spec.padding), layer
+
+
+class TestLayerExtents:
+    # feature widths 16 (even) and 19 / 17 (odd); eleven pools, as in
+    # test_baseline.TestConvMacsMatchWhatRuns, of which ten run on a 2x2 pool's grid
+    @pytest.mark.parametrize("profile,height,width", [
+        ("tiny", 48, 48), ("tiny", 51, 57), ("full", 48, 48), ("full", 48, 51),
+        ("tiny-11-pools", 96, 96)])
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("level_batch", LEVEL_BATCHES)
+    def test_every_conv_runs_at_its_layer_extent(self, monkeypatch, profile, height, width,
+                                                 training, level_batch):
+        """Each conv of a forward pass outputs its layer's ``layer_extents``
+        entry. Of the pair-term convs (``model._pair_terms``), enc1's run at
+        enc1's extent and dec4's R term is one column wider."""
+        make = model.ModelConfig.full if profile == "full" else model.ModelConfig.tiny
+        pools = dict(spp_pools=((16, 4),) + ((2, 4),) * 10)
+        cfg = make(max_disparity=12, **(pools if profile == "tiny-11-pools" else {}))
+        weights = model.ModelWeights.initialize(cfg, seed=0)
+        set_level_batch(monkeypatch, level_batch)
+        convs = record_convs(monkeypatch)
+        rng = np.random.default_rng(0)
+        model.forward_tensors(random_image(rng, height, width, cfg.in_channels),
+                              random_image(rng, height, width, cfg.in_channels),
+                              weights, cfg, training=training)
+        extents = model.layer_extents(cfg, height, width)
+        assert {layer for layer, *_ in convs} == set(extents)
+        for layer, block, _, extent in convs:
+            oh, ow = extents[layer]
+            wider = (layer, block) == ("matching.dec4", "right_block")
+            assert extent == (oh, ow + wider), (layer, block)
 
 
 class TestProjection:
@@ -873,7 +923,7 @@ class TestBatchNormFold:
         volumes = []
         for schedule in LEVEL_BATCHES:
             set_level_batch(monkeypatch, schedule)
-            volumes.append(model.build_cost_volume(fl, fr, folded, cfg).data)
+            volumes.append(cost_volume(fl, fr, folded, cfg).data)
         for volume in volumes[1:]:
             assert np.array_equal(volume, volumes[0])
 
