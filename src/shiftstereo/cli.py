@@ -89,8 +89,6 @@ def cmd_gen_rds(args) -> int:
     from .datasets import RdsConfig, gen_rds, save_samples
     from .errors import ConfigError
 
-    if args.out is None:
-        return _fail("--out is required")
     if not 0 <= args.split <= 1:
         return _fail(f"--split must lie in [0, 1], got {args.split}")
     try:
@@ -125,8 +123,6 @@ def cmd_train(args) -> int:
     from .errors import ConfigError, ParseError, ShapeError, TrainingDiverged
     from .training import LossConfig, train
 
-    if args.data is None or args.out is None:
-        return _fail("--data and --out are required")
     if bool(args.crop_height) != bool(args.crop_width):
         return _fail("--crop-height and --crop-width go together: give both or neither")
     try:
@@ -136,8 +132,6 @@ def cmd_train(args) -> int:
             if args.val_data else None
     except (ConfigError, ParseError, ShapeError) as e:
         return _fail(str(e))
-    if not train_samples:
-        return _fail(f"{args.data}: empty manifest")
     crop = (args.crop_height, args.crop_width) if args.crop_height else None
     log_path = args.log or (args.out + ".log")
     try:
@@ -150,7 +144,7 @@ def cmd_train(args) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}; last checkpoint: {e.checkpoint_path}", file=sys.stderr)
         return 3
-    except ShapeError as e:
+    except (ConfigError, ShapeError) as e:
         return _fail(str(e))
     except OSError as e:
         return _fail(f"cannot write the checkpoint or log: {e}")
@@ -171,9 +165,6 @@ def cmd_infer(args) -> int:
     from .tensor import Tensor
     from .training import load_checkpoint, load_weights
 
-    for name in ("ckpt", "left", "right", "out_disp"):
-        if getattr(args, name) is None:
-            return _fail(f"--{name.replace('_', '-')} is required")
     try:
         # Only the folded weights run; the checkpoint's raw arrays are
         # dropped before the forward pass. The one-item list lets the call
@@ -223,9 +214,6 @@ def cmd_eval(args) -> int:
     from .datasets import read_pfm
     from .errors import ParseError, ShapeError
     from .evaluation import aggregate, evaluate, report_table
-
-    if args.pred_manifest is None or args.gt_manifest is None:
-        return _fail("--pred-manifest and --gt-manifest are required")
 
     def read_list(path):
         with open(path, encoding="utf-8") as f:
@@ -343,6 +331,11 @@ def main(argv=None) -> int:
     if error:
         return _fail(error)
     _echo_settings(args.command, args, defaults)
+    missing = [key for key, default in defaults.items()
+               if default is None and getattr(args, key) is None]
+    if missing:
+        return _fail("missing required flags: "
+                     + ", ".join("--" + key.replace("_", "-") for key in missing))
     return handler(args)
 
 

@@ -324,22 +324,13 @@ def read_manifest(path: str) -> list[tuple[str, ...]]:
     return entries
 
 
-def _read_image_any(path: str) -> np.ndarray:
-    ext = os.path.splitext(path)[1].lower()
-    if ext in (".pgm", ".ppm", ".pnm"):
-        return read_pnm(path)
-    if ext == ".pfm":
-        return read_pfm(path)[None]
-    raise ParseError(f"{path}: unsupported image extension {ext!r}")
-
-
 def load_dataset(manifest_path: str, max_disparity: int) -> list[StereoSample]:
     """Load samples named by a manifest; the validity mask keeps pixels whose
     ground truth is finite and below ``max_disparity``."""
     samples = []
     for left_path, right_path, gt_path in read_manifest(manifest_path):
-        left = normalize_image(_read_image_any(left_path))
-        right = normalize_image(_read_image_any(right_path))
+        left = normalize_image(read_pnm(left_path))
+        right = normalize_image(read_pnm(right_path))
         gt = read_pfm(gt_path)
         if left.shape != right.shape:
             raise ShapeError(f"{left_path} vs {right_path}: image extents differ "

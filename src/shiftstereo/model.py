@@ -29,7 +29,8 @@ class ModelConfig:
     ``max_disparity`` is in full-resolution pixels and must be a multiple
     of 3; the cost volume holds ``max_disparity // 3`` levels at 1/3
     resolution. ``spp_pools`` lists (window, branch_channels) pairs; the
-    fusion convolution consumes the pre-pool map plus all branches.
+    fusion convolution consumes the pre-pool map plus all branches. The
+    :meth:`tiny` and :meth:`full` constructors give the two profiles.
     """
 
     in_channels: int = 3
@@ -37,10 +38,8 @@ class ModelConfig:
     max_disparity: int = 192
     matching_channels: tuple[int, int, int, int] = (48, 64, 96, 128)
     spp_pools: tuple[tuple[int, int], ...] = ((64, 32), (16, 32))
-    dilations: tuple[int, int, int] = (2, 4, 8)
     refine_blocks: tuple[int, ...] = (1, 2, 4, 8, 1, 1)
     refine_channels: int = 32
-    profile: str = "full"
 
     def __post_init__(self):
         if self.in_channels not in (1, 3):
@@ -52,8 +51,6 @@ class ModelConfig:
                               f"got {self.max_disparity}")
         if len(self.matching_channels) != 4:
             raise ConfigError("matching_channels needs exactly 4 entries")
-        if len(self.dilations) != 3:
-            raise ConfigError("dilations needs exactly 3 entries")
 
     @property
     def levels(self) -> int:
@@ -68,19 +65,14 @@ class ModelConfig:
             max_disparity=max_disparity,
             matching_channels=(24, 32, 48, 64),
             spp_pools=((16, 16), (8, 16)),
-            dilations=(2, 4, 8),
             refine_blocks=(1, 2, 4),
-            refine_channels=32,
-            profile="tiny",
         )
         base.update(overrides)
         return cls(**base)
 
     @classmethod
     def full(cls, in_channels: int = 3, max_disparity: int = 192, **overrides) -> "ModelConfig":
-        base = dict(in_channels=in_channels, max_disparity=max_disparity, profile="full")
-        base.update(overrides)
-        return cls(**base)
+        return cls(in_channels=in_channels, max_disparity=max_disparity, **overrides)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -90,7 +82,6 @@ class ModelConfig:
         d = dict(d)
         d["matching_channels"] = tuple(d["matching_channels"])
         d["spp_pools"] = tuple(tuple(p) for p in d["spp_pools"])
-        d["dilations"] = tuple(d["dilations"])
         d["refine_blocks"] = tuple(d["refine_blocks"])
         return cls(**d)
 
@@ -118,11 +109,12 @@ class ConvSpec:
 
 
 def feature_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
-    """The 8 feature-net convolutions: stride-3 downsampler, three dilated
-    convs, one 1x1 per pooling branch, the fusion conv, and a bare 1x1."""
+    """The 8 feature-net convolutions: stride-3 downsampler, three convs
+    dilated at rates 2, 4 and 8, one 1x1 per pooling branch, the fusion
+    conv, and a bare 1x1."""
     f = cfg.feature_channels
     specs = [ConvSpec("feature.down", cfg.in_channels, f, 3, stride=3, padding=1)]
-    for i, rate in enumerate(cfg.dilations, 1):
+    for i, rate in enumerate((2, 4, 8), 1):
         specs.append(ConvSpec(f"feature.dil{i}", f, f, 3, dilation=rate, padding=rate))
     for i, (_, branch) in enumerate(cfg.spp_pools, 1):
         specs.append(ConvSpec(f"feature.spp{i}", f, branch, 1))

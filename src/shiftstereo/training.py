@@ -21,7 +21,7 @@ from .datasets import StereoSample
 from .errors import (CheckpointError, CheckpointFormatError, CheckpointShapeError,
                      CheckpointVersionError, ConfigError, ShapeError,
                      TrainingDiverged)
-from .model import ModelConfig, ModelWeights, forward_tensors, weight_shapes
+from .model import ModelConfig, ModelWeights, forward_tensors, layer_extents, weight_shapes
 from .tensor import STANDARD, Tape, Tensor, backward
 
 
@@ -35,16 +35,15 @@ class LossConfig:
 
 
 def total_loss(coarse: Tensor, refined: Tensor, gt: np.ndarray, mask: np.ndarray,
-               cfg: LossConfig = LossConfig(), max_disparity: float | None = None) -> Tensor:
-    """Scalar loss of the two supervised outputs against the ground truth."""
+               cfg: LossConfig = LossConfig(), *, max_disparity: float) -> Tensor:
+    """Scalar loss of the two supervised outputs against the ground truth,
+    over the masked pixels whose truth is finite and below ``max_disparity``."""
     gt = np.asarray(gt, dtype=np.float32)
     mask = np.asarray(mask, dtype=bool)
     if coarse.shape != refined.shape or coarse.shape[2:] != gt.shape or gt.shape != mask.shape:
         raise ShapeError(f"total_loss: extents differ (coarse {coarse.shape}, "
                          f"refined {refined.shape}, gt {gt.shape}, mask {mask.shape})")
-    effective = mask & np.isfinite(gt)
-    if max_disparity is not None:
-        effective &= gt < max_disparity
+    effective = mask & np.isfinite(gt) & (gt < max_disparity)
     count = int(effective.sum())
     if count == 0:
         raise ShapeError("total_loss: no valid pixels under the mask")
@@ -63,14 +62,15 @@ def total_loss(coarse: Tensor, refined: Tensor, gt: np.ndarray, mask: np.ndarray
 # optimizer
 # ---------------------------------------------------------------------------
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
-    """Bias-corrected Adam moments, one pair of buffers per parameter."""
+    """Bias-corrected Adam moments, one pair of buffers per parameter, after
+    ``t`` steps at rate ``lr``, with the module's betas and epsilon."""
 
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -88,8 +88,8 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
     """One in-place update from each parameter's ``.grad``; a missing
     gradient counts as zero."""
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - _BETA1 ** state.t
+    bc2 = 1.0 - _BETA2 ** state.t
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -99,11 +99,11 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
                              f"shape {p.data.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * (g * g)
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +112,9 @@ def adam_step(params: dict[str, Tensor], state: AdamState) -> None:
 
 def random_crop(sample: StereoSample, crop_h: int, crop_w: int,
                 rng: np.random.Generator) -> StereoSample:
-    """The same window cut from left, right, ground truth, and mask."""
+    """The same window cut from left, right, ground truth, and mask; the
+    caller checks that it fits, as :func:`train` does before any step."""
     h, w = sample.height, sample.width
-    if crop_h > h or crop_w > w:
-        raise ShapeError(f"random_crop: crop {crop_h}x{crop_w} exceeds image {h}x{w}")
     oy = int(rng.integers(0, h - crop_h + 1))
     ox = int(rng.integers(0, w - crop_w + 1))
     return StereoSample(
@@ -131,13 +130,17 @@ def random_crop(sample: StereoSample, crop_h: int, crop_w: int,
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"DICC"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 @dataclass
 class Checkpoint:
+    """A model's config, parameters and buffers, plus a training run's
+    epoch, data RNG state and Adam state. :meth:`from_weights` copies no
+    array: save it before the weights or the moments move again."""
+
     config: ModelConfig
     params: dict[str, np.ndarray]
     buffers: dict[str, np.ndarray]
@@ -150,8 +153,8 @@ class Checkpoint:
                      rng_state: dict | None = None,
                      adam: AdamState | None = None) -> "Checkpoint":
         return cls(config=weights.config,
-                   params={k: v.data.copy() for k, v in weights.params.items()},
-                   buffers={k: v.data.copy() for k, v in weights.buffers.items()},
+                   params={k: v.data for k, v in weights.params.items()},
+                   buffers={k: v.data for k, v in weights.buffers.items()},
                    epoch=epoch, rng_state=rng_state, adam=adam)
 
 
@@ -171,10 +174,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         "config": ckpt.config.to_dict(),
         "epoch": ckpt.epoch,
         "rng_state": ckpt.rng_state,
-        "adam": None if ckpt.adam is None else {
-            "lr": ckpt.adam.lr, "beta1": ckpt.adam.beta1,
-            "beta2": ckpt.adam.beta2, "eps": ckpt.adam.eps, "t": ckpt.adam.t,
-        },
+        "adam": None if ckpt.adam is None else {"lr": ckpt.adam.lr, "t": ckpt.adam.t},
     }
     entries: list[tuple[str, np.ndarray]] = []
     entries += [("p/" + k, v) for k, v in ckpt.params.items()]
@@ -204,7 +204,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
 
 # numpy 1.x arrays have at most 32 dimensions (2.x: 64).
 _MAX_RANK = 32
-_ADAM_KEYS = ("lr", "beta1", "beta2", "eps", "t")
+_ADAM_KEYS = ("lr", "t")
 
 
 class _Reader:
@@ -294,8 +294,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     adam = None
     if meta.get("adam") is not None:
         a = meta["adam"]
-        adam = AdamState(lr=a["lr"], beta1=a["beta1"], beta2=a["beta2"],
-                         eps=a["eps"], t=a["t"], m=groups["m"], v=groups["v"])
+        adam = AdamState(lr=a["lr"], t=a["t"], m=groups["m"], v=groups["v"])
     return Checkpoint(config=config, params=groups["p"], buffers=groups["b"],
                       epoch=meta["epoch"], rng_state=meta.get("rng_state"), adam=adam)
 
@@ -378,13 +377,27 @@ def train(train_samples: list[StereoSample], config: ModelConfig,
           progress: callable | None = None) -> tuple[ModelWeights, Checkpoint, list[EpochStats]]:
     """Deterministic training run: a pure function of (data, config, seed).
 
-    Per epoch: shuffled iteration, optional random crop, forward, supervised
-    loss on both outputs, backward, Adam step.
-    Checkpoints are written every epoch (plus ``.best`` on validation
-    improvement). A non-finite loss aborts with TrainingDiverged.
+    Before anything is written, every extent a step or the validation pass
+    will run at is checked: a non-positive crop is a ConfigError, a crop
+    larger than a sample a ShapeError, and :func:`model.layer_extents`
+    refuses what the model cannot run. Per epoch: shuffled iteration,
+    optional random crop, forward, supervised loss on both outputs,
+    backward, Adam step. Checkpoints are written every epoch (plus ``.best``
+    on validation improvement); the returned one refers to the returned
+    weights' own arrays. A non-finite loss aborts with TrainingDiverged.
     """
     if not train_samples:
         raise ConfigError("train: empty dataset")
+    extents = {(s.height, s.width) for s in train_samples}
+    if crop is not None:
+        if min(crop) <= 0:
+            raise ConfigError(f"train: crop {crop[0]}x{crop[1]} must be positive")
+        for h, w in extents:
+            if crop[0] > h or crop[1] > w:
+                raise ShapeError(f"train: crop {crop[0]}x{crop[1]} exceeds image {h}x{w}")
+        extents = {tuple(crop)}
+    for h, w in extents | {(s.height, s.width) for s in val_samples or ()}:
+        layer_extents(config, h, w)
     weights = ModelWeights.initialize(config, seed=seed)
     adam = AdamState.for_params(weights.params, lr=lr)
     data_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A)))

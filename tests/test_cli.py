@@ -302,6 +302,41 @@ def test_train_with_half_a_crop_is_a_usage_error(tmp_path, pair, capsys, flag):
     assert "--crop-height" in err and "--crop-width" in err
 
 
+@pytest.mark.parametrize("crop, complaint", [
+    ("60", "exceeds image 48x48"),
+    ("20", "got 7x7"),
+    ("-5", "must be positive")], ids=["above the image", "below the model", "negative"])
+def test_train_with_a_crop_no_step_can_run_writes_nothing(tmp_path, pair, capsys, crop,
+                                                          complaint):
+    """Each of these crops used to exit 2 only at the first step, after the
+    epoch-0 checkpoint was on disk."""
+    manifest = os.path.join(os.path.dirname(pair[0]), "manifest.txt")
+    out = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--data", manifest, "--profile", "tiny", "--epochs", "1",
+                     "--out", str(out), "--crop-height", crop, "--crop-width", crop]) == 2
+    assert os.listdir(tmp_path) == ["data"]  # no checkpoint, log or temporary file
+    assert complaint in capsys.readouterr().err
+
+
+def test_train_on_an_empty_manifest_is_a_usage_error(tmp_path, capsys):
+    manifest = tmp_path / "empty.txt"
+    manifest.write_text("")
+    out = tmp_path / "model.ckpt"
+    assert cli.main(["train", "--data", str(manifest), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "empty dataset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["gen-rds"], "--out"),
+    (["train", "--out", "unwritten.ckpt"], "--data"),
+    (["infer", "--ckpt", "unread.ckpt"], "--left, --right, --out-disp"),
+    (["eval"], "--pred-manifest, --gt-manifest")], ids=["gen-rds", "train", "infer", "eval"])
+def test_missing_required_flags_are_named(capsys, argv, flags):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: missing required flags: {flags}\n"
+
+
 _NOT_UTF8 = b"left_\xff.pgm\tright.pgm\tgt.pfm\n"
 
 

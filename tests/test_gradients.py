@@ -62,11 +62,11 @@ def test_loss_gradient_matches_finite_differences_away_from_knee():
     coarse = Tensor(pred_c[None, None], requires_grad=True, dtype=HIGH)
     refined = Tensor(pred_r[None, None], requires_grad=True, dtype=HIGH)
     with Tape() as tape:
-        loss = total_loss(coarse, refined, gt, mask, LossConfig())
+        loss = total_loss(coarse, refined, gt, mask, LossConfig(), max_disparity=24)
     backward(loss, tape)
 
     def loss_value():
-        return total_loss(coarse, refined, gt, mask, LossConfig()).item()
+        return total_loss(coarse, refined, gt, mask, LossConfig(), max_disparity=24).item()
 
     for leaf in (coarse, refined):
         flat = leaf.data.reshape(-1)

@@ -1,6 +1,7 @@
 """Checkpoint round trips, the checks ``load_weights`` makes on them, the
 Adam update, and the memory of one training step."""
 
+import json
 import os
 import struct
 import tracemalloc
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import adam_reference_trace
 from shiftstereo import training
 from shiftstereo.datasets import RdsConfig, gen_rds
-from shiftstereo.errors import CheckpointError, CheckpointFormatError, CheckpointShapeError
+from shiftstereo.errors import (CheckpointError, CheckpointFormatError, CheckpointShapeError,
+                                CheckpointVersionError)
 from shiftstereo.model import ModelConfig, ModelWeights, forward_tensors
 from shiftstereo.tensor import HIGH, Tape, Tensor, backward
 from shiftstereo.training import (AdamState, Checkpoint, adam_step, load_checkpoint,
@@ -228,6 +230,27 @@ def test_empty_entry_with_unindexable_extents_is_rejected(small_checkpoint):
         _load_bytes(path + ".empty", bytes(damaged))
 
 
+def test_a_version_1_checkpoint_is_refused(small_checkpoint):
+    """Version 1 saved the Adam betas and epsilon, and the model config's
+    ``dilations`` and ``profile``; its files are refused by version."""
+    path = small_checkpoint
+    blob = _read(path)
+    assert struct.unpack_from("<I", blob, 4) == (training.CHECKPOINT_VERSION,) == (2,)
+    old = blob[:4] + struct.pack("<I", 1) + blob[8:]
+    with pytest.raises(CheckpointVersionError, match="version 1"):
+        _load_bytes(path + ".v1", old)
+
+
+def test_the_metadata_holds_only_what_load_reads(small_checkpoint):
+    blob = _read(small_checkpoint)
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12:12 + meta_len])
+    assert meta["adam"] == {"lr": 1e-3, "t": 0}
+    assert sorted(meta["config"]) == ["feature_channels", "in_channels", "matching_channels",
+                                      "max_disparity", "refine_blocks", "refine_channels",
+                                      "spp_pools"]
+
+
 @pytest.mark.parametrize("old, new", [(b'"epoch"', b'"epocH"'),
                                       (b'"feature_channels"', b'"feature_channelZ"'),
                                       (b'"feature_channels": 4', b'"feature_channels": 0')])
@@ -261,6 +284,17 @@ def test_training_is_a_pure_function_of_data_config_and_seed(tmp_path):
         runs.append((_read(path), _read(path + ".best"), stats))
     assert runs[0] == runs[1]
     assert runs[2][0] != runs[0][0]
+
+
+def test_the_returned_checkpoint_holds_the_weights_own_arrays():
+    """``train`` keeps no second copy of the weights: its Checkpoint refers
+    to the returned weights' own arrays."""
+    samples = gen_rds(RdsConfig(width=48, height=48, seed=2), 2)
+    weights, ckpt, _ = training.train(samples, ModelConfig.tiny(), epochs=1, seed=0)
+    for store, saved in ((weights.params, ckpt.params), (weights.buffers, ckpt.buffers)):
+        assert list(saved) == list(store)
+        assert all(saved[name] is t.data for name, t in store.items())
+    assert ckpt.epoch == 1 and ckpt.adam.t == 2
 
 
 def test_a_step_outputs_are_gone_before_the_next_forward(monkeypatch):
