@@ -98,13 +98,10 @@ class ResourceReport:
     ``peak_elements["matching_batch"]`` counts the elements of the
     matching-net input of one batch of levels, ``levels_per_batch`` (see
     :func:`model.levels_per_batch`) pairs of (H/3)(W/3) maps with 2F
-    channels each.
+    channels each. :meth:`kv_lines` is the one printout; the inputs are
+    the caller's to print.
     """
 
-    height: int
-    width: int
-    levels: int
-    feature_channels: int
     params: dict[str, int]
     conv_flops: dict[str, int]
     aux_flops: int
@@ -120,22 +117,6 @@ class ResourceReport:
         for name, count in self.peak_elements.items():
             lines.append(f"peak_elements_{name}={count}")
         return lines
-
-    def text_table(self) -> str:
-        rows = [
-            f"input {self.height}x{self.width}, {self.levels} disparity levels "
-            f"({self.levels * 3} px), {self.feature_channels} feature channels",
-            "",
-            "parameters:",
-        ]
-        rows += [f"  {k:<12} {v:>14,}" for k, v in self.params.items()]
-        rows.append("conv flops (2 per multiply-accumulate):")
-        rows += [f"  {k:<22} {v:>16,}" for k, v in self.conv_flops.items()]
-        rows.append(f"  {'aux (bias/norm/act)':<22} {self.aux_flops:>16,}")
-        rows.append("peak matching activation elements:")
-        rows.append(f"  {'matching_batch':<16} {self.peak_elements['matching_batch']:>14,}"
-                    f"   = (H/3)(W/3)(2F) x levels per batch")
-        return "\n".join(rows)
 
 
 def estimate_resources(config: ModelConfig, height: int, width: int) -> ResourceReport:
@@ -178,7 +159,6 @@ def estimate_resources(config: ModelConfig, height: int, width: int) -> Resource
         "total": 2 * conv["feature"] + conv["matching"] * levels + per_volume + conv["refine"],
     }
     return ResourceReport(
-        height=height, width=width, levels=levels, feature_channels=f,
         params=count_parameters(config), conv_flops=flops,
         aux_flops=2 * aux["feature"] + aux["matching"] * levels + aux["refine"],
         peak_elements={"matching_batch": levels_per_batch(config, fh, fw) * fh * fw * 2 * f},

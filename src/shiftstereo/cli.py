@@ -2,11 +2,13 @@
 
 Exit codes: 0 success, 1 check failure, 2 usage/input error, 3 runtime
 divergence. Every command prints its resolved settings as ``key=value``
-lines before doing work, so a run is reproducible from its own log.
+lines before doing work, so a run is reproducible from its own log;
+``eval`` and ``estimate-resources`` print each figure once, in the same
+``key=value`` form.
 
 Only stdlib modules are imported at module scope: ``entry`` must be able
-to cap BLAS worker threads (``--threads`` / ``SHIFTSTEREO_THREADS``)
-before numpy is first loaded.
+to set the BLAS thread variables from ``--threads`` before numpy is first
+loaded.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import argparse
 import os
 import sys
 
-THREADS_ENV = "SHIFTSTEREO_THREADS"
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 _UNSET = object()
 
 
@@ -211,9 +213,9 @@ EVAL_DEFAULTS = dict(pred_manifest=None, gt_manifest=None, max_disp=24,
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .datasets import read_pfm
+    from .datasets import read_pfm, valid_mask
     from .errors import ParseError, ShapeError
-    from .evaluation import aggregate, evaluate, report_table
+    from .evaluation import evaluate
 
     def read_list(path):
         with open(path, encoding="utf-8") as f:
@@ -231,21 +233,26 @@ def cmd_eval(args) -> int:
         thresholds = [float(t) for t in args.thresholds.split(",") if t]
     except ValueError:
         return _fail(f"bad --thresholds value {args.thresholds!r}")
-    rows = []
+    if not preds:
+        return _fail(f"no maps to score: {args.pred_manifest} and "
+                     f"{args.gt_manifest} are empty")
+    # The aggregate row scores the valid pixels of every map as one pool.
+    lines, pooled_pred, pooled_gt = [], [], []
     try:
         for pred_path, gt_path in zip(preds, gts):
             pred = read_pfm(pred_path)
             gt = read_pfm(gt_path)
-            mask = np.isfinite(gt) & (gt < args.max_disp)
-            rows.append((os.path.basename(pred_path),
-                         evaluate(pred, gt, mask, thresholds)))
+            mask = valid_mask(gt, args.max_disp)
+            report = evaluate(pred, gt, mask, thresholds)
+            lines.append(f"{os.path.basename(pred_path)}: {report.kv_line()}")
+            pooled_pred.append(pred[mask])
+            pooled_gt.append(gt[mask])
     except (ParseError, ShapeError) as e:
         return _fail(str(e))
-    overall = aggregate([r for _, r in rows])
-    print(report_table(rows + [("aggregate", overall)]))
-    for name, report in rows:
-        print(f"{name}: {report.kv_line()}")
-    print(f"aggregate: {overall.kv_line()}")
+    pooled_gt = np.concatenate(pooled_gt)
+    overall = evaluate(np.concatenate(pooled_pred), pooled_gt,
+                       np.ones(pooled_gt.shape, dtype=bool), thresholds)
+    print("\n".join(lines + [f"aggregate: {overall.kv_line()}"]))
     return 0
 
 
@@ -279,7 +286,6 @@ def cmd_estimate_resources(args) -> int:
         report = estimate_resources(_model_config(args), args.height, args.width)
     except (ConfigError, ShapeError) as e:
         return _fail(str(e))
-    print(report.text_table())
     for line in report.kv_lines():
         print(line)
     return 0
@@ -316,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None,
                        help="key=value overlay file (flags take precedence)")
         p.add_argument("--threads", type=int, default=None,
-                       help="cap worker threads (or set $" + THREADS_ENV + ")")
+                       help="BLAS worker threads: sets " + ", ".join(_THREAD_VARS)
+                       + " over any value they already have")
         for key, default in defaults.items():
             p.add_argument("--" + key.replace("_", "-"), default=_UNSET,
                            help=f"default: {default!r}" if default is not None
@@ -340,17 +347,18 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Console-script entry: pins thread env vars before numpy loads."""
+    """Console-script entry: an explicit ``--threads`` sets the BLAS thread
+    variables before numpy loads; without it they stay as they are."""
     argv = sys.argv[1:]
-    threads = os.environ.get(THREADS_ENV)
+    threads = None
     for i, arg in enumerate(argv):
         if arg == "--threads" and i + 1 < len(argv):
             threads = argv[i + 1]
         elif arg.startswith("--threads="):
             threads = arg.partition("=")[2]
     if threads:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(threads))
+        for var in _THREAD_VARS:
+            os.environ[var] = threads
     sys.exit(main(argv))
 
 

@@ -61,6 +61,12 @@ class StereoSample:
         return self.left.shape[2]
 
 
+def valid_mask(gt: np.ndarray, max_disparity: float) -> np.ndarray:
+    """The pixels that are scored and supervised: ground truth that is
+    finite and below ``max_disparity``."""
+    return np.isfinite(gt) & (gt < max_disparity)
+
+
 def normalize_image(raw: np.ndarray) -> np.ndarray:
     """Map [0, 1] intensities to the [-1, 1] range the model consumes."""
     return ((raw - 0.5) / 0.5).astype(np.float32)
@@ -325,8 +331,7 @@ def read_manifest(path: str) -> list[tuple[str, ...]]:
 
 
 def load_dataset(manifest_path: str, max_disparity: int) -> list[StereoSample]:
-    """Load samples named by a manifest; the validity mask keeps pixels whose
-    ground truth is finite and below ``max_disparity``."""
+    """Load samples named by a manifest, each with its :func:`valid_mask`."""
     samples = []
     for left_path, right_path, gt_path in read_manifest(manifest_path):
         left = normalize_image(read_pnm(left_path))
@@ -338,6 +343,6 @@ def load_dataset(manifest_path: str, max_disparity: int) -> list[StereoSample]:
         if left.shape[1:] != gt.shape:
             raise ShapeError(f"{left_path} vs {gt_path}: image {left.shape[1:]} "
                              f"and ground truth {gt.shape} extents differ")
-        valid = np.isfinite(gt) & (gt < max_disparity)
-        samples.append(StereoSample(left=left, right=right, gt=gt, valid=valid))
+        samples.append(StereoSample(left=left, right=right, gt=gt,
+                                    valid=valid_mask(gt, max_disparity)))
     return samples

@@ -328,6 +328,12 @@ def check_feature_extents(cfg: ModelConfig, fh: int, fw: int) -> None:
         raise ShapeError(f"{cfg.levels} disparity levels exceed feature width {fw}")
 
 
+def check_image_channels(cfg: ModelConfig, channels: int) -> None:
+    """Raise ShapeError on an image whose channel count is not the model's."""
+    if channels != cfg.in_channels:
+        raise ShapeError(f"image has {channels} channels, config expects {cfg.in_channels}")
+
+
 def layer_extents(cfg: ModelConfig, height: int, width: int) -> dict[str, tuple[int, int]]:
     """The output extent (rows, columns) of every ``ConvSpec`` layer of a
     forward pass on height x width images, in layer order.
@@ -371,10 +377,7 @@ def layer_extents(cfg: ModelConfig, height: int, width: int) -> dict[str, tuple[
 
 def extract_features(image: Tensor, weights: ModelWeights, cfg: ModelConfig) -> Tensor:
     """Image (B, in_channels, H, W) -> features (B, F, ceil(H/3), ceil(W/3))."""
-    c = image.shape[1]
-    if c != cfg.in_channels:
-        raise ShapeError(f"extract_features: image has {c} channels, "
-                         f"config expects {cfg.in_channels}")
+    check_image_channels(cfg, image.shape[1])
     x = _block(image, "feature.down", weights)
     check_feature_extents(cfg, *x.shape[2:])
     for i in range(1, 4):
@@ -625,9 +628,10 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
     """Residual correction of the disparity, clamped to be non-negative.
 
     A block is ``x' = relu(x + conv2(conv1(x)))``, whose sum and ReLU run
-    inside the op that makes conv2's output (:func:`_block`). On a tape, a block's conv1 norm output is dropped once conv2 has read
-    it, and conv2's weight gradient rebuilds it. The block outputs are
-    kept: each one's rebuild would read the previous one, rebuilt too.
+    inside the op that makes conv2's output (:func:`_block`). On a tape, a
+    block's conv1 norm output is dropped once conv2 has read it, and
+    conv2's weight gradient rebuilds it. The block outputs are kept: each
+    one's rebuild would read the previous one, rebuilt too.
     """
     if disp.shape[2:] != left_image.shape[2:] or disp.shape[2:] != ent.shape[2:]:
         raise ShapeError(f"refine: extents differ (disp {disp.shape}, "

@@ -422,7 +422,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             g_strip = gflat[:, :, r0 * ow:(r0 + n_rows) * ow]
             k = windows[0].shape[1]
             for i, window in enumerate(windows):
-                dw[:, i * k:(i + 1) * k] += np.matmul(g_strip, window.transpose(0, 2, 1)).sum(axis=0)
+                dw[:, i * k:(i + 1) * k] += np.matmul(
+                    g_strip, window.transpose(0, 2, 1)).sum(axis=0)
         del windows, window  # views that keep the strip copies alive through dX
         dw = np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         dx = (_input_grad(g, weight.data, h, w, stride, dilation, padding)
@@ -707,8 +708,6 @@ def batch_to_channels(x: Tensor) -> Tensor:
         return (np.ascontiguousarray(g.transpose(1, 0, 2, 3)),)
 
     return record_op("batch_to_channels", out, (x,), grad_fn)
-
-
 
 
 def _shifted_items(x: Tensor, items, shifts, width: int, edge: bool, op: str) -> Tensor:

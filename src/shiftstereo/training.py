@@ -17,11 +17,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .datasets import StereoSample
+from .datasets import StereoSample, valid_mask
 from .errors import (CheckpointError, CheckpointFormatError, CheckpointShapeError,
                      CheckpointVersionError, ConfigError, ShapeError,
                      TrainingDiverged)
-from .model import ModelConfig, ModelWeights, forward_tensors, layer_extents, weight_shapes
+from .model import (ModelConfig, ModelWeights, check_image_channels, forward_tensors,
+                    layer_extents, weight_shapes)
 from .tensor import STANDARD, Tape, Tensor, backward
 
 
@@ -43,7 +44,7 @@ def total_loss(coarse: Tensor, refined: Tensor, gt: np.ndarray, mask: np.ndarray
     if coarse.shape != refined.shape or coarse.shape[2:] != gt.shape or gt.shape != mask.shape:
         raise ShapeError(f"total_loss: extents differ (coarse {coarse.shape}, "
                          f"refined {refined.shape}, gt {gt.shape}, mask {mask.shape})")
-    effective = mask & np.isfinite(gt) & (gt < max_disparity)
+    effective = mask & valid_mask(gt, max_disparity)
     count = int(effective.sum())
     if count == 0:
         raise ShapeError("total_loss: no valid pixels under the mask")
@@ -359,7 +360,7 @@ def validation_epe(samples: list[StereoSample], weights: ModelWeights,
         left, right = _to_tensors(sample)
         out = forward_tensors(left, right, weights, config, training=False)
         pred = out["refined"].data[0, 0]
-        mask = sample.valid & np.isfinite(sample.gt) & (sample.gt < config.max_disparity)
+        mask = sample.valid & valid_mask(sample.gt, config.max_disparity)
         n = int(mask.sum())
         if n == 0:
             continue
@@ -379,8 +380,9 @@ def train(train_samples: list[StereoSample], config: ModelConfig,
 
     Before anything is written, every extent a step or the validation pass
     will run at is checked: a non-positive crop is a ConfigError, a crop
-    larger than a sample a ShapeError, and :func:`model.layer_extents`
-    refuses what the model cannot run. Per epoch: shuffled iteration,
+    larger than a sample a ShapeError; :func:`model.layer_extents`
+    refuses what the model cannot run, and :func:`model.check_image_channels`
+    an image of another channel count. Per epoch: shuffled iteration,
     optional random crop, forward, supervised loss on both outputs,
     backward, Adam step. Checkpoints are written every epoch (plus ``.best``
     on validation improvement); the returned one refers to the returned
@@ -398,6 +400,9 @@ def train(train_samples: list[StereoSample], config: ModelConfig,
         extents = {tuple(crop)}
     for h, w in extents | {(s.height, s.width) for s in val_samples or ()}:
         layer_extents(config, h, w)
+    for s in [*train_samples, *(val_samples or ())]:
+        check_image_channels(config, s.left.shape[0])
+        check_image_channels(config, s.right.shape[0])
     weights = ModelWeights.initialize(config, seed=seed)
     adam = AdamState.for_params(weights.params, lr=lr)
     data_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xDA7A)))

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shiftstereo import cli
+from shiftstereo.baseline import estimate_resources
 from shiftstereo.datasets import (RdsConfig, gen_rds, normalize_image, read_manifest,
-                                  read_pfm, read_pnm, save_samples)
+                                  read_pfm, read_pnm, save_samples, write_pfm)
 from shiftstereo.model import ModelConfig, ModelWeights, forward_tensors
 from shiftstereo.tensor import Tensor
 from shiftstereo.training import (Checkpoint, load_checkpoint, load_weights,
@@ -226,9 +227,17 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def test_entry_pins_blas_threads_from_either_flag_form(monkeypatch, flags):
     """The console-script entry sets the BLAS thread variables from
     ``--threads N`` and from ``--threads=N`` before ``main`` runs."""
-    for var in _THREAD_VARS + (cli.THREADS_ENV,):
+    assert _entry_thread_vars(monkeypatch, flags, {}) == dict.fromkeys(_THREAD_VARS, "1")
+
+
+def _entry_thread_vars(monkeypatch, flags, preset):
+    """The BLAS thread variables ``main`` sees when ``entry`` runs
+    ``gradcheck`` with ``flags`` under the environment ``preset``."""
+    for var in _THREAD_VARS + ("SHIFTSTEREO_THREADS",):
         monkeypatch.setenv(var, "")  # so that teardown also removes what entry sets
         monkeypatch.delenv(var)
+    for var, value in preset.items():
+        monkeypatch.setenv(var, value)
     seen = {}
 
     def main(argv):
@@ -240,7 +249,22 @@ def test_entry_pins_blas_threads_from_either_flag_form(monkeypatch, flags):
     with pytest.raises(SystemExit) as stop:
         cli.entry()
     assert stop.value.code == 0
-    assert seen == dict.fromkeys(_THREAD_VARS, "1")
+    return seen
+
+
+def test_entry_threads_flag_overrides_the_environment(monkeypatch):
+    """A preset variable used to win over ``--threads``, so a 1-thread run
+    could use 4 BLAS threads."""
+    preset = dict.fromkeys(_THREAD_VARS, "4")
+    assert _entry_thread_vars(monkeypatch, ["--threads", "1"], preset) == \
+        dict.fromkeys(_THREAD_VARS, "1")
+
+
+def test_entry_without_threads_flag_leaves_the_environment(monkeypatch):
+    """Without ``--threads`` nothing is set; SHIFTSTEREO_THREADS is not read."""
+    preset = {"OPENBLAS_NUM_THREADS": "4", "SHIFTSTEREO_THREADS": "3"}
+    assert _entry_thread_vars(monkeypatch, [], preset) == {
+        "OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
 
 
 @pytest.mark.parametrize("split", ["-0.5", "1.5"])
@@ -269,6 +293,54 @@ def test_eval_missing_prediction_is_a_usage_error(tmp_path, capsys):
     gts.write_text(str(tmp_path / "gt.pfm") + "\n")
     assert cli.main(["eval", "--pred-manifest", str(preds), "--gt-manifest", str(gts)]) == 2
     assert "absent.pfm" in capsys.readouterr().err
+
+
+def test_eval_on_empty_manifests_is_a_usage_error(tmp_path, capsys):
+    """Two empty manifests used to escape ``main`` as a ShapeError."""
+    preds, gts = tmp_path / "preds.txt", tmp_path / "gts.txt"
+    preds.write_text("")
+    gts.write_text("\n")
+    assert cli.main(["eval", "--pred-manifest", str(preds), "--gt-manifest", str(gts)]) == 2
+    err = capsys.readouterr().err
+    assert str(preds) in err and str(gts) in err
+
+
+def test_eval_prints_each_figure_once(tmp_path, capsys):
+    """One ``key=value`` line per map and one for the pooled aggregate."""
+    rng = np.random.default_rng(0)
+    preds, gts = [], []
+    for i, extent in enumerate([(4, 5), (3, 6)]):
+        gt = rng.uniform(0.0, 30.0, extent).astype(np.float32)  # some above the cap
+        gt[0, 0] = np.inf
+        gts.append(str(tmp_path / f"gt{i}.pfm"))
+        preds.append(str(tmp_path / f"pred{i}.pfm"))
+        write_pfm(gt, gts[-1])
+        write_pfm(np.where(np.isfinite(gt), gt, 0.0) + rng.standard_normal(extent),
+                  preds[-1])
+    (tmp_path / "preds.txt").write_text("\n".join(preds))
+    (tmp_path / "gts.txt").write_text("\n".join(gts))
+    assert cli.main(["eval", "--pred-manifest", str(tmp_path / "preds.txt"),
+                     "--gt-manifest", str(tmp_path / "gts.txt")]) == 0
+    config, *rows = capsys.readouterr().out.splitlines()
+    assert config.startswith("config: command=eval ")
+    names = [row.partition(": ")[0] for row in rows]
+    assert names == ["pred0.pfm", "pred1.pfm", "aggregate"]
+    figures = [dict(kv.split("=") for kv in row.partition(": ")[2].split()) for row in rows]
+    assert all(list(f) == ["epe", "rmse", "bad1", "bad2", "bad4", "a99", "n"]
+               for f in figures)
+    n = [int(f["n"]) for f in figures]
+    assert n[2] == n[0] + n[1]
+    pooled_epe = (n[0] * float(figures[0]["epe"]) + n[1] * float(figures[1]["epe"])) / n[2]
+    assert float(figures[2]["epe"]) == pytest.approx(pooled_epe, abs=2e-6)
+
+
+def test_estimate_resources_prints_each_figure_once(capsys):
+    assert cli.main(["estimate-resources", "--profile", "tiny", "--height", "96",
+                     "--width", "96", "--max-disp", "24"]) == 0
+    config, *rows = capsys.readouterr().out.splitlines()
+    assert config.startswith("config: command=estimate-resources ")
+    cfg = ModelConfig.tiny(in_channels=3, max_disparity=24)
+    assert rows == estimate_resources(cfg, 96, 96).kv_lines()
 
 
 def test_gradcheck_reports_an_injected_fault():
@@ -316,6 +388,16 @@ def test_train_with_a_crop_no_step_can_run_writes_nothing(tmp_path, pair, capsys
                      "--out", str(out), "--crop-height", crop, "--crop-width", crop]) == 2
     assert os.listdir(tmp_path) == ["data"]  # no checkpoint, log or temporary file
     assert complaint in capsys.readouterr().err
+
+
+def test_train_on_images_of_another_channel_count_writes_nothing(tmp_path, pair, capsys):
+    """A grayscale set under ``--in-channels 3`` used to exit 2 only at the
+    first step, after the epoch-0 checkpoint was on disk."""
+    manifest = os.path.join(os.path.dirname(pair[0]), "manifest.txt")
+    assert cli.main(["train", "--data", manifest, "--profile", "tiny", "--epochs", "1",
+                     "--in-channels", "3", "--out", str(tmp_path / "model.ckpt")]) == 2
+    assert os.listdir(tmp_path) == ["data"]  # no checkpoint, log or temporary file
+    assert "image has 1 channels, config expects 3" in capsys.readouterr().err
 
 
 def test_train_on_an_empty_manifest_is_a_usage_error(tmp_path, capsys):

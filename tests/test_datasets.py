@@ -13,7 +13,7 @@ from conftest import render_views_reference
 from shiftstereo import datasets
 from shiftstereo.datasets import (RdsConfig, StereoSample, gen_rds, load_dataset,
                                   read_manifest, read_pfm, read_pnm, save_samples,
-                                  write_pfm, write_pnm)
+                                  valid_mask, write_pfm, write_pnm)
 from shiftstereo.errors import ConfigError, ParseError, ShapeError, ShiftStereoError
 
 
@@ -318,6 +318,10 @@ class TestDatasetRoundTrip:
         manifest.write_text(f"{d / 'l.pgm'}\t{d / 'r.pgm'}\t{d / 'g.pfm'}\n")
         [sample] = load_dataset(str(manifest), max_disparity=24)
         assert sample.valid.all()
+
+    def test_valid_mask_keeps_finite_truth_below_the_cap(self):
+        gt = np.array([[0.0, 23.5, 24.0], [np.inf, np.nan, 30.0]], dtype=np.float32)
+        assert valid_mask(gt, 24).tolist() == [[True, True, False], [False, False, False]]
 
     def test_missing_file_names_the_culprit(self, tmp_path):
         manifest = tmp_path / "m.txt"

@@ -1,4 +1,4 @@
-"""Disparity metrics of one map and their pixel-weighted aggregation,
+"""Disparity metrics of one map and of several maps' pooled pixels,
 checked against hand-computed values."""
 
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shiftstereo.errors import ShapeError
-from shiftstereo.evaluation import aggregate, evaluate, nearest_rank_percentile
+from shiftstereo.evaluation import evaluate, nearest_rank_percentile
 
 
 def _report(errors, thresholds=(1.0, 2.0, 4.0)):
@@ -27,7 +27,6 @@ class TestEvaluate:
         assert r.epe == 1.5
         assert r.rmse == math.sqrt(14 / 4)
         assert r.valid_pixel_count == 4
-        assert np.array_equal(r.errors, [0.0, 1.0, 2.0, 3.0])
         # an error equal to the threshold is not bad: 2 and 3 exceed 1, 3 exceeds 2
         assert r.bad == {1.0: 50.0, 2.0: 25.0, 4.0: 0.0}
         # nearest rank ceil(0.99 * 4) = 4
@@ -53,31 +52,29 @@ class TestEvaluate:
 
 
 class TestAggregate:
+    """A split's aggregate is evaluate() over its maps' valid pixels, pooled."""
+
     def test_pixel_weighted_means_and_pooled_a99(self):
-        a = _report([0.0, 1.0, 2.0, 3.0], thresholds=(1.0, 2.0, 4.0))
-        b = _report([5.0], thresholds=(2.0, 4.0, 8.0))
-        total = aggregate([a, b])
+        # a 2x2 map with errors 0, 1, 2, 3, and a 1x2 map whose one valid
+        # pixel is off by 5 (the masked one is off by 50)
+        maps = [(np.array([[10.0, 11.0], [12.0, 13.0]]), np.full((2, 2), 10.0),
+                 np.ones((2, 2), dtype=bool)),
+                (np.array([[15.0, 60.0]]), np.full((1, 2), 10.0), np.array([[True, False]]))]
+        pred = np.concatenate([p[m] for p, _, m in maps])
+        gt = np.concatenate([g[m] for _, g, m in maps])
+        total = evaluate(pred, gt, np.ones(gt.shape, dtype=bool), (2.0, 4.0))
         assert total.valid_pixel_count == 5
         assert total.epe == pytest.approx((4 * 1.5 + 5.0) / 5, abs=1e-15)
         # RMSE is the root of the pixel-weighted mean square: (0+1+4+9+25)/5
         assert total.rmse == pytest.approx(math.sqrt(39 / 5), abs=1e-15)
-        # only the thresholds every report has survive
-        assert set(total.bad) == {2.0, 4.0}
         assert total.bad[2.0] == pytest.approx((4 * 25.0 + 100.0) / 5, abs=1e-12)
         assert total.bad[4.0] == pytest.approx(100.0 / 5, abs=1e-12)
         # a99 of the pooled errors 0, 1, 2, 3, 5: rank ceil(0.99 * 5) = 5
         assert total.a99 == 5.0
-        assert np.array_equal(total.errors, [0.0, 1.0, 2.0, 3.0, 5.0])
 
     def test_a99_is_not_a_weighted_mean_of_the_parts(self):
         # 99 zeros and one 100 in one image, 100 ones in another: the pooled
         # 99th percentile is 1, while the parts' a99 are 0 and 1.
-        a = _report([0.0] * 99 + [100.0])
-        b = _report([1.0] * 100)
-        assert (a.a99, b.a99) == (0.0, 1.0)
-        assert aggregate([a, b]).a99 == 1.0
-        assert aggregate([a]).a99 == a.a99
-
-    def test_rejects_empty_list(self):
-        with pytest.raises(ShapeError):
-            aggregate([])
+        a, b = [0.0] * 99 + [100.0], [1.0] * 100
+        assert (_report(a).a99, _report(b).a99) == (0.0, 1.0)
+        assert _report(a + b).a99 == 1.0
