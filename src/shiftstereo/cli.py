@@ -1,14 +1,16 @@
 """Command-line entry point wiring all modules into reproducible workflows.
 
 Exit codes: 0 success, 1 check failure, 2 usage/input error, 3 runtime
-divergence. Every command prints its resolved settings as ``key=value``
-lines before doing work, so a run is reproducible from its own log;
-``eval`` and ``estimate-resources`` print each figure once, in the same
-``key=value`` form.
+divergence. argparse types every flag from its default, and ``main`` maps
+the package's errors to exit codes: ``TrainingDiverged`` to 3, naming the
+last checkpoint, and any other ``ShiftStereoError`` to 2. Every command
+prints its resolved settings as ``key=value`` lines before doing work, so a
+run is reproducible from its own log; ``eval`` and ``estimate-resources``
+print each figure once, in the same ``key=value`` form.
 
-Only stdlib modules are imported at module scope: ``entry`` must be able
-to set the BLAS thread variables from ``--threads`` before numpy is first
-loaded.
+Module-scope imports are the stdlib and ``errors``, which imports nothing:
+``entry`` must be able to set the BLAS thread variables from ``--threads``
+before numpy is first loaded.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import argparse
 import os
 import sys
 
+from .errors import ConfigError, ShiftStereoError, TrainingDiverged
+
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-_UNSET = object()
 
 
 def _fail(message: str, code: int = 2) -> int:
@@ -26,44 +29,9 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _apply_config_file(args: argparse.Namespace, defaults: dict) -> str | None:
-    """Overlay key=value file entries under explicit flags (file < flags)."""
-    if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as f:
-                lines = f.readlines()
-        except (OSError, UnicodeDecodeError) as e:
-            return f"cannot read config file {args.config}: {e}"
-        for lineno, line in enumerate(lines, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                return f"{args.config}:{lineno}: expected key=value, got {line!r}"
-            key, _, value = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in defaults:
-                return f"{args.config}:{lineno}: unknown key {key!r}"
-            if getattr(args, key) is _UNSET:
-                setattr(args, key, value.strip())
-    for key, default in defaults.items():
-        if getattr(args, key) is _UNSET:
-            setattr(args, key, default)
-        else:
-            value = getattr(args, key)
-            if default is not None and not isinstance(value, type(default)):
-                caster = type(default)
-                try:
-                    setattr(args, key, caster(value))
-                except ValueError:
-                    return f"bad value for --{key.replace('_', '-')}: {value!r}"
-    return None
-
-
 def _model_config(args: argparse.Namespace):
     """The ModelConfig of ``--profile``, ``--in-channels`` and ``--max-disp``;
     ConfigError on a profile other than ``tiny`` or ``full``."""
-    from .errors import ConfigError
     from .model import ModelConfig
 
     make = {"tiny": ModelConfig.tiny, "full": ModelConfig.full}.get(args.profile)
@@ -89,17 +57,13 @@ GEN_RDS_DEFAULTS = dict(out=None, count=2000, width=96, height=96, density=0.5,
 
 def cmd_gen_rds(args) -> int:
     from .datasets import RdsConfig, gen_rds, save_samples
-    from .errors import ConfigError
 
     if not 0 <= args.split <= 1:
         return _fail(f"--split must lie in [0, 1], got {args.split}")
-    try:
-        cfg = RdsConfig(width=args.width, height=args.height, dot_density=args.density,
-                        num_shapes=args.num_shapes,
-                        disparity_range=(args.min_disp, args.max_disp), seed=args.seed)
-        samples = gen_rds(cfg, args.count)
-    except ConfigError as e:
-        return _fail(str(e))
+    cfg = RdsConfig(width=args.width, height=args.height, dot_density=args.density,
+                    num_shapes=args.num_shapes,
+                    disparity_range=(args.min_disp, args.max_disp), seed=args.seed)
+    samples = gen_rds(cfg, args.count)
     n_train = int(round(args.split * args.count))
     try:
         train_manifest = save_samples(samples[:n_train], args.out,
@@ -122,18 +86,14 @@ TRAIN_DEFAULTS = dict(data=None, val_data="", profile="tiny", epochs=10, lr=1e-3
 
 def cmd_train(args) -> int:
     from .datasets import load_dataset
-    from .errors import ConfigError, ParseError, ShapeError, TrainingDiverged
     from .training import LossConfig, train
 
     if bool(args.crop_height) != bool(args.crop_width):
         return _fail("--crop-height and --crop-width go together: give both or neither")
-    try:
-        config = _model_config(args)
-        train_samples = load_dataset(args.data, config.max_disparity)
-        val_samples = load_dataset(args.val_data, config.max_disparity) \
-            if args.val_data else None
-    except (ConfigError, ParseError, ShapeError) as e:
-        return _fail(str(e))
+    config = _model_config(args)
+    train_samples = load_dataset(args.data, config.max_disparity)
+    val_samples = load_dataset(args.val_data, config.max_disparity) \
+        if args.val_data else None
     crop = (args.crop_height, args.crop_width) if args.crop_height else None
     log_path = args.log or (args.out + ".log")
     try:
@@ -143,11 +103,6 @@ def cmd_train(args) -> int:
               checkpoint_path=args.out, log_path=log_path,
               context_only=bool(args.context_only),
               progress=lambda s: print(s.log_line(), flush=True))
-    except TrainingDiverged as e:
-        print(f"error: {e}; last checkpoint: {e.checkpoint_path}", file=sys.stderr)
-        return 3
-    except (ConfigError, ShapeError) as e:
-        return _fail(str(e))
     except OSError as e:
         return _fail(f"cannot write the checkpoint or log: {e}")
     print(f"checkpoint: {args.out}")
@@ -162,30 +117,23 @@ def cmd_infer(args) -> int:
     import numpy as np
 
     from .datasets import normalize_image, read_pnm, write_pfm
-    from .errors import CheckpointError, ParseError, ShapeError
     from .model import forward_tensors
     from .tensor import Tensor
     from .training import load_checkpoint, load_weights
 
-    try:
-        # Only the folded weights run; the checkpoint's raw arrays are
-        # dropped before the forward pass. The one-item list lets the call
-        # below hand the weights over with no name here bound to them.
-        ckpt = load_checkpoint(args.ckpt)
-        config, folded = ckpt.config, [load_weights(ckpt).folded()]
-        del ckpt
-        left = Tensor(normalize_image(read_pnm(args.left))[None])
-        right = Tensor(normalize_image(read_pnm(args.right))[None])
-    except (CheckpointError, ParseError) as e:
-        return _fail(str(e))
-    try:
-        # The weights go over as a temporary: on CPython 3.11+ the callee
-        # then holds their only reference and frees each stage's weights
-        # once the stage has run. On 3.10 the caller's stack keeps them
-        # alive to the end of the call, with the same outputs.
-        out = forward_tensors(left, right, folded.pop(), config)
-    except ShapeError as e:
-        return _fail(str(e))
+    # Only the folded weights run; the checkpoint's raw arrays are dropped
+    # before the forward pass. The one-item list lets the call below hand
+    # the weights over with no name here bound to them.
+    ckpt = load_checkpoint(args.ckpt)
+    config, folded = ckpt.config, [load_weights(ckpt).folded()]
+    del ckpt
+    left = Tensor(normalize_image(read_pnm(args.left))[None])
+    right = Tensor(normalize_image(read_pnm(args.right))[None])
+    # The weights go over as a temporary: on CPython 3.11+ the callee then
+    # holds their only reference and frees each stage's weights once the
+    # stage has run. On 3.10 the caller's stack keeps them alive to the end
+    # of the call, with the same outputs.
+    out = forward_tensors(left, right, folded.pop(), config)
     refined = out["refined"].data[0, 0]
     if not np.all(np.isfinite(refined)):
         return _fail(f"refined disparity has {int(np.sum(~np.isfinite(refined)))} "
@@ -213,19 +161,11 @@ EVAL_DEFAULTS = dict(pred_manifest=None, gt_manifest=None, max_disp=24,
 def cmd_eval(args) -> int:
     import numpy as np
 
-    from .datasets import read_pfm, valid_mask
-    from .errors import ParseError, ShapeError
+    from .datasets import read_manifest, read_pfm, valid_mask
     from .evaluation import evaluate
 
-    def read_list(path):
-        with open(path, encoding="utf-8") as f:
-            return [line.strip() for line in f if line.strip()]
-
-    try:
-        preds = read_list(args.pred_manifest)
-        gts = read_list(args.gt_manifest)
-    except (OSError, ValueError) as e:  # ValueError: undecodable text, a NUL byte
-        return _fail(f"cannot read manifest: {e}")
+    preds = [path for (path,) in read_manifest(args.pred_manifest, columns=1)]
+    gts = [path for (path,) in read_manifest(args.gt_manifest, columns=1)]
     if len(preds) != len(gts):
         return _fail(f"manifest length mismatch: {len(preds)} predictions "
                      f"vs {len(gts)} ground truths")
@@ -238,17 +178,14 @@ def cmd_eval(args) -> int:
                      f"{args.gt_manifest} are empty")
     # The aggregate row scores the valid pixels of every map as one pool.
     lines, pooled_pred, pooled_gt = [], [], []
-    try:
-        for pred_path, gt_path in zip(preds, gts):
-            pred = read_pfm(pred_path)
-            gt = read_pfm(gt_path)
-            mask = valid_mask(gt, args.max_disp)
-            report = evaluate(pred, gt, mask, thresholds)
-            lines.append(f"{os.path.basename(pred_path)}: {report.kv_line()}")
-            pooled_pred.append(pred[mask])
-            pooled_gt.append(gt[mask])
-    except (ParseError, ShapeError) as e:
-        return _fail(str(e))
+    for pred_path, gt_path in zip(preds, gts):
+        pred = read_pfm(pred_path)
+        gt = read_pfm(gt_path)
+        mask = valid_mask(gt, args.max_disp)
+        report = evaluate(pred, gt, mask, thresholds)
+        lines.append(f"{os.path.basename(pred_path)}: {report.kv_line()}")
+        pooled_pred.append(pred[mask])
+        pooled_gt.append(gt[mask])
     pooled_gt = np.concatenate(pooled_gt)
     overall = evaluate(np.concatenate(pooled_pred), pooled_gt,
                        np.ones(pooled_gt.shape, dtype=bool), thresholds)
@@ -262,10 +199,10 @@ GRADCHECK_DEFAULTS = dict(inject_fault=0)
 def cmd_gradcheck(args) -> int:
     from .gradcheck import run_suite, standard_suite
 
-    report = run_suite(standard_suite(inject_fault=bool(args.inject_fault)))
-    for line in report.lines():
-        print(line)
-    failures = report.failures()
+    results = run_suite(standard_suite(inject_fault=bool(args.inject_fault)))
+    for r in results:
+        print(r.line())
+    failures = [r for r in results if not r.passed]
     if failures:
         print(f"gradcheck: {len(failures)} failing checks: "
               + ", ".join(sorted({r.case for r in failures})))
@@ -280,13 +217,8 @@ RESOURCES_DEFAULTS = dict(profile="full", height=540, width=960, max_disp=192,
 
 def cmd_estimate_resources(args) -> int:
     from .baseline import estimate_resources
-    from .errors import ConfigError, ShapeError
 
-    try:
-        report = estimate_resources(_model_config(args), args.height, args.width)
-    except (ConfigError, ShapeError) as e:
-        return _fail(str(e))
-    for line in report.kv_lines():
+    for line in estimate_resources(_model_config(args), args.height, args.width).kv_lines():
         print(line)
     return 0
 
@@ -319,13 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, defaults, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", default=None,
-                       help="key=value overlay file (flags take precedence)")
         p.add_argument("--threads", type=int, default=None,
                        help="BLAS worker threads: sets " + ", ".join(_THREAD_VARS)
                        + " over any value they already have")
         for key, default in defaults.items():
-            p.add_argument("--" + key.replace("_", "-"), default=_UNSET,
+            p.add_argument("--" + key.replace("_", "-"), default=default,
+                           type=str if default is None else type(default),
                            help=f"default: {default!r}" if default is not None
                            else "required")
     return parser
@@ -334,16 +265,19 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler, defaults, _ = _COMMANDS[args.command]
-    error = _apply_config_file(args, defaults)
-    if error:
-        return _fail(error)
     _echo_settings(args.command, args, defaults)
     missing = [key for key, default in defaults.items()
                if default is None and getattr(args, key) is None]
     if missing:
         return _fail("missing required flags: "
                      + ", ".join("--" + key.replace("_", "-") for key in missing))
-    return handler(args)
+    try:
+        return handler(args)
+    except TrainingDiverged as e:
+        print(f"error: {e}; last checkpoint: {e.checkpoint_path}", file=sys.stderr)
+        return 3
+    except ShiftStereoError as e:
+        return _fail(str(e))
 
 
 def entry() -> None:

@@ -309,9 +309,10 @@ def save_samples(samples: list[StereoSample], out_dir: str,
     return manifest_path
 
 
-def read_manifest(path: str) -> list[tuple[str, ...]]:
-    """The (left, right, gt) path triples of a UTF-8 manifest, one
-    tab-separated line each; ParseError on an unreadable or malformed file."""
+def read_manifest(path: str, columns: int = 3) -> list[tuple[str, ...]]:
+    """The path tuples of a UTF-8 manifest, ``columns`` tab-separated paths
+    a line: (left, right, gt) by default. ParseError on an unreadable file
+    or a line with another number of paths."""
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
@@ -323,8 +324,8 @@ def read_manifest(path: str) -> list[tuple[str, ...]]:
         if not line:
             continue
         parts = tuple(line.split("\t"))
-        if len(parts) != 3:
-            raise ParseError(f"{path}:{lineno}: expected 3 tab-separated paths, "
+        if len(parts) != columns:
+            raise ParseError(f"{path}:{lineno}: expected {columns} tab-separated paths, "
                              f"got {len(parts)}")
         entries.append(parts)
     return entries

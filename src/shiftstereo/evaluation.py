@@ -47,7 +47,9 @@ def nearest_rank_percentile(sorted_errors: np.ndarray, pct: float) -> float:
 def evaluate(pred, gt, mask: np.ndarray,
              thresholds=(1.0, 2.0, 4.0)) -> MetricReport:
     """Metrics over ``mask``: mean, root-mean-square, bad-threshold rates,
-    and the 99th-percentile absolute disparity error."""
+    and the 99th-percentile absolute disparity error. ShapeError on
+    differing extents, an empty mask, or a non-finite prediction under the
+    mask (a NaN error would count as a good pixel in every bad-x rate)."""
     pred_v = np.asarray(pred, dtype=np.float64)
     gt_v = np.asarray(gt, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
@@ -56,7 +58,11 @@ def evaluate(pred, gt, mask: np.ndarray,
                          f"gt {gt_v.shape}, mask {mask.shape})")
     if not mask.any():
         raise ShapeError("evaluate: empty validity mask")
-    err = np.abs(pred_v[mask] - gt_v[mask])
+    pred_v = pred_v[mask]
+    non_finite = int(np.sum(~np.isfinite(pred_v)))
+    if non_finite:
+        raise ShapeError(f"evaluate: {non_finite} non-finite predictions under the mask")
+    err = np.abs(pred_v - gt_v[mask])
     bad = {float(t): 100.0 * float(np.mean(err > t)) for t in thresholds}
     return MetricReport(
         epe=float(err.mean()),

@@ -19,7 +19,7 @@ that its gradient reads as zero.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -56,25 +56,9 @@ class CheckResult:
     def passed(self) -> bool:
         return self.max_rel_err < self.tolerance
 
-
-@dataclass
-class CheckReport:
-    results: list[CheckResult] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(r.passed for r in self.results)
-
-    def failures(self) -> list[CheckResult]:
-        return [r for r in self.results if not r.passed]
-
-    def lines(self) -> list[str]:
-        out = []
-        for r in self.results:
-            status = "pass" if r.passed else "FAIL"
-            out.append(f"{status}  {r.case}::{r.param}  "
-                       f"max_rel_err={r.max_rel_err:.3e}  tol={r.tolerance:.1e}")
-        return out
+    def line(self) -> str:
+        return (f"{'pass' if self.passed else 'FAIL'}  {self.case}::{self.param}  "
+                f"max_rel_err={self.max_rel_err:.3e}  tol={self.tolerance:.1e}")
 
 
 def run_case(case: CheckCase, step: float = 1e-4) -> list[CheckResult]:
@@ -112,11 +96,8 @@ def run_case(case: CheckCase, step: float = 1e-4) -> list[CheckResult]:
     return results
 
 
-def run_suite(cases: list[CheckCase]) -> CheckReport:
-    report = CheckReport()
-    for case in cases:
-        report.results.extend(run_case(case))
-    return report
+def run_suite(cases: list[CheckCase]) -> list[CheckResult]:
+    return [result for case in cases for result in run_case(case)]
 
 
 # ---------------------------------------------------------------------------

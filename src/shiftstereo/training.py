@@ -31,8 +31,9 @@ class LossConfig:
     lambda_weight: float = 1.25
 
     def __post_init__(self):
-        if self.lambda_weight <= 0:
-            raise ConfigError(f"lambda_weight must be positive, got {self.lambda_weight}")
+        if not 0 < self.lambda_weight < math.inf:
+            raise ConfigError(f"lambda_weight must be finite and positive, "
+                              f"got {self.lambda_weight}")
 
 
 def total_loss(coarse: Tensor, refined: Tensor, gt: np.ndarray, mask: np.ndarray,
@@ -378,9 +379,10 @@ def train(train_samples: list[StereoSample], config: ModelConfig,
           progress: callable | None = None) -> tuple[ModelWeights, Checkpoint, list[EpochStats]]:
     """Deterministic training run: a pure function of (data, config, seed).
 
-    Before anything is written, every extent a step or the validation pass
-    will run at is checked: a non-positive crop is a ConfigError, a crop
-    larger than a sample a ShapeError; :func:`model.layer_extents`
+    Before anything is written, the inputs are checked: ``epochs`` below 1,
+    an ``lr`` that is not finite and positive, and a non-positive crop are
+    ConfigErrors, a crop larger than a sample a ShapeError; for every extent
+    a step or the validation pass will run at, :func:`model.layer_extents`
     refuses what the model cannot run, and :func:`model.check_image_channels`
     an image of another channel count. Per epoch: shuffled iteration,
     optional random crop, forward, supervised loss on both outputs,
@@ -390,6 +392,10 @@ def train(train_samples: list[StereoSample], config: ModelConfig,
     """
     if not train_samples:
         raise ConfigError("train: empty dataset")
+    if epochs < 1:
+        raise ConfigError(f"train: epochs must be at least 1, got {epochs}")
+    if not 0 < lr < math.inf:
+        raise ConfigError(f"train: lr must be finite and positive, got {lr}")
     extents = {(s.height, s.width) for s in train_samples}
     if crop is not None:
         if min(crop) <= 0:

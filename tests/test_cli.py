@@ -1,12 +1,12 @@
 """The command-line entry point, driven through ``cli.main(argv)``."""
 
 import os
+import subprocess
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from shiftstereo import cli
 from shiftstereo.baseline import estimate_resources
@@ -143,17 +143,6 @@ def test_infer_malformed_image_header_is_a_usage_error(tmp_path, pair, capsys):
     assert _infer(ckpt, str(bad), pair[1], out) == 2
     assert not os.path.exists(out)
     assert "positive integer" in capsys.readouterr().err
-
-
-def test_infer_rejects_a_config_file_with_mode(tmp_path, pair, capsys):
-    ckpt = _checkpoint(tmp_path / "model.ckpt")
-    config = tmp_path / "infer.cfg"
-    config.write_text("mode=sequential\n")
-    out = str(tmp_path / "disp.pfm")
-    assert cli.main(["infer", "--config", str(config), "--ckpt", ckpt, "--left", pair[0],
-                     "--right", pair[1], "--out-disp", out]) == 2
-    assert "unknown key 'mode'" in capsys.readouterr().err
-    assert not os.path.exists(out)
 
 
 def test_infer_non_finite_disparity_is_a_divergence(tmp_path, pair, capsys):
@@ -305,6 +294,21 @@ def test_eval_on_empty_manifests_is_a_usage_error(tmp_path, capsys):
     assert str(preds) in err and str(gts) in err
 
 
+def test_eval_on_a_non_finite_prediction_is_a_usage_error(tmp_path, capsys):
+    """NaN predictions at valid pixels used to score as good pixels in every
+    bad-x rate, with exit 0."""
+    gt = np.full((48, 48), 10.0, dtype=np.float32)
+    pred = gt.copy()
+    pred[:4] = np.nan  # 192 valid pixels
+    write_pfm(gt, str(tmp_path / "gt.pfm"))
+    write_pfm(pred, str(tmp_path / "pred.pfm"))
+    (tmp_path / "preds.txt").write_text(str(tmp_path / "pred.pfm") + "\n")
+    (tmp_path / "gts.txt").write_text(str(tmp_path / "gt.pfm") + "\n")
+    assert cli.main(["eval", "--pred-manifest", str(tmp_path / "preds.txt"),
+                     "--gt-manifest", str(tmp_path / "gts.txt")]) == 2
+    assert "192 non-finite predictions" in capsys.readouterr().err
+
+
 def test_eval_prints_each_figure_once(tmp_path, capsys):
     """One ``key=value`` line per map and one for the pooled aggregate."""
     rng = np.random.default_rng(0)
@@ -390,6 +394,39 @@ def test_train_with_a_crop_no_step_can_run_writes_nothing(tmp_path, pair, capsys
     assert complaint in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, complaint", [
+    ("--epochs", "0", "epochs must be at least 1"),
+    ("--epochs", "-2", "epochs must be at least 1"),
+    ("--lr", "-1", "lr must be finite and positive"),
+    ("--lr", "nan", "lr must be finite and positive"),
+    ("--lambda-weight", "nan", "lambda_weight must be finite and positive")])
+def test_train_with_an_out_of_range_hyperparameter_writes_nothing(tmp_path, pair, capsys,
+                                                                  flag, value, complaint):
+    """Each of these used to train: no epoch wrote an untrained checkpoint
+    with exit 0, a negative lr trained uphill, and a NaN weight wrote a
+    checkpoint before it exited 3."""
+    manifest = os.path.join(os.path.dirname(pair[0]), "manifest.txt")
+    assert cli.main(["train", "--data", manifest, "--profile", "tiny", "--epochs", "1",
+                     "--out", str(tmp_path / "model.ckpt"), flag, value]) == 2
+    assert os.listdir(tmp_path) == ["data"]  # no checkpoint, log or temporary file
+    assert complaint in capsys.readouterr().err
+
+
+def test_a_divergence_exits_3_naming_the_last_checkpoint(tmp_path, monkeypatch, capsys):
+    from shiftstereo import training
+    from shiftstereo.errors import TrainingDiverged
+
+    def train(*args, checkpoint_path, **kwargs):
+        raise TrainingDiverged("non-finite loss at epoch 1", checkpoint_path)
+
+    monkeypatch.setattr(training, "train", train)
+    monkeypatch.setattr("shiftstereo.datasets.load_dataset", lambda path, max_disp: [])
+    out = str(tmp_path / "model.ckpt")
+    assert cli.main(["train", "--data", "unread.txt", "--out", out]) == 3
+    assert capsys.readouterr().err == \
+        f"error: non-finite loss at epoch 1; last checkpoint: {out}\n"
+
+
 def test_train_on_images_of_another_channel_count_writes_nothing(tmp_path, pair, capsys):
     """A grayscale set under ``--in-channels 3`` used to exit 2 only at the
     first step, after the epoch-0 checkpoint was on disk."""
@@ -437,10 +474,20 @@ def test_eval_on_a_non_utf8_manifest_is_a_usage_error(tmp_path):
                      "--gt-manifest", str(gts)]) == 2
 
 
-def test_non_utf8_config_file_is_a_usage_error(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_bytes(b"height=96\nwidth=\xff96\n")
-    assert cli.main(["estimate-resources", "--config", str(config)]) == 2
+def test_a_badly_typed_flag_is_refused_by_the_parser(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["estimate-resources", "--height", "x"])
+    assert stop.value.code == 2
+    assert "--height" in capsys.readouterr().err
+
+
+def test_importing_the_cli_loads_no_numpy():
+    """``entry`` sets the BLAS thread variables before numpy first loads."""
+    probe = "import sys, shiftstereo.cli; print('numpy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout == "False\n"
 
 
 @pytest.mark.parametrize("command", [
@@ -458,28 +505,3 @@ def test_estimate_resources_refuses_what_the_model_refuses(capsys):
     assert "16x16" in capsys.readouterr().err
     assert cli.main(["estimate-resources", "--profile", "tiny", "--height", "96",
                      "--width", "96", "--max-disp", "24", "--in-channels", "1"]) == 0
-
-
-_CONFIG_KEYS = sorted(cli.RESOURCES_DEFAULTS) + ["bogus", "", "# note"]
-
-
-def _config_text(entries):
-    return "".join(f"{key}={value}\n" for key, value in entries).encode("utf-8")
-
-
-@pytest.fixture(scope="module")
-def config_path(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("config") / "fuzz.cfg")
-
-
-@settings(max_examples=300, deadline=None)
-@given(blob=st.one_of(
-    st.binary(max_size=200),
-    st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), st.text(max_size=12)),
-             max_size=6).map(_config_text)))
-def test_fuzzed_config_files_never_escape_main(config_path, blob):
-    """A config overlay of arbitrary bytes, or of known keys with arbitrary
-    values, makes ``main`` return an exit code; no exception escapes."""
-    with open(config_path, "wb") as f:
-        f.write(blob)
-    assert cli.main(["estimate-resources", "--config", config_path]) in (0, 2)

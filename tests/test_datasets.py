@@ -346,6 +346,14 @@ class TestDatasetRoundTrip:
         with pytest.raises(ParseError, match="3 tab-separated"):
             read_manifest(str(manifest))
 
+    def test_a_one_column_manifest_refuses_a_line_with_a_tab(self, tmp_path):
+        manifest = tmp_path / "preds.txt"
+        manifest.write_text("a.pfm\n\nb.pfm\n")
+        assert read_manifest(str(manifest), columns=1) == [("a.pfm",), ("b.pfm",)]
+        manifest.write_text("a.pfm\nb.pfm\tc.pfm\n")
+        with pytest.raises(ParseError, match=r"preds.txt:2: expected 1 tab-separated"):
+            read_manifest(str(manifest), columns=1)
+
     def test_unreadable_manifests_are_parse_errors(self, tmp_path):
         with pytest.raises(ParseError, match="absent.txt"):
             read_manifest(str(tmp_path / "absent.txt"))

@@ -45,6 +45,14 @@ class TestEvaluate:
         with pytest.raises(ShapeError):
             evaluate(np.zeros((2, 2)), np.zeros((2, 3)), np.ones((2, 2), dtype=bool))
 
+    def test_rejects_non_finite_predictions_under_the_mask(self):
+        """A NaN error is not above any threshold, so it used to score as a
+        good pixel in every bad-x rate."""
+        pred = np.array([[np.nan, np.inf, 1.0, np.nan]])
+        mask = np.array([[True, True, True, False]])
+        with pytest.raises(ShapeError, match="2 non-finite predictions"):
+            evaluate(pred, np.ones(pred.shape), mask)
+
     def test_kv_line(self):
         r = _report([0.0, 1.0, 2.0, 3.0], thresholds=(0.5, 3.0))
         assert r.kv_line() == ("epe=1.500000 rmse=1.870829 bad0_5=75.000000 "
