@@ -1,8 +1,8 @@
 """Stereo matching with a shared 2D matching network per disparity shift.
 
 Submodules: ``tensor``/``ops``/``gradcheck`` (autodiff kernel), ``model``
-(the four-stage network), ``baseline`` (hand-crafted costs and the
-resource estimator), ``training``, ``datasets``, ``evaluation``, ``cli``.
+(the four-stage network), ``baseline`` (the resource estimator),
+``training``, ``datasets``, ``evaluation``, ``cli``.
 
 Imports are lazy so the CLI can pin thread environment variables before
 numpy loads.

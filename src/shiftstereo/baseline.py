@@ -1,81 +1,12 @@
-"""Hand-crafted matching costs, the winner-take-all oracle, and an
-analytic estimator for parameters, flops, and peak activation memory."""
+"""An analytic estimator for parameters, flops, and peak activation memory."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import ShapeError
 from .model import (ModelConfig, all_layer_specs, count_parameters, layer_extents,
                     levels_per_batch)
-from .tensor import Tensor
 
-
-@dataclass(frozen=True)
-class SsdConfig:
-    patch_radius: int = 1
-
-    def __post_init__(self):
-        if self.patch_radius < 0:
-            raise ShapeError(f"patch_radius must be >= 0, got {self.patch_radius}")
-
-
-def ssd_cost(left_features: Tensor, right_features: Tensor, d: int,
-             cfg: SsdConfig = SsdConfig()) -> Tensor:
-    """Patch-summed squared feature distance at one shift.
-
-    The right map is displaced by ``d`` (zero-filled) and the per-pixel
-    squared channel distance is summed over a (2r+1)^2 patch; patches are
-    clipped at the image border so out-of-image positions contribute
-    nothing.
-    """
-    if left_features.shape != right_features.shape:
-        raise ShapeError(f"ssd_cost: feature shapes differ "
-                         f"{left_features.shape} vs {right_features.shape}")
-    b, c, h, w = left_features.shape
-    if not 0 <= d < w:
-        raise ShapeError(f"ssd_cost: shift {d} out of range [0, {w})")
-    shifted = np.zeros_like(right_features.data)
-    if d:
-        shifted[:, :, :, d:] = right_features.data[:, :, :, :w - d]
-    else:
-        shifted[:] = right_features.data
-    diff = left_features.data - shifted
-    per_pixel = (diff * diff).sum(axis=1, keepdims=True)
-    r = cfg.patch_radius
-    if r == 0:
-        return Tensor(per_pixel)
-    padded = np.pad(per_pixel, ((0, 0), (0, 0), (r, r), (r, r)))
-    out = np.zeros_like(per_pixel)
-    for dy in range(2 * r + 1):
-        for dx in range(2 * r + 1):
-            out += padded[:, :, dy:dy + h, dx:dx + w]
-    return Tensor(out)
-
-
-def build_ssd_volume(left_features: Tensor, right_features: Tensor,
-                     levels: int, cfg: SsdConfig = SsdConfig()) -> Tensor:
-    """Stack ssd_cost over shifts 0..levels-1 into a (1, levels, H, W) volume."""
-    if levels < 1:
-        raise ShapeError(f"build_ssd_volume: need at least one level, got {levels}")
-    slices = [ssd_cost(left_features, right_features, d, cfg).data
-              for d in range(levels)]
-    return Tensor(np.concatenate(slices, axis=1))
-
-
-def wta_disparity(volume: Tensor) -> np.ndarray:
-    """Per-pixel argmin over levels, as an (H, W) float32 map; ties break
-    toward the smaller level."""
-    if volume.shape[1] < 1:
-        raise ShapeError("wta_disparity: empty volume")
-    return np.argmin(volume.data[0], axis=0).astype(np.float32)
-
-
-# ---------------------------------------------------------------------------
-# resource estimation
-# ---------------------------------------------------------------------------
 
 def conv_flops(k: int, cin: int, cout: int, out_h: int, out_w: int) -> int:
     """Multiply-accumulates of one convolution, at 2 flops per MAC."""

@@ -7,12 +7,15 @@ even integers and the stereo constraint holds exactly. Left pixels that
 no cyclopean point reaches, or whose cyclopean source is hidden in the
 right view, carry +inf ground truth and are excluded from the validity
 mask (they render as black holes in the left image).
+
+:class:`BoundedReader` reads the bytes of every binary input file: the
+PFM and PNM readers here and ``training.load_checkpoint``.
 """
 
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,16 +160,41 @@ def gen_rds(cfg: RdsConfig, count: int) -> list[StereoSample]:
     return samples
 
 
-@contextmanager
-def _reading(path: str):
-    """Open ``path`` for binary reading; a path that cannot be opened (a
-    missing or unreadable file, a directory, a NUL byte) is a ParseError."""
-    try:
-        f = open(path, "rb")
-    except (OSError, ValueError) as e:
-        raise ParseError(f"cannot read {path}: {e}") from e
-    with f:
-        yield f
+class BoundedReader:
+    """Reads an untrusted binary file, never past its end. The size is
+    taken once at open, so no length field in the file can make a read
+    allocate more bytes than the file holds. A path that cannot be opened
+    (missing, unreadable, a directory, a NUL byte) and a read past the end
+    raise ``error``, naming ``kind`` and the path."""
+
+    def __init__(self, path: str, error: type[Exception], kind: str):
+        self.path, self.error, self.kind = path, error, kind
+        try:
+            self.f = open(path, "rb")
+        except (OSError, ValueError) as e:
+            raise error(f"cannot read {kind} {path}: {e}") from e
+        self.left = os.fstat(self.f.fileno()).st_size
+
+    def __enter__(self) -> "BoundedReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.f.close()
+
+    def need(self, n: int) -> bytes:
+        if n > self.left:
+            raise self.error(f"{self.path}: truncated {self.kind} "
+                             f"(wanted {n} bytes, {self.left} left)")
+        self.left -= n
+        return self.f.read(n)
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.need(struct.calcsize(fmt)))
+
+    def readline(self) -> bytes:
+        line = self.f.readline()
+        self.left -= len(line)
+        return line
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +203,11 @@ def _reading(path: str):
 
 def read_pfm(path: str) -> np.ndarray:
     """Read a grayscale PFM into an (H, W) float32 array (top row first)."""
-    with _reading(path) as f:
-        magic = f.readline().strip()
+    with BoundedReader(path, ParseError, "PFM") as r:
+        magic = r.readline().strip()
         if magic != b"Pf":
             raise ParseError(f"{path}: bad PFM magic {magic!r} (color 'PF' unsupported)")
-        dims = f.readline().split()
+        dims = r.readline().split()
         if len(dims) != 2:
             raise ParseError(f"{path}: malformed PFM dimension line")
         try:
@@ -189,16 +217,12 @@ def read_pfm(path: str) -> np.ndarray:
         if width <= 0 or height <= 0:
             raise ParseError(f"{path}: non-positive PFM dimensions {width}x{height}")
         try:
-            scale = float(f.readline().strip())
+            scale = float(r.readline().strip())
         except ValueError:
             raise ParseError(f"{path}: malformed PFM scale line")
-        if scale == 0:
-            raise ParseError(f"{path}: PFM scale must be non-zero")
-        # read no more than the file holds: f.read(n) allocates n bytes first
-        payload = f.read(min(width * height * 4, os.fstat(f.fileno()).st_size))
-        if len(payload) != width * height * 4:
-            raise ParseError(f"{path}: truncated PFM payload "
-                             f"({len(payload)} of {width * height * 4} bytes)")
+        if not 0 < abs(scale) < np.inf:  # the sign picks the byte order; NaN has none
+            raise ParseError(f"{path}: PFM scale must be finite and non-zero, got {scale}")
+        payload = r.need(width * height * 4)
         endian = "<f4" if scale < 0 else ">f4"
         data = np.frombuffer(payload, dtype=endian).reshape(height, width)
         return data[::-1].astype(np.float32)  # rows are stored bottom-to-top
@@ -220,16 +244,14 @@ def write_pfm(values: np.ndarray, path: str) -> None:
 # PNM (binary P5 grayscale / P6 RGB, 8-bit)
 # ---------------------------------------------------------------------------
 
-def _read_pnm_token(f, path):
+def _read_pnm_token(r: BoundedReader) -> bytes:
     """One whitespace-delimited header token, skipping '#' comments."""
     token = b""
     while True:
-        ch = f.read(1)
-        if not ch:
-            raise ParseError(f"{path}: truncated PNM header")
+        ch = r.need(1)
         if ch == b"#":
-            while ch not in (b"\n", b""):
-                ch = f.read(1)
+            while ch != b"\n":
+                ch = r.need(1)
             continue
         if ch.isspace():
             if token:
@@ -238,31 +260,26 @@ def _read_pnm_token(f, path):
         token += ch
 
 
-def _read_pnm_int(f, path, name: str) -> int:
+def _read_pnm_int(r: BoundedReader, name: str) -> int:
     """A header token that must be a positive decimal integer."""
-    token = _read_pnm_token(f, path)
+    token = _read_pnm_token(r)
     if not token.isdigit() or int(token) == 0:
-        raise ParseError(f"{path}: PNM {name} must be a positive integer, got {token!r}")
+        raise ParseError(f"{r.path}: PNM {name} must be a positive integer, got {token!r}")
     return int(token)
 
 
 def read_pnm(path: str) -> np.ndarray:
     """Read binary P5/P6 into (1, H, W) or (3, H, W) floats scaled to [0, 1]."""
-    with _reading(path) as f:
-        magic = f.read(2)
+    with BoundedReader(path, ParseError, "PNM") as r:
+        magic = r.need(2)
         if magic not in (b"P5", b"P6"):
             raise ParseError(f"{path}: unsupported PNM magic {magic!r}")
-        width, height, maxval = (_read_pnm_int(f, path, name)
+        width, height, maxval = (_read_pnm_int(r, name)
                                  for name in ("width", "height", "maxval"))
         if maxval != 255:
             raise ParseError(f"{path}: only 8-bit PNM supported, maxval={maxval}")
         channels = 1 if magic == b"P5" else 3
-        expected = width * height * channels
-        # read no more than the file holds: f.read(n) allocates n bytes first
-        payload = f.read(min(expected, os.fstat(f.fileno()).st_size))
-        if len(payload) != expected:
-            raise ParseError(f"{path}: truncated PNM payload "
-                             f"({len(payload)} of {expected} bytes)")
+        payload = r.need(width * height * channels)
         data = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, channels)
         return (data.transpose(2, 0, 1).astype(np.float32)) / 255.0
 

@@ -22,7 +22,7 @@ class CheckpointError(ShiftStereoError):
 
 
 class CheckpointFormatError(CheckpointError):
-    """Bad magic bytes or a truncated/garbled checkpoint payload."""
+    """An unreadable file, bad magic bytes, or a truncated/garbled checkpoint payload."""
 
 
 class CheckpointVersionError(CheckpointError):

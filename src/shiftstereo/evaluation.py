@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 
 
 @dataclass
@@ -47,9 +47,12 @@ def nearest_rank_percentile(sorted_errors: np.ndarray, pct: float) -> float:
 def evaluate(pred, gt, mask: np.ndarray,
              thresholds=(1.0, 2.0, 4.0)) -> MetricReport:
     """Metrics over ``mask``: mean, root-mean-square, bad-threshold rates,
-    and the 99th-percentile absolute disparity error. ShapeError on
-    differing extents, an empty mask, or a non-finite prediction under the
-    mask (a NaN error would count as a good pixel in every bad-x rate)."""
+    and the 99th-percentile absolute disparity error. ConfigError on a
+    non-finite threshold; ShapeError on differing extents, an empty mask,
+    or a non-finite prediction under the mask (a NaN error would count as
+    a good pixel in every bad-x rate)."""
+    if not all(math.isfinite(t) for t in thresholds):
+        raise ConfigError(f"evaluate: thresholds must be finite, got {list(thresholds)}")
     pred_v = np.asarray(pred, dtype=np.float64)
     gt_v = np.asarray(gt, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)

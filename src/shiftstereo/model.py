@@ -31,6 +31,7 @@ class ModelConfig:
     resolution. ``spp_pools`` lists (window, branch_channels) pairs; the
     fusion convolution consumes the pre-pool map plus all branches. The
     :meth:`tiny` and :meth:`full` constructors give the two profiles.
+    Every field holds Python ints only: a bool or a float is a ConfigError.
     """
 
     in_channels: int = 3
@@ -42,6 +43,9 @@ class ModelConfig:
     refine_channels: int = 32
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if any(type(v) is not int for v in np.ravel(np.array(value, dtype=object))):
+                raise ConfigError(f"{name} must hold ints, got {value!r}")
         if self.in_channels not in (1, 3):
             raise ConfigError(f"in_channels must be 1 or 3, got {self.in_channels}")
         if self.feature_channels <= 0:

@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ops
-from .datasets import StereoSample, valid_mask
-from .errors import (CheckpointError, CheckpointFormatError, CheckpointShapeError,
-                     CheckpointVersionError, ConfigError, ShapeError,
-                     TrainingDiverged)
+from .datasets import BoundedReader, StereoSample, valid_mask
+from .errors import (CheckpointFormatError, CheckpointShapeError, CheckpointVersionError,
+                     ConfigError, ShapeError, TrainingDiverged)
 from .model import (ModelConfig, ModelWeights, check_image_channels, forward_tensors,
                     layer_extents, weight_shapes)
 from .tensor import STANDARD, Tape, Tensor, backward
@@ -209,27 +208,7 @@ _MAX_RANK = 32
 _ADAM_KEYS = ("lr", "t")
 
 
-class _Reader:
-    """Reads a checkpoint's fields, never past the end of the file: the
-    size is taken once, so a length field cannot make it allocate more
-    than the file holds."""
-
-    def __init__(self, f, path: str):
-        self.f, self.path = f, path
-        self.left = os.fstat(f.fileno()).st_size
-
-    def need(self, n: int) -> bytes:
-        if n > self.left:
-            raise CheckpointFormatError(f"{self.path}: truncated checkpoint "
-                                        f"(wanted {n} bytes, {self.left} left)")
-        self.left -= n
-        return self.f.read(n)
-
-    def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.need(struct.calcsize(fmt)))
-
-
-def _read_meta(r: _Reader) -> tuple[dict, ModelConfig]:
+def _read_meta(r: BoundedReader) -> tuple[dict, ModelConfig]:
     (meta_len,) = r.unpack("<I")
     try:
         meta = json.loads(r.need(meta_len).decode("utf-8"))
@@ -252,12 +231,7 @@ def _read_meta(r: _Reader) -> tuple[dict, ModelConfig]:
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; a path that cannot be opened or any malformed
     content raises a CheckpointError."""
-    try:
-        f = open(path, "rb")
-    except (OSError, ValueError) as e:  # ValueError: a NUL byte in the path
-        raise CheckpointError(f"cannot read checkpoint {path}: {e}") from e
-    with f:
-        r = _Reader(f, path)
+    with BoundedReader(path, CheckpointFormatError, "checkpoint") as r:
         if r.need(4) != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"{path}: bad checkpoint magic")
         (version,) = r.unpack("<I")

@@ -144,24 +144,6 @@ def resize_matrix_reference(n_in, n_out, dtype):
     return m
 
 
-def ssd_reference(fl, fr, d, radius):
-    """Triple-loop patch SSD against the d-shifted right features,
-    with patches clipped at the image border."""
-    _, c, h, w = fl.shape
-    shifted = np.zeros_like(fr)
-    shifted[:, :, :, d:] = fr[:, :, :, :w - d] if d else fr[:, :, :, :]
-    out = np.zeros((1, 1, h, w), dtype=fl.dtype)
-    for y in range(h):
-        for x in range(w):
-            acc = 0.0
-            for qy in range(max(0, y - radius), min(h, y + radius + 1)):
-                for qx in range(max(0, x - radius), min(w, x + radius + 1)):
-                    delta = fl[0, :, qy, qx] - shifted[0, :, qy, qx]
-                    acc += float((delta * delta).sum())
-            out[0, 0, y, x] = acc
-    return out
-
-
 def adam_reference_trace(theta0, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
     """Scripted textbook Adam: returns parameter values after each step."""
     theta = np.array(theta0, dtype=np.float64)

@@ -1,97 +1,26 @@
-"""Hand-crafted SSD cost, winner-take-all, and the resource estimator."""
+"""The resource estimator, and winner-take-all against the soft argmin."""
 
 import numpy as np
 import pytest
 
-from conftest import LEVEL_BATCHES, set_level_batch, ssd_reference
+from conftest import LEVEL_BATCHES, set_level_batch
 from shiftstereo import baseline, model, ops
 from shiftstereo.errors import ShapeError
 from shiftstereo.tensor import HIGH, Tensor
 
 
-class TestSsdCost:
-    def test_identical_maps_zero_cost(self, rng):
-        f = Tensor(rng.standard_normal((1, 3, 6, 8)), dtype=HIGH)
-        out = baseline.ssd_cost(f, f, 0, baseline.SsdConfig(patch_radius=2))
-        assert np.array_equal(out.data, np.zeros((1, 1, 6, 8)))
-
-    def test_radius_zero_is_pointwise_squared_distance(self, rng):
-        fl = Tensor(rng.standard_normal((1, 2, 4, 5)), dtype=HIGH)
-        fr = Tensor(rng.standard_normal((1, 2, 4, 5)), dtype=HIGH)
-        out = baseline.ssd_cost(fl, fr, 0, baseline.SsdConfig(patch_radius=0))
-        diff = fl.data - fr.data
-        np.testing.assert_allclose(out.data[:, 0], (diff * diff).sum(axis=1), atol=1e-15)
-
-    def test_matches_triple_loop_reference(self, rng):
-        fl = rng.standard_normal((1, 2, 7, 9))
-        fr = rng.standard_normal((1, 2, 7, 9))
-        for d in (0, 2, 5):
-            out = baseline.ssd_cost(Tensor(fl, dtype=HIGH), Tensor(fr, dtype=HIGH),
-                                    d, baseline.SsdConfig(patch_radius=1))
-            np.testing.assert_allclose(out.data, ssd_reference(fl, fr, d, 1),
-                                       atol=1e-10)
-
-    def test_non_negative_and_zero_iff_match(self, rng):
-        fl = rng.standard_normal((1, 1, 5, 6))
-        fr = fl.copy()
-        fr[0, 0, 2, 3] += 1.0
-        out = baseline.ssd_cost(Tensor(fl, dtype=HIGH), Tensor(fr, dtype=HIGH), 0,
-                                baseline.SsdConfig(patch_radius=1))
-        assert np.all(out.data >= 0)
-        # cost is zero exactly where the patch avoids the perturbed pixel
-        touched = np.zeros((5, 6), bool)
-        touched[1:4, 2:5] = True
-        assert np.all(out.data[0, 0][touched] > 0)
-        assert np.all(out.data[0, 0][~touched] == 0)
-
-    def test_rejects_out_of_range_shift(self, rng):
-        f = Tensor(rng.standard_normal((1, 1, 3, 4)), dtype=HIGH)
-        with pytest.raises(ShapeError):
-            baseline.ssd_cost(f, f, 4, baseline.SsdConfig())
-        with pytest.raises(ShapeError):
-            baseline.ssd_cost(f, f, -1, baseline.SsdConfig())
-
-
 class TestWta:
-    def test_one_hot_minimum(self):
-        volume = np.ones((1, 5, 3, 3))
-        volume[0, 2] = 0.0
-        out = baseline.wta_disparity(Tensor(volume))
-        assert out.dtype == np.float32
-        assert np.array_equal(out, np.full((3, 3), 2.0))
-
-    def test_all_equal_ties_to_zero(self):
-        out = baseline.wta_disparity(Tensor(np.ones((1, 4, 2, 2))))
-        assert np.array_equal(out, np.zeros((2, 2)))
-
     def test_agrees_with_soft_argmin_on_dominant_volumes(self, rng):
+        """Where one level's cost dominates, the soft argmin lands on the
+        hard winner-take-all level."""
         costs = rng.uniform(50, 60, (1, 6, 4, 4))
         winners = rng.integers(0, 6, (4, 4))
         for y in range(4):
             for x in range(4):
                 costs[0, winners[y, x], y, x] = 0.0
-        volume = Tensor(costs, dtype=HIGH)
-        hard = baseline.wta_disparity(volume)
-        soft = model.project(volume)[0].data[0, 0]
-        assert np.array_equal(hard, winners.astype(np.float64))
-        np.testing.assert_allclose(soft, hard, atol=1e-3)
-
-    @pytest.mark.parametrize("k", [1, 4, 9])
-    def test_recovers_constructed_integer_shift(self, k, rng):
-        """Right view built by shifting the left k columns; WTA over the
-        raw-intensity SSD volume must return k wherever a true
-        correspondence and a full patch exist."""
-        h, w, levels, radius = 20, 40, 12, 1
-        left = rng.random((h, w))
-        right = np.zeros_like(left)
-        right[:, :w - k] = left[:, k:]
-        cfg = baseline.SsdConfig(patch_radius=radius)
-        volume = baseline.build_ssd_volume(Tensor(left[None, None], dtype=HIGH),
-                                           Tensor(right[None, None], dtype=HIGH),
-                                           levels, cfg)
-        wta = baseline.wta_disparity(volume)
-        interior = wta[:, k + radius:]
-        assert np.all(interior == k)
+        assert np.array_equal(np.argmin(costs[0], axis=0), winners)
+        soft = model.project(Tensor(costs, dtype=HIGH))[0].data[0, 0]
+        np.testing.assert_allclose(soft, winners, atol=1e-3)
 
 
 class TestResources:

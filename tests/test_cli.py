@@ -309,6 +309,18 @@ def test_eval_on_a_non_finite_prediction_is_a_usage_error(tmp_path, capsys):
     assert "192 non-finite predictions" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("thresholds", ["nan", "1,inf"])
+def test_eval_non_finite_threshold_is_a_usage_error(tmp_path, capsys, thresholds):
+    """A NaN threshold used to escape ``main`` as a ValueError, exit 1."""
+    gt = np.full((4, 5), 10.0, dtype=np.float32)
+    write_pfm(gt, str(tmp_path / "gt.pfm"))
+    (tmp_path / "maps.txt").write_text(str(tmp_path / "gt.pfm") + "\n")
+    assert cli.main(["eval", "--pred-manifest", str(tmp_path / "maps.txt"),
+                     "--gt-manifest", str(tmp_path / "maps.txt"),
+                     "--thresholds", thresholds]) == 2
+    assert "thresholds must be finite" in capsys.readouterr().err
+
+
 def test_eval_prints_each_figure_once(tmp_path, capsys):
     """One ``key=value`` line per map and one for the pooled aggregate."""
     rng = np.random.default_rng(0)

@@ -196,6 +196,16 @@ class TestPfm:
         with pytest.raises(ParseError, match="scale"):
             read_pfm(str(zero_scale))
 
+    @pytest.mark.parametrize("scale", [b"nan", b"inf", b"-inf"])
+    def test_non_finite_scale_is_refused(self, tmp_path, scale):
+        """A NaN scale is not negative, so it used to select big-endian and
+        return garbage values."""
+        path = tmp_path / "scale.pfm"
+        path.write_bytes(b"Pf\n2 1\n" + scale + b"\n" + struct.pack("<2f", 1.0, 2.0))
+        with pytest.raises(ParseError, match=f"scale must be finite and non-zero, got "
+                                             f"{float(scale)}"):
+            read_pfm(str(path))
+
     def test_header_extents_beyond_the_file_allocate_no_payload(self, tmp_path):
         path = tmp_path / "huge.pfm"
         path.write_bytes(b"Pf\n5000 5000\n-1.0\n" + bytes(10))

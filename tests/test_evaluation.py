@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from shiftstereo.errors import ShapeError
+from shiftstereo.errors import ConfigError, ShapeError
 from shiftstereo.evaluation import evaluate, nearest_rank_percentile
 
 
@@ -52,6 +52,13 @@ class TestEvaluate:
         mask = np.array([[True, True, True, False]])
         with pytest.raises(ShapeError, match="2 non-finite predictions"):
             evaluate(pred, np.ones(pred.shape), mask)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_thresholds(self, threshold):
+        """A NaN threshold used to reach ``kv_line`` and fail there with a
+        ValueError, an infinite one with an OverflowError."""
+        with pytest.raises(ConfigError, match="thresholds must be finite"):
+            _report([0.5, 3.0], thresholds=(1.0, threshold))
 
     def test_kv_line(self):
         r = _report([0.0, 1.0, 2.0, 3.0], thresholds=(0.5, 3.0))

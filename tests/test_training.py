@@ -262,6 +262,25 @@ def test_bad_metadata_is_a_format_error(small_checkpoint, old, new):
         _load_bytes(path + ".meta", blob.replace(old, new))
 
 
+@pytest.mark.parametrize("field, value", [("max_disparity", 24.0), ("in_channels", True),
+                                          ("matching_channels", [4, 4.0, 4, 4]),
+                                          ("spp_pools", [[4, 2.5]]),
+                                          ("refine_blocks", [1, "2"])])
+def test_a_config_field_that_is_not_an_int_is_a_format_error(small_checkpoint, field,
+                                                             value):
+    """A float ``max_disparity`` used to load, then stop ``infer`` with a
+    TypeError in the cost volume."""
+    path = small_checkpoint
+    blob = _read(path)
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12:12 + meta_len])
+    meta["config"][field] = value
+    encoded = json.dumps(meta).encode("utf-8")
+    damaged = blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + meta_len:]
+    with pytest.raises(CheckpointFormatError, match=f"{field} must hold ints"):
+        _load_bytes(path + ".float", damaged)
+
+
 def test_metadata_that_is_not_an_object_is_a_format_error(small_checkpoint):
     path = small_checkpoint
     blob = _read(path)
