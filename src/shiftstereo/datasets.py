@@ -181,12 +181,17 @@ class BoundedReader:
     def __exit__(self, *exc) -> None:
         self.f.close()
 
-    def need(self, n: int) -> bytes:
+    def need(self, n: int, read: bool = True) -> bytes | None:
+        """The next n bytes; with ``read=False`` they are passed over
+        unread. Either way fewer than n bytes left is refused."""
         if n > self.left:
             raise self.error(f"{self.path}: truncated {self.kind} "
                              f"(wanted {n} bytes, {self.left} left)")
         self.left -= n
-        return self.f.read(n)
+        if read:
+            return self.f.read(n)
+        self.f.seek(n, os.SEEK_CUR)
+        return None
 
     def unpack(self, fmt: str) -> tuple:
         return struct.unpack(fmt, self.need(struct.calcsize(fmt)))

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import ops
-from .tensor import HIGH, Tape, Tensor, backward, record_op
+from .tensor import HIGH, Tape, Tensor, backward, record_op, segment
 
 
 # Central differences at step 1e-4 on O(1) losses carry ~1e-11 round-off;
@@ -284,8 +284,8 @@ def op_cases() -> list[CheckCase]:
 
 
 def composite_cases() -> list[CheckCase]:
-    """Deeper graphs at tolerance 1e-3: conv->bn->relu chains and the
-    refine subnetwork."""
+    """Deeper graphs at tolerance 1e-3: conv->bn->relu chains, one of them
+    as a segment whose backward re-runs it, and the refine subnetwork."""
     def build_chain():
         rng = np.random.default_rng(31)
         x = _leaf(rng, (1, 2, 6, 6))
@@ -302,6 +302,24 @@ def composite_cases() -> list[CheckCase]:
             return ops.sum_all(h)
 
         return {"x": x, "w1": w1, "b1": b1, "gamma": gamma, "beta": beta}, loss
+
+    def build_segment():
+        rng = np.random.default_rng(33)
+        x = _leaf(rng, (2, 2, 6, 6))
+        w = _leaf(rng, (3, 2, 3, 3), scale=0.5)
+        gamma = Tensor(1.0 + 0.1 * rng.standard_normal((1, 3, 1, 1)), requires_grad=True,
+                       dtype=HIGH)
+        beta = _leaf(rng, (1, 3, 1, 1), scale=0.1)
+        stats = (Tensor(np.zeros((1, 3, 1, 1)), dtype=HIGH),
+                 Tensor(np.ones((1, 3, 1, 1)), dtype=HIGH))
+
+        def chain(x):
+            return ops.batch_norm(ops.conv2d(x, w, padding=1), gamma, beta, *stats, relu=True)
+
+        def loss():
+            return _projected_sum(segment("conv_bn_relu", chain, (x,)), np.random.default_rng(13))
+
+        return {"x": x, "w": w, "gamma": gamma, "beta": beta}, loss
 
     def build_refine():
         from .model import ModelConfig, ModelWeights, refine
@@ -327,6 +345,7 @@ def composite_cases() -> list[CheckCase]:
 
     return [
         CheckCase("composite_conv_bn_relu_sum", build_chain, tolerance=1e-3),
+        CheckCase("composite_segment_conv_bn_relu", build_segment, tolerance=1e-3),
         CheckCase("composite_refine", build_refine, tolerance=1e-3, sample_elements=24),
     ]
 

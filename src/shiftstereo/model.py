@@ -12,14 +12,16 @@ own statistics, with folded ones (:meth:`ModelWeights.folded`) none.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, asdict, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .tensor import STANDARD, Tensor
+from .tensor import STANDARD, Tensor, segment
 
 
 @dataclass(frozen=True)
@@ -283,6 +285,13 @@ class ModelWeights:
         out.specs = own(self.specs)
         return out
 
+    def with_buffer_copies(self) -> "ModelWeights":
+        """This object's parameters and specs with copies of its buffers, so
+        that a pass on the result moves none of this object's statistics."""
+        out = copy.copy(self)
+        out.buffers = {name: Tensor(t.data.copy()) for name, t in self.buffers.items()}
+        return out
+
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.grad = None
@@ -450,8 +459,7 @@ def pair_blocks(weights: ModelWeights, cfg: ModelConfig,
     }
 
 
-@dataclass(frozen=True)
-class _PairTerms:
+class _PairTerms(NamedTuple):
     """The matching net's convolutions of the feature pair, once per volume.
 
     ``enc1_left`` / ``dec4_left`` are ``conv(L, W_L)`` of ``matching.enc1``
@@ -536,6 +544,17 @@ def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights) -
     return _block(x, "matching.out", weights)
 
 
+def _level_batch(levels: list[int], weights: ModelWeights):
+    """The cost maps of ``levels`` as one (1, len(levels), H', W') map, as
+    a function of the pair terms' tensors, and the re-run that backward
+    makes of it. The re-run reads copies of the running statistics, which
+    move once per pass, in forward."""
+    def run(*terms, weights=weights):
+        return ops.batch_to_channels(_match_levels(_PairTerms(*terms), levels, weights))
+
+    return run, lambda *terms: run(*terms, weights=weights.with_buffer_copies())
+
+
 # Feature pixels of one matching-net batch. Batching levels saves the fixed
 # cost of each op call, but a batch's activations grow with it. In an untaped
 # forward pass at 144x240 (48x80 features), whose stages hold only their own
@@ -575,6 +594,16 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     those do depend on it. With :meth:`ModelWeights.folded` weights no norm
     runs.
 
+    On a tape each batch is a :func:`segment` whose inputs are the
+    :class:`_PairTerms` tensors: the tape keeps the terms and each batch's
+    cost maps, not its activations, and backward re-runs the batch, on
+    copies of the running statistics, just before it differentiates it. So
+    a taped pass holds one batch's maps at a time, whatever the number of
+    levels, for one more forward pass of the matching net in backward: on
+    2 cores it added about 8 % to a tiny 96x96 step and 20-26 % to a
+    144x240 step at 48x80 features. The gradients are bit for bit those of
+    the plain call.
+
     ``x_block``, ``left_block`` and ``right_block`` are :func:`pair_blocks`
     of ``weights``, so that every weight a conv of this stage reads is a
     tensor named among its arguments; the traced benchmark run
@@ -597,9 +626,10 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     source = left_features if context_only else right_features
     terms = _pair_terms(left_features, source, weights, x_block, left_block, right_block)
     n = levels_per_batch(cfg, fh, fw)
-    batches = [ops.batch_to_channels(_match_levels(
-        terms, list(range(start, min(start + n, levels))), weights))
-        for start in range(0, levels, n)]
+    batches = []
+    for start in range(0, levels, n):
+        run, rerun = _level_batch(list(range(start, min(start + n, levels))), weights)
+        batches.append(segment("match_levels", run, terms, rerun=rerun))
     return batches[0] if len(batches) == 1 else ops.concat_channels(batches)
 
 
@@ -635,7 +665,10 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
     inside the op that makes conv2's output (:func:`_block`). On a tape, a
     block's conv1 norm output is dropped once conv2 has read it, and
     conv2's weight gradient rebuilds it. The block outputs are kept: each
-    one's rebuild would read the previous one, rebuilt too.
+    one's rebuild would read the previous one, rebuilt too. The blocks are
+    not segments (:func:`segment`): re-running them in backward would add
+    their taped forward, 28-31 ms of a tiny 96x96 step of about 180 ms,
+    more than the 15 % of step time that a cut in peak memory may cost.
     """
     if disp.shape[2:] != left_image.shape[2:] or disp.shape[2:] != ent.shape[2:]:
         raise ShapeError(f"refine: extents differ (disp {disp.shape}, "
@@ -687,6 +720,12 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     temporary, with no name bound to them, and CPython 3.11+ moves call
     arguments into the callee's frame (``cli.cmd_infer`` does so). The
     outputs are the same either way.
+
+    A taped pass keeps to backward what its nodes' closures read: the
+    weights, the feature and refine maps (norm outputs dropped, to be
+    rebuilt), and of the matching net only the pair terms and each level
+    batch's cost maps, since each batch is a segment that backward re-runs
+    (:func:`build_cost_volume`).
     """
     if left.shape != right.shape:
         raise ShapeError(f"forward: image shapes differ {left.shape} vs {right.shape}")

@@ -7,6 +7,14 @@ on the innermost active :class:`Tape` through :func:`record_op`, and
 map dies at its last use (liveness as in Chen et al. 2016, arXiv
 1604.06174), is :class:`_Node`'s rule; how a dropped output is rebuilt is
 :class:`Tensor`'s.
+
+A taped pass thus keeps to backward the arrays its nodes' closures saved,
+less the outputs with a ``rebuild``, which backward drops first. A
+:func:`segment`, Chen et al.'s recompute, records a whole function as one
+node that keeps only its inputs and its output; backward re-runs the
+function under a tape of its own, one segment at a time. The model's
+matching-net level batches are segments; see ``model.build_cost_volume``
+and, for why refine's blocks are not, ``model.refine``.
 """
 
 from __future__ import annotations
@@ -103,7 +111,8 @@ class _Node:
     hands out views of ``g``). The backward driver keeps a new array as the
     input's ``.grad`` and copies only one that may alias, so grad buffers
     never alias each other. A ``grad_fn`` must never return an array that
-    it or the forward pass keeps.
+    it or the forward pass keeps. A :func:`segment`'s ``grad_fn`` hands its
+    inputs their gradients through a tape of its own and returns None.
     """
 
     __slots__ = ("op", "output", "inputs", "grad_fn")
@@ -174,13 +183,47 @@ def backward(loss: Tensor, tape: Tape) -> None:
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.shape}")
-    loss.grad = np.ones_like(loss.data)
+    _consume(tape, loss, np.ones_like(loss.data))
+
+
+def _consume(tape: Tape, output: Tensor, grad: np.ndarray) -> None:
+    """Replay ``tape`` from ``grad``, the gradient of its last ``output``,
+    as :func:`backward` describes."""
+    output.grad = grad
     for t in tape.rebuildable:
         t.drop()
     tape.rebuildable.clear()
     nodes = tape.nodes
     while nodes:
         _replay(nodes.pop())
+
+
+def segment(op: str, fn, inputs, rerun=None) -> Tensor:
+    """``fn(*inputs)`` as one tape node that keeps only the output array,
+    and the inputs fn was given: segment checkpointing (Chen et al. 2016).
+
+    Off a tape, or when no input requires a gradient, this is the plain
+    call. On a tape, fn runs under a tape of its own, which dies with
+    everything its closures saved once fn returns. The node's ``grad_fn``
+    runs ``rerun`` (``fn`` when None) on the same inputs under a fresh tape
+    and consumes that tape from the output's gradient. So the inputs and
+    the leaves fn reads receive their gradients from the same closures, in
+    the same order, as from the plain call's nodes, and the node hands its
+    inputs nothing more. ``rerun`` must give fn's output bit for bit and
+    leave out fn's side effects, such as moving running statistics.
+    """
+    if active_tape() is None or not any(t.requires_grad for t in inputs):
+        return fn(*inputs)
+    with Tape():
+        out = Tensor(fn(*inputs).data)
+
+    def grad_fn(g):
+        with Tape() as tape:
+            again = (rerun or fn)(*inputs)
+        _consume(tape, again, g)
+        return (None,) * len(inputs)
+
+    return record_op(op, out, inputs, grad_fn)
 
 
 def _replay(node: _Node) -> None:

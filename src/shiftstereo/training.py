@@ -140,7 +140,8 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 class Checkpoint:
     """A model's config, parameters and buffers, plus a training run's
     epoch, data RNG state and Adam state. :meth:`from_weights` copies no
-    array: save it before the weights or the moments move again."""
+    array: save it before the weights or the moments move again. One that
+    :func:`load_checkpoint` returns has no Adam state."""
 
     config: ModelConfig
     params: dict[str, np.ndarray]
@@ -229,8 +230,10 @@ def _read_meta(r: BoundedReader) -> tuple[dict, ModelConfig]:
 
 
 def load_checkpoint(path: str) -> Checkpoint:
-    """Read a checkpoint; a path that cannot be opened or any malformed
-    content raises a CheckpointError."""
+    """Read a checkpoint's weights; a path that cannot be opened or any
+    malformed content raises a CheckpointError. The Adam moments' payloads
+    are passed over unread, their lengths still checked, and the result
+    has no Adam state: no caller resumes training."""
     with BoundedReader(path, CheckpointFormatError, "checkpoint") as r:
         if r.need(4) != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"{path}: bad checkpoint magic")
@@ -240,7 +243,7 @@ def load_checkpoint(path: str) -> Checkpoint:
                                          f"{version} (expected {CHECKPOINT_VERSION})")
         meta, config = _read_meta(r)
         (count,) = r.unpack("<I")
-        groups: dict[str, dict[str, np.ndarray]] = {"p": {}, "b": {}, "m": {}, "v": {}}
+        groups: dict[str, dict[str, np.ndarray]] = {"p": {}, "b": {}}
         for _ in range(count):
             (name_len,) = r.unpack("<H")
             try:
@@ -256,23 +259,23 @@ def load_checkpoint(path: str) -> Checkpoint:
                 raise CheckpointFormatError(f"{path}: unknown scalar-type tag {tag}")
             dtype = _TAG_DTYPES[tag]
             size = math.prod(extents) * dtype.itemsize
+            kind, _, base = name.partition("/")
+            if kind not in ("p", "b", "m", "v") or not base:
+                raise CheckpointFormatError(f"{path}: malformed entry name {name!r}")
+            if kind in ("m", "v") and size:
+                r.need(size, read=False)  # an empty one is read, so its extents are checked
+                continue
             arr = np.frombuffer(r.need(size), dtype=dtype)
             try:
                 arr = arr.reshape(extents)
             except ValueError as e:  # a zero extent beside ones numpy cannot index
                 raise CheckpointFormatError(f"{path}: entry {name!r} has extents {extents} ({e})")
-            kind, _, base = name.partition("/")
-            if kind not in groups or not base:
-                raise CheckpointFormatError(f"{path}: malformed entry name {name!r}")
-            groups[kind][base] = arr.astype(arr.dtype.newbyteorder("="))
+            if kind in groups:
+                groups[kind][base] = arr.astype(arr.dtype.newbyteorder("="))
         if r.left:
             raise CheckpointFormatError(f"{path}: trailing bytes after last entry")
-    adam = None
-    if meta.get("adam") is not None:
-        a = meta["adam"]
-        adam = AdamState(lr=a["lr"], t=a["t"], m=groups["m"], v=groups["v"])
     return Checkpoint(config=config, params=groups["p"], buffers=groups["b"],
-                      epoch=meta["epoch"], rng_state=meta.get("rng_state"), adam=adam)
+                      epoch=meta["epoch"], rng_state=meta.get("rng_state"))
 
 
 def load_weights(ckpt: Checkpoint) -> ModelWeights:

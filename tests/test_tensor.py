@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import backward_reference, batch_norm_kept
-from shiftstereo import model, ops
+from shiftstereo import model, ops, tensor
 from shiftstereo.datasets import RdsConfig, gen_rds
 from shiftstereo.errors import ShapeError
 from shiftstereo.model import (ModelConfig, ModelWeights, all_layer_specs,
                                feature_layer_specs, forward_tensors)
-from shiftstereo.tensor import HIGH, STANDARD, Tape, Tensor, backward
+from shiftstereo.tensor import HIGH, STANDARD, Tape, Tensor, backward, segment
 from shiftstereo.training import AdamState, adam_step, total_loss
 
 
@@ -184,6 +184,65 @@ class TestTapeConsumption:
             assert grad is not None and np.array_equal(consumed[name], grad), name
 
 
+class TestSegment:
+    """``segment`` keeps only its output on the tape and re-runs its
+    function in backward; off a tape it is the plain call."""
+
+    @staticmethod
+    def _graph(rng):
+        """Leaves x and w, a projection, and ``fn(x)``, which reads x twice
+        and logs its calls and a weak reference to its conv's output."""
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True, dtype=HIGH)
+        w = Tensor(rng.standard_normal((3, 3, 3, 3)), requires_grad=True, dtype=HIGH)
+        proj = Tensor(rng.standard_normal((2, 3, 4, 4)), dtype=HIGH)
+        calls = []
+
+        def fn(t, tag="fn"):
+            h = ops.conv2d(ops.add(t, t), w, padding=1)
+            calls.append((tag, weakref.ref(h.data)))
+            return ops.relu(h)
+
+        return x, w, proj, fn, calls
+
+    def test_off_a_tape_it_is_the_plain_call(self, rng):
+        x, _, _, fn, calls = self._graph(rng)
+        assert np.array_equal(segment("s", fn, (x,)).data, fn(x).data)
+        assert len(calls) == 2
+
+    def test_with_no_input_requiring_a_gradient_it_is_the_plain_call(self, rng):
+        x, _, _, fn, calls = self._graph(rng)
+        x.requires_grad = False
+        with Tape() as tape:
+            segment("s", fn, (x,))
+        assert [n.op for n in tape.nodes] == ["conv2d", "relu"] and len(calls) == 1
+
+    def test_one_node_that_keeps_only_the_output(self, rng):
+        """The ReLU's closure keeps the conv's output on a plain tape; the
+        segment's forward tape dies with it, so the outer tape holds one node
+        and the output array, and backward re-runs ``rerun`` once."""
+        x, _, proj, fn, calls = self._graph(rng)
+        with Tape() as tape:
+            fn(x)
+            y = segment("s", fn, (x,), rerun=lambda t: fn(t, "rerun"))
+            loss = ops.sum_all(ops.mul(y, proj))
+        assert [n.op for n in tape.nodes] == ["add", "conv2d", "relu", "s", "mul", "sum_all"]
+        assert calls[0][1]() is not None and calls[1][1]() is None
+        backward(loss, tape)
+        assert [tag for tag, _ in calls] == ["fn", "fn", "rerun"] and tape.nodes == []
+
+    def test_gradients_are_the_plain_call_s_bit_for_bit(self):
+        grads = []
+        for segmented in (True, False):
+            x, w, proj, fn, _ = self._graph(np.random.default_rng(3))
+            with Tape() as tape:
+                y = segment("s", fn, (x,)) if segmented else fn(x)
+                loss = ops.sum_all(ops.mul(y, proj))
+            backward(loss, tape)
+            grads.append((x.grad, w.grad))
+        (sx, sw), (px, pw) = grads
+        assert np.array_equal(sx, px) and np.array_equal(sw, pw)
+
+
 class TestElementwiseContracts:
     def test_add_zero_identity(self, rng):
         a = Tensor(rng.standard_normal((1, 2, 3, 3)))
@@ -233,11 +292,10 @@ class TestRebuiltNormOutputs:
     ``.data`` rebuilds it, bit for bit and at most once."""
 
     @staticmethod
-    def _step(seed=4, outputs=None):
+    def _step(seed=4):
         """One tiny training step on a 48x48 stereogram with every gamma,
         beta and the refine tail drawn; returns the weights, the loss and
-        the left image's gradient. With a list ``outputs``, fills it with
-        ``_count_rebuilds`` of the tape before backward."""
+        the left image's gradient."""
         cfg = ModelConfig.tiny()
         [sample] = gen_rds(RdsConfig(width=48, height=48, seed=1), 1)
         weights = ModelWeights.initialize(cfg, seed=0)
@@ -252,8 +310,6 @@ class TestRebuiltNormOutputs:
                                   training=True)
             loss = total_loss(out["coarse"], out["refined"], sample.gt, sample.valid,
                               max_disparity=cfg.max_disparity)
-        if outputs is not None:
-            outputs += _count_rebuilds(tape)
         backward(loss, tape)
         return weights, loss.item(), left.grad
 
@@ -318,9 +374,19 @@ class TestRebuiltNormOutputs:
         for name, t in weights.buffers.items():
             assert np.array_equal(t.data, kept.buffers[name].data), name
 
-    def test_each_norm_output_is_rebuilt_at_most_once(self):
+    def test_each_norm_output_is_rebuilt_at_most_once(self, monkeypatch):
+        """Counts the norm outputs of every tape that backward consumes: the
+        step's own, and the re-run of each level-batch segment, whose norm
+        outputs live on the re-run's tape only."""
         outputs = []
-        self._step(outputs=outputs)
+        consume = tensor._consume
+
+        def counted(tape, output, grad):
+            outputs.extend(_count_rebuilds(tape))
+            consume(tape, output, grad)
+
+        monkeypatch.setattr(tensor, "_consume", counted)
+        self._step()
         # a normed layer runs once per pass (all levels are one batch), and
         # once per image in the feature net
         cfg = ModelConfig.tiny()

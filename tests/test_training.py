@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import adam_reference_trace
-from shiftstereo import training
+from shiftstereo import model, training
 from shiftstereo.datasets import RdsConfig, gen_rds
 from shiftstereo.errors import (CheckpointError, CheckpointFormatError, CheckpointShapeError,
                                 CheckpointVersionError)
@@ -290,6 +290,64 @@ def test_metadata_that_is_not_an_object_is_a_format_error(small_checkpoint):
         _load_bytes(path + ".list", damaged)
 
 
+def _entries(blob):
+    """(name, offset of the extents, payload size) of each entry of a
+    checkpoint."""
+    at, out = _header_end(blob), []
+    while at < len(blob):
+        (name_len,) = struct.unpack_from("<H", blob, at)
+        name = blob[at + 2:at + 2 + name_len].decode()
+        rank = blob[at + 2 + name_len]
+        extents = struct.unpack_from(f"<{rank}I", blob, at + 3 + name_len)
+        tag = blob[at + 3 + name_len + 4 * rank]
+        size = int(np.prod(extents)) * (4 if tag == 0 else 8)
+        out.append((name, at + 3 + name_len, size))
+        at += 4 + name_len + 4 * rank + size
+    return out
+
+
+def test_a_load_skips_the_moments_and_gives_the_trained_weights(tmp_path):
+    """``load_checkpoint`` reads a 1-epoch training checkpoint's parameters
+    and buffers bit for bit and leaves its Adam moments, which the file
+    holds, unread."""
+    path = str(tmp_path / "model.ckpt")
+    weights, _, _ = training.train(gen_rds(RdsConfig(width=48, height=48, seed=2), 2),
+                                   ModelConfig.tiny(), epochs=1, seed=0, checkpoint_path=path)
+    blob = _read(path)
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    assert json.loads(blob[12:12 + meta_len])["adam"]["t"] == 2
+    assert {name[:2] for name, _, _ in _entries(blob)} == {"p/", "b/", "m/", "v/"}
+    loaded = load_checkpoint(path)
+    assert loaded.adam is None
+    for got, want in ((loaded.params, weights.params), (loaded.buffers, weights.buffers)):
+        assert list(got) == list(want)
+        for name, t in want.items():
+            assert got[name].dtype == t.data.dtype and np.array_equal(got[name], t.data), name
+
+
+@pytest.mark.parametrize("where", ["first moment", "end"])
+def test_a_load_still_checks_every_moment_length(small_checkpoint, where):
+    """A moment entry whose payload runs past the end of the file is refused
+    although it is passed over unread: the first ``m/`` entry made to claim
+    more bytes than the file holds, or the file cut inside the last ``v/``
+    entry."""
+    path = small_checkpoint
+    blob = _read(path)
+    entries = _entries(blob)
+    assert entries[-1][0].startswith("v/") and entries[-1][2] > 0
+    if where == "end":
+        damaged = blob[:-1]
+    else:
+        _, extents, _ = next(e for e in entries if e[0].startswith("m/"))
+        damaged = bytearray(blob)
+        struct.pack_into("<I", damaged, extents, 1 << 30)
+        damaged = bytes(damaged)
+    with open(path + ".cut", "wb") as f:
+        f.write(damaged)
+    with pytest.raises(CheckpointFormatError, match="truncated"):
+        load_checkpoint(path + ".cut")
+
+
 def test_training_is_a_pure_function_of_data_config_and_seed(tmp_path):
     """Two runs on the same data, config and seed write byte-identical
     checkpoint and ``.best`` files and report equal epoch statistics; a
@@ -366,3 +424,73 @@ def test_training_step_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 8.2e6, peak
+
+
+def _tiny_step(cfg, sample, weights, left):
+    """One training step under a tape; returns the loss and the number of
+    nodes the tape held."""
+    with Tape() as tape:
+        out = forward_tensors(left, Tensor(sample.right[None]), weights, cfg, training=True)
+        loss = training.total_loss(out["coarse"], out["refined"], sample.gt, sample.valid,
+                                   max_disparity=cfg.max_disparity)
+    nodes = len(tape.nodes)
+    backward(loss, tape)
+    return loss.item(), nodes
+
+
+def test_a_segmented_step_is_bit_equal_to_the_plain_call(monkeypatch):
+    """A tiny step at 48x48 whose 8 levels run as two batches of 4. With
+    each batch a segment that backward re-runs, the loss, every parameter
+    gradient, the left image's gradient and every running buffer are bit
+    for bit those of the same step with the segment replaced by a plain
+    call. So the buffers move once per batch in forward and not again in
+    the re-run, which reads copies."""
+    monkeypatch.setattr(model, "_LEVEL_BATCH_PIXELS", 4 * 16 * 16)
+    cfg = ModelConfig.tiny()
+    assert model.levels_per_batch(cfg, 16, 16) == 4
+    [sample] = gen_rds(RdsConfig(width=48, height=48, seed=1), 1)
+    runs = []
+    for plain in (False, True):
+        if plain:
+            monkeypatch.setattr(model, "segment", lambda op, fn, inputs, rerun=None: fn(*inputs))
+        weights = ModelWeights.initialize(cfg, seed=0)
+        tail = weights.params["refine.out.w"]
+        tail.data[...] = np.random.default_rng(5).standard_normal(tail.shape) * 0.1
+        left = Tensor(sample.left[None], requires_grad=True)
+        loss, nodes = _tiny_step(cfg, sample, weights, left)
+        runs.append((weights, loss, nodes, left.grad))
+    (weights, loss, nodes, left_grad), (kept, kept_loss, kept_nodes, kept_left_grad) = runs
+    assert nodes < kept_nodes
+    assert loss == kept_loss and np.array_equal(left_grad, kept_left_grad)
+    for name, p in weights.params.items():
+        assert p.grad is not None and np.array_equal(p.grad, kept.params[name].grad), name
+    for name, t in weights.buffers.items():
+        assert np.array_equal(t.data, kept.buffers[name].data), name
+    initial = ModelWeights.initialize(cfg, seed=0).buffers
+    assert not np.array_equal(weights.buffers["matching.enc1.mean"].data,
+                              initial["matching.enc1.mean"].data)
+
+
+def test_step_peak_does_not_grow_with_level_batches():
+    """A tiny step on a 96x96 stereogram runs its levels in batches of 8: one
+    batch at max_disparity 24, two at 48. Each batch is a segment that keeps
+    only its cost maps to backward, so the step at 48 peaks within 0.5 MB
+    of the step at 24 (20.6 and 20.7 MB). With every batch's maps on the
+    tape to backward the two read 23.5 and 28.5 MB."""
+    [sample] = gen_rds(RdsConfig(width=96, height=96, seed=1), 1)
+    left = Tensor(sample.left[None])
+    peaks = []
+    for max_disparity in (24, 48):
+        cfg = ModelConfig.tiny(max_disparity=max_disparity)
+        assert model.levels_per_batch(cfg, 32, 32) == 8
+        weights = ModelWeights.initialize(cfg, seed=0)
+        _tiny_step(cfg, sample, weights, left)  # fills the resize-matrix cache
+        weights.zero_grads()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _tiny_step(cfg, sample, weights, left)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 0.5e6, peaks
