@@ -121,18 +121,20 @@ def cmd_infer(args) -> int:
     from .tensor import Tensor
     from .training import load_checkpoint, load_weights
 
-    # Only the folded weights run; the checkpoint's raw arrays are dropped
-    # before the forward pass. The one-item list lets the call below hand
-    # the weights over with no name here bound to them.
+    # The weights are folded here, before the call, so that the raw arrays
+    # die at once on every Python version: CPython 3.10 keeps a call's
+    # arguments on the caller's stack to its end, so raw weights handed over
+    # for forward_tensors to fold would live beside the folded ones. The
+    # one-item list lets the call below hand the folded weights over with no
+    # name here bound to them, and the checkpoint is dropped first.
     ckpt = load_checkpoint(args.ckpt)
     config, folded = ckpt.config, [load_weights(ckpt).folded()]
     del ckpt
     left = Tensor(normalize_image(read_pnm(args.left))[None])
     right = Tensor(normalize_image(read_pnm(args.right))[None])
-    # The weights go over as a temporary: on CPython 3.11+ the callee then
-    # holds their only reference and frees each stage's weights once the
-    # stage has run. On 3.10 the caller's stack keeps them alive to the end
-    # of the call, with the same outputs.
+    # As a temporary, on CPython 3.11+ the callee holds the weights' only
+    # reference and frees each stage's weights once the stage has run. On
+    # 3.10 they stay alive to the end of the call, with the same outputs.
     out = forward_tensors(left, right, folded.pop(), config)
     refined = out["refined"].data[0, 0]
     if not np.all(np.isfinite(refined)):
@@ -284,15 +286,10 @@ def entry() -> None:
     """Console-script entry: an explicit ``--threads`` sets the BLAS thread
     variables before numpy loads; without it they stay as they are."""
     argv = sys.argv[1:]
-    threads = None
-    for i, arg in enumerate(argv):
-        if arg == "--threads" and i + 1 < len(argv):
-            threads = argv[i + 1]
-        elif arg.startswith("--threads="):
-            threads = arg.partition("=")[2]
-    if threads:
+    threads = _build_parser().parse_args(argv).threads
+    if threads is not None:
         for var in _THREAD_VARS:
-            os.environ[var] = threads
+            os.environ[var] = str(threads)
     sys.exit(main(argv))
 
 

@@ -12,7 +12,6 @@ own statistics, with folded ones (:meth:`ModelWeights.folded`) none.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, asdict, replace
 from typing import NamedTuple
@@ -200,22 +199,26 @@ def count_parameters(cfg: ModelConfig) -> dict[str, int]:
     return counts
 
 
+@dataclass(eq=False)
 class ModelWeights:
     """Named parameter and buffer tensors for the three subnetworks.
 
     One single matching-net parameter set serves all disparity levels;
     the cost-volume builder copies only the weight blocks of the two layers
-    that read the feature pair (:func:`pair_blocks`). ``specs``
-    maps each layer name to its ConvSpec; :meth:`folded` returns weights
-    whose specs carry ``norm=False``.
+    that read the feature pair (:func:`pair_blocks`). ``specs`` maps each
+    layer name to its ConvSpec, by default every layer of ``config``. The
+    views :meth:`folded`, :meth:`stage` and :meth:`with_buffer_copies` are
+    ``dataclasses.replace`` copies that share the tensors they keep.
     """
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor],
-                 buffers: dict[str, Tensor]):
-        self.config = config
-        self.params = params
-        self.buffers = buffers
-        self.specs = {s.name: s for s in all_layer_specs(config)}
+    config: ModelConfig
+    params: dict[str, Tensor]
+    buffers: dict[str, Tensor]
+    specs: dict[str, ConvSpec] | None = None
+
+    def __post_init__(self):
+        if self.specs is None:
+            self.specs = {s.name: s for s in all_layer_specs(self.config)}
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int = 0, dtype=STANDARD) -> "ModelWeights":
@@ -270,9 +273,9 @@ class ModelWeights:
             params[name + ".w"] = w
             if b is not None:
                 params[name + ".b"] = b
-        out = ModelWeights(self.config, params, {})
-        out.specs = {name: replace(spec, norm=False) for name, spec in self.specs.items()}
-        return out
+        return replace(self, params=params, buffers={},
+                       specs={name: replace(spec, norm=False)
+                              for name, spec in self.specs.items()})
 
     def stage(self, name: str) -> "ModelWeights":
         """The layers of subnetwork ``name`` (``"feature"``, ``"matching"``
@@ -281,16 +284,14 @@ class ModelWeights:
             return {key: value for key, value in store.items()
                     if key.startswith(name + ".")}
 
-        out = ModelWeights(self.config, own(self.params), own(self.buffers))
-        out.specs = own(self.specs)
-        return out
+        return replace(self, params=own(self.params), buffers=own(self.buffers),
+                       specs=own(self.specs))
 
     def with_buffer_copies(self) -> "ModelWeights":
         """This object's parameters and specs with copies of its buffers, so
         that a pass on the result moves none of this object's statistics."""
-        out = copy.copy(self)
-        out.buffers = {name: Tensor(t.data.copy()) for name, t in self.buffers.items()}
-        return out
+        return replace(self, buffers={name: Tensor(t.data.copy())
+                                      for name, t in self.buffers.items()})
 
     def zero_grads(self) -> None:
         for p in self.params.values():
@@ -701,19 +702,17 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     disparity (``"refined"``), all at the images' resolution.
 
     With ``training=False`` the batch norms are folded into their convs
-    once per call (:meth:`ModelWeights.folded`), also under a tape, and
-    every stage runs on the folded copy; ``weights`` is not modified.
-    Weights that are folded already are shared, not copied, so callers
-    that run many passes fold once themselves. With
-    ``training=True`` the stages run on ``weights`` itself: each norm
-    normalizes every batch item by its own statistics, moves the running
-    statistics, and passes gradients to gamma and beta.
+    once per call (:meth:`ModelWeights.folded`), also under a tape;
+    ``weights`` is not modified, and weights that are folded already are
+    shared, not copied. With ``training=True`` each norm normalizes every
+    batch item by its own statistics, moves the running statistics, and
+    passes gradients to gamma and beta.
 
-    An inference pass holds only what a later op reads: the weights are
-    split into one :meth:`ModelWeights.stage` view per subnetwork, each
-    dropped once its stage has run; the features and the volume die once
-    consumed, each matching skip once concatenated; and without a tape each
-    refine block's conv2 writes its output over the block's input
+    In both modes the weights are split into one :meth:`ModelWeights.stage`
+    view per subnetwork, each dropped once its stage has run. An inference
+    pass holds only what a later op reads: the features and the volume die
+    once consumed, each matching skip once concatenated; and without a tape
+    each refine block's conv2 writes its output over the block's input
     (:func:`ops.conv2d` consumes an untaped residual). Arrays this call
     folds die with their view. Weights passed in folded die with it only
     when this call holds their only reference: the caller passes them as a
@@ -729,12 +728,10 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     """
     if left.shape != right.shape:
         raise ShapeError(f"forward: image shapes differ {left.shape} vs {right.shape}")
-    if training:  # the tape keeps every weight to the backward pass anyway
-        feature_w = matching_w = refine_w = weights
-    else:
+    if not training:
         weights = weights.folded()
-        feature_w, matching_w, refine_w = (weights.stage(name)
-                                           for name in ("feature", "matching", "refine"))
+    feature_w, matching_w, refine_w = (weights.stage(name)
+                                       for name in ("feature", "matching", "refine"))
     del weights
     _, _, h, w = left.shape
     f_left = extract_features(left, feature_w, cfg)

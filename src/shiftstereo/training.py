@@ -204,8 +204,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         raise
 
 
-# numpy 1.x arrays have at most 32 dimensions (2.x: 64).
-_MAX_RANK = 32
 _ADAM_KEYS = ("lr", "t")
 
 
@@ -231,9 +229,18 @@ def _read_meta(r: BoundedReader) -> tuple[dict, ModelConfig]:
 
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint's weights; a path that cannot be opened or any
-    malformed content raises a CheckpointError. The Adam moments' payloads
-    are passed over unread, their lengths still checked, and the result
-    has no Adam state: no caller resumes training."""
+    malformed content raises a CheckpointError.
+
+    Every entry is checked against the layout of the checkpoint's own
+    config (:func:`model.weight_shapes`) before its payload is read: a name
+    the layout lacks, a name given twice and extents other than the 4-D
+    ones the name needs are CheckpointShapeErrors, and so is an entry of
+    the layout that the file lacks. The layout holds Adam moments ``m/``
+    and ``v/`` for exactly the parameters when the metadata holds an Adam
+    state, and none otherwise. The moments' payloads are passed over
+    unread, their lengths still checked, and the result has no Adam state:
+    no caller resumes training.
+    """
     with BoundedReader(path, CheckpointFormatError, "checkpoint") as r:
         if r.need(4) != CHECKPOINT_MAGIC:
             raise CheckpointFormatError(f"{path}: bad checkpoint magic")
@@ -242,69 +249,62 @@ def load_checkpoint(path: str) -> Checkpoint:
             raise CheckpointVersionError(f"{path}: unsupported checkpoint version "
                                          f"{version} (expected {CHECKPOINT_VERSION})")
         meta, config = _read_meta(r)
-        (count,) = r.unpack("<I")
+        params, buffers = weight_shapes(config)
+        moments = params if meta.get("adam") is not None else {}
+        layout = {f"{kind}/{name}": shape
+                  for kind, shapes in (("p", params), ("b", buffers), ("m", moments),
+                                       ("v", moments))
+                  for name, shape in shapes.items()}
+        seen: set[str] = set()
         groups: dict[str, dict[str, np.ndarray]] = {"p": {}, "b": {}}
+        (count,) = r.unpack("<I")
         for _ in range(count):
             (name_len,) = r.unpack("<H")
             try:
                 name = r.need(name_len).decode("utf-8")
             except UnicodeDecodeError as e:
                 raise CheckpointFormatError(f"{path}: garbled entry name ({e})")
+            if name not in layout:
+                raise CheckpointShapeError(f"{path}: entry {name!r} is not in the "
+                                           f"configured model's layout")
+            if name in seen:
+                raise CheckpointShapeError(f"{path}: entry {name!r} appears twice")
+            seen.add(name)
             (rank,) = r.unpack("<B")
-            if rank > _MAX_RANK:
-                raise CheckpointFormatError(f"{path}: entry {name!r} has rank {rank}")
             extents = r.unpack(f"<{rank}I")
+            if extents != layout[name]:
+                raise CheckpointShapeError(f"{path}: entry {name!r} has extents {extents}, "
+                                           f"config expects {layout[name]}")
             (tag,) = r.unpack("<B")
             if tag not in _TAG_DTYPES:
                 raise CheckpointFormatError(f"{path}: unknown scalar-type tag {tag}")
             dtype = _TAG_DTYPES[tag]
             size = math.prod(extents) * dtype.itemsize
             kind, _, base = name.partition("/")
-            if kind not in ("p", "b", "m", "v") or not base:
-                raise CheckpointFormatError(f"{path}: malformed entry name {name!r}")
-            if kind in ("m", "v") and size:
-                r.need(size, read=False)  # an empty one is read, so its extents are checked
+            if kind not in groups:
+                r.need(size, read=False)
                 continue
-            arr = np.frombuffer(r.need(size), dtype=dtype)
-            try:
-                arr = arr.reshape(extents)
-            except ValueError as e:  # a zero extent beside ones numpy cannot index
-                raise CheckpointFormatError(f"{path}: entry {name!r} has extents {extents} ({e})")
-            if kind in groups:
-                groups[kind][base] = arr.astype(arr.dtype.newbyteorder("="))
+            arr = np.frombuffer(r.need(size), dtype=dtype).reshape(extents)
+            groups[kind][base] = arr.astype(arr.dtype.newbyteorder("="))
         if r.left:
             raise CheckpointFormatError(f"{path}: trailing bytes after last entry")
+    missing = [name for name in layout if name not in seen]
+    if missing:
+        raise CheckpointShapeError(f"{path}: checkpoint is missing entry {missing[0]!r} "
+                                   f"required by config")
     return Checkpoint(config=config, params=groups["p"], buffers=groups["b"],
                       epoch=meta["epoch"], rng_state=meta.get("rng_state"))
 
 
 def load_weights(ckpt: Checkpoint) -> ModelWeights:
-    """Instantiate ModelWeights from a checkpoint, validating every name/shape.
+    """The checkpoint's arrays wrapped as float32 tensors, parameters with
+    gradients; :func:`load_checkpoint` has checked them against the
+    config's layout."""
+    def wrap(arrays, requires_grad):
+        return {name: Tensor(arr, requires_grad=requires_grad, dtype=STANDARD)
+                for name, arr in arrays.items()}
 
-    Each tensor is built straight from its checkpoint entry, as float32;
-    the names and shapes come from :func:`model.weight_shapes` of the
-    checkpoint's own config.
-    """
-    config = ckpt.config
-    stores = []
-    for shapes, saved, requires_grad in zip(weight_shapes(config),
-                                            (ckpt.params, ckpt.buffers), (True, False)):
-        store = {}
-        for name, shape in shapes.items():
-            if name not in saved:
-                raise CheckpointShapeError(f"checkpoint is missing entry {name!r} "
-                                           f"required by config")
-            if saved[name].shape != shape:
-                raise CheckpointShapeError(
-                    f"checkpoint entry {name!r} has shape {saved[name].shape}, "
-                    f"config expects {shape}")
-            store[name] = Tensor(saved[name], requires_grad=requires_grad, dtype=STANDARD)
-        for name in saved:
-            if name not in shapes:
-                raise CheckpointShapeError(f"checkpoint entry {name!r} does not exist "
-                                           f"in the configured model")
-        stores.append(store)
-    return ModelWeights(config, *stores)
+    return ModelWeights(ckpt.config, wrap(ckpt.params, True), wrap(ckpt.buffers, False))
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +327,9 @@ def _to_tensors(sample: StereoSample) -> tuple[Tensor, Tensor]:
 
 def validation_epe(samples: list[StereoSample], weights: ModelWeights,
                    config: ModelConfig) -> float:
-    """Pixel-weighted mean absolute error of the refined output.
-
-    The norms are folded into their convs once for the whole pass.
-    """
-    weights = weights.folded()
+    """Pixel-weighted mean absolute error of the refined output that
+    ``cli infer`` would write for each sample: :func:`model.forward_tensors`
+    with ``training=False`` on the trained weights, which it folds."""
     total_err = 0.0
     total_count = 0
     for sample in samples:

@@ -1,6 +1,7 @@
-"""Checkpoint round trips, the checks ``load_weights`` makes on them, the
-Adam update, and the memory of one training step."""
+"""Checkpoint round trips, the layout checks ``load_checkpoint`` makes on
+saved files, the Adam update, and the memory of one training step."""
 
+import io
 import json
 import os
 import struct
@@ -12,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import adam_reference_trace
-from shiftstereo import model, training
-from shiftstereo.datasets import RdsConfig, gen_rds
+from shiftstereo import cli, model, training
+from shiftstereo.datasets import RdsConfig, gen_rds, read_manifest, save_samples
 from shiftstereo.errors import (CheckpointError, CheckpointFormatError, CheckpointShapeError,
                                 CheckpointVersionError)
 from shiftstereo.model import ModelConfig, ModelWeights, forward_tensors
@@ -52,31 +53,37 @@ def test_float64_entries_load_as_float32():
     assert np.array_equal(loaded.params["feature.down.w"].data, expected)
 
 
-def test_missing_entry_is_named():
+def _saved(ckpt, tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(ckpt, path)
+    return path
+
+
+def test_missing_entry_is_named(tmp_path):
     _, ckpt = _checkpoint()
     del ckpt.buffers["matching.enc2.var"]
     with pytest.raises(CheckpointShapeError,
-                       match=r"^checkpoint is missing entry 'matching.enc2.var' "
+                       match=r": checkpoint is missing entry 'b/matching.enc2.var' "
                              r"required by config$"):
-        load_weights(ckpt)
+        load_checkpoint(_saved(ckpt, tmp_path))
 
 
-def test_extra_entry_is_named():
+def test_extra_entry_is_named(tmp_path):
     _, ckpt = _checkpoint()
     ckpt.params["feature.out.gamma"] = np.ones((1, 16, 1, 1), np.float32)
     with pytest.raises(CheckpointShapeError,
-                       match=r"^checkpoint entry 'feature.out.gamma' does not exist "
-                             r"in the configured model$"):
-        load_weights(ckpt)
+                       match=r": entry 'p/feature.out.gamma' is not in the configured "
+                             r"model's layout$"):
+        load_checkpoint(_saved(ckpt, tmp_path))
 
 
-def test_misshaped_entry_names_both_shapes():
+def test_misshaped_entry_names_both_shapes(tmp_path):
     _, ckpt = _checkpoint()
     ckpt.params["refine.head.w"] = np.zeros((32, 4, 3, 3), np.float32)
     with pytest.raises(CheckpointShapeError,
-                       match=r"^checkpoint entry 'refine.head.w' has shape \(32, 4, 3, 3\), "
+                       match=r": entry 'p/refine.head.w' has extents \(32, 4, 3, 3\), "
                              r"config expects \(32, 3, 3, 3\)$"):
-        load_weights(ckpt)
+        load_checkpoint(_saved(ckpt, tmp_path))
 
 
 def test_failed_save_leaves_the_previous_checkpoint(tmp_path, monkeypatch):
@@ -122,15 +129,17 @@ _SMALL = ModelConfig.tiny(feature_channels=4, matching_channels=(4, 4, 4, 4),
                           max_disparity=6)
 
 
+def _small_checkpoint():
+    """A small checkpoint with Adam moments."""
+    weights = ModelWeights.initialize(_SMALL, seed=3)
+    return Checkpoint.from_weights(weights, epoch=2, rng_state={"state": 7},
+                                   adam=AdamState.for_params(weights.params))
+
+
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
-    """Path of a saved small checkpoint with Adam moments."""
-    weights = ModelWeights.initialize(_SMALL, seed=3)
-    ckpt = Checkpoint.from_weights(weights, epoch=2, rng_state={"state": 7},
-                                   adam=AdamState.for_params(weights.params))
-    path = str(tmp_path_factory.mktemp("ckpt") / "small.ckpt")
-    save_checkpoint(ckpt, path)
-    return path
+    """Path of a saved :func:`_small_checkpoint`."""
+    return _saved(_small_checkpoint(), tmp_path_factory.mktemp("ckpt"))
 
 
 def _read(path):
@@ -188,6 +197,19 @@ def _header_end(blob):
     return 12 + meta_len + 4
 
 
+def _refused_allocating_nothing(path, blob, error, match):
+    """Loading ``blob`` from ``path`` raises ``error`` and traces a peak
+    below four times the file's size."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            _load_bytes(path, blob)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(blob)
+
+
 def test_entry_claiming_more_bytes_than_the_file_allocates_nothing(small_checkpoint):
     path = small_checkpoint
     blob = _read(path)
@@ -196,25 +218,22 @@ def test_entry_claiming_more_bytes_than_the_file_allocates_nothing(small_checkpo
     extents = at + 2 + name_len + 1
     damaged = bytearray(blob)
     struct.pack_into("<4I", damaged, extents, 65535, 65535, 65535, 65535)
-    tracemalloc.start()
-    try:
-        with pytest.raises(CheckpointFormatError, match="truncated"):
-            _load_bytes(path + ".huge", bytes(damaged))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * len(blob)
+    _refused_allocating_nothing(path + ".huge", bytes(damaged), CheckpointShapeError,
+                                r"'p/feature.down.w' has extents \(65535, 65535, 65535, "
+                                r"65535\), config expects")
 
 
 def test_entry_rank_above_the_numpy_limit_is_rejected(small_checkpoint):
+    """A rank of 65, above what numpy can shape, reads 65 extents, and the
+    layout check refuses them: the entry's name needs 4."""
     path = small_checkpoint
     blob = _read(path)
     at = _header_end(blob)
     (name_len,) = struct.unpack_from("<H", blob, at)
     damaged = bytearray(blob)
     damaged[at + 2 + name_len] = 65
-    with pytest.raises(CheckpointFormatError, match="rank 65"):
-        _load_bytes(path + ".rank", bytes(damaged))
+    _refused_allocating_nothing(path + ".rank", bytes(damaged), CheckpointShapeError,
+                                "'p/feature.down.w' has extents")
 
 
 def test_empty_entry_with_unindexable_extents_is_rejected(small_checkpoint):
@@ -226,8 +245,8 @@ def test_empty_entry_with_unindexable_extents_is_rejected(small_checkpoint):
     extents = at + 2 + name_len + 1
     damaged = bytearray(blob)
     struct.pack_into("<4I", damaged, extents, 0, 2**32 - 1, 2**32 - 1, 2**32 - 1)
-    with pytest.raises(CheckpointFormatError, match="extents"):
-        _load_bytes(path + ".empty", bytes(damaged))
+    _refused_allocating_nothing(path + ".empty", bytes(damaged), CheckpointShapeError,
+                                r"'p/feature.down.w' has extents \(0, 4294967295")
 
 
 def test_a_version_1_checkpoint_is_refused(small_checkpoint):
@@ -262,6 +281,15 @@ def test_bad_metadata_is_a_format_error(small_checkpoint, old, new):
         _load_bytes(path + ".meta", blob.replace(old, new))
 
 
+def _rewrite_meta(blob, edit):
+    """``blob`` with the metadata block that ``edit`` makes of its own."""
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = json.loads(blob[12:12 + meta_len])
+    edit(meta)
+    encoded = json.dumps(meta).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + meta_len:]
+
+
 @pytest.mark.parametrize("field, value", [("max_disparity", 24.0), ("in_channels", True),
                                           ("matching_channels", [4, 4.0, 4, 4]),
                                           ("spp_pools", [[4, 2.5]]),
@@ -271,12 +299,7 @@ def test_a_config_field_that_is_not_an_int_is_a_format_error(small_checkpoint, f
     """A float ``max_disparity`` used to load, then stop ``infer`` with a
     TypeError in the cost volume."""
     path = small_checkpoint
-    blob = _read(path)
-    (meta_len,) = struct.unpack_from("<I", blob, 8)
-    meta = json.loads(blob[12:12 + meta_len])
-    meta["config"][field] = value
-    encoded = json.dumps(meta).encode("utf-8")
-    damaged = blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + meta_len:]
+    damaged = _rewrite_meta(_read(path), lambda meta: meta["config"].update({field: value}))
     with pytest.raises(CheckpointFormatError, match=f"{field} must hold ints"):
         _load_bytes(path + ".float", damaged)
 
@@ -327,25 +350,85 @@ def test_a_load_skips_the_moments_and_gives_the_trained_weights(tmp_path):
 
 @pytest.mark.parametrize("where", ["first moment", "end"])
 def test_a_load_still_checks_every_moment_length(small_checkpoint, where):
-    """A moment entry whose payload runs past the end of the file is refused
-    although it is passed over unread: the first ``m/`` entry made to claim
-    more bytes than the file holds, or the file cut inside the last ``v/``
-    entry."""
+    """A moment entry whose payload would run past the end of the file is
+    refused although it is passed over unread: the first ``m/`` entry made
+    to claim more bytes than the file holds, which its layout's extents
+    refuse, or the file cut inside the last ``v/`` entry."""
     path = small_checkpoint
     blob = _read(path)
     entries = _entries(blob)
     assert entries[-1][0].startswith("v/") and entries[-1][2] > 0
     if where == "end":
-        damaged = blob[:-1]
+        damaged, error, match = blob[:-1], CheckpointFormatError, "truncated"
     else:
-        _, extents, _ = next(e for e in entries if e[0].startswith("m/"))
+        name, extents, _ = next(e for e in entries if e[0].startswith("m/"))
         damaged = bytearray(blob)
         struct.pack_into("<I", damaged, extents, 1 << 30)
-        damaged = bytes(damaged)
-    with open(path + ".cut", "wb") as f:
-        f.write(damaged)
-    with pytest.raises(CheckpointFormatError, match="truncated"):
-        load_checkpoint(path + ".cut")
+        damaged, error, match = bytes(damaged), CheckpointShapeError, f"'{name}' has extents"
+    _refused_allocating_nothing(path + ".cut", damaged, error, match)
+
+
+def _appended(blob, name, arr):
+    """``blob`` with one more entry, ``name`` holding ``arr``, at its end."""
+    entry = io.BytesIO()
+    training._write_entry(entry, name, arr)
+    at = _header_end(blob) - 4
+    (count,) = struct.unpack_from("<I", blob, at)
+    return blob[:at] + struct.pack("<I", count + 1) + blob[at + 4:] + entry.getvalue()
+
+
+def _malformed(case, tmp_path):
+    """The bytes of a small checkpoint with Adam moments, damaged as ``case``
+    says. A reader that checks no layout loads each of them."""
+    ckpt = _small_checkpoint()
+    moments = ckpt.adam.m
+    if case == "unknown moment":
+        moments["no.such.layer.w"] = np.zeros((1, 1, 1, 1), np.float32)
+    elif case == "misshaped moment":
+        moments["refine.out.w"] = np.zeros((1, 4, 3, 1), np.float32)
+    elif case == "missing moment":
+        del moments["refine.out.w"]
+    blob = _read(_saved(ckpt, tmp_path))
+    if case == "duplicated parameter":
+        return _appended(blob, "p/refine.out.w", np.ones((1, 4, 3, 3), np.float32))
+    if case == "moments without an Adam state":
+        return _rewrite_meta(blob, lambda meta: meta.update(adam=None))
+    return blob
+
+
+_MALFORMED = {
+    "duplicated parameter": r"entry 'p/refine.out.w' appears twice$",
+    "unknown moment": r"entry 'm/no.such.layer.w' is not in the configured model's layout$",
+    "misshaped moment": r"entry 'm/refine.out.w' has extents \(1, 4, 3, 1\), "
+                        r"config expects \(1, 4, 3, 3\)$",
+    "moments without an Adam state": r"entry 'm/feature.down.w' is not in the configured "
+                                     r"model's layout$",
+    "missing moment": r"checkpoint is missing entry 'm/refine.out.w' required by config$",
+}
+
+
+@pytest.fixture(scope="module")
+def small_pair(tmp_path_factory):
+    """Paths of one 48x48 stereogram pair the small config runs on."""
+    out = str(tmp_path_factory.mktemp("pair"))
+    return read_manifest(save_samples(gen_rds(RdsConfig(width=48, height=48, seed=5), 1),
+                                      out))[0][:2]
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_the_reader_refuses_what_the_layout_lacks(tmp_path, small_pair, capsys, case):
+    """Each file is refused with a CheckpointShapeError naming the entry,
+    and ``infer`` on it exits 2 and writes no output."""
+    path = str(tmp_path / "bad.ckpt")
+    with open(path, "wb") as f:
+        f.write(_malformed(case, tmp_path))
+    with pytest.raises(CheckpointShapeError, match=_MALFORMED[case]):
+        load_checkpoint(path)
+    disp, entropy = str(tmp_path / "disp.pfm"), str(tmp_path / "entropy.pfm")
+    assert cli.main(["infer", "--ckpt", path, "--left", small_pair[0], "--right",
+                     small_pair[1], "--out-disp", disp, "--out-entropy", entropy]) == 2
+    assert "bad.ckpt" in capsys.readouterr().err
+    assert not os.path.exists(disp) and not os.path.exists(entropy)
 
 
 def test_training_is_a_pure_function_of_data_config_and_seed(tmp_path):
