@@ -1,9 +1,10 @@
 """Command-line entry point wiring all modules into reproducible workflows.
 
 Exit codes: 0 success, 1 check failure, 2 usage/input error, 3 runtime
-divergence. argparse types every flag from its default, and ``main`` maps
-the package's errors to exit codes: ``TrainingDiverged`` to 3, naming the
-last checkpoint, and any other ``ShiftStereoError`` to 2. Every command
+divergence. argparse types every flag from its default, and ``_dispatch``,
+which ``main`` and ``entry`` run on the parsed flags, maps the package's
+errors to exit codes: ``TrainingDiverged`` to 3, naming the last
+checkpoint, and any other ``ShiftStereoError`` to 2. Every command
 prints its resolved settings as ``key=value`` lines before doing work, so a
 run is reproducible from its own log; ``eval`` and ``estimate-resources``
 print each figure once, in the same ``key=value`` form.
@@ -265,7 +266,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    return _dispatch(_build_parser().parse_args(argv))
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command; the package's errors become exit codes."""
     handler, defaults, _ = _COMMANDS[args.command]
     _echo_settings(args.command, args, defaults)
     missing = [key for key, default in defaults.items()
@@ -283,14 +288,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    """Console-script entry: an explicit ``--threads`` sets the BLAS thread
-    variables before numpy loads; without it they stay as they are."""
-    argv = sys.argv[1:]
-    threads = _build_parser().parse_args(argv).threads
-    if threads is not None:
+    """Console-script entry: the command line is parsed once, and an
+    explicit ``--threads`` sets the BLAS thread variables before numpy
+    loads; without it they stay as they are."""
+    args = _build_parser().parse_args(sys.argv[1:])
+    if args.threads is not None:
         for var in _THREAD_VARS:
-            os.environ[var] = str(threads)
-    sys.exit(main(argv))
+            os.environ[var] = str(args.threads)
+    sys.exit(_dispatch(args))
 
 
 if __name__ == "__main__":

@@ -557,10 +557,13 @@ def _level_batch(levels: list[int], weights: ModelWeights):
 
 
 # Feature pixels of one matching-net batch. Batching levels saves the fixed
-# cost of each op call, but a batch's activations grow with it. In an untaped
-# forward pass at 144x240 (48x80 features), whose stages hold only their own
-# weights, 1 and 2 levels per batch peak at 15.9 MB, in refine; 4 levels move
-# the peak into the matching net, at 17.9 MB, and 8 to 26.0 MB.
+# cost of each op call, but a batch's activations grow with it; its conv
+# copies do not, as a conv copies one level at a time once the batch's
+# copies exceed 1 MiB (ops._batch_slices). In an untaped forward pass at
+# 144x240 (48x80 features), whose stages hold only their own weights, 1 and
+# 2 levels per batch peak at 15.9 MB, in refine; 4 levels move the peak into
+# the matching net's activations, at 17.9 MB, and 8 to 26.0 MB. At 96x96 all
+# 8 levels make one batch, and the pass peaks in refine, at 6.0 MB.
 _LEVEL_BATCH_PIXELS = 1 << 13
 
 

@@ -3,7 +3,8 @@
 Each rule is said once, by the function that owns it: :func:`conv2d`, how
 a convolution is lowered by its shape and what its backward rebuilds;
 :func:`_row_strips` and the constants above it, how large a strip of
-copies gets; :func:`_epilogue`, the bias, residual and ReLU that end a conv
+copies gets; :func:`_batch_slices`, which batch items share one buffer of
+copies; :func:`_epilogue`, the bias, residual and ReLU that end a conv
 or a :func:`batch_norm` inside the op that makes the output; :func:`_join`,
 the concatenation behind :func:`concat_channels` and :func:`stack_batch`.
 All reductions use a fixed order, so repeated runs are bit-identical, and a
@@ -114,9 +115,11 @@ _MIN_GEMM_K = 32
 # _MAX_STRIP_ELEMENTS (4 MiB of float32, two cores' 2 MiB L2 caches), so
 # that the GEMMs of a full-resolution layer read their operand from cache;
 # an input of at most 2^19 elements (32 channels at 128x128) keeps the
-# partition the ratio gives it. A batch whose items' copies together exceed
-# _MAX_STRIP_ELEMENTS is convolved one item at a time, so its copies stay
-# within the cap too (matching.dec4 at 144x240, 4 levels per batch).
+# partition the ratio gives it. A batch shares one copy buffer only while
+# its items' copies together fit _MIN_STRIP_ELEMENTS; above that its items
+# are copied one at a time (:func:`_batch_slices`), so no conv's copies grow
+# with the batch (matching.dec4 at 96x96, 8 levels per batch, holds one
+# level's 78k elements of copies instead of 627k).
 _STRIP_INPUT_RATIO = 2
 _MIN_STRIP_ELEMENTS = 1 << 18
 _MAX_STRIP_ELEMENTS = 1 << 20
@@ -180,18 +183,27 @@ def _strip_plan(cin: int, h: int, w: int, kh: int, kw: int, stride: int, dilatio
                       (strips[0][1] + halo) * row_elements)
 
 
+def _batch_slices(b: int, plan: _StripPlan) -> list[slice]:
+    """The slices of a b-item batch whose strip copies share one buffer:
+    the whole batch while its items' copies together fit
+    ``_MIN_STRIP_ELEMENTS``, else each item alone. The forward kernel (and
+    so dX) and dW's copies both follow this rule."""
+    if b * plan.elements <= _MIN_STRIP_ELEMENTS:
+        return [slice(None)]
+    return [slice(i, i + 1) for i in range(b)]
+
+
 def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
-                        padding: int, plan: _StripPlan | None = None):
+                        padding: int, plan: _StripPlan):
     """Yield ``(r0, n_rows, windows)`` for each strip of output rows, where
     ``windows[g]`` is the (B, K, n_rows*ow) operand of GEMM g, read in place
     from the strip's input copies. The copies of all strips share one
     buffer, so a strip's windows are valid until the next one is yielded.
-    ``plan`` is :func:`_strip_plan` of x's items, made here when not given.
+    ``plan`` is :func:`_strip_plan` of x's items.
     """
     b, cin, h, w = x.shape
     ow = conv_out_extent(w, kw, stride, dilation, padding)
-    copies, gemm_rows, phases, halo, strips, _ = plan or _strip_plan(
-        cin, h, w, kh, kw, stride, dilation, padding)
+    copies, gemm_rows, phases, halo, strips, _ = plan
     k = len(copies) * cin
     rows = strips[0][1]
     cols = [_in_range(ow, dv - padding, stride, w) for _, dv in copies]
@@ -274,11 +286,9 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
                        overwrite).reshape(b, cout, oh, ow)
     w_taps = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
     plan = _strip_plan(cin, h, w, kh, kw, stride, dilation, padding)
-    items = ([slice(None)] if b * plan.elements <= _MAX_STRIP_ELEMENTS
-             else [slice(i, i + 1) for i in range(b)])
     out = residual if overwrite else None
     scratch = None
-    for item in items:
+    for item in _batch_slices(b, plan):
         for r0, n_rows, windows in _kernel_row_windows(x[item], kh, kw, stride, dilation,
                                                        padding, plan):
             n = n_rows * ow
@@ -364,28 +374,33 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     runs last, on the strip while it is in cache: the bias is added, then
     the residual's rows of the strip, then the strip is clamped at 0. Where
     KW*Cin is below ``_MIN_GEMM_K`` the copies take every tap, and one GEMM
-    covers the kernel. Either lowering runs one GEMM per batch item, so an
-    item comes out bit-identical to convolving it alone. Which lowering runs
-    depends on Cout, so a block of output channels that takes the other
-    lowering than the whole may round differently.
+    covers the kernel. The batch shares one buffer of copies only while
+    its items' copies together fit ``_MIN_STRIP_ELEMENTS``; above that each
+    item is copied and convolved alone (:func:`_batch_slices`). Either
+    lowering runs one GEMM per batch item, so an item comes out
+    bit-identical to convolving it alone. Which lowering runs depends on
+    Cout, so a block of output channels that takes the other lowering than
+    the whole may round differently.
 
-    Backward rebuilds the copies strip by strip from x and runs one dW
-    GEMM per kernel row; the tape keeps no copy, and dX runs once the dW
-    copies are freed. These copies always take the whole batch: only the
-    forward kernel runs items one at a time, so dW keeps the order of its
-    sum over items. dX is itself a convolution by the same kernel code: the
-    output gradient, placed at stride on a zero grid ``dilation*(k-1)``
-    larger than x on each axis, correlated with the flipped kernel with its
-    channel axes swapped. At stride 1, with a square kernel and ``padding <=
-    dilation*(k-1)``, that grid is the gradient zero-padded by
-    ``dilation*(k-1) - padding`` on every side, so the gradient is convolved
-    directly with that padding. That convolution picks its lowering by its
-    own shape, so a layer with ``KH*Cin < Cout``, such as an image-reading
-    head, gets its dX by kn2row. dX is not computed when x does not require
-    a gradient. With ``relu``, backward first masks the output gradient by
-    ``out > 0``; the residual receives that masked gradient, and dW, dX and
-    the bias gradient are computed from it. The tape's inputs are ``(x,
-    weight[, bias][, residual])``, the weight always second.
+    Backward rebuilds the copies strip by strip from x, by the same rule,
+    and runs one dW GEMM per kernel row and batch slice; the tape keeps no
+    copy, and dX runs once the dW copies are freed. The products of one
+    strip and kernel row are stacked over the batch and summed over items
+    in one ``sum(axis=0)``, strip after strip and row after row, so dW has
+    the same bits whether the batch shares a buffer or not. dX is itself a
+    convolution by the same kernel code: the output gradient, placed at
+    stride on a zero grid ``dilation*(k-1)`` larger than x on each axis,
+    correlated with the flipped kernel with its channel axes swapped. At
+    stride 1, with a square kernel and ``padding <= dilation*(k-1)``, that
+    grid is the gradient zero-padded by ``dilation*(k-1) - padding`` on
+    every side, so the gradient is convolved directly with that padding.
+    That convolution picks its lowering by its own shape, so a layer with
+    ``KH*Cin < Cout``, such as an image-reading head, gets its dX by kn2row.
+    dX is not computed when x does not require a gradient. With ``relu``,
+    backward first masks the output gradient by ``out > 0``; the residual
+    receives that masked gradient, and dW, dX and the bias gradient are
+    computed from it. The tape's inputs are ``(x, weight[, bias][,
+    residual])``, the weight always second.
     """
     if stride < 1 or dilation < 1 or padding < 0:
         raise ShapeError(f"conv2d: bad stride/dilation/padding ({stride}, {dilation}, {padding})")
@@ -417,14 +432,24 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
             g = g * (mask_source > 0)
         gflat = g.reshape(b, cout, oh * ow)
         dw = np.zeros((cout, kh * kw * cin), dtype=g.dtype)
-        for r0, n_rows, windows in _kernel_row_windows(x.data, kh, kw, stride, dilation,
-                                                       padding):
-            g_strip = gflat[:, :, r0 * ow:(r0 + n_rows) * ow]
-            k = windows[0].shape[1]
-            for i, window in enumerate(windows):
-                dw[:, i * k:(i + 1) * k] += np.matmul(
-                    g_strip, window.transpose(0, 2, 1)).sum(axis=0)
-        del windows, window  # views that keep the strip copies alive through dX
+        plan = _strip_plan(cin, h, w, kh, kw, stride, dilation, padding)
+        items = _batch_slices(b, plan)
+        # A (strip, kernel row)'s products are summed once the last slice
+        # has made its own, and the last slice runs strips and rows in order.
+        products = {}
+        for item in items:
+            for s, (r0, n_rows, windows) in enumerate(_kernel_row_windows(
+                    x.data[item], kh, kw, stride, dilation, padding, plan)):
+                g_strip = gflat[item, :, r0 * ow:(r0 + n_rows) * ow]
+                k = windows[0].shape[1]
+                for i, window in enumerate(windows):
+                    done = products.setdefault((s, i), [])
+                    done.append(np.matmul(g_strip, window.transpose(0, 2, 1)))
+                    if len(done) == len(items):
+                        batch = done[0] if len(done) == 1 else np.concatenate(done)
+                        dw[:, i * k:(i + 1) * k] += batch.sum(axis=0)
+                        done.clear()
+        del windows, window, batch  # the strip copies' views and products, freed before dX
         dw = np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         dx = (_input_grad(g, weight.data, h, w, stride, dilation, padding)
               if x.requires_grad else None)

@@ -265,7 +265,7 @@ def test_entry_pins_blas_threads_from_either_flag_form(monkeypatch, flags):
 
 
 def _entry_thread_vars(monkeypatch, flags, preset):
-    """The BLAS thread variables ``main`` sees when ``entry`` runs
+    """The BLAS thread variables the command sees when ``entry`` runs
     ``gradcheck`` with ``flags`` under the environment ``preset``."""
     for var in _THREAD_VARS + ("SHIFTSTEREO_THREADS",):
         monkeypatch.setenv(var, "")  # so that teardown also removes what entry sets
@@ -274,16 +274,52 @@ def _entry_thread_vars(monkeypatch, flags, preset):
         monkeypatch.setenv(var, value)
     seen = {}
 
-    def main(argv):
+    def dispatch(args):
+        assert args.command == "gradcheck"
         seen.update((var, os.environ.get(var)) for var in _THREAD_VARS)
         return 0
 
-    monkeypatch.setattr(cli, "main", main)
+    monkeypatch.setattr(cli, "_dispatch", dispatch)
     monkeypatch.setattr(sys, "argv", ["shiftstereo", "gradcheck"] + flags)
     with pytest.raises(SystemExit) as stop:
         cli.entry()
     assert stop.value.code == 0
     return seen
+
+
+def _count_parsers(monkeypatch):
+    """The list that gets one entry per parser ``cli`` builds."""
+    built = []
+    build = cli._build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "_build_parser", counting)
+    return built
+
+
+def test_entry_parses_the_command_line_once(monkeypatch, capsys):
+    """``entry`` used to build and run the parser once for ``--threads`` and
+    again inside ``main``."""
+    built = _count_parsers(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["shiftstereo", "estimate-resources", "--profile",
+                                      "tiny", "--height", "96", "--width", "96",
+                                      "--max-disp", "24"])
+    with pytest.raises(SystemExit) as stop:
+        cli.entry()
+    assert stop.value.code == 0 and len(built) == 1
+    assert "command=estimate-resources" in capsys.readouterr().out
+
+
+def test_entry_refuses_a_bad_flag_with_exit_2(monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["shiftstereo", "estimate-resources", "--height", "x"])
+    with pytest.raises(SystemExit) as stop:
+        cli.entry()
+    assert stop.value.code == 2 and len(built) == 1
+    assert "--height" in capsys.readouterr().err
 
 
 def test_entry_threads_flag_overrides_the_environment(monkeypatch):

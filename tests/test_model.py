@@ -343,10 +343,11 @@ class TestCostVolume:
 
     def test_default_batch_keeps_the_one_level_peak(self, monkeypatch):
         """An untaped full-profile forward pass at 144x240 (16 levels, 2 per
-        batch) peaks within 2 % of the one-level schedule; its peak lies in
-        the refine net. 4 levels per batch move it into the matching net,
-        about 12 % higher, and all 16 in one batch peak near three times as
-        high."""
+        batch) peaks within 2 % of the one-level schedule, at about 15.9 MB;
+        its peak lies in the refine net. 4 levels per batch move it into the
+        matching net's activations, at about 17.9 MB, 8 to 26.0 MB, and all
+        16 in one batch peak near three times as high, at 43.6 MB: each conv
+        copies its input one level at a time, so only activations grow."""
         cfg = model.ModelConfig.full(max_disparity=48)
         weights = model.ModelWeights.initialize(cfg, seed=0)
         rng = np.random.default_rng(0)
@@ -383,6 +384,24 @@ class TestCostVolume:
             tracemalloc.stop()
         assert sorted(out) == ["coarse", "entropy", "refined"]
         assert peak < 17.0e6
+
+    def test_untaped_tiny_forward_peaks_in_refine(self):
+        """A tiny 96x96 pass (8 levels in one batch) peaks at about 5.96 MB,
+        in ``refine.block3.conv2``. When the 8 levels' conv copies shared
+        one buffer, ``matching.dec4``'s 2.5 MB of copies set the peak, at
+        about 6.83 MB."""
+        cfg = model.ModelConfig.tiny(max_disparity=24)
+        weights = model.ModelWeights.initialize(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        left, right = (Tensor(rng.standard_normal((1, 1, 96, 96)).astype(np.float32))
+                       for _ in range(2))
+        tracemalloc.start()
+        try:
+            model.forward_tensors(left, right, weights, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.3e6
 
     def test_refine_holds_only_its_own_weights(self, rng, monkeypatch):
         """forward_tensors splits the folded weights by stage and drops each

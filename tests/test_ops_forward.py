@@ -295,9 +295,9 @@ class TestConvStrips:
     def test_batch_above_the_cap_runs_items_one_at_a_time(self, rng, monkeypatch):
         """A (4, 48, 48, 80) batch, ``matching.dec4``'s at 144x240 with 4
         levels per batch, would take 4 x 299,520 elements of strip copies,
-        above 2^20: its items run one at a time, bit-identical to single
-        items, forward and dX, also when the output is written over the
-        residual."""
+        above 2^18: its items run one at a time, forward, dW and dX,
+        bit-identical to single items, also when the output is written over
+        the residual."""
         batches = []
         windows = ops._kernel_row_windows
 
@@ -316,8 +316,8 @@ class TestConvStrips:
             return out.data, tape.nodes[0].grad_fn(gs)[0]
 
         batched, batched_dx = forward_and_dx(x, g)
-        # the forward, the dW copies of the whole batch, and dX
-        assert batches == [1] * 4 + [4] + [1] * 4
+        # the forward, the dW copies, and dX
+        assert batches == [1] * 12
         for i in range(4):
             alone, alone_dx = forward_and_dx(x[i:i + 1], g[i:i + 1])
             assert np.array_equal(batched[i:i + 1], alone)
@@ -327,6 +327,69 @@ class TestConvStrips:
         fused = ops.conv2d(Tensor(x), w, padding=1, residual=r, relu=True)
         assert np.shares_memory(fused.data, r.data)
         assert np.array_equal(fused.data, expected)
+
+    @staticmethod
+    def _out_dx_dw(x, w, g, **kw):
+        """A conv's output, dX and dW for the output gradient g."""
+        with Tape() as tape:
+            out = ops.conv2d(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True),
+                             **kw)
+        dx, dw = tape.nodes[0].grad_fn(g)
+        return out.data, dx, dw
+
+    @staticmethod
+    def _level_batch(rng):
+        """An (8, 24, 32, 32) batch, ``matching.dec4``'s at 96x96 with 8
+        levels, its 3x3 weights and an output gradient. One item's copies
+        take 78,336 elements in one strip."""
+        x = rng.standard_normal((8, 24, 32, 32)).astype(np.float32)
+        w = (0.1 * rng.standard_normal((24, 24, 3, 3))).astype(np.float32)
+        return x, w, rng.standard_normal(x.shape).astype(np.float32)
+
+    def test_level_batch_copies_one_item_at_a_time(self, rng, monkeypatch):
+        """8 x 78,336 elements of copies exceed 2^18, so the forward, the dW
+        copies and dX each copy one level at a time. Under a 2^20 threshold
+        the forward and dX shared one 2.5 MB buffer, and the dW copies
+        always took the whole batch."""
+        batches = []
+        windows = ops._kernel_row_windows
+
+        def recording(x, *args):
+            batches.append(x.shape[0])
+            return windows(x, *args)
+
+        monkeypatch.setattr(ops, "_kernel_row_windows", recording)
+        self._out_dx_dw(*self._level_batch(rng), padding=1)
+        assert batches == [1] * 24
+
+    def test_level_batch_is_bit_identical_to_the_shared_buffer(self, rng, monkeypatch):
+        """Forward, dX and dW of the item-by-item path equal those of the
+        whole batch in one buffer, forced by a 2^20 threshold, bit for bit."""
+        x, w, g = self._level_batch(rng)
+        per_item = self._out_dx_dw(x, w, g, padding=1)
+        monkeypatch.setattr(ops, "_MIN_STRIP_ELEMENTS", 1 << 20)
+        assert ops._batch_slices(8, ops._strip_plan(24, 32, 32, 3, 3, 1, 1, 1)) == \
+            [slice(None)]
+        for a, b in zip(per_item, self._out_dx_dw(x, w, g, padding=1)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("stride, dilation, padding, cin, k", STRIP_GEOMETRIES)
+    def test_shared_buffer_over_several_strips_is_bit_identical(
+            self, rng, monkeypatch, stride, dilation, padding, cin, k):
+        """dW sums the items' products in the same strip-then-row order
+        either way, so a batch copied in several strips gives the same bits
+        one item at a time as in one shared buffer."""
+        seen = _split_into_strips(monkeypatch)
+        x = rng.standard_normal((3, cin, 13, 18)).astype(np.float32)
+        w = rng.standard_normal((16, cin, k, k)).astype(np.float32)
+        kw = dict(stride=stride, dilation=dilation, padding=padding)
+        out = ops.conv2d(Tensor(x), Tensor(w), **kw).data
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        per_item = self._out_dx_dw(x, w, g, **kw)
+        monkeypatch.setattr(ops, "_batch_slices", lambda b, plan: [slice(None)])
+        for a, b in zip(per_item, self._out_dx_dw(x, w, g, **kw)):
+            assert np.array_equal(a, b)
+        assert all(len(strips) >= 2 for strips in seen)
 
 
 # (cin, cout, kernel, dilation, padding), stride 1 with KH*Cout < Cin:
