@@ -224,6 +224,20 @@ def _split_into_strips(monkeypatch):
     return seen
 
 
+def _record_window_batches(monkeypatch):
+    """The list that gets the batch size of each ``_kernel_row_windows``
+    call."""
+    batches = []
+    windows = ops._kernel_row_windows
+
+    def recording(x, *args):
+        batches.append(x.shape[0])
+        return windows(x, *args)
+
+    monkeypatch.setattr(ops, "_kernel_row_windows", recording)
+    return batches
+
+
 class TestConvStrips:
     """conv2d in several strips of output rows, forced by a smaller budget."""
 
@@ -298,14 +312,7 @@ class TestConvStrips:
         above 2^18: its items run one at a time, forward, dW and dX,
         bit-identical to single items, also when the output is written over
         the residual."""
-        batches = []
-        windows = ops._kernel_row_windows
-
-        def recording(x, *args):
-            batches.append(x.shape[0])
-            return windows(x, *args)
-
-        monkeypatch.setattr(ops, "_kernel_row_windows", recording)
+        batches = _record_window_batches(monkeypatch)
         x = rng.standard_normal((4, 48, 48, 80)).astype(np.float32)
         w = Tensor(0.1 * rng.standard_normal((48, 48, 3, 3)).astype(np.float32))
         g = rng.standard_normal(x.shape).astype(np.float32)
@@ -351,14 +358,7 @@ class TestConvStrips:
         copies and dX each copy one level at a time. Under a 2^20 threshold
         the forward and dX shared one 2.5 MB buffer, and the dW copies
         always took the whole batch."""
-        batches = []
-        windows = ops._kernel_row_windows
-
-        def recording(x, *args):
-            batches.append(x.shape[0])
-            return windows(x, *args)
-
-        monkeypatch.setattr(ops, "_kernel_row_windows", recording)
+        batches = _record_window_batches(monkeypatch)
         self._out_dx_dw(*self._level_batch(rng), padding=1)
         assert batches == [1] * 24
 
