@@ -321,10 +321,21 @@ def _block(x: Tensor, name: str, weights: ModelWeights,
     spec = weights.specs[name]
     w = weights.params[name + ".w"]
     geometry = dict(stride=spec.stride, dilation=spec.dilation, padding=spec.padding)
-    if spec.norm:
-        return _norm_act(ops.conv2d(x, w, **geometry), name, weights, residual)
-    return ops.conv2d(x, w, weights.params.get(name + ".b"), residual=residual,
-                      relu=spec.act or residual is not None, **geometry)
+    if not spec.norm:
+        return ops.conv2d(x, w, weights.params.get(name + ".b"), residual=residual,
+                          relu=spec.act or residual is not None, **geometry)
+    out = ops.conv2d(x, w, **geometry)
+    if out.requires_grad and name.startswith("refine.") and residual is None:
+        # Refine's head and conv1 sums, full-resolution maps that only their
+        # norm reads, are dropped and rebuilt, by conv2d's own kernel, from an
+        # input the tape keeps anyway: the head's concat, which its dW reads,
+        # or a block input, conv2's residual. conv2's input is a dropped norm
+        # output itself.
+        xd, wd = x.data, w.data.copy()
+        out.rebuild = lambda: ops._correlate(xd, wd, **geometry)
+    y = _norm_act(out, name, weights, residual)
+    out.drop()
+    return y
 
 
 # The smallest features the model runs on: the matching net halves its
@@ -558,8 +569,8 @@ def _level_batch(levels: list[int], weights: ModelWeights):
 
 # Feature pixels of one matching-net batch. Batching levels saves the fixed
 # cost of each op call, but a batch's activations grow with it; its conv
-# copies do not, as a conv copies one level at a time once the batch's
-# copies exceed 1 MiB (ops._batch_slices). In an untaped forward pass at
+# copies do not, as a conv copies as many levels at a time as fit 1 MiB of
+# copies, at least one (ops._batch_slices). In an untaped forward pass at
 # 144x240 (48x80 features), whose stages hold only their own weights, 1 and
 # 2 levels per batch peak at 15.9 MB, in refine; 4 levels move the peak into
 # the matching net's activations, at 17.9 MB, and 8 to 26.0 MB. At 96x96 all
@@ -666,13 +677,17 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
     """Residual correction of the disparity, clamped to be non-negative.
 
     A block is ``x' = relu(x + conv2(conv1(x)))``, whose sum and ReLU run
-    inside the op that makes conv2's output (:func:`_block`). On a tape, a
-    block's conv1 norm output is dropped once conv2 has read it, and
-    conv2's weight gradient rebuilds it. The block outputs are kept: each
-    one's rebuild would read the previous one, rebuilt too. The blocks are
-    not segments (:func:`segment`): re-running them in backward would add
-    their taped forward, 28-31 ms of a tiny 96x96 step of about 180 ms,
-    more than the 15 % of step time that a cut in peak memory may cost.
+    inside the op that makes conv2's output (:func:`_block`). On a tape,
+    refine keeps to backward its head's input concat, each block's input
+    (as conv2's residual) and each conv2 sum. The raw sums of the head and
+    of each conv1 are dropped once their norm has run (:func:`_block`), and
+    a block's conv1 norm output once conv2 has read it; conv2's weight
+    gradient rebuilds that output and, through it, the conv1 sum, each
+    once. The block outputs are kept: each one's rebuild would read the
+    previous one, rebuilt too. The blocks are not segments
+    (:func:`segment`): re-running them in backward would add their taped
+    forward, 28-31 ms of a tiny 96x96 step of about 180 ms, more than the
+    15 % of step time that a cut in peak memory may cost.
     """
     if disp.shape[2:] != left_image.shape[2:] or disp.shape[2:] != ent.shape[2:]:
         raise ShapeError(f"refine: extents differ (disp {disp.shape}, "
@@ -724,10 +739,12 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     outputs are the same either way.
 
     A taped pass keeps to backward what its nodes' closures read: the
-    weights, the feature and refine maps (norm outputs dropped, to be
-    rebuilt), and of the matching net only the pair terms and each level
-    batch's cost maps, since each batch is a segment that backward re-runs
-    (:func:`build_cost_volume`).
+    weights, the feature maps (norm outputs dropped, to be rebuilt), of the
+    matching net only the pair terms and each level batch's cost maps,
+    since each batch is a segment that backward re-runs
+    (:func:`build_cost_volume`), and of refine the head's input, each
+    block's input and each conv2 sum; refine's other maps are rebuilt
+    (:func:`refine`).
     """
     if left.shape != right.shape:
         raise ShapeError(f"forward: image shapes differ {left.shape} vs {right.shape}")

@@ -115,11 +115,11 @@ _MIN_GEMM_K = 32
 # _MAX_STRIP_ELEMENTS (4 MiB of float32, two cores' 2 MiB L2 caches), so
 # that the GEMMs of a full-resolution layer read their operand from cache;
 # an input of at most 2^19 elements (32 channels at 128x128) keeps the
-# partition the ratio gives it. A batch shares one copy buffer only while
-# its items' copies together fit _MIN_STRIP_ELEMENTS; above that its items
-# are copied one at a time (:func:`_batch_slices`), so no conv's copies grow
-# with the batch (matching.dec4 at 96x96, 8 levels per batch, holds one
-# level's 78k elements of copies instead of 627k).
+# partition the ratio gives it. A batch is copied in slices of as many
+# items as fit _MIN_STRIP_ELEMENTS together, at least one
+# (:func:`_batch_slices`), so no conv's copies grow with the batch
+# (matching.dec4 at 96x96, 8 levels per batch, copies 3, 3 and 2 levels of
+# 78k elements each instead of all 8, 627k).
 _STRIP_INPUT_RATIO = 2
 _MIN_STRIP_ELEMENTS = 1 << 18
 _MAX_STRIP_ELEMENTS = 1 << 20
@@ -185,12 +185,13 @@ def _strip_plan(cin: int, h: int, w: int, kh: int, kw: int, stride: int, dilatio
 
 def _batch_slices(b: int, plan: _StripPlan) -> list[slice]:
     """The slices of a b-item batch whose strip copies share one buffer:
-    the whole batch while its items' copies together fit
-    ``_MIN_STRIP_ELEMENTS``, else each item alone. The forward kernel (and
-    so dX) and dW's copies both follow this rule."""
-    if b * plan.elements <= _MIN_STRIP_ELEMENTS:
+    as many items as fit ``_MIN_STRIP_ELEMENTS`` together, at least one,
+    so the first slice is the widest. The forward kernel (and so dX) and
+    dW's copies both follow this rule."""
+    per = max(1, _MIN_STRIP_ELEMENTS // plan.elements)
+    if b <= per:
         return [slice(None)]
-    return [slice(i, i + 1) for i in range(b)]
+    return [slice(i, min(i + per, b)) for i in range(0, b, per)]
 
 
 def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: int,
@@ -291,27 +292,28 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
     for item in _batch_slices(b, plan):
         for r0, n_rows, windows in _kernel_row_windows(x[item], kh, kw, stride, dilation,
                                                        padding, plan):
-            n = n_rows * ow
+            m, n = windows[0].shape[0], n_rows * ow
             if scratch is None:
                 # Allocated after the first strip's copies, which are freed
                 # first, so the freed copies lie below the live output and
                 # the next conv reuses them; with the output allocated
                 # first, an infer-full pass took about twice the page
-                # faults. The first strip is the largest, so the scratch
-                # fits every strip: ``part`` takes the products after the
-                # first, ``acc`` the sum that is added into the residual.
+                # faults. The first slice is the widest and its first strip
+                # the largest, so the scratch fits every strip: ``part``
+                # takes the products after the first, ``acc`` the sum that
+                # is added into the residual.
                 if out is None:
                     out = np.empty((b, cout, oh * ow), dtype=x.dtype)
-                shape = (windows[0].shape[0], cout, n)
+                shape = (m, cout, n)
                 scratch = (np.empty(shape, dtype=x.dtype) if len(windows) > 1 else None,
                            np.empty(shape, dtype=x.dtype) if overwrite else None)
             part, acc = scratch
             rows = slice(r0 * ow, r0 * ow + n)
-            dst = acc[:, :, :n] if overwrite else out[item, :, rows]
+            dst = acc[:m, :, :n] if overwrite else out[item, :, rows]
             k = windows[0].shape[1]
             np.matmul(w_taps[:, :k], windows[0], out=dst)
             for i, window in enumerate(windows[1:], 1):
-                dst += np.matmul(w_taps[:, i * k:(i + 1) * k], window, out=part[:, :, :n])
+                dst += np.matmul(w_taps[:, i * k:(i + 1) * k], window, out=part[:m, :, :n])
             _epilogue(dst, bias, None if residual is None else residual[item, :, rows], relu,
                       overwrite)
     return out.reshape(b, cout, oh, ow)
@@ -374,9 +376,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     runs last, on the strip while it is in cache: the bias is added, then
     the residual's rows of the strip, then the strip is clamped at 0. Where
     KW*Cin is below ``_MIN_GEMM_K`` the copies take every tap, and one GEMM
-    covers the kernel. The batch shares one buffer of copies only while
-    its items' copies together fit ``_MIN_STRIP_ELEMENTS``; above that each
-    item is copied and convolved alone (:func:`_batch_slices`). Either
+    covers the kernel. The batch is copied and convolved in slices of as
+    many items as fit ``_MIN_STRIP_ELEMENTS`` together, at least one
+    (:func:`_batch_slices`); each slice shares one buffer of copies. Either
     lowering runs one GEMM per batch item, so an item comes out
     bit-identical to convolving it alone. Which lowering runs depends on
     Cout, so a block of output channels that takes the other lowering than
@@ -387,7 +389,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     copy, and dX runs once the dW copies are freed. The products of one
     strip and kernel row are stacked over the batch and summed over items
     in one ``sum(axis=0)``, strip after strip and row after row, so dW has
-    the same bits whether the batch shares a buffer or not. dX is itself a
+    the same bits however the batch is sliced. dX is itself a
     convolution by the same kernel code: the output gradient, placed at
     stride on a zero grid ``dilation*(k-1)`` larger than x on each axis,
     correlated with the flipped kernel with its channel axes swapped. At
@@ -487,10 +489,13 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     ``y = xhat * gamma``, then the conv's :func:`_epilogue` in place, with
     beta as its bias, the residual where given, and the ReLU with
     ``relu=True``, is one tape node that keeps no activation-sized array of
-    its own. It saves x's array, the per-item ``mu`` / ``inv``, copies of
-    gamma and beta taken now, and the residual's array. On a tape, once
-    recorded, its output gets a ``rebuild`` that repeats the forward's op
-    sequence on them and joins the tape's ``rebuildable``, so
+    its own. It saves the tensor x, no array of it: backward and the
+    rebuild read ``x.data``, so an x that forward code dropped is rebuilt
+    once, on the first such read (refine's head and conv1 sums). It also
+    saves the per-item ``mu`` / ``inv``, copies of gamma and beta taken
+    now, and the residual's array. On a tape, once recorded, its output
+    gets a ``rebuild`` that repeats the forward's op sequence on them and
+    joins the tape's ``rebuildable``, so
     :func:`shiftstereo.tensor.backward` (or forward code, by
     ``Tensor.drop``) drops the output and a read rebuilds it bit-identical
     to the forward's, also after an optimizer step changed gamma and beta.
@@ -531,7 +536,7 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     rd = None if residual is None else residual.data.reshape(b, c, n)
 
     def normalized():
-        xhat = xd - mu
+        xhat = x.data - mu
         xhat *= inv
         return xhat
 

@@ -9,12 +9,15 @@ map dies at its last use (liveness as in Chen et al. 2016, arXiv
 :class:`Tensor`'s.
 
 A taped pass thus keeps to backward the arrays its nodes' closures saved,
-less the outputs with a ``rebuild``, which backward drops first. A
-:func:`segment`, Chen et al.'s recompute, records a whole function as one
-node that keeps only its inputs and its output; backward re-runs the
-function under a tape of its own, one segment at a time. The model's
-matching-net level batches are segments; see ``model.build_cost_volume``
-and, for why refine's blocks are not, ``model.refine``.
+less the outputs with a ``rebuild``, which backward drops first and forward
+code may drop sooner: of refine's full-resolution maps the tape keeps each
+block's input and conv2 sum, while the head and conv1 sums and the conv1
+norm outputs are rebuilt (``model.refine``). A :func:`segment`, Chen et
+al.'s recompute, records a whole function as one node that keeps only its
+inputs and its output; backward re-runs the function under a tape of its
+own, one segment at a time. The model's matching-net level batches are
+segments; see ``model.build_cost_volume`` and, for why refine's blocks are
+not, ``model.refine``.
 """
 
 from __future__ import annotations
@@ -188,11 +191,13 @@ def backward(loss: Tensor, tape: Tape) -> None:
 
 def _consume(tape: Tape, output: Tensor, grad: np.ndarray) -> None:
     """Replay ``tape`` from ``grad``, the gradient of its last ``output``,
-    as :func:`backward` describes."""
+    as :func:`backward` describes. The rebuildable outputs are popped, not
+    iterated, so that no name stays bound to the last one (refine's last
+    block output) and keeps the array its reader rebuilds alive through the
+    whole replay."""
     output.grad = grad
-    for t in tape.rebuildable:
-        t.drop()
-    tape.rebuildable.clear()
+    while tape.rebuildable:
+        tape.rebuildable.pop().drop()
     nodes = tape.nodes
     while nodes:
         _replay(nodes.pop())

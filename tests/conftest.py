@@ -6,6 +6,7 @@ package's vectorized implementations.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -298,6 +299,20 @@ def backward_reference(loss, tape):
                 tensor.grad = np.array(grad)
             else:
                 tensor.grad += grad
+
+
+def traced_peak(fn):
+    """Call ``fn()`` under tracemalloc. Returns its result, the bytes still
+    allocated when it returns and the peak it reached, both counted from
+    the start of the call."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept - base, peak - base
 
 
 # Cost-volume schedules, by the disparity levels the matching net runs as

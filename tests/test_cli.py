@@ -4,11 +4,11 @@ import os
 import re
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from shiftstereo import cli, model
 from shiftstereo.baseline import estimate_resources
 from shiftstereo.datasets import (RdsConfig, gen_rds, normalize_image, read_manifest,
@@ -78,12 +78,9 @@ def _infer_peak(ckpt, left, right, out) -> int:
     """Traced peak of an ``infer`` run after a warm-up run, which takes the
     imports and cached matrices out of the figure."""
     assert _infer(ckpt, left, right, out) == 0
-    tracemalloc.start()
-    try:
-        assert _infer(ckpt, left, right, out) == 0
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, _, peak = traced_peak(lambda: _infer(ckpt, left, right, out))
+    assert code == 0
+    return peak
 
 
 def test_infer_holds_only_the_folded_weights(tmp_path, pair):

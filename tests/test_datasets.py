@@ -3,13 +3,12 @@
 import hashlib
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import render_views_reference
+from conftest import render_views_reference, traced_peak
 from shiftstereo import datasets
 from shiftstereo.datasets import (RdsConfig, StereoSample, gen_rds, load_dataset,
                                   read_manifest, read_pfm, read_pnm, save_samples,
@@ -209,13 +208,12 @@ class TestPfm:
     def test_header_extents_beyond_the_file_allocate_no_payload(self, tmp_path):
         path = tmp_path / "huge.pfm"
         path.write_bytes(b"Pf\n5000 5000\n-1.0\n" + bytes(10))
-        tracemalloc.start()
-        try:
+
+        def read():
             with pytest.raises(ParseError, match="truncated"):
                 read_pfm(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, _, peak = traced_peak(read)
         assert peak < 1 << 20
 
 
@@ -274,13 +272,12 @@ class TestPnm:
     def test_header_extents_beyond_the_file_allocate_no_payload(self, tmp_path):
         path = tmp_path / "huge.pgm"
         path.write_bytes(b"P5\n10000 10000\n255\n" + bytes(10))
-        tracemalloc.start()
-        try:
+
+        def read():
             with pytest.raises(ParseError, match="truncated"):
                 read_pnm(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        _, _, peak = traced_peak(read)
         assert peak < 1 << 20
 
     def test_truncated_payload(self, tmp_path):

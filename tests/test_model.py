@@ -1,12 +1,12 @@
 """Network wiring, displacement invariance, projection oracles, refinement."""
 
-import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from conftest import LEVEL_BATCHES, batch_norm_reference, refine_unfused, set_level_batch
+from conftest import (LEVEL_BATCHES, batch_norm_reference, refine_unfused, set_level_batch,
+                      traced_peak)
 from shiftstereo import model, ops
 from shiftstereo.errors import ConfigError, ShapeError
 from shiftstereo.gradcheck import CheckCase, run_case
@@ -355,12 +355,7 @@ class TestCostVolume:
                        for _ in range(2))
 
         def peak_bytes():
-            tracemalloc.start()
-            try:
-                model.forward_tensors(left, right, weights, cfg)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(lambda: model.forward_tensors(left, right, weights, cfg))[2]
 
         default = peak_bytes()
         set_level_batch(monkeypatch, "sequential")
@@ -376,12 +371,7 @@ class TestCostVolume:
         rng = np.random.default_rng(0)
         left, right = (Tensor(rng.standard_normal((1, 3, 144, 240)).astype(np.float32))
                        for _ in range(2))
-        tracemalloc.start()
-        try:
-            out = model.forward_tensors(left, right, weights, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, _, peak = traced_peak(lambda: model.forward_tensors(left, right, weights, cfg))
         assert sorted(out) == ["coarse", "entropy", "refined"]
         assert peak < 17.0e6
 
@@ -395,12 +385,7 @@ class TestCostVolume:
         rng = np.random.default_rng(0)
         left, right = (Tensor(rng.standard_normal((1, 1, 96, 96)).astype(np.float32))
                        for _ in range(2))
-        tracemalloc.start()
-        try:
-            model.forward_tensors(left, right, weights, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, _, peak = traced_peak(lambda: model.forward_tensors(left, right, weights, cfg))
         assert peak < 6.3e6
 
     def test_refine_holds_only_its_own_weights(self, rng, monkeypatch):

@@ -1,18 +1,24 @@
 """Forward-kernel oracles: hand-evaluated fixtures and naive-loop references."""
 
 import contextlib
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (avg_pool_reference, avg_pool_strided_reference, batch_norm_reference,
-                      conv2d_reference, resize_matrix_reference)
+                      conv2d_reference, resize_matrix_reference, traced_peak)
 from shiftstereo import ops
 from shiftstereo.errors import ShapeError
 from shiftstereo.gradcheck import _conv_case, op_cases, run_case
 from shiftstereo.tensor import HIGH, Tape, Tensor, backward
+
+
+def _taped_conv(x, w, **kw):
+    """A conv2d recorded on a tape of its own; returns the tape and the output."""
+    with Tape() as tape:
+        out = ops.conv2d(x, w, **kw)
+    return tape, out
 
 
 class TestConv2d:
@@ -138,13 +144,7 @@ class TestConv2d:
                    requires_grad=True)
         w = Tensor(rng.standard_normal((32, 32, 3, 3)).astype(np.float32),
                    requires_grad=True)
-        tracemalloc.start()
-        try:
-            with Tape() as tape:
-                out = ops.conv2d(x, w, dilation=4, padding=4)
-            kept, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (tape, out), kept, _ = traced_peak(lambda: _taped_conv(x, w, dilation=4, padding=4))
         assert len(tape.nodes) == 1
         assert kept < 2 * (x.data.nbytes + out.data.nbytes)
 
@@ -155,13 +155,7 @@ class TestConv2d:
                    requires_grad=True)
         w = Tensor(rng.standard_normal((32, 32, 3, 3)).astype(np.float32),
                    requires_grad=True)
-        tracemalloc.start()
-        try:
-            with Tape() as tape:
-                out = ops.conv2d(x, w, dilation=4, padding=4)
-            kept, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (tape, out), kept, _ = traced_peak(lambda: _taped_conv(x, w, dilation=4, padding=4))
         assert len(tape.nodes) == 1
         assert kept < 1.25 * out.data.nbytes
 
@@ -176,13 +170,7 @@ class TestConv2d:
         with Tape() as tape:
             out = ops.conv2d(x, w, dilation=4, padding=4)
         g = rng.standard_normal(out.shape).astype(np.float32)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            dx, _ = tape.nodes[0].grad_fn(g)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        (dx, _), _, peak = traced_peak(lambda: tape.nodes[0].grad_fn(g))
         assert dx.shape == x.shape
         assert peak < 3.5 * out.data.nbytes, peak
 
@@ -193,12 +181,7 @@ class TestConv2d:
         x = Tensor(rng.standard_normal((1, 32, 144, 240)).astype(np.float32))
         w = Tensor(rng.standard_normal((32, 32, 3, 3)).astype(np.float32))
         b = Tensor(rng.standard_normal((1, 32, 1, 1)).astype(np.float32))
-        tracemalloc.start()
-        try:
-            out = ops.conv2d(x, w, b, dilation=4, padding=4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, _, peak = traced_peak(lambda: ops.conv2d(x, w, b, dilation=4, padding=4))
         assert peak < 3.5 * out.data.nbytes
 
 
@@ -353,18 +336,43 @@ class TestConvStrips:
         w = (0.1 * rng.standard_normal((24, 24, 3, 3))).astype(np.float32)
         return x, w, rng.standard_normal(x.shape).astype(np.float32)
 
-    def test_level_batch_copies_one_item_at_a_time(self, rng, monkeypatch):
+    def test_level_batch_copies_as_many_items_as_fit(self, rng, monkeypatch):
         """8 x 78,336 elements of copies exceed 2^18, so the forward, the dW
-        copies and dX each copy one level at a time. Under a 2^20 threshold
+        copies and dX each copy the levels in slices of 3, 3 and 2, and no
+        shared buffer holds more than 2^18 elements. Under a 2^20 threshold
         the forward and dX shared one 2.5 MB buffer, and the dW copies
         always took the whole batch."""
-        batches = _record_window_batches(monkeypatch)
+        calls = []
+        windows = ops._kernel_row_windows
+
+        def recording(x, *args):
+            calls.append((x.shape[0], args[-1].elements))
+            return windows(x, *args)
+
+        monkeypatch.setattr(ops, "_kernel_row_windows", recording)
         self._out_dx_dw(*self._level_batch(rng), padding=1)
-        assert batches == [1] * 24
+        assert [b for b, _ in calls] == [3, 3, 2] * 3
+        assert max(b * elements for b, elements in calls) <= 1 << 18
+
+    def test_uneven_slices_are_bit_identical_to_single_items(self, rng, monkeypatch):
+        """The 3, 3 and 2 level slices give each item's forward and dX bits
+        of that item convolved alone, and forward, dX and dW equal those of
+        the batch copied one item at a time."""
+        x, w, g = self._level_batch(rng)
+        sliced = self._out_dx_dw(x, w, g, padding=1)
+        for i in range(8):
+            out, dx, _ = self._out_dx_dw(x[i:i + 1], w, g[i:i + 1], padding=1)
+            assert np.array_equal(sliced[0][i:i + 1], out)
+            assert np.array_equal(sliced[1][i:i + 1], dx)
+        monkeypatch.setattr(ops, "_batch_slices",
+                            lambda b, plan: [slice(i, i + 1) for i in range(b)])
+        for a, b in zip(sliced, self._out_dx_dw(x, w, g, padding=1)):
+            assert np.array_equal(a, b)
 
     def test_level_batch_is_bit_identical_to_the_shared_buffer(self, rng, monkeypatch):
-        """Forward, dX and dW of the item-by-item path equal those of the
-        whole batch in one buffer, forced by a 2^20 threshold, bit for bit."""
+        """Forward, dX and dW of the 3, 3 and 2 level slices equal those of
+        the whole batch in one buffer, forced by a 2^20 threshold, bit for
+        bit."""
         x, w, g = self._level_batch(rng)
         per_item = self._out_dx_dw(x, w, g, padding=1)
         monkeypatch.setattr(ops, "_MIN_STRIP_ELEMENTS", 1 << 20)
@@ -592,12 +600,8 @@ class TestBatchNormRelu:
         rmean = Tensor(np.zeros((1, 16, 1, 1), dtype=np.float32))
         rvar = Tensor(np.ones((1, 16, 1, 1), dtype=np.float32))
         with Tape() as tape:
-            tracemalloc.start()
-            try:
-                out = ops.batch_norm(x, gamma, beta, rmean, rvar, relu=True)
-                kept, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            out, kept, peak = traced_peak(
+                lambda: ops.batch_norm(x, gamma, beta, rmean, rvar, relu=True))
         assert [node.op for node in tape.nodes] == ["batch_norm"]
         assert peak < 1.1 * out.data.nbytes
         assert kept < 1.1 * out.data.nbytes
@@ -778,12 +782,7 @@ class TestRelu:
 
     def test_untaped_relu_allocates_only_its_output(self, rng):
         x = Tensor(rng.standard_normal((1, 32, 144, 240)).astype(np.float32))
-        tracemalloc.start()
-        try:
-            out = ops.relu(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        out, _, peak = traced_peak(lambda: ops.relu(x))
         assert peak < 1.1 * out.data.nbytes
 
 

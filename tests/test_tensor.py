@@ -154,6 +154,37 @@ class TestTapeConsumption:
         assert a.grad is None and b.grad is None and loss.grad is None
         np.testing.assert_allclose(x.grad, 6.0 * x.data, rtol=1e-15)
 
+    def test_the_last_rebuildable_output_dies_with_its_last_reader(self, rng):
+        """Backward holds no output it dropped: once the conv that reads a
+        norm's output and the norm itself have replayed, the array the
+        conv's weight gradient rebuilt is dead before the next node runs. A
+        loop variable over the tape's ``rebuildable`` kept it alive through
+        the whole replay."""
+        c = (1, 2, 1, 1)
+        x = Tensor(rng.standard_normal((1, 2, 6, 6)), requires_grad=True)
+        gamma, beta = (Tensor(np.full(c, v), requires_grad=True) for v in (1.0, 0.0))
+        w = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=True)
+        rebuilt, alive = [], []
+
+        def probe(g):
+            alive.extend(ref() is not None for ref in rebuilt)
+            return (g,)
+
+        with Tape() as tape:
+            first = tensor.record_op("probe", Tensor(x.data.copy()), (x,), probe)
+            y = ops.batch_norm(first, gamma, beta, Tensor(np.zeros(c)), Tensor(np.ones(c)))
+            loss = ops.sum_all(ops.conv2d(y, w, padding=1))
+
+        def recorded(rebuild=y.rebuild):
+            array = rebuild()
+            rebuilt.append(weakref.ref(array))
+            return array
+
+        y.rebuild = recorded
+        del y
+        backward(loss, tape)
+        assert len(rebuilt) == 1 and alive == [False]
+
     def test_training_step_leaf_grads_equal_a_replay_that_keeps_the_tape(self):
         """A tiny-profile training step on a 48x48 stereogram: after
         backward the tape is empty and no op output holds a gradient, and
@@ -270,13 +301,14 @@ class TestElementwiseContracts:
                 fn(a, b)
 
 
-def _count_rebuilds(tape):
-    """Wrap the ``rebuild`` of every output in the tape's ``rebuildable`` in
-    a counter; list them as ``[tensor, copy of its forward bits, rebuild
-    count]``. An output that forward code dropped already (refine's conv1
-    norms) gives its bits by a rebuild that is not counted."""
+def _count_rebuilds(tensors):
+    """Wrap the ``rebuild`` of every tensor in ``tensors`` (a tape's
+    ``rebuildable``, say) in a counter; list them as ``[tensor, copy of its
+    forward bits, rebuild count]``. A tensor that forward code dropped
+    already (refine's conv1 norms) gives its bits by a rebuild that is not
+    counted."""
     outputs = []
-    for t in tape.rebuildable:
+    for t in tensors:
         entry = [t, t.rebuild() if t._data is None else t.data.copy(), 0]
         outputs.append(entry)
 
@@ -357,22 +389,67 @@ class TestRebuiltNormOutputs:
         assert len(per_level) == 4 and all(ref() is None for ref in per_level)
         assert len(conv1) == len(cfg.refine_blocks)
         assert all(ref() is None for _, _, ref in conv1)
-        counts = {id(entry[0]): entry for entry in _count_rebuilds(tape)}
+        counts = {id(entry[0]): entry for entry in _count_rebuilds(tape.rebuildable)}
         backward(loss, tape)
         for t, forward_bits, _ in conv1:
             assert counts[id(t)][2] == 1
             assert np.array_equal(t.data, forward_bits)
 
-    def test_training_step_bit_equal_to_a_norm_that_keeps_its_output(self, monkeypatch):
-        weights, loss, left_grad = self._step()
-        monkeypatch.setattr(ops, "batch_norm", batch_norm_kept)
-        kept, kept_loss, kept_left_grad = self._step()
+    @staticmethod
+    def _assert_bit_equal(step, kept_step):
+        """Two ``_step`` results have the same loss, left image gradient,
+        parameter gradients and running buffers, bit for bit."""
+        (weights, loss, left_grad), (kept, kept_loss, kept_left_grad) = step, kept_step
         assert loss == kept_loss
         assert np.array_equal(left_grad, kept_left_grad)
         for name, p in weights.params.items():
             assert np.array_equal(p.grad, kept.params[name].grad), name
         for name, t in weights.buffers.items():
             assert np.array_equal(t.data, kept.buffers[name].data), name
+
+    def test_training_step_bit_equal_to_a_norm_that_keeps_its_output(self, monkeypatch):
+        step = self._step()
+        monkeypatch.setattr(ops, "batch_norm", batch_norm_kept)
+        self._assert_bit_equal(step, self._step())
+
+    def test_training_step_bit_equal_to_refine_keeping_its_conv_sums(self, monkeypatch):
+        """Refine's head and conv1 sums hold no array once forward ends, and
+        backward rebuilds each once; the loss, every parameter gradient, the
+        left image's gradient and every running buffer are bit for bit those
+        of the same step with the sums kept."""
+        outputs, entries = [], []
+        conv2d, consume = ops.conv2d, tensor._consume
+
+        class Kept(Tensor):
+            __slots__ = ()
+
+            def drop(self):
+                pass
+
+        def recorded(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            outputs.append(out)
+            return out
+
+        def counted(tape, output, grad):
+            if not entries:  # the step's own tape, before any segment's
+                entries.extend(_count_rebuilds([t for t in outputs if t._data is None]))
+            consume(tape, output, grad)
+
+        monkeypatch.setattr(ops, "conv2d", recorded)
+        monkeypatch.setattr(tensor, "_consume", counted)
+        step = self._step()
+        assert len(entries) == 1 + len(ModelConfig.tiny().refine_blocks)
+        for t, forward_bits, count in entries:
+            assert count == 1 and np.array_equal(t.data, forward_bits)
+
+        def kept_conv2d(*args, **kwargs):
+            out = conv2d(*args, **kwargs)
+            out.__class__ = Kept
+            return out
+
+        monkeypatch.setattr(ops, "conv2d", kept_conv2d)
+        self._assert_bit_equal(step, self._step())
 
     def test_each_norm_output_is_rebuilt_at_most_once(self, monkeypatch):
         """Counts the norm outputs of every tape that backward consumes: the
@@ -382,7 +459,7 @@ class TestRebuiltNormOutputs:
         consume = tensor._consume
 
         def counted(tape, output, grad):
-            outputs.extend(_count_rebuilds(tape))
+            outputs.extend(_count_rebuilds(tape.rebuildable))
             consume(tape, output, grad)
 
         monkeypatch.setattr(tensor, "_consume", counted)
@@ -415,7 +492,7 @@ class TestRebuiltNormOutputs:
             y = ops.batch_norm(x, params["gamma"], params["beta"],
                                Tensor(np.zeros(c)), Tensor(np.ones(c)))
             loss = ops.sum_all(ops.mul(ops.avg_pool(y, 2), proj))
-        [entry] = _count_rebuilds(tape)
+        [entry] = _count_rebuilds(tape.rebuildable)
         backward(loss, tape)
         return y, params, entry
 
