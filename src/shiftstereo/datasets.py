@@ -14,6 +14,7 @@ PFM and PNM readers here and ``training.load_checkpoint``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -202,6 +203,21 @@ class BoundedReader:
         return line
 
 
+@contextlib.contextmanager
+def replacing(path: str):
+    """A binary file written beside ``path`` and renamed over it once whole:
+    a failed or crashed write leaves ``path`` as it was."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # PFM (portable float map, grayscale "Pf")
 # ---------------------------------------------------------------------------
@@ -238,7 +254,7 @@ def write_pfm(values: np.ndarray, path: str) -> None:
     if values.ndim != 2:
         raise ShapeError(f"write_pfm expects an (H, W) map, got shape {values.shape}")
     height, width = values.shape
-    with open(path, "wb") as f:
+    with replacing(path) as f:
         f.write(b"Pf\n")
         f.write(f"{width} {height}\n".encode("ascii"))
         f.write(b"-1.0\n")  # negative scale: little-endian payload

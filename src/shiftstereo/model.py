@@ -32,7 +32,7 @@ class ModelConfig:
     resolution. ``spp_pools`` lists (window, branch_channels) pairs; the
     fusion convolution consumes the pre-pool map plus all branches. The
     :meth:`tiny` and :meth:`full` constructors give the two profiles.
-    Every field holds Python ints only: a bool or a float is a ConfigError.
+    Every field holds Python ints of at least 1: a bool, a float or 0 is a ConfigError.
     """
 
     in_channels: int = 3
@@ -45,17 +45,19 @@ class ModelConfig:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if any(type(v) is not int for v in np.ravel(np.array(value, dtype=object))):
+            values = np.ravel(np.array(value, dtype=object))
+            if any(type(v) is not int for v in values):
                 raise ConfigError(f"{name} must hold ints, got {value!r}")
+            if min(values, default=1) < 1:
+                raise ConfigError(f"{name} must hold values of at least 1, got {value!r}")
         if self.in_channels not in (1, 3):
             raise ConfigError(f"in_channels must be 1 or 3, got {self.in_channels}")
-        if self.feature_channels <= 0:
-            raise ConfigError("feature_channels must be positive")
-        if self.max_disparity <= 0 or self.max_disparity % 3 != 0:
-            raise ConfigError(f"max_disparity must be a positive multiple of 3, "
-                              f"got {self.max_disparity}")
+        if self.max_disparity % 3 != 0:
+            raise ConfigError(f"max_disparity must be a multiple of 3, got {self.max_disparity}")
         if len(self.matching_channels) != 4:
             raise ConfigError("matching_channels needs exactly 4 entries")
+        if any(np.shape(pool) != (2,) for pool in self.spp_pools):
+            raise ConfigError(f"spp_pools must hold (window, channels) pairs, got {self.spp_pools}")
 
     @property
     def levels(self) -> int:
@@ -568,9 +570,9 @@ def _level_batch(levels: list[int], weights: ModelWeights):
 
 
 # Feature pixels of one matching-net batch. Batching levels saves the fixed
-# cost of each op call, but a batch's activations grow with it; its conv
-# copies do not, as a conv copies as many levels at a time as fit 1 MiB of
-# copies, at least one (ops._batch_slices). In an untaped forward pass at
+# cost of each op call, but a batch's activations grow with it; its forward
+# conv copies do not, as a conv copies as many levels at a time as fit 1 MiB
+# of copies, at least one (ops._batch_slices). In an untaped forward pass at
 # 144x240 (48x80 features), whose stages hold only their own weights, 1 and
 # 2 levels per batch peak at 15.9 MB, in refine; 4 levels move the peak into
 # the matching net's activations, at 17.9 MB, and 8 to 26.0 MB. At 96x96 all

@@ -4,9 +4,10 @@ Each rule is said once, by the function that owns it: :func:`conv2d`, how
 a convolution is lowered by its shape and what its backward rebuilds;
 :func:`_row_strips` and the constants above it, how large a strip of
 copies gets; :func:`_batch_slices`, which batch items share one buffer of
-copies; :func:`_epilogue`, the bias, residual and ReLU that end a conv
-or a :func:`batch_norm` inside the op that makes the output; :func:`_join`,
-the concatenation behind :func:`concat_channels` and :func:`stack_batch`.
+forward copies; :func:`_epilogue`, the bias, residual and ReLU that end a
+conv or a :func:`batch_norm` inside the op that makes the output;
+:func:`_join`, the concatenation behind :func:`concat_channels` and
+:func:`stack_batch`.
 All reductions use a fixed order, so repeated runs are bit-identical, and a
 batch item's result does not depend on the rest of the batch.
 """
@@ -115,11 +116,11 @@ _MIN_GEMM_K = 32
 # _MAX_STRIP_ELEMENTS (4 MiB of float32, two cores' 2 MiB L2 caches), so
 # that the GEMMs of a full-resolution layer read their operand from cache;
 # an input of at most 2^19 elements (32 channels at 128x128) keeps the
-# partition the ratio gives it. A batch is copied in slices of as many
-# items as fit _MIN_STRIP_ELEMENTS together, at least one
-# (:func:`_batch_slices`), so no conv's copies grow with the batch
-# (matching.dec4 at 96x96, 8 levels per batch, copies 3, 3 and 2 levels of
-# 78k elements each instead of all 8, 627k).
+# partition the ratio gives it. Forward and dX copy a batch in slices of
+# as many items as fit _MIN_STRIP_ELEMENTS together, at least one
+# (:func:`_batch_slices`): matching.dec4 at 96x96, 8 levels per batch,
+# copies 3, 3 and 2 levels of 78k elements each instead of all 8, 627k.
+# dW copies the whole batch; no measured peak lies in its copies.
 _STRIP_INPUT_RATIO = 2
 _MIN_STRIP_ELEMENTS = 1 << 18
 _MAX_STRIP_ELEMENTS = 1 << 20
@@ -184,10 +185,9 @@ def _strip_plan(cin: int, h: int, w: int, kh: int, kw: int, stride: int, dilatio
 
 
 def _batch_slices(b: int, plan: _StripPlan) -> list[slice]:
-    """The slices of a b-item batch whose strip copies share one buffer:
-    as many items as fit ``_MIN_STRIP_ELEMENTS`` together, at least one,
-    so the first slice is the widest. The forward kernel (and so dX) and
-    dW's copies both follow this rule."""
+    """The slices of a b-item batch whose forward (and so dX) strip copies
+    share one buffer: as many items as fit ``_MIN_STRIP_ELEMENTS``
+    together, at least one, so the first slice is the widest."""
     per = max(1, _MIN_STRIP_ELEMENTS // plan.elements)
     if b <= per:
         return [slice(None)]
@@ -384,13 +384,13 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     Cout, so a block of output channels that takes the other lowering than
     the whole may round differently.
 
-    Backward rebuilds the copies strip by strip from x, by the same rule,
-    and runs one dW GEMM per kernel row and batch slice; the tape keeps no
-    copy, and dX runs once the dW copies are freed. The products of one
-    strip and kernel row are stacked over the batch and summed over items
-    in one ``sum(axis=0)``, strip after strip and row after row, so dW has
-    the same bits however the batch is sliced. dX is itself a
-    convolution by the same kernel code: the output gradient, placed at
+    Backward rebuilds the copies strip by strip from x, by the same rule
+    but for the whole batch in one buffer, and runs one stacked dW GEMM,
+    one product per item, per strip and kernel row; the tape keeps no copy,
+    and dX runs once the dW copies are freed. The items' products of one
+    strip and kernel row are summed in one ``sum(axis=0)``, strip after
+    strip and row after row. dX is itself a convolution by the same kernel
+    code, and so sliced as the forward is: the output gradient, placed at
     stride on a zero grid ``dilation*(k-1)`` larger than x on each axis,
     correlated with the flipped kernel with its channel axes swapped. At
     stride 1, with a square kernel and ``padding <= dilation*(k-1)``, that
@@ -435,23 +435,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
         gflat = g.reshape(b, cout, oh * ow)
         dw = np.zeros((cout, kh * kw * cin), dtype=g.dtype)
         plan = _strip_plan(cin, h, w, kh, kw, stride, dilation, padding)
-        items = _batch_slices(b, plan)
-        # A (strip, kernel row)'s products are summed once the last slice
-        # has made its own, and the last slice runs strips and rows in order.
-        products = {}
-        for item in items:
-            for s, (r0, n_rows, windows) in enumerate(_kernel_row_windows(
-                    x.data[item], kh, kw, stride, dilation, padding, plan)):
-                g_strip = gflat[item, :, r0 * ow:(r0 + n_rows) * ow]
-                k = windows[0].shape[1]
-                for i, window in enumerate(windows):
-                    done = products.setdefault((s, i), [])
-                    done.append(np.matmul(g_strip, window.transpose(0, 2, 1)))
-                    if len(done) == len(items):
-                        batch = done[0] if len(done) == 1 else np.concatenate(done)
-                        dw[:, i * k:(i + 1) * k] += batch.sum(axis=0)
-                        done.clear()
-        del windows, window, batch  # the strip copies' views and products, freed before dX
+        for r0, n_rows, windows in _kernel_row_windows(x.data, kh, kw, stride, dilation,
+                                                       padding, plan):
+            g_strip = gflat[:, :, r0 * ow:(r0 + n_rows) * ow]
+            k = windows[0].shape[1]
+            for i, window in enumerate(windows):
+                product = np.matmul(g_strip, window.transpose(0, 2, 1))
+                dw[:, i * k:(i + 1) * k] += product.sum(axis=0)
+        del windows, window, product  # the copies' views and a product, freed before dX
         dw = np.ascontiguousarray(dw.reshape(cout, kh, kw, cin).transpose(0, 3, 1, 2))
         dx = (_input_grad(g, weight.data, h, w, stride, dilation, padding)
               if x.requires_grad else None)

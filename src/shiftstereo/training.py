@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ops
-from .datasets import BoundedReader, StereoSample, valid_mask
+from .datasets import BoundedReader, StereoSample, replacing, valid_mask
 from .errors import (CheckpointFormatError, CheckpointShapeError, CheckpointVersionError,
                      ConfigError, ShapeError, TrainingDiverged)
 from .model import (ModelConfig, ModelWeights, check_image_channels, forward_tensors,
@@ -185,23 +184,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str) -> None:
         entries += [("m/" + k, v) for k, v in ckpt.adam.m.items()]
         entries += [("v/" + k, v) for k, v in ckpt.adam.v.items()]
     meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    # Write beside the target, then rename over it: a crash mid-write
-    # leaves the previous checkpoint whole.
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<I", len(meta_bytes)))
-            f.write(meta_bytes)
-            f.write(struct.pack("<I", len(entries)))
-            for name, arr in entries:
-                _write_entry(f, name, arr)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with replacing(path) as f:  # a crash mid-write leaves the previous checkpoint whole
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        f.write(struct.pack("<I", len(meta_bytes)))
+        f.write(meta_bytes)
+        f.write(struct.pack("<I", len(entries)))
+        for name, arr in entries:
+            _write_entry(f, name, arr)
 
 
 _ADAM_KEYS = ("lr", "t")
@@ -211,7 +201,7 @@ def _read_meta(r: BoundedReader) -> tuple[dict, ModelConfig]:
     (meta_len,) = r.unpack("<I")
     try:
         meta = json.loads(r.need(meta_len).decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError, JSONDecodeError
+    except (ValueError, RecursionError) as e:  # garbled bytes or JSON, or nested too deep
         raise CheckpointFormatError(f"{r.path}: garbled metadata block ({e})")
     if not isinstance(meta, dict) or "epoch" not in meta \
             or not isinstance(meta.get("config"), dict):

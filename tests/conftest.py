@@ -6,6 +6,7 @@ package's vectorized implementations.
 """
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -313,6 +314,14 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, kept - base, peak - base
+
+
+def rewrite_metadata(blob, edit):
+    """A checkpoint's bytes ``blob`` with the metadata block that ``edit``
+    makes of the bytes of its own."""
+    (meta_len,) = struct.unpack_from("<I", blob, 8)
+    meta = edit(blob[12:12 + meta_len])
+    return blob[:8] + struct.pack("<I", len(meta)) + meta + blob[12 + meta_len:]
 
 
 # Cost-volume schedules, by the disparity levels the matching net runs as

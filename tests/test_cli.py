@@ -8,8 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import traced_peak
-from shiftstereo import cli, model
+from conftest import rewrite_metadata, traced_peak
+from shiftstereo import cli, datasets, model
 from shiftstereo.baseline import estimate_resources
 from shiftstereo.datasets import (RdsConfig, gen_rds, normalize_image, read_manifest,
                                   read_pfm, read_pnm, save_samples, write_pfm)
@@ -214,21 +214,72 @@ def test_infer_writes_both_outputs_or_neither(tmp_path, pair, capsys):
     assert "cannot write the output" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("damage", ["truncated", "unknown config key"])
+_DAMAGES = {
+    "truncated": lambda blob: blob[:len(blob) // 2],
+    "unknown config key": lambda blob: blob.replace(b'"feature_channels"',
+                                                    b'"feature_channelZ"'),
+    # Each of these two used to stop infer with a traceback.
+    "deep metadata": lambda blob: rewrite_metadata(blob, lambda _: b"[" * 200_000),
+    "spp_pools not pairs": lambda blob: rewrite_metadata(
+        blob, lambda meta: meta.replace(b'"spp_pools": [[16, 16], [8, 16]]',
+                                        b'"spp_pools": [[16], [8]]')),
+}
+
+
+@pytest.mark.parametrize("damage", list(_DAMAGES))
 def test_infer_corrupt_checkpoint_is_a_usage_error(tmp_path, pair, capsys, damage):
     ckpt = _checkpoint(tmp_path / "model.ckpt")
     with open(ckpt, "rb") as f:
         blob = f.read()
-    if damage == "truncated":
-        blob = blob[:len(blob) // 2]
-    else:
-        blob = blob.replace(b'"feature_channels"', b'"feature_channelZ"')
+    damaged = _DAMAGES[damage](blob)
+    assert damaged != blob
     with open(ckpt, "wb") as f:
-        f.write(blob)
+        f.write(damaged)
     out = str(tmp_path / "disp.pfm")
     assert _infer(ckpt, *pair, out) == 2
     assert not os.path.exists(out)
     assert ckpt in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("older", [None, b"an older output"], ids=["new", "over an older"])
+def test_infer_failing_mid_payload_leaves_no_file(tmp_path, pair, monkeypatch, capsys,
+                                                  older):
+    """A PFM write that fails in its payload, as on a full disk, used to
+    leave the output truncated behind, or an older file there truncated."""
+    ckpt = _checkpoint(tmp_path / "model.ckpt")
+    out = tmp_path / "disp.pfm"
+    if older is not None:
+        out.write_bytes(older)
+
+    class PayloadFails:
+        """The file ``f``, but for writes longer than a PFM header line."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def __getattr__(self, name):
+            return getattr(self.f, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.f.__exit__(*exc)
+
+        def write(self, data):
+            if len(data) > 16:
+                raise OSError(28, "No space left on device")
+            return self.f.write(data)
+
+    monkeypatch.setattr(datasets, "open", lambda *args: PayloadFails(open(*args)),
+                        raising=False)
+    assert _infer(ckpt, *pair, str(out)) == 2
+    assert "No space left" in capsys.readouterr().err
+    if older is None:
+        assert sorted(os.listdir(tmp_path)) == ["data", "model.ckpt"]
+    else:
+        assert sorted(os.listdir(tmp_path)) == ["data", "disp.pfm", "model.ckpt"]
+        assert out.read_bytes() == older
 
 
 def test_smoke_chain_gen_rds_train_infer_eval(tmp_path):

@@ -72,6 +72,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             model.ModelConfig(matching_channels=(8, 16, 32))
 
+    @pytest.mark.parametrize("overrides", [
+        dict(spp_pools=((16,), (8,))), dict(spp_pools=((16, 16, 3), (8, 16, 2))),
+        dict(spp_pools=((0, 16), (8, 16))), dict(spp_pools=((16, 16), (8, 0))),
+        dict(feature_channels=0), dict(matching_channels=(0, 32, 48, 64)),
+        dict(refine_channels=-1), dict(refine_blocks=(1, 0, 4))],
+        ids=["pool singles", "pool triples", "pool window 0", "pool branch 0",
+             "feature 0", "matching 0", "refine -1", "rate 0"])
+    def test_rejects_malformed_pools_and_sizes_below_one(self, overrides):
+        """A zero matching width used to stop ``initialize`` with a
+        ZeroDivisionError, and pools that are not pairs the layout with a
+        bare ValueError."""
+        with pytest.raises(ConfigError):
+            model.ModelConfig.tiny(**overrides)
+
     def test_round_trips_through_dict(self):
         cfg = model.ModelConfig.tiny(max_disparity=48)
         assert model.ModelConfig.from_dict(cfg.to_dict()) == cfg

@@ -292,9 +292,9 @@ class TestConvStrips:
     def test_batch_above_the_cap_runs_items_one_at_a_time(self, rng, monkeypatch):
         """A (4, 48, 48, 80) batch, ``matching.dec4``'s at 144x240 with 4
         levels per batch, would take 4 x 299,520 elements of strip copies,
-        above 2^18: its items run one at a time, forward, dW and dX,
+        above 2^18: its items run one at a time, forward and dX,
         bit-identical to single items, also when the output is written over
-        the residual."""
+        the residual. The dW copies take the whole batch."""
         batches = _record_window_batches(monkeypatch)
         x = rng.standard_normal((4, 48, 48, 80)).astype(np.float32)
         w = Tensor(0.1 * rng.standard_normal((48, 48, 3, 3)).astype(np.float32))
@@ -307,7 +307,7 @@ class TestConvStrips:
 
         batched, batched_dx = forward_and_dx(x, g)
         # the forward, the dW copies, and dX
-        assert batches == [1] * 12
+        assert batches == [1] * 4 + [4] + [1] * 4
         for i in range(4):
             alone, alone_dx = forward_and_dx(x[i:i + 1], g[i:i + 1])
             assert np.array_equal(batched[i:i + 1], alone)
@@ -337,11 +337,11 @@ class TestConvStrips:
         return x, w, rng.standard_normal(x.shape).astype(np.float32)
 
     def test_level_batch_copies_as_many_items_as_fit(self, rng, monkeypatch):
-        """8 x 78,336 elements of copies exceed 2^18, so the forward, the dW
-        copies and dX each copy the levels in slices of 3, 3 and 2, and no
-        shared buffer holds more than 2^18 elements. Under a 2^20 threshold
-        the forward and dX shared one 2.5 MB buffer, and the dW copies
-        always took the whole batch."""
+        """8 x 78,336 elements of copies exceed 2^18, so the forward and
+        dX each copy the levels in slices of 3, 3 and 2, and none of their
+        shared buffers holds more than 2^18 elements; the dW copies take
+        all 8 levels at once. Under a 2^20 threshold the forward and dX
+        shared one 2.5 MB buffer too."""
         calls = []
         windows = ops._kernel_row_windows
 
@@ -351,8 +351,9 @@ class TestConvStrips:
 
         monkeypatch.setattr(ops, "_kernel_row_windows", recording)
         self._out_dx_dw(*self._level_batch(rng), padding=1)
-        assert [b for b, _ in calls] == [3, 3, 2] * 3
-        assert max(b * elements for b, elements in calls) <= 1 << 18
+        assert [b for b, _ in calls] == [3, 3, 2, 8, 3, 3, 2]
+        # the forward's and dX's calls, around dW's
+        assert max(b * elements for b, elements in calls[:3] + calls[4:]) <= 1 << 18
 
     def test_uneven_slices_are_bit_identical_to_single_items(self, rng, monkeypatch):
         """The 3, 3 and 2 level slices give each item's forward and dX bits
@@ -370,9 +371,9 @@ class TestConvStrips:
             assert np.array_equal(a, b)
 
     def test_level_batch_is_bit_identical_to_the_shared_buffer(self, rng, monkeypatch):
-        """Forward, dX and dW of the 3, 3 and 2 level slices equal those of
+        """Forward and dX of the 3, 3 and 2 level slices equal those of
         the whole batch in one buffer, forced by a 2^20 threshold, bit for
-        bit."""
+        bit; dW copies the whole batch either way."""
         x, w, g = self._level_batch(rng)
         per_item = self._out_dx_dw(x, w, g, padding=1)
         monkeypatch.setattr(ops, "_MIN_STRIP_ELEMENTS", 1 << 20)
@@ -384,9 +385,9 @@ class TestConvStrips:
     @pytest.mark.parametrize("stride, dilation, padding, cin, k", STRIP_GEOMETRIES)
     def test_shared_buffer_over_several_strips_is_bit_identical(
             self, rng, monkeypatch, stride, dilation, padding, cin, k):
-        """dW sums the items' products in the same strip-then-row order
-        either way, so a batch copied in several strips gives the same bits
-        one item at a time as in one shared buffer."""
+        """A batch copied in several strips gives the same forward and dX
+        bits one item at a time as in one shared buffer; dW copies the whole
+        batch either way."""
         seen = _split_into_strips(monkeypatch)
         x = rng.standard_normal((3, cin, 13, 18)).astype(np.float32)
         w = rng.standard_normal((16, cin, k, k)).astype(np.float32)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import adam_reference_trace, traced_peak
+from conftest import adam_reference_trace, rewrite_metadata, traced_peak
 from shiftstereo import cli, model, training
 from shiftstereo.datasets import RdsConfig, gen_rds, read_manifest, save_samples
 from shiftstereo.errors import (CheckpointError, CheckpointFormatError, CheckpointShapeError,
@@ -279,12 +279,13 @@ def test_bad_metadata_is_a_format_error(small_checkpoint, old, new):
 
 
 def _rewrite_meta(blob, edit):
-    """``blob`` with the metadata block that ``edit`` makes of its own."""
-    (meta_len,) = struct.unpack_from("<I", blob, 8)
-    meta = json.loads(blob[12:12 + meta_len])
-    edit(meta)
-    encoded = json.dumps(meta).encode("utf-8")
-    return blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + meta_len:]
+    """``blob`` with the metadata that ``edit`` makes of its own, in place."""
+    def rewrite(encoded):
+        meta = json.loads(encoded)
+        edit(meta)
+        return json.dumps(meta).encode("utf-8")
+
+    return rewrite_metadata(blob, rewrite)
 
 
 @pytest.mark.parametrize("field, value", [("max_disparity", 24.0), ("in_channels", True),
@@ -303,11 +304,29 @@ def test_a_config_field_that_is_not_an_int_is_a_format_error(small_checkpoint, f
 
 def test_metadata_that_is_not_an_object_is_a_format_error(small_checkpoint):
     path = small_checkpoint
-    blob = _read(path)
-    meta = b"[1, 2]"
-    damaged = blob[:8] + struct.pack("<I", len(meta)) + meta + blob[_header_end(blob) - 4:]
+    damaged = rewrite_metadata(_read(path), lambda _: b"[1, 2]")
     with pytest.raises(CheckpointFormatError, match="metadata"):
         _load_bytes(path + ".list", damaged)
+
+
+def test_metadata_nested_past_the_recursion_limit_is_a_format_error(small_checkpoint):
+    """200,000 opening brackets used to escape the reader as a
+    RecursionError."""
+    path = small_checkpoint
+    damaged = rewrite_metadata(_read(path), lambda _: b"[" * 200_000)
+    with pytest.raises(CheckpointFormatError, match="garbled metadata"):
+        _load_bytes(path + ".deep", damaged)
+
+
+@pytest.mark.parametrize("pools", [[[16], [8]], [[16, 16, 3], [8, 16, 2]]],
+                         ids=["singles", "triples"])
+def test_spp_pools_that_are_not_pairs_are_a_format_error(small_checkpoint, pools):
+    """Such a config used to pass the metadata check, and the layout then
+    stopped the load with a bare ValueError."""
+    path = small_checkpoint
+    damaged = _rewrite_meta(_read(path), lambda meta: meta["config"].update(spp_pools=pools))
+    with pytest.raises(CheckpointFormatError, match="spp_pools must hold"):
+        _load_bytes(path + ".pools", damaged)
 
 
 def _entries(blob):
