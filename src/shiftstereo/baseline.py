@@ -67,8 +67,8 @@ def estimate_resources(config: ModelConfig, height: int, width: int) -> Resource
         if s.name != "matching.enc1":
             cin = m0 if s.name == "matching.dec4" else s.cin
             conv[subnet] += conv_flops(s.k, cin, s.cout, oh, ow)
-        # The bias is added by the folded conv, also for a normed layer; a
-        # refine block's conv2 also runs the block's skip sum and its ReLU.
+        # A normed layer's folded conv adds a bias, and a matching norm its
+        # beta; a refine block's conv2 also runs the block's skip sum and ReLU.
         per_element = s.bias + 4 * s.norm + s.act + 2 * s.name.endswith(".conv2")
         aux[subnet] += per_element * s.cout * oh * ow
 

@@ -265,8 +265,12 @@ def write_pfm(values: np.ndarray, path: str) -> None:
 # PNM (binary P5 grayscale / P6 RGB, 8-bit)
 # ---------------------------------------------------------------------------
 
+_PNM_TOKEN_BYTES = 20  # more digits than any extent has; keeps the scan and int() short
+
+
 def _read_pnm_token(r: BoundedReader) -> bytes:
-    """One whitespace-delimited header token, skipping '#' comments."""
+    """One whitespace-delimited header token, skipping '#' comments;
+    ParseError on one longer than ``_PNM_TOKEN_BYTES``."""
     token = b""
     while True:
         ch = r.need(1)
@@ -278,6 +282,8 @@ def _read_pnm_token(r: BoundedReader) -> bytes:
             if token:
                 return token
             continue
+        if len(token) == _PNM_TOKEN_BYTES:
+            raise ParseError(f"{r.path}: PNM header token longer than {_PNM_TOKEN_BYTES} bytes")
         token += ch
 
 

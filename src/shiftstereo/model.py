@@ -5,15 +5,18 @@ matching net per disparity shift, whose pair-term and level-batching rules
 :func:`build_cost_volume` owns; the soft-argmin and entropy projection
 (:func:`project`); and entropy-guided refinement (:func:`refine`). Every
 ``ConvSpec`` layer runs through :func:`_block`, and its norm and ReLU
-through :func:`_norm_act`: with raw weights a norm over each batch item's
-own statistics, with folded ones (:meth:`ModelWeights.folded`) none.
-:func:`layer_extents` owns each layer's output extent.
+through :func:`_norm_act`: a norm over each batch item's own statistics.
+The feature and refine norms also keep running statistics, which
+inference folds into their convs (:meth:`ModelWeights.folded`); the
+matching net's keep none, so ``infer`` runs the matching net that
+training optimizes. :func:`layer_extents` owns each layer's output extent.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, asdict, replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -97,8 +100,10 @@ class ModelConfig:
 class ConvSpec:
     """One convolution layer plus its optional normalization/activation.
 
-    ``bias`` is whether the layer adds a bias once its norm, if any, is
-    folded into it; only ``matching.out``, whose bias the softmax over
+    ``running_stats`` is whether a normed layer keeps running statistics,
+    which inference folds into its conv; the matching net's layers keep
+    none. ``bias`` is whether a layer without a norm, or with a folded
+    one, adds a bias; only ``matching.out``, whose bias the softmax over
     levels cancels, has none.
     """
 
@@ -113,6 +118,7 @@ class ConvSpec:
     act: bool = True
     zero_init: bool = False
     bias: bool = True
+    running_stats: bool = True
 
 
 def feature_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
@@ -132,7 +138,9 @@ def feature_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
 
 
 def matching_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
-    """U-shaped matching net over one concatenated feature pair."""
+    """U-shaped matching net over one concatenated feature pair. Its norms
+    keep no running statistics: each disparity level is normalized by its
+    own, in training and inference alike."""
     two_f = 2 * cfg.feature_channels
     m = cfg.matching_channels
     specs = []
@@ -149,7 +157,7 @@ def matching_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
         prev = out_ch
     specs.append(ConvSpec("matching.out", m[0], 1, 3, padding=1, norm=False, act=False,
                           bias=False))
-    return specs
+    return [replace(s, running_stats=False) for s in specs]
 
 
 def refine_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
@@ -173,10 +181,11 @@ def weight_shapes(config: ModelConfig) -> tuple[dict[str, tuple], dict[str, tupl
     """Names and shapes of the parameters and of the buffers, in layer order.
 
     Every layer has ``"<layer>.w"`` (Cout, Cin, K, K). A normed layer adds
-    the parameters ``.gamma`` / ``.beta`` and the running-statistics
-    buffers ``.mean`` / ``.var``, all (1, Cout, 1, 1), and has no bias: the
-    norm's mean subtraction cancels it and ``.beta`` does its job. A layer
-    without a norm has a bias ``.b`` (1, Cout, 1, 1), except
+    the parameters ``.gamma`` / ``.beta``, (1, Cout, 1, 1), and has no
+    bias: the norm's mean subtraction cancels it and ``.beta`` does its
+    job. A normed layer with ``running_stats``, in the feature and refine
+    nets, also has the buffers ``.mean`` / ``.var`` (1, Cout, 1, 1). A
+    layer without a norm has a bias ``.b`` (1, Cout, 1, 1), except
     ``matching.out``, whose bias the softmax over levels cancels.
     """
     params: dict[str, tuple] = {}
@@ -186,7 +195,8 @@ def weight_shapes(config: ModelConfig) -> tuple[dict[str, tuple], dict[str, tupl
         params[s.name + ".w"] = (s.cout, s.cin, s.k, s.k)
         if s.norm:
             params[s.name + ".gamma"] = params[s.name + ".beta"] = channel
-            buffers[s.name + ".mean"] = buffers[s.name + ".var"] = channel
+            if s.running_stats:
+                buffers[s.name + ".mean"] = buffers[s.name + ".var"] = channel
         elif s.bias:
             params[s.name + ".b"] = channel
     return params, buffers
@@ -207,10 +217,11 @@ class ModelWeights:
 
     One single matching-net parameter set serves all disparity levels;
     the cost-volume builder copies only the weight blocks of the two layers
-    that read the feature pair (:func:`pair_blocks`). ``specs`` maps each
-    layer name to its ConvSpec, by default every layer of ``config``. The
-    views :meth:`folded`, :meth:`stage` and :meth:`with_buffer_copies` are
-    ``dataclasses.replace`` copies that share the tensors they keep.
+    that read the feature pair (:func:`pair_blocks`). ``buffers`` holds the
+    running statistics of the feature and refine norms; the matching net
+    has none. ``specs`` maps each layer name to its ConvSpec, by default
+    every layer of ``config``. The views :meth:`folded` and :meth:`stage`
+    are ``dataclasses.replace`` copies that share the tensors they keep.
     """
 
     config: ModelConfig
@@ -250,34 +261,30 @@ class ModelWeights:
         return cls(config, params, buffers)
 
     def folded(self) -> "ModelWeights":
-        """Inference weights with every batch norm folded into its conv.
+        """Inference weights with every norm that keeps running statistics
+        folded into its conv: those of the feature and refine nets.
 
-        For a normed layer, ``scale = gamma / sqrt(var + eps)`` per output
+        For such a layer, ``scale = gamma / sqrt(var + eps)`` per output
         channel gives ``w' = w * scale`` and the bias ``b' = beta - mean *
         scale``, computed in the weights' own dtype with the epsilon of
         :func:`ops.batch_norm`. Its spec then carries ``norm=False``, so a
-        conv and its norm become one conv. Layers without a norm share
-        their tensors with ``self``, so folding folded weights copies
-        nothing; nothing of ``self`` is modified. The
-        result has a ``"<layer>.w"`` for every layer, a ``"<layer>.b"`` for
-        every layer but ``matching.out``, and no buffers.
+        conv and its norm become one conv. Every other layer, the matching
+        net's included, keeps its spec and shares its tensors with
+        ``self``, so folding folded weights copies nothing; nothing of
+        ``self`` is modified. The result has no buffers.
         """
-        params: dict[str, Tensor] = {}
+        params, specs = dict(self.params), dict(self.specs)
         for name, spec in self.specs.items():
-            w, b = self.params[name + ".w"], self.params.get(name + ".b")
-            if spec.norm:
-                var = self.buffers[name + ".var"].data
-                scale = self.params[name + ".gamma"].data / np.sqrt(
-                    var + var.dtype.type(ops.BN_EPSILON))
-                w = Tensor(w.data * scale.reshape(-1, 1, 1, 1))
-                b = Tensor(self.params[name + ".beta"].data
-                           - self.buffers[name + ".mean"].data * scale)
-            params[name + ".w"] = w
-            if b is not None:
-                params[name + ".b"] = b
-        return replace(self, params=params, buffers={},
-                       specs={name: replace(spec, norm=False)
-                              for name, spec in self.specs.items()})
+            if not (spec.norm and spec.running_stats):
+                continue
+            var = self.buffers[name + ".var"].data
+            scale = params.pop(name + ".gamma").data / np.sqrt(
+                var + var.dtype.type(ops.BN_EPSILON))
+            params[name + ".w"] = Tensor(params[name + ".w"].data * scale.reshape(-1, 1, 1, 1))
+            params[name + ".b"] = Tensor(params.pop(name + ".beta").data
+                                         - self.buffers[name + ".mean"].data * scale)
+            specs[name] = replace(spec, norm=False)
+        return replace(self, params=params, buffers={}, specs=specs)
 
     def stage(self, name: str) -> "ModelWeights":
         """The layers of subnetwork ``name`` (``"feature"``, ``"matching"``
@@ -289,12 +296,6 @@ class ModelWeights:
         return replace(self, params=own(self.params), buffers=own(self.buffers),
                        specs=own(self.specs))
 
-    def with_buffer_copies(self) -> "ModelWeights":
-        """This object's parameters and specs with copies of its buffers, so
-        that a pass on the result moves none of this object's statistics."""
-        return replace(self, buffers={name: Tensor(t.data.copy())
-                                      for name, t in self.buffers.items()})
-
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.grad = None
@@ -303,14 +304,15 @@ class ModelWeights:
 def _norm_act(out: Tensor, name: str, weights: ModelWeights,
               residual: Tensor | None = None) -> Tensor:
     """The norm and activation of layer ``name`` on its convolutions' sum
-    ``out``; with a residual, ``relu(norm(out) + residual)`` as one op."""
+    ``out``; with a residual, ``relu(norm(out) + residual)`` as one op. A
+    norm with ``running_stats`` moves its layer's buffers."""
     spec = weights.specs[name]
     if not spec.norm:
         return ops.relu(out) if spec.act else out
     p, buffers = weights.params, weights.buffers
-    return ops.batch_norm(out, p[name + ".gamma"], p[name + ".beta"], buffers[name + ".mean"],
-                          buffers[name + ".var"], relu=spec.act or residual is not None,
-                          residual=residual)
+    stats = (buffers[name + ".mean"], buffers[name + ".var"]) if spec.running_stats else ()
+    return ops.batch_norm(out, p[name + ".gamma"], p[name + ".beta"], *stats,
+                          relu=spec.act or residual is not None, residual=residual)
 
 
 def _block(x: Tensor, name: str, weights: ModelWeights,
@@ -318,7 +320,7 @@ def _block(x: Tensor, name: str, weights: ModelWeights,
     """Layer ``name`` on x; with a residual, ``relu(layer(x) + residual)``.
 
     The epilogue, the residual and the ReLU, runs inside the op that makes
-    the layer's output: the norm with raw weights, the conv with folded ones.
+    the layer's output: its norm where it has one, its conv otherwise.
     """
     spec = weights.specs[name]
     w = weights.params[name + ".w"]
@@ -477,10 +479,9 @@ class _PairTerms(NamedTuple):
     """The matching net's convolutions of the feature pair, once per volume.
 
     ``enc1_left`` / ``dec4_left`` are ``conv(L, W_L)`` of ``matching.enc1``
-    / ``matching.dec4``, plus the layer's bias in folded weights;
-    ``enc1_right`` / ``dec4_right`` are the maps of the R blocks that
-    :func:`_match_levels` shifts per level; ``dec4_x`` is dec4's weight
-    block over the decoder input.
+    / ``matching.dec4``; ``enc1_right`` / ``dec4_right`` are the maps of the
+    R blocks that :func:`_match_levels` shifts per level; ``dec4_x`` is
+    dec4's weight block over the decoder input.
     """
 
     enc1_left: Tensor
@@ -511,12 +512,10 @@ def _pair_terms(left_features: Tensor, source: Tensor, weights: ModelWeights,
                   for s in (weights.specs["matching.enc1"], weights.specs["matching.dec4"]))
     left = left_block.params
     return _PairTerms(
-        enc1_left=ops.conv2d(left_features, left["matching.enc1.w"],
-                             weights.params.get("matching.enc1.b"), **enc1),
+        enc1_left=ops.conv2d(left_features, left["matching.enc1.w"], **enc1),
         enc1_right=ops.conv2d(ops.stack_batch([source, ops.shift_columns(source, 1)]),
                               right_block.params["matching.enc1.w"], **enc1),
-        dec4_left=ops.conv2d(left_features, left["matching.dec4.w"],
-                             weights.params.get("matching.dec4.b"), **dec4),
+        dec4_left=ops.conv2d(left_features, left["matching.dec4.w"], **dec4),
         dec4_right=ops.conv2d(ops.gather_columns(source, [0], [1], w + 1),
                               right_block.params["matching.dec4.w"], **dec4),
         dec4_x=x_block.params["matching.dec4.w"])
@@ -558,15 +557,10 @@ def _match_levels(terms: _PairTerms, levels: list[int], weights: ModelWeights) -
     return _block(x, "matching.out", weights)
 
 
-def _level_batch(levels: list[int], weights: ModelWeights):
-    """The cost maps of ``levels`` as one (1, len(levels), H', W') map, as
-    a function of the pair terms' tensors, and the re-run that backward
-    makes of it. The re-run reads copies of the running statistics, which
-    move once per pass, in forward."""
-    def run(*terms, weights=weights):
-        return ops.batch_to_channels(_match_levels(_PairTerms(*terms), levels, weights))
-
-    return run, lambda *terms: run(*terms, weights=weights.with_buffer_copies())
+def _level_batch(levels: list[int], weights: ModelWeights, *terms: Tensor) -> Tensor:
+    """The cost maps of ``levels`` as one (1, len(levels), H', W') map, from
+    the pair terms' tensors; it moves nothing, so backward may re-run it."""
+    return ops.batch_to_channels(_match_levels(_PairTerms(*terms), levels, weights))
 
 
 # Feature pixels of one matching-net batch. Batching levels saves the fixed
@@ -605,21 +599,19 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
 
     The levels run through the net as batch items, :func:`levels_per_batch`
     consecutive levels at a time. Items do not interact (each norm uses its
-    own item's statistics), so the batch size is a choice of schedule only:
-    every size gives bit-identical slices. With raw weights each batch
-    updates the running statistics of the matching net's norms once, so
-    those do depend on it. With :meth:`ModelWeights.folded` weights no norm
-    runs.
+    own item's statistics and keeps none), so the batch size is a choice of
+    schedule only: every size gives bit-identical slices. The matching
+    net's layers do not fold (:meth:`ModelWeights.folded`), so raw and
+    folded weights give the same volume, bit for bit.
 
     On a tape each batch is a :func:`segment` whose inputs are the
     :class:`_PairTerms` tensors: the tape keeps the terms and each batch's
-    cost maps, not its activations, and backward re-runs the batch, on
-    copies of the running statistics, just before it differentiates it. So
-    a taped pass holds one batch's maps at a time, whatever the number of
-    levels, for one more forward pass of the matching net in backward: on
-    2 cores it added about 8 % to a tiny 96x96 step and 20-26 % to a
-    144x240 step at 48x80 features. The gradients are bit for bit those of
-    the plain call.
+    cost maps, not its activations, and backward re-runs the batch just
+    before it differentiates it. So a taped pass holds one batch's maps at
+    a time, whatever the number of levels, for one more forward pass of the
+    matching net in backward: on 2 cores it added about 8 % to a tiny 96x96
+    step and 20-26 % to a 144x240 step at 48x80 features. The gradients are
+    bit for bit those of the plain call.
 
     ``x_block``, ``left_block`` and ``right_block`` are :func:`pair_blocks`
     of ``weights``, so that every weight a conv of this stage reads is a
@@ -645,8 +637,8 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     n = levels_per_batch(cfg, fh, fw)
     batches = []
     for start in range(0, levels, n):
-        run, rerun = _level_batch(list(range(start, min(start + n, levels))), weights)
-        batches.append(segment("match_levels", run, terms, rerun=rerun))
+        batch = list(range(start, min(start + n, levels)))
+        batches.append(segment("match_levels", partial(_level_batch, batch, weights), terms))
     return batches[0] if len(batches) == 1 else ops.concat_channels(batches)
 
 
@@ -721,12 +713,14 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     (``"coarse"``), the entropy map (``"entropy"``) and the refined
     disparity (``"refined"``), all at the images' resolution.
 
-    With ``training=False`` the batch norms are folded into their convs
-    once per call (:meth:`ModelWeights.folded`), also under a tape;
-    ``weights`` is not modified, and weights that are folded already are
-    shared, not copied. With ``training=True`` each norm normalizes every
-    batch item by its own statistics, moves the running statistics, and
-    passes gradients to gamma and beta.
+    With ``training=False`` the feature and refine norms are folded into
+    their convs once per call (:meth:`ModelWeights.folded`), also under a
+    tape; ``weights`` is not modified, and weights that are folded already
+    are shared, not copied. With ``training=True`` they normalize each
+    batch item by its own statistics and move their running statistics.
+    The matching net's norms run per item in both modes, so both give the
+    same cost volume, bit for bit, from the same features. Every norm that
+    runs passes gradients to gamma and beta.
 
     In both modes the weights are split into one :meth:`ModelWeights.stage`
     view per subnetwork, each dropped once its stage has run. An inference

@@ -464,18 +464,18 @@ BN_EPSILON = 1e-5
 
 
 def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
-               running_mean: Tensor, running_var: Tensor, *,
+               running_mean: Tensor | None = None, running_var: Tensor | None = None, *,
                relu: bool = False, residual: Tensor | None = None) -> Tensor:
     """Channelwise normalization with learned scale/shift, then optionally
     a residual of x's shape added and a ReLU.
 
     Each batch item is normalized by its own statistics, over its spatial
     extent only, so no item depends on the rest of the batch (batched
-    disparity levels stay decoupled). The running buffers move a tenth of
-    the way toward the mean over items of those statistics (unbiased
-    variance); nothing here reads them, but the inference-time fold of the
-    norm into its conv (``model.ModelWeights.folded``) does. The variance
-    offset is ``BN_EPSILON``.
+    disparity levels stay decoupled). Given running buffers, as the feature
+    and refine norms are, it moves them a tenth of the way toward the mean
+    over items of those statistics (unbiased variance), for the inference
+    fold (``model.ModelWeights.folded``) to read; without, it moves nothing.
+    The variance offset is ``BN_EPSILON``.
 
     ``y = xhat * gamma``, then the conv's :func:`_epilogue` in place, with
     beta as its bias, the residual where given, and the ReLU with
@@ -500,8 +500,8 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     channel over its ``n`` pixels, ``dx = k * (g - S1/n - xhat * S2/n)``.
     """
     b, c, h, w = x.shape
-    for name, t in (("gamma", gamma), ("beta", beta),
-                    ("running_mean", running_mean), ("running_var", running_var)):
+    stats = () if running_mean is None else (running_mean, running_var)
+    for name, t in zip(("gamma", "beta", "running_mean", "running_var"), (gamma, beta) + stats):
         if t.shape != (1, c, 1, 1):
             raise ShapeError(f"batch_norm: {name} shape {t.shape} != (1, {c}, 1, 1)")
     if residual is not None:
@@ -518,11 +518,9 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
     y = xd - mu
     var = np.einsum("bchw,bchw->bc", y, y).reshape(b, c, 1, 1) / n
     inv = 1.0 / np.sqrt(var + eps)
-    correction = n / (n - 1) if n > 1 else 1.0
-    running_mean.data *= 0.9
-    running_mean.data += 0.1 * mu.mean(axis=0, keepdims=True).astype(dt)
-    running_var.data *= 0.9
-    running_var.data += 0.1 * (var * correction).mean(axis=0, keepdims=True).astype(dt)
+    for buffer, stat in zip(stats, (mu, var * (n / (n - 1) if n > 1 else 1.0))):
+        buffer.data *= 0.9
+        buffer.data += 0.1 * stat.mean(axis=0, keepdims=True).astype(dt)
     gd, bd = gamma.data.copy(), beta.data.copy()
     rd = None if residual is None else residual.data.reshape(b, c, n)
 

@@ -15,8 +15,9 @@ block's input and conv2 sum, while the head and conv1 sums and the conv1
 norm outputs are rebuilt (``model.refine``). A :func:`segment`, Chen et
 al.'s recompute, records a whole function as one node that keeps only its
 inputs and its output; backward re-runs the function under a tape of its
-own, one segment at a time. The model's matching-net level batches are
-segments; see ``model.build_cost_volume`` and, for why refine's blocks are
+own, one segment at a time, so the function must have no side effect.
+The model's matching-net level batches, whose norms keep no running
+statistics, are segments; see ``model.build_cost_volume`` and, for why refine's blocks are
 not, ``model.refine``.
 """
 
@@ -203,19 +204,18 @@ def _consume(tape: Tape, output: Tensor, grad: np.ndarray) -> None:
         _replay(nodes.pop())
 
 
-def segment(op: str, fn, inputs, rerun=None) -> Tensor:
+def segment(op: str, fn, inputs) -> Tensor:
     """``fn(*inputs)`` as one tape node that keeps only the output array,
     and the inputs fn was given: segment checkpointing (Chen et al. 2016).
 
     Off a tape, or when no input requires a gradient, this is the plain
     call. On a tape, fn runs under a tape of its own, which dies with
     everything its closures saved once fn returns. The node's ``grad_fn``
-    runs ``rerun`` (``fn`` when None) on the same inputs under a fresh tape
-    and consumes that tape from the output's gradient. So the inputs and
-    the leaves fn reads receive their gradients from the same closures, in
-    the same order, as from the plain call's nodes, and the node hands its
-    inputs nothing more. ``rerun`` must give fn's output bit for bit and
-    leave out fn's side effects, such as moving running statistics.
+    runs fn again on the same inputs under a fresh tape and consumes that
+    tape from the output's gradient. So the inputs and the leaves fn reads
+    receive their gradients from the same closures, in the same order, as
+    from the plain call's nodes, and the node hands its inputs nothing
+    more. fn must have no side effect, such as moving running statistics.
     """
     if active_tape() is None or not any(t.requires_grad for t in inputs):
         return fn(*inputs)
@@ -224,7 +224,7 @@ def segment(op: str, fn, inputs, rerun=None) -> Tensor:
 
     def grad_fn(g):
         with Tape() as tape:
-            again = (rerun or fn)(*inputs)
+            again = fn(*inputs)
         _consume(tape, again, g)
         return (None,) * len(inputs)
 

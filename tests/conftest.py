@@ -206,11 +206,12 @@ def batch_norm_reference(x, gamma, beta, running_mean, running_var, training=Fal
     return record_op("batch_norm", out, (x, gamma, beta), grad_fn)
 
 
-def batch_norm_kept(x, gamma, beta, running_mean, running_var, *, relu=False,
+def batch_norm_kept(x, gamma, beta, running_mean=None, running_var=None, *, relu=False,
                     residual=None):
     """``ops.batch_norm`` as it was before its output could be rebuilt: the
     tape keeps the output array, backward reads the ReLU mask from it and
-    the live gamma, and no rebuild is recorded."""
+    the live gamma, and no rebuild is recorded. Buffers, where given, move
+    as in ``ops.batch_norm``."""
     b, c, h, w = x.shape
     inputs = (x, gamma, beta) if residual is None else (x, gamma, beta, residual)
     dt = x.dtype
@@ -221,11 +222,12 @@ def batch_norm_kept(x, gamma, beta, running_mean, running_var, *, relu=False,
     y = xd - mu
     var = np.einsum("bchw,bchw->bc", y, y).reshape(b, c, 1, 1) / n
     inv = 1.0 / np.sqrt(var + eps)
-    correction = n / (n - 1) if n > 1 else 1.0
-    running_mean.data *= 0.9
-    running_mean.data += 0.1 * mu.mean(axis=0, keepdims=True).astype(dt)
-    running_var.data *= 0.9
-    running_var.data += 0.1 * (var * correction).mean(axis=0, keepdims=True).astype(dt)
+    if running_mean is not None:
+        correction = n / (n - 1) if n > 1 else 1.0
+        running_mean.data *= 0.9
+        running_mean.data += 0.1 * mu.mean(axis=0, keepdims=True).astype(dt)
+        running_var.data *= 0.9
+        running_var.data += 0.1 * (var * correction).mean(axis=0, keepdims=True).astype(dt)
     y *= inv
     y *= gamma.data
     y += beta.data

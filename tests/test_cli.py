@@ -2,6 +2,7 @@
 
 import os
 import re
+import struct
 import subprocess
 import sys
 
@@ -187,6 +188,17 @@ def test_infer_malformed_image_header_is_a_usage_error(tmp_path, pair, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+def test_infer_overlong_image_header_token_is_a_usage_error(tmp_path, pair, capsys):
+    """A 5,000-digit width used to stop infer with a ValueError traceback."""
+    ckpt = _checkpoint(tmp_path / "model.ckpt")
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5\n" + b"9" * 5_000 + b" 4\n255\n" + bytes(16))
+    out = str(tmp_path / "disp.pfm")
+    assert _infer(ckpt, str(bad), pair[1], out) == 2
+    assert not os.path.exists(out)
+    assert "longer than" in capsys.readouterr().err
+
+
 def test_infer_non_finite_disparity_is_a_divergence(tmp_path, pair, capsys):
     ckpt = _checkpoint(tmp_path / "model.ckpt", poison="refine.out.b")
     out = str(tmp_path / "disp.pfm")
@@ -218,6 +230,8 @@ _DAMAGES = {
     "truncated": lambda blob: blob[:len(blob) // 2],
     "unknown config key": lambda blob: blob.replace(b'"feature_channels"',
                                                     b'"feature_channelZ"'),
+    # Version 2 held the matching net's running statistics.
+    "version 2": lambda blob: blob[:4] + struct.pack("<I", 2) + blob[8:],
     # Each of these two used to stop infer with a traceback.
     "deep metadata": lambda blob: rewrite_metadata(blob, lambda _: b"[" * 200_000),
     "spp_pools not pairs": lambda blob: rewrite_metadata(

@@ -280,6 +280,16 @@ class TestPnm:
         _, _, peak = traced_peak(read)
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("token", [b"9" * 5_000, b"a" * 200_000],
+                             ids=["5,000-digit width", "200,000-byte token"])
+    def test_overlong_header_token(self, tmp_path, token):
+        """The digits used to reach int() and its 4,300-digit limit, a bare
+        ValueError; a long token took time quadratic in its length."""
+        path = tmp_path / "long.pgm"
+        path.write_bytes(b"P5\n" + token + b" 4\n255\n" + bytes(16))
+        with pytest.raises(ParseError, match="longer than 20 bytes"):
+            read_pnm(str(path))
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "short.pgm"
         path.write_bytes(b"P5\n4 4\n255\n" + b"\x00" * 5)

@@ -220,9 +220,7 @@ class TestMatchingNet:
 
         def norm_relu(y, name):
             y = ops.batch_norm(y, weights.params[name + ".gamma"],
-                               weights.params[name + ".beta"],
-                               weights.buffers[name + ".mean"],
-                               weights.buffers[name + ".var"])
+                               weights.params[name + ".beta"])
             return ops.relu(y)
 
         def conv_bn_relu(x, name):
@@ -405,9 +403,9 @@ class TestCostVolume:
     def test_refine_holds_only_its_own_weights(self, rng, monkeypatch):
         """forward_tensors splits the folded weights by stage and drops each
         view once its stage has run: refine's weights hold no feature or
-        matching layer, and no array that folding made for those layers is
-        alive. The test keeps the raw weights, so the folded copy belongs to
-        the pass alone on every Python version."""
+        matching layer, and no array that folding made for the feature
+        layers is alive. The test keeps the raw weights, so the folded copy
+        belongs to the pass alone on every Python version."""
         cfg, weights = tiny_weights()
         fold, run_refine = model.ModelWeights.folded, model.refine
         made, seen = [], {}
@@ -427,9 +425,8 @@ class TestCostVolume:
         monkeypatch.setattr(model, "refine", refine)
         model.forward_tensors(random_image(rng, 48, 48), random_image(rng, 48, 48), weights, cfg)
         assert seen == {"layers": {"refine"}, "alive": 0}
-        # a folded w and b per normed feature or matching layer
-        assert len(made) == 2 * sum(s.norm for s in model.all_layer_specs(cfg)
-                                    if not s.name.startswith("refine."))
+        # a folded w and b per normed feature layer; the matching net folds nothing
+        assert len(made) == 2 * sum(s.norm for s in model.feature_layer_specs(cfg))
 
 
 def direct_cost(fl, source, d, weights):
@@ -440,9 +437,7 @@ def direct_cost(fl, source, d, weights):
         y = ops.conv2d(x, weights.params[name + ".w"], stride=spec.stride,
                        dilation=spec.dilation, padding=spec.padding)
         y = ops.batch_norm(y, weights.params[name + ".gamma"],
-                           weights.params[name + ".beta"],
-                           weights.buffers[name + ".mean"],
-                           weights.buffers[name + ".var"])
+                           weights.params[name + ".beta"])
         return ops.relu(y)
 
     pair = ops.concat_channels([fl, ops.shift_columns(source, d)])
@@ -499,13 +494,10 @@ class TestDecomposition:
             ref = direct_cost(fl, fl, d, weights).data[0, 0]
             self._assert_close(volume.data[0, d], ref, 1e-12, 1e-12, d)
 
-    def test_training_under_tape_matches_direct_form(self, rng, monkeypatch):
-        """Training-mode norms (batch statistics of the summed conv), their
-        running-statistics updates, and the gradients of every matching
-        parameter agree with the direct form in float64. The direct form
-        runs one level at a time, and each batch updates the running
-        statistics once, so the volume runs one level per batch too."""
-        set_level_batch(monkeypatch, "sequential")
+    def test_training_under_tape_matches_direct_form(self, rng):
+        """Training-mode norms (per-item statistics of the summed conv) and
+        the gradients of every matching parameter agree with the direct
+        form in float64."""
         cfg = model.ModelConfig.tiny()
         ours, theirs = (drawn_weights(cfg, 9, np.float64) for _ in range(2))
         fl, fr = (Tensor(rng.standard_normal((1, 16, 17, 19)), dtype=HIGH)
@@ -529,11 +521,6 @@ class TestDecomposition:
                     self._assert_close(ours.params[name + key].grad,
                                        theirs.params[name + key].grad,
                                        1e-10, 1e-9, name + key)
-            for key in (".mean", ".var"):
-                if name + key in ours.buffers:
-                    self._assert_close(ours.buffers[name + key].data,
-                                       theirs.buffers[name + key].data,
-                                       1e-12, 1e-12, name + key)
 
     def test_three_level_volume_gradcheck(self):
         """Finite differences through a 3-level training-mode volume at an
@@ -771,10 +758,11 @@ class TestFusedRefine:
         for key, t in unfused.items():
             assert np.array_equal(fused[key].data, t.data), key
 
-    def test_folded_pass_runs_relu_only_on_pair_sums_and_the_clamp(self, rng, monkeypatch):
-        """An untaped folded pass calls ``ops.relu`` for ``matching.enc1``
-        and ``matching.dec4``, whose pair terms are summed outside a conv,
-        once per level batch, and for refine's final clamp."""
+    def test_folded_pass_runs_relu_only_for_the_clamp(self, rng, monkeypatch):
+        """An untaped folded pass calls ``ops.relu`` only for refine's final
+        clamp: every other ReLU runs inside a conv or a norm, also those of
+        ``matching.enc1`` and ``matching.dec4``, whose pair terms are summed
+        outside a conv, as their norms do not fold."""
         cfg = model.ModelConfig.tiny()
         shapes, real_relu = [], ops.relu
 
@@ -786,8 +774,7 @@ class TestFusedRefine:
         set_level_batch(monkeypatch, "sequential")
         model.forward_tensors(random_image(rng, 48, 60), random_image(rng, 48, 60),
                               drawn_weights(cfg, 15), cfg)
-        m0 = cfg.matching_channels[0]
-        assert shapes == [(1, m0, 8, 10), (1, m0, 16, 20)] * cfg.levels + [(1, 1, 48, 60)]
+        assert shapes == [(1, 1, 48, 60)]
 
 
 class TestForward:
@@ -849,8 +836,9 @@ def drawn_weights(cfg, seed, dtype=np.float32):
 
 
 class TestBatchNormFold:
-    """Inference folds every norm into its conv, under a tape too; training
-    does not."""
+    """Inference folds the feature and refine norms into their convs, under
+    a tape too; training does not, and the matching net's norms run per
+    item in both modes."""
 
     def _pair(self, rng, dtype, h=48, w=60):
         return (Tensor(rng.standard_normal((1, 1, h, w)), dtype=dtype),
@@ -863,10 +851,15 @@ class TestBatchNormFold:
     @pytest.mark.parametrize("dtype,atol,rtol", [(np.float64, 1e-12, 1e-12),
                                                  (np.float32, 1e-5, 1e-5)])
     def test_inference_matches_unfused_chain(self, rng, monkeypatch, dtype, atol, rtol):
-        """The reference runs the raw weights with each norm replaced by
-        the textbook norm over the running statistics, then its residual
-        sum and its ReLU as ops of their own."""
-        def running_norm(x, gamma, beta, mean, var, *, relu=False, residual=None):
+        """The reference runs the raw weights with each feature and refine
+        norm replaced by the textbook norm over the running statistics, then
+        its residual sum and its ReLU as ops of their own. The matching
+        net's norms, which keep no statistics, run ``ops.batch_norm``."""
+        per_item = ops.batch_norm
+
+        def running_norm(x, gamma, beta, mean=None, var=None, *, relu=False, residual=None):
+            if mean is None:
+                return per_item(x, gamma, beta, relu=relu, residual=residual)
             y = batch_norm_reference(x, gamma, beta, mean, var, training=False)
             if residual is not None:
                 y = ops.add(residual, y)
@@ -885,18 +878,42 @@ class TestBatchNormFold:
                 assert out.dtype == dtype
                 assert np.all(np.abs(out - ref.data) <= atol + rtol * np.abs(ref.data)), key
 
-    def test_untaped_inference_runs_no_batch_norm(self, rng, monkeypatch):
+    def test_inference_runs_batch_norm_only_on_matching_layers(self, rng, monkeypatch):
+        """An inference pass, untaped or under a tape, runs ``ops.batch_norm``
+        once per normed matching layer and level batch, with no buffers,
+        and for no feature or refine layer."""
         cfg = model.ModelConfig.tiny()
         weights = drawn_weights(cfg, 2)
         left, right = self._pair(rng, np.float32)
+        per_item, calls = ops.batch_norm, []
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("batch_norm ran in a folded inference pass")
+        def record(x, gamma, beta, *stats, **kwargs):
+            calls.append((gamma, stats))
+            return per_item(x, gamma, beta, *stats, **kwargs)
 
-        monkeypatch.setattr(ops, "batch_norm", refuse)
+        monkeypatch.setattr(ops, "batch_norm", record)
+        matching = [weights.params[s.name + ".gamma"] for s in model.matching_layer_specs(cfg)
+                    if s.norm]
         model.forward_tensors(left, right, weights, cfg)
         with Tape():
             model.forward_tensors(left, right, weights, cfg)
+        assert [gamma for gamma, _ in calls] == matching * 2
+        assert all(stats == () for _, stats in calls)
+
+    @pytest.mark.parametrize("width", [48, 51])  # feature widths 16 and 17
+    def test_inference_cost_volume_is_the_trained_one(self, rng, width):
+        """Given the same features, the matching stage that an inference
+        pass runs, the folded weights' untaped, gives the cost volume of the
+        raw weights in a taped training step, bit for bit."""
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 16)
+        fl, fr = (model.extract_features(random_image(rng, 48, width), weights, cfg)
+                  for _ in range(2))
+        volume = cost_volume(fl, fr, weights.folded().stage("matching"), cfg)
+        with Tape():
+            trained = cost_volume(fl, fr, weights.stage("matching"), cfg)
+        assert trained.requires_grad
+        assert np.array_equal(volume.data, trained.data)
 
     def test_weights_unchanged_by_inference(self, rng):
         cfg = model.ModelConfig.tiny()
@@ -921,16 +938,25 @@ class TestBatchNormFold:
         assert again.specs == folded.specs
 
     def test_folded_keeps_layer_keys_and_drops_norms(self):
+        """Folding drops the feature and refine norms and every buffer; the
+        matching net keeps its specs and shares its tensors."""
         cfg = model.ModelConfig.tiny()
         weights = drawn_weights(cfg, 4)
         folded = weights.folded()
+        matching = {name for name in weights.specs if name.startswith("matching.")}
         assert set(folded.params) == ({name + ".w" for name in weights.specs}
                                       | {name + ".b" for name in weights.specs
-                                         if name != "matching.out"})
-        assert not any(s.norm for s in folded.specs.values())
+                                         if name not in matching}
+                                      | {key for key in weights.params
+                                         if key.startswith("matching.")})
+        assert folded.buffers == {}
         for name, spec in weights.specs.items():
+            assert folded.specs[name].norm == (name in matching and spec.norm), name
             same = folded.params[name + ".w"] is weights.params[name + ".w"]
-            assert same == (not spec.norm)
+            assert same == (name in matching or not spec.norm), name
+        for key, t in weights.params.items():
+            if key.startswith("matching."):
+                assert folded.params[key] is t, key
 
     def test_folded_cost_slices_sequential_parallel_bit_identical(self, rng, monkeypatch):
         cfg = model.ModelConfig.tiny()

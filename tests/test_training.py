@@ -60,9 +60,9 @@ def _saved(ckpt, tmp_path):
 
 def test_missing_entry_is_named(tmp_path):
     _, ckpt = _checkpoint()
-    del ckpt.buffers["matching.enc2.var"]
+    del ckpt.buffers["feature.dil2.var"]
     with pytest.raises(CheckpointShapeError,
-                       match=r": checkpoint is missing entry 'b/matching.enc2.var' "
+                       match=r": checkpoint is missing entry 'b/feature.dil2.var' "
                              r"required by config$"):
         load_checkpoint(_saved(ckpt, tmp_path))
 
@@ -248,13 +248,15 @@ def test_empty_entry_with_unindexable_extents_is_rejected(small_checkpoint):
 
 def test_a_version_1_checkpoint_is_refused(small_checkpoint):
     """Version 1 saved the Adam betas and epsilon, and the model config's
-    ``dilations`` and ``profile``; its files are refused by version."""
+    ``dilations`` and ``profile``; version 2 the matching net's running
+    statistics. Their files are refused by version."""
     path = small_checkpoint
     blob = _read(path)
-    assert struct.unpack_from("<I", blob, 4) == (training.CHECKPOINT_VERSION,) == (2,)
-    old = blob[:4] + struct.pack("<I", 1) + blob[8:]
-    with pytest.raises(CheckpointVersionError, match="version 1"):
-        _load_bytes(path + ".v1", old)
+    assert struct.unpack_from("<I", blob, 4) == (training.CHECKPOINT_VERSION,) == (3,)
+    for version in (1, 2):
+        old = blob[:4] + struct.pack("<I", version) + blob[8:]
+        with pytest.raises(CheckpointVersionError, match=f"version {version}"):
+            _load_bytes(path + f".v{version}", old)
 
 
 def test_the_metadata_holds_only_what_load_reads(small_checkpoint):
@@ -536,8 +538,7 @@ def test_a_segmented_step_is_bit_equal_to_the_plain_call(monkeypatch):
     each batch a segment that backward re-runs, the loss, every parameter
     gradient, the left image's gradient and every running buffer are bit
     for bit those of the same step with the segment replaced by a plain
-    call. So the buffers move once per batch in forward and not again in
-    the re-run, which reads copies."""
+    call."""
     monkeypatch.setattr(model, "_LEVEL_BATCH_PIXELS", 4 * 16 * 16)
     cfg = ModelConfig.tiny()
     assert model.levels_per_batch(cfg, 16, 16) == 4
@@ -545,7 +546,7 @@ def test_a_segmented_step_is_bit_equal_to_the_plain_call(monkeypatch):
     runs = []
     for plain in (False, True):
         if plain:
-            monkeypatch.setattr(model, "segment", lambda op, fn, inputs, rerun=None: fn(*inputs))
+            monkeypatch.setattr(model, "segment", lambda op, fn, inputs: fn(*inputs))
         weights = ModelWeights.initialize(cfg, seed=0)
         tail = weights.params["refine.out.w"]
         tail.data[...] = np.random.default_rng(5).standard_normal(tail.shape) * 0.1
@@ -560,8 +561,8 @@ def test_a_segmented_step_is_bit_equal_to_the_plain_call(monkeypatch):
     for name, t in weights.buffers.items():
         assert np.array_equal(t.data, kept.buffers[name].data), name
     initial = ModelWeights.initialize(cfg, seed=0).buffers
-    assert not np.array_equal(weights.buffers["matching.enc1.mean"].data,
-                              initial["matching.enc1.mean"].data)
+    assert not np.array_equal(weights.buffers["feature.down.mean"].data,
+                              initial["feature.down.mean"].data)
 
 
 def test_step_peak_does_not_grow_with_level_batches():
