@@ -12,7 +12,9 @@ The held-out pairs are scored three ways (:func:`score`):
   from the same ``forward_tensors(training=False)`` call that it makes.
 - ``per_item``: ``forward_tensors(training=True)`` off a tape, on a fresh
   copy of the checkpoint's weights per pair, so that every norm runs on
-  its item's own statistics: the function that training optimizes.
+  its item's own statistics: the function that training optimizes. It
+  differs from ``infer`` only in refine, whose norms ``infer`` folds, so
+  the two coarse EPEs are equal.
 - ``best_constant``: the one disparity that scores best on every pixel,
   the median of the pooled ground truth.
 

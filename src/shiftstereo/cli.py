@@ -122,21 +122,17 @@ def cmd_infer(args) -> int:
     from .tensor import Tensor
     from .training import load_checkpoint, load_weights
 
-    # The weights are folded here, before the call, so that the raw arrays
-    # die at once on every Python version: CPython 3.10 keeps a call's
-    # arguments on the caller's stack to its end, so raw weights handed over
-    # for forward_tensors to fold would live beside the folded ones. The
-    # one-item list lets the call below hand the folded weights over with no
-    # name here bound to them, and the checkpoint is dropped first.
+    # The one-item list lets the call below hand the weights over with no
+    # name here bound to them, after the checkpoint is dropped: the callee
+    # then holds their only reference, so the raw arrays it folds die at the
+    # fold and each stage's weights once the stage has run. A name kept
+    # bound here would hold every stage's weights through refine.
     ckpt = load_checkpoint(args.ckpt)
-    config, folded = ckpt.config, [load_weights(ckpt).folded()]
+    config, weights = ckpt.config, [load_weights(ckpt)]
     del ckpt
     left = Tensor(normalize_image(read_pnm(args.left))[None])
     right = Tensor(normalize_image(read_pnm(args.right))[None])
-    # As a temporary, on CPython 3.11+ the callee holds the weights' only
-    # reference and frees each stage's weights once the stage has run. On
-    # 3.10 they stay alive to the end of the call, with the same outputs.
-    out = forward_tensors(left, right, folded.pop(), config)
+    out = forward_tensors(left, right, weights.pop(), config)
     refined = out["refined"].data[0, 0]
     if not np.all(np.isfinite(refined)):
         return _fail(f"refined disparity has {int(np.sum(~np.isfinite(refined)))} "

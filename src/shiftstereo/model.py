@@ -6,10 +6,11 @@ matching net per disparity shift, whose pair-term and level-batching rules
 (:func:`project`); and entropy-guided refinement (:func:`refine`). Every
 ``ConvSpec`` layer runs through :func:`_block`, and its norm and ReLU
 through :func:`_norm_act`: a norm over each batch item's own statistics.
-The feature and refine norms also keep running statistics, which
-inference folds into their convs (:meth:`ModelWeights.folded`); the
-matching net's keep none, so ``infer`` runs the matching net that
-training optimizes. :func:`layer_extents` owns each layer's output extent.
+Only refine's norms also keep running statistics, which inference folds
+into their convs (:meth:`ModelWeights.folded`); the feature and matching
+nets' keep none, so ``infer`` computes the coarse disparity and entropy
+that training optimizes. :func:`layer_extents` owns each layer's output
+extent.
 """
 
 from __future__ import annotations
@@ -101,10 +102,10 @@ class ConvSpec:
     """One convolution layer plus its optional normalization/activation.
 
     ``running_stats`` is whether a normed layer keeps running statistics,
-    which inference folds into its conv; the matching net's layers keep
-    none. ``bias`` is whether a layer without a norm, or with a folded
-    one, adds a bias; only ``matching.out``, whose bias the softmax over
-    levels cancels, has none.
+    which inference folds into its conv; only refine's layers keep them.
+    ``bias`` is whether a layer without a norm, or with a folded one, adds
+    a bias; only ``matching.out``, whose bias the softmax over levels
+    cancels, has none.
     """
 
     name: str
@@ -118,13 +119,14 @@ class ConvSpec:
     act: bool = True
     zero_init: bool = False
     bias: bool = True
-    running_stats: bool = True
+    running_stats: bool = False
 
 
 def feature_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
     """The 8 feature-net convolutions: stride-3 downsampler, three convs
     dilated at rates 2, 4 and 8, one 1x1 per pooling branch, the fusion
-    conv, and a bare 1x1."""
+    conv, and a bare 1x1. Its norms keep no running statistics: each
+    image is normalized by its own, in training and inference alike."""
     f = cfg.feature_channels
     specs = [ConvSpec("feature.down", cfg.in_channels, f, 3, stride=3, padding=1)]
     for i, rate in enumerate((2, 4, 8), 1):
@@ -138,9 +140,9 @@ def feature_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
 
 
 def matching_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
-    """U-shaped matching net over one concatenated feature pair. Its norms
-    keep no running statistics: each disparity level is normalized by its
-    own, in training and inference alike."""
+    """U-shaped matching net over one concatenated feature pair. Like the
+    feature net's, its norms keep no running statistics: each disparity
+    level is normalized by its own."""
     two_f = 2 * cfg.feature_channels
     m = cfg.matching_channels
     specs = []
@@ -157,11 +159,12 @@ def matching_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
         prev = out_ch
     specs.append(ConvSpec("matching.out", m[0], 1, 3, padding=1, norm=False, act=False,
                           bias=False))
-    return [replace(s, running_stats=False) for s in specs]
+    return specs
 
 
 def refine_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
-    """Residual refinement over (image, normalized disparity, normalized entropy)."""
+    """Residual refinement over (image, normalized disparity, normalized
+    entropy); the only layers whose norms keep running statistics."""
     r = cfg.refine_channels
     specs = [ConvSpec("refine.head", cfg.in_channels + 2, r, 3, padding=1)]
     for i, rate in enumerate(cfg.refine_blocks, 1):
@@ -170,7 +173,7 @@ def refine_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
                               act=False))
     specs.append(ConvSpec("refine.out", r, 1, 3, padding=1, norm=False, act=False,
                           zero_init=True))
-    return specs
+    return [replace(s, running_stats=True) for s in specs]
 
 
 def all_layer_specs(cfg: ModelConfig) -> list[ConvSpec]:
@@ -183,10 +186,10 @@ def weight_shapes(config: ModelConfig) -> tuple[dict[str, tuple], dict[str, tupl
     Every layer has ``"<layer>.w"`` (Cout, Cin, K, K). A normed layer adds
     the parameters ``.gamma`` / ``.beta``, (1, Cout, 1, 1), and has no
     bias: the norm's mean subtraction cancels it and ``.beta`` does its
-    job. A normed layer with ``running_stats``, in the feature and refine
-    nets, also has the buffers ``.mean`` / ``.var`` (1, Cout, 1, 1). A
-    layer without a norm has a bias ``.b`` (1, Cout, 1, 1), except
-    ``matching.out``, whose bias the softmax over levels cancels.
+    job. A normed layer with ``running_stats``, in refine, also has the
+    buffers ``.mean`` / ``.var`` (1, Cout, 1, 1). A layer without a norm
+    has a bias ``.b`` (1, Cout, 1, 1), except ``matching.out``, whose bias
+    the softmax over levels cancels.
     """
     params: dict[str, tuple] = {}
     buffers: dict[str, tuple] = {}
@@ -218,8 +221,8 @@ class ModelWeights:
     One single matching-net parameter set serves all disparity levels;
     the cost-volume builder copies only the weight blocks of the two layers
     that read the feature pair (:func:`pair_blocks`). ``buffers`` holds the
-    running statistics of the feature and refine norms; the matching net
-    has none. ``specs`` maps each layer name to its ConvSpec, by default
+    running statistics of refine's norms; the feature and matching nets
+    have none. ``specs`` maps each layer name to its ConvSpec, by default
     every layer of ``config``. The views :meth:`folded` and :meth:`stage`
     are ``dataclasses.replace`` copies that share the tensors they keep.
     """
@@ -262,14 +265,14 @@ class ModelWeights:
 
     def folded(self) -> "ModelWeights":
         """Inference weights with every norm that keeps running statistics
-        folded into its conv: those of the feature and refine nets.
+        folded into its conv: refine's.
 
         For such a layer, ``scale = gamma / sqrt(var + eps)`` per output
         channel gives ``w' = w * scale`` and the bias ``b' = beta - mean *
         scale``, computed in the weights' own dtype with the epsilon of
         :func:`ops.batch_norm`. Its spec then carries ``norm=False``, so a
-        conv and its norm become one conv. Every other layer, the matching
-        net's included, keeps its spec and shares its tensors with
+        conv and its norm become one conv. Every other layer, the feature and
+        matching nets' included, keeps its spec and shares its tensors with
         ``self``, so folding folded weights copies nothing; nothing of
         ``self`` is modified. The result has no buffers.
         """
@@ -713,14 +716,14 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     (``"coarse"``), the entropy map (``"entropy"``) and the refined
     disparity (``"refined"``), all at the images' resolution.
 
-    With ``training=False`` the feature and refine norms are folded into
-    their convs once per call (:meth:`ModelWeights.folded`), also under a
-    tape; ``weights`` is not modified, and weights that are folded already
-    are shared, not copied. With ``training=True`` they normalize each
-    batch item by its own statistics and move their running statistics.
-    The matching net's norms run per item in both modes, so both give the
-    same cost volume, bit for bit, from the same features. Every norm that
-    runs passes gradients to gamma and beta.
+    With ``training=False`` refine's norms are folded into their convs
+    once per call (:meth:`ModelWeights.folded`), also under a tape;
+    ``weights`` is not modified, and weights that are folded already are
+    shared, not copied. With ``training=True`` they normalize each batch
+    item by its own statistics and move their running statistics. The
+    feature and matching nets' norms run per item in both modes, so both
+    give the same coarse disparity and entropy, bit for bit. Every norm
+    that runs passes gradients to gamma and beta.
 
     In both modes the weights are split into one :meth:`ModelWeights.stage`
     view per subnetwork, each dropped once its stage has run. An inference
@@ -728,11 +731,10 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
     once consumed, each matching skip once concatenated; and without a tape
     each refine block's conv2 writes its output over the block's input
     (:func:`ops.conv2d` consumes an untaped residual). Arrays this call
-    folds die with their view. Weights passed in folded die with it only
-    when this call holds their only reference: the caller passes them as a
-    temporary, with no name bound to them, and CPython 3.11+ moves call
-    arguments into the callee's frame (``cli.cmd_infer`` does so). The
-    outputs are the same either way.
+    folds die with their view. The weights passed in die with their views
+    too when this call holds their only reference, as when the caller
+    passes them as a temporary (``cli.cmd_infer`` does so); refine's raw
+    arrays then die at the fold. The outputs are the same either way.
 
     A taped pass keeps to backward what its nodes' closures read: the
     weights, the feature maps (norm outputs dropped, to be rebuilt), of the

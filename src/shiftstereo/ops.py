@@ -471,10 +471,10 @@ def batch_norm(x: Tensor, gamma: Tensor, beta: Tensor,
 
     Each batch item is normalized by its own statistics, over its spatial
     extent only, so no item depends on the rest of the batch (batched
-    disparity levels stay decoupled). Given running buffers, as the feature
-    and refine norms are, it moves them a tenth of the way toward the mean
-    over items of those statistics (unbiased variance), for the inference
-    fold (``model.ModelWeights.folded``) to read; without, it moves nothing.
+    disparity levels stay decoupled). Given running buffers, as refine's
+    norms are, it moves them a tenth of the way toward the mean over items
+    of those statistics (unbiased variance), for the inference fold
+    (``model.ModelWeights.folded``) to read; without, it moves nothing.
     The variance offset is ``BN_EPSILON``.
 
     ``y = xhat * gamma``, then the conv's :func:`_epilogue` in place, with

@@ -130,7 +130,7 @@ def random_crop(sample: StereoSample, crop_h: int, crop_w: int,
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"DICC"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 

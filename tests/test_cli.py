@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import rewrite_metadata, traced_peak
-from shiftstereo import cli, datasets, model
+from shiftstereo import cli, datasets
 from shiftstereo.baseline import estimate_resources
 from shiftstereo.datasets import (RdsConfig, gen_rds, normalize_image, read_manifest,
                                   read_pfm, read_pnm, save_samples, write_pfm)
@@ -85,42 +85,18 @@ def _infer_peak(ckpt, left, right, out) -> int:
 
 
 def test_infer_holds_only_the_folded_weights(tmp_path, pair):
-    """Once folded, the checkpoint's raw weights are dropped before the
-    forward pass: a tiny 48x48 infer peaks at about 2.7 MB of traced
-    memory on CPython 3.11+, and at about 3.6 MB on 3.10, whose caller's
-    stack keeps the folded weights alive through the pass."""
+    """The checkpoint's raw weights are dropped before the forward pass,
+    and refine's raw arrays at its fold: a tiny 48x48 infer peaks at about
+    2.7 MB of traced memory. A raw copy alive beside the folded one reads
+    about 3.9 MB."""
     assert _infer_peak(_checkpoint(tmp_path / "model.ckpt"), *pair,
-                       str(tmp_path / "disp.pfm")) < 4.3e6
+                       str(tmp_path / "disp.pfm")) < 3.3e6
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="before CPython 3.11 the caller's stack keeps a call's "
-                           "arguments alive anyway, and the test above measures that")
-def test_infer_holds_one_weight_copy_while_its_arguments_stay_alive(tmp_path, pair,
-                                                                    monkeypatch):
-    """With ``forward_tensors``' arguments kept alive to the end of the call,
-    as CPython 3.10's caller stack keeps them, a tiny 48x48 infer still
-    holds one copy of the weights: it peaks at about 3.6 MB of traced
-    memory. Handing the raw weights over for the pass to fold reads about
-    4.1 MB, the raw copy alive beside the folded one."""
-    run = model.forward_tensors
-
-    def keeping_arguments(left, right, weights, cfg):
-        return run(left, right, weights, cfg)
-
-    monkeypatch.setattr(model, "forward_tensors", keeping_arguments)
-    assert _infer_peak(_checkpoint(tmp_path / "model.ckpt"), *pair,
-                       str(tmp_path / "disp.pfm")) < 3.8e6
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="before CPython 3.11 the caller's stack keeps a call's "
-                           "arguments alive to its end, so the weights of every "
-                           "stage live through refine")
 def test_infer_frees_each_stage_s_weights_once_it_has_run(tmp_path):
     """A full-profile infer at 144x240 (16 levels) peaks at or below 17.0 MB
-    of traced memory (about 16.2): the folded weights go to the forward pass
-    as a temporary, so it frees each stage's weights once the stage has run.
+    of traced memory (about 16.2): the weights go to the forward pass as a
+    temporary, so it frees each stage's weights once the stage has run.
     Keeping them all through refine reads about 20.3 MB."""
     cfg = ModelConfig.full(in_channels=1, max_disparity=48)
     ckpt = str(tmp_path / "model.ckpt")

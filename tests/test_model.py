@@ -375,9 +375,9 @@ class TestCostVolume:
 
     def test_untaped_forward_holds_only_live_maps(self):
         """The setup above peaks below 17.0 MB (about 16.1): each stage's
-        folded weights, the features and the volume die once consumed, and
-        each refine block writes its sum over its input. Keeping every
-        stage's folded weights to the end of the pass reads about 19.9 MB."""
+        weights, the features and the volume die once consumed, and each
+        refine block writes its sum over its input. Keeping every stage's
+        weights to the end of the pass reads about 19.9 MB."""
         cfg = model.ModelConfig.full(max_disparity=48)
         weights = model.ModelWeights.initialize(cfg, seed=0)
         rng = np.random.default_rng(0)
@@ -401,32 +401,27 @@ class TestCostVolume:
         assert peak < 6.3e6
 
     def test_refine_holds_only_its_own_weights(self, rng, monkeypatch):
-        """forward_tensors splits the folded weights by stage and drops each
-        view once its stage has run: refine's weights hold no feature or
-        matching layer, and no array that folding made for the feature
-        layers is alive. The test keeps the raw weights, so the folded copy
-        belongs to the pass alone on every Python version."""
+        """forward_tensors splits the weights by stage and drops each view
+        once its stage has run. Given the weights as a temporary, when
+        refine runs it holds no feature or matching layer, and of the
+        arrays handed over only those refine runs unfolded, ``refine.out``'s,
+        are alive: the raw arrays of refine's normed layers die at the fold
+        and every other stage's with its view."""
         cfg, weights = tiny_weights()
-        fold, run_refine = model.ModelWeights.folded, model.refine
-        made, seen = [], {}
-
-        def folded(self):
-            out = fold(self)
-            made.extend(weakref.ref(t.data) for name, t in out.params.items()
-                        if not name.startswith("refine.") and t is not self.params.get(name))
-            return out
+        run_refine, seen = model.refine, {}
+        handed = {name: weakref.ref(t.data)
+                  for store in (weights.params, weights.buffers) for name, t in store.items()}
+        weights = [weights]
 
         def refine(disp, image, ent, stage, cfg):
             seen["layers"] = {name.split(".")[0] for name in stage.params}
-            seen["alive"] = sum(ref() is not None for ref in made)
+            seen["alive"] = sorted(name for name, ref in handed.items() if ref() is not None)
             return run_refine(disp, image, ent, stage, cfg)
 
-        monkeypatch.setattr(model.ModelWeights, "folded", folded)
         monkeypatch.setattr(model, "refine", refine)
-        model.forward_tensors(random_image(rng, 48, 48), random_image(rng, 48, 48), weights, cfg)
-        assert seen == {"layers": {"refine"}, "alive": 0}
-        # a folded w and b per normed feature layer; the matching net folds nothing
-        assert len(made) == 2 * sum(s.norm for s in model.feature_layer_specs(cfg))
+        model.forward_tensors(random_image(rng, 48, 48), random_image(rng, 48, 48),
+                              weights.pop(), cfg)
+        assert seen == {"layers": {"refine"}, "alive": ["refine.out.b", "refine.out.w"]}
 
 
 def direct_cost(fl, source, d, weights):
@@ -836,8 +831,8 @@ def drawn_weights(cfg, seed, dtype=np.float32):
 
 
 class TestBatchNormFold:
-    """Inference folds the feature and refine norms into their convs, under
-    a tape too; training does not, and the matching net's norms run per
+    """Inference folds refine's norms into their convs, under a tape too;
+    training does not, and the feature and matching nets' norms run per
     item in both modes."""
 
     def _pair(self, rng, dtype, h=48, w=60):
@@ -851,10 +846,11 @@ class TestBatchNormFold:
     @pytest.mark.parametrize("dtype,atol,rtol", [(np.float64, 1e-12, 1e-12),
                                                  (np.float32, 1e-5, 1e-5)])
     def test_inference_matches_unfused_chain(self, rng, monkeypatch, dtype, atol, rtol):
-        """The reference runs the raw weights with each feature and refine
-        norm replaced by the textbook norm over the running statistics, then
-        its residual sum and its ReLU as ops of their own. The matching
-        net's norms, which keep no statistics, run ``ops.batch_norm``."""
+        """The reference runs the raw weights with each refine norm
+        replaced by the textbook norm over the running statistics, then its
+        residual sum and its ReLU as ops of their own. The feature and
+        matching nets' norms, which keep no statistics, run
+        ``ops.batch_norm``."""
         per_item = ops.batch_norm
 
         def running_norm(x, gamma, beta, mean=None, var=None, *, relu=False, residual=None):
@@ -878,10 +874,10 @@ class TestBatchNormFold:
                 assert out.dtype == dtype
                 assert np.all(np.abs(out - ref.data) <= atol + rtol * np.abs(ref.data)), key
 
-    def test_inference_runs_batch_norm_only_on_matching_layers(self, rng, monkeypatch):
+    def test_inference_runs_batch_norm_on_all_but_refine(self, rng, monkeypatch):
         """An inference pass, untaped or under a tape, runs ``ops.batch_norm``
-        once per normed matching layer and level batch, with no buffers,
-        and for no feature or refine layer."""
+        with no buffers once per normed feature layer and image, and once
+        per normed matching layer and level batch, and for no refine layer."""
         cfg = model.ModelConfig.tiny()
         weights = drawn_weights(cfg, 2)
         left, right = self._pair(rng, np.float32)
@@ -892,12 +888,13 @@ class TestBatchNormFold:
             return per_item(x, gamma, beta, *stats, **kwargs)
 
         monkeypatch.setattr(ops, "batch_norm", record)
-        matching = [weights.params[s.name + ".gamma"] for s in model.matching_layer_specs(cfg)
-                    if s.norm]
+        feature, matching = ([weights.params[s.name + ".gamma"] for s in specs(cfg) if s.norm]
+                             for specs in (model.feature_layer_specs,
+                                           model.matching_layer_specs))
         model.forward_tensors(left, right, weights, cfg)
         with Tape():
             model.forward_tensors(left, right, weights, cfg)
-        assert [gamma for gamma, _ in calls] == matching * 2
+        assert [gamma for gamma, _ in calls] == (feature * 2 + matching) * 2
         assert all(stats == () for _, stats in calls)
 
     @pytest.mark.parametrize("width", [48, 51])  # feature widths 16 and 17
@@ -914,6 +911,21 @@ class TestBatchNormFold:
             trained = cost_volume(fl, fr, weights.stage("matching"), cfg)
         assert trained.requires_grad
         assert np.array_equal(volume.data, trained.data)
+
+    @pytest.mark.parametrize("width", [48, 51])
+    def test_inference_coarse_and_entropy_are_the_trained_ones(self, rng, width):
+        """From the same weights and images, an untaped inference pass and a
+        taped training pass give the same coarse disparity and entropy, bit
+        for bit: only refine folds."""
+        cfg = model.ModelConfig.tiny()
+        weights = drawn_weights(cfg, 17)
+        left, right = random_image(rng, 48, width), random_image(rng, 48, width)
+        inferred = model.forward_tensors(left, right, weights, cfg)
+        with Tape():
+            trained = model.forward_tensors(left, right, weights, cfg, training=True)
+        for key in ("coarse", "entropy"):
+            assert trained[key].requires_grad
+            assert np.array_equal(inferred[key].data, trained[key].data), key
 
     def test_weights_unchanged_by_inference(self, rng):
         cfg = model.ModelConfig.tiny()
@@ -938,24 +950,23 @@ class TestBatchNormFold:
         assert again.specs == folded.specs
 
     def test_folded_keeps_layer_keys_and_drops_norms(self):
-        """Folding drops the feature and refine norms and every buffer; the
-        matching net keeps its specs and shares its tensors."""
+        """Folding drops refine's norms and every buffer; the feature and
+        matching nets keep their specs and share their tensors."""
         cfg = model.ModelConfig.tiny()
         weights = drawn_weights(cfg, 4)
         folded = weights.folded()
-        matching = {name for name in weights.specs if name.startswith("matching.")}
-        assert set(folded.params) == ({name + ".w" for name in weights.specs}
-                                      | {name + ".b" for name in weights.specs
-                                         if name not in matching}
+        refine = {name for name in weights.specs if name.startswith("refine.")}
+        assert set(folded.params) == ({name + ".w" for name in refine}
+                                      | {name + ".b" for name in refine}
                                       | {key for key in weights.params
-                                         if key.startswith("matching.")})
+                                         if not key.startswith("refine.")})
         assert folded.buffers == {}
         for name, spec in weights.specs.items():
-            assert folded.specs[name].norm == (name in matching and spec.norm), name
+            assert folded.specs[name].norm == (name not in refine and spec.norm), name
             same = folded.params[name + ".w"] is weights.params[name + ".w"]
-            assert same == (name in matching or not spec.norm), name
+            assert same == (name not in refine or not spec.norm), name
         for key, t in weights.params.items():
-            if key.startswith("matching."):
+            if not key.startswith("refine."):
                 assert folded.params[key] is t, key
 
     def test_folded_cost_slices_sequential_parallel_bit_identical(self, rng, monkeypatch):

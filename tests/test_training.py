@@ -60,9 +60,9 @@ def _saved(ckpt, tmp_path):
 
 def test_missing_entry_is_named(tmp_path):
     _, ckpt = _checkpoint()
-    del ckpt.buffers["feature.dil2.var"]
+    del ckpt.buffers["refine.block2.conv1.var"]
     with pytest.raises(CheckpointShapeError,
-                       match=r": checkpoint is missing entry 'b/feature.dil2.var' "
+                       match=r": checkpoint is missing entry 'b/refine.block2.conv1.var' "
                              r"required by config$"):
         load_checkpoint(_saved(ckpt, tmp_path))
 
@@ -249,11 +249,12 @@ def test_empty_entry_with_unindexable_extents_is_rejected(small_checkpoint):
 def test_a_version_1_checkpoint_is_refused(small_checkpoint):
     """Version 1 saved the Adam betas and epsilon, and the model config's
     ``dilations`` and ``profile``; version 2 the matching net's running
-    statistics. Their files are refused by version."""
+    statistics, and version 3 the feature net's. Their files are refused
+    by version."""
     path = small_checkpoint
     blob = _read(path)
-    assert struct.unpack_from("<I", blob, 4) == (training.CHECKPOINT_VERSION,) == (3,)
-    for version in (1, 2):
+    assert struct.unpack_from("<I", blob, 4) == (training.CHECKPOINT_VERSION,) == (4,)
+    for version in (1, 2, 3):
         old = blob[:4] + struct.pack("<I", version) + blob[8:]
         with pytest.raises(CheckpointVersionError, match=f"version {version}"):
             _load_bytes(path + f".v{version}", old)
@@ -561,8 +562,8 @@ def test_a_segmented_step_is_bit_equal_to_the_plain_call(monkeypatch):
     for name, t in weights.buffers.items():
         assert np.array_equal(t.data, kept.buffers[name].data), name
     initial = ModelWeights.initialize(cfg, seed=0).buffers
-    assert not np.array_equal(weights.buffers["feature.down.mean"].data,
-                              initial["feature.down.mean"].data)
+    assert not np.array_equal(weights.buffers["refine.head.mean"].data,
+                              initial["refine.head.mean"].data)
 
 
 def test_step_peak_does_not_grow_with_level_batches():
