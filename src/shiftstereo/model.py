@@ -24,7 +24,7 @@ import numpy as np
 
 from . import ops
 from .errors import ConfigError, ShapeError
-from .tensor import STANDARD, Tensor, segment
+from .tensor import STANDARD, Tensor, active_tape, segment
 
 
 @dataclass(frozen=True)
@@ -319,18 +319,22 @@ def _norm_act(out: Tensor, name: str, weights: ModelWeights,
 
 
 def _block(x: Tensor, name: str, weights: ModelWeights,
-           residual: Tensor | None = None) -> Tensor:
+           residual: Tensor | None = None, rows: tuple[int, int] | None = None) -> Tensor:
     """Layer ``name`` on x; with a residual, ``relu(layer(x) + residual)``.
 
     The epilogue, the residual and the ReLU, runs inside the op that makes
     the layer's output: its norm where it has one, its conv otherwise.
+    ``rows`` restricts a layer without a norm to those output rows
+    (:func:`ops.conv2d`); a norm needs the whole map.
     """
     spec = weights.specs[name]
+    if rows is not None and spec.norm:
+        raise ShapeError(f"{name}: output rows {rows} of a layer with a norm")
     w = weights.params[name + ".w"]
     geometry = dict(stride=spec.stride, dilation=spec.dilation, padding=spec.padding)
     if not spec.norm:
         return ops.conv2d(x, w, weights.params.get(name + ".b"), residual=residual,
-                          relu=spec.act or residual is not None, **geometry)
+                          relu=spec.act or residual is not None, rows=rows, **geometry)
     out = ops.conv2d(x, w, **geometry)
     if out.requires_grad and name.startswith("refine.") and residual is None:
         # Refine's head and conv1 sums, full-resolution maps that only their
@@ -569,11 +573,12 @@ def _level_batch(levels: list[int], weights: ModelWeights, *terms: Tensor) -> Te
 # Feature pixels of one matching-net batch. Batching levels saves the fixed
 # cost of each op call, but a batch's activations grow with it; its forward
 # conv copies do not, as a conv copies as many levels at a time as fit 1 MiB
-# of copies, at least one (ops._batch_slices). In an untaped forward pass at
-# 144x240 (48x80 features), whose stages hold only their own weights, 1 and
-# 2 levels per batch peak at 15.9 MB, in refine; 4 levels move the peak into
-# the matching net's activations, at 17.9 MB, and 8 to 26.0 MB. At 96x96 all
-# 8 levels make one batch, and the pass peaks in refine, at 6.0 MB.
+# of copies, at least one (ops._batch_slices). A full-profile ``infer`` at
+# 144x240 (48x80 features), whose stages hold only their own weights, peaks
+# with 1 level per batch at 13.4 MB, in refine, and with 2 at 13.9 MB, in
+# the matching net's last batch; 4 levels read 17.2 MB and 8 read 25.3 MB.
+# At 96x96 all 8 levels make one batch, and the pass peaks in refine, at
+# 6.1 MB.
 _LEVEL_BATCH_PIXELS = 1 << 13
 
 
@@ -637,6 +642,7 @@ def build_cost_volume(left_features: Tensor, right_features: Tensor,
     levels = cfg.levels
     source = left_features if context_only else right_features
     terms = _pair_terms(left_features, source, weights, x_block, left_block, right_block)
+    del left_features, right_features, source  # the terms are all a level reads of them
     n = levels_per_batch(cfg, fh, fw)
     batches = []
     for start in range(0, levels, n):
@@ -685,6 +691,20 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
     (:func:`segment`): re-running them in backward would add their taped
     forward, 28-31 ms of a tiny 96x96 step of about 180 ms, more than the
     15 % of step time that a cut in peak memory may cost.
+
+    Off a tape, with folded weights, a block runs depth-first, one slab of
+    output rows at a time, as fused-layer accelerators do (Alwani et al.
+    2016, MICRO), so that conv1's output y never exists whole
+    (:func:`_residual_block`). A slab's y, with the 2 x dilation rows it
+    carries, holds at most ``ops._MAX_STRIP_ELEMENTS /
+    ops._STRIP_INPUT_RATIO`` (2^19) elements: refine at 96x96 runs one slab,
+    the two whole calls above, and at 144x240 3 slabs of 48 rows. There the
+    whole blocks set an ``infer``'s peak at 16.19 MB; in slabs refine stays
+    below the matching net's 13.9 MB. A block whose budget fits fewer than
+    4 x dilation slab rows, one of dilation 8 on maps over 341 columns
+    wide, runs the whole calls too. Outputs are the whole blocks' wherever
+    BLAS rounds each GEMM column alike at both widths (:func:`ops.conv2d`
+    ``rows``), bit for bit at 144x240.
     """
     if disp.shape[2:] != left_image.shape[2:] or disp.shape[2:] != ent.shape[2:]:
         raise ShapeError(f"refine: extents differ (disp {disp.shape}, "
@@ -697,12 +717,51 @@ def refine(disp: Tensor, left_image: Tensor, ent: Tensor,
     ])
     x = _block(x, "refine.head", weights)
     for i in range(1, len(cfg.refine_blocks) + 1):
-        y = _block(x, f"refine.block{i}.conv1", weights)
-        # Off a tape, conv2 writes its output over x's array.
-        x = _block(y, f"refine.block{i}.conv2", weights, residual=x)
-        y.drop()
-        del y  # so that it is not alive beside the next block's conv1
+        x = _residual_block(x, f"refine.block{i}", weights)
     return ops.relu(ops.add(disp, _block(x, "refine.out", weights)))
+
+
+def _residual_block(x: Tensor, name: str, weights: ModelWeights) -> Tensor:
+    """Refine block ``name`` on x: ``relu(x + conv2(conv1(x)))``, in slabs
+    of output rows where :func:`refine` says so. Per slab, conv1 makes the
+    rows of y that no slab before made, and the sum goes over the slab's
+    rows of x. Both convs run through ``ops.conv2d`` with their layer's
+    named weight, which the traced benchmark reads."""
+    conv1, conv2 = weights.specs[name + ".conv1"], weights.specs[name + ".conv2"]
+    _, c, h, w = x.shape
+    # The rows of conv1's output y that one row of conv2's output reads
+    # above and below its own.
+    above, below = conv2.padding, conv2.dilation * (conv2.k - 1) - conv2.padding
+    most = ops._MAX_STRIP_ELEMENTS // (ops._STRIP_INPUT_RATIO * c * w) - above - below
+    slabs = ops._equal_strips(h, max(1, most))
+    # Slabs under 2 x (above + below) rows would carry about as many rows of
+    # y as they make, and a first slab under ``above`` rows would end before
+    # the rows of y that the next one reads.
+    if (len(slabs) == 1 or most < 2 * (above + below) or active_tape() is not None
+            or conv1.norm or conv2.norm):
+        y = _block(x, conv1.name, weights)
+        # Off a tape, conv2 writes its output over x's array.
+        x = _block(y, conv2.name, weights, residual=x)
+        y.drop()
+        return x
+    carry, done = [], 0  # y's rows from max(0, r0 - above) up to row ``done``
+    for r0, n in slabs:
+        y0, stop = max(0, r0 - above), min(h, r0 + n + below)
+        if done < stop:
+            # conv1 reads x from row r0 on, which no slab has written yet.
+            carry.append(_block(x, conv1.name, weights, rows=(done, stop)).data)
+        y = Tensor(carry[0] if len(carry) == 1 else np.concatenate(carry, axis=2))
+        carry.clear()  # y holds its rows now
+        sums = _block(y, conv2.name, weights, rows=(r0 - y0, r0 + n - y0)).data
+        # x + sums, then the ReLU, in place: conv2d's consumed residual, bit
+        # for bit, on the slab's rows of x.
+        rows = x.data[:, :, r0:r0 + n]
+        rows += sums
+        np.maximum(rows, 0, out=rows)
+        # A copy, so that y dies before the next slab's conv1 runs.
+        carry, done = [np.array(y.data[:, :, r0 + n - above - y0:])], stop
+        del y, sums, rows
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -727,14 +786,17 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
 
     In both modes the weights are split into one :meth:`ModelWeights.stage`
     view per subnetwork, each dropped once its stage has run. An inference
-    pass holds only what a later op reads: the features and the volume die
-    once consumed, each matching skip once concatenated; and without a tape
-    each refine block's conv2 writes its output over the block's input
-    (:func:`ops.conv2d` consumes an untaped residual). Arrays this call
-    folds die with their view. The weights passed in die with their views
-    too when this call holds their only reference, as when the caller
-    passes them as a temporary (``cli.cmd_infer`` does so); refine's raw
-    arrays then die at the fold. The outputs are the same either way.
+    pass holds only what a later op reads: the features die once the pair
+    terms exist (this call hands them to :func:`build_cost_volume`, which
+    lets them go), the volume once projected, each matching skip once
+    concatenated; and without a tape each refine block writes its sum over
+    the block's input, whole through conv2's consumed residual
+    (:func:`ops.conv2d`), or one slab of rows at a time where the map
+    exceeds one (:func:`refine`). Arrays this call folds die with their
+    view. The weights passed in die with their views too when this call
+    holds their only reference, as when the caller passes them as a
+    temporary (``cli.cmd_infer`` does so); refine's raw arrays then die at
+    the fold. The outputs are the same either way.
 
     A taped pass keeps to backward what its nodes' closures read: the
     weights, the feature maps (norm outputs dropped, to be rebuilt), of the
@@ -752,12 +814,16 @@ def forward_tensors(left: Tensor, right: Tensor, weights: ModelWeights,
                                        for name in ("feature", "matching", "refine"))
     del weights
     _, _, h, w = left.shape
-    f_left = extract_features(left, feature_w, cfg)
-    f_right = extract_features(right, feature_w, cfg)
+    features = [extract_features(image, feature_w, cfg) for image in (left, right)]
     del feature_w
-    volume = build_cost_volume(f_left, f_right, matching_w, cfg, context_only=context_only,
-                               **pair_blocks(matching_w, cfg, f_left.shape[3]))
-    del f_left, f_right, matching_w
+    blocks = pair_blocks(matching_w, cfg, features[0].shape[3])
+    # Popped into the call, and by keyword rather than ``**blocks``, whose
+    # call would hold its positional arguments until it returns: so only
+    # build_cost_volume holds the features, and it lets them go.
+    volume = build_cost_volume(features.pop(0), features.pop(), matching_w, cfg, context_only,
+                               x_block=blocks["x_block"], left_block=blocks["left_block"],
+                               right_block=blocks["right_block"])
+    del blocks, matching_w
     coarse, ent_full = _upsample_tensors(*project(volume), h, w)
     del volume
     refined = refine(coarse, left, ent_full, refine_w, cfg)

@@ -138,9 +138,14 @@ def _row_strips(oh: int, row_elements: int, halo: int,
     """
     budget = min(max(_STRIP_INPUT_RATIO * input_elements, _MIN_STRIP_ELEMENTS),
                  _MAX_STRIP_ELEMENTS)
-    fit = max(1, int(budget // row_elements) - halo)
-    rows = -(-oh // -(-oh // fit))
-    return [(r0, min(rows, oh - r0)) for r0 in range(0, oh, rows)]
+    return _equal_strips(oh, max(1, int(budget // row_elements) - halo))
+
+
+def _equal_strips(n: int, most: int) -> list[tuple[int, int]]:
+    """``n`` rows as the fewest strips ``(r0, rows)`` of at most ``most``
+    rows, all of one height but the last, which may be shorter."""
+    rows = -(-n // -(-n // most))
+    return [(r0, min(rows, n - r0)) for r0 in range(0, n, rows)]
 
 
 def _in_range(n: int, start: int, step: int, extent: int) -> tuple[int, int, slice]:
@@ -168,9 +173,10 @@ class _StripPlan(NamedTuple):
 
 
 def _strip_plan(cin: int, h: int, w: int, kh: int, kw: int, stride: int, dilation: int,
-                padding: int) -> _StripPlan:
-    """The plan for a (Cin, H, W) item and a KH x KW kernel."""
-    oh = conv_out_extent(h, kh, stride, dilation, padding)
+                padding: int, rows: tuple[int, int] | None = None) -> _StripPlan:
+    """The plan for a (Cin, H, W) item and a KH x KW kernel, whose strips
+    cover the output rows ``rows[0] <= r < rows[1]``, by default all."""
+    first, end = rows or (0, conv_out_extent(h, kh, stride, dilation, padding))
     ow = conv_out_extent(w, kw, stride, dilation, padding)
     every_tap = kw * cin < _MIN_GEMM_K
     copies = [(ki * dilation, kj * dilation)
@@ -179,7 +185,8 @@ def _strip_plan(cin: int, h: int, w: int, kh: int, kw: int, stride: int, dilatio
     phases = sorted({r % stride for r in gemm_rows})
     halo = max(gemm_rows) // stride
     row_elements = len(phases) * len(copies) * cin * ow
-    strips = _row_strips(oh, row_elements, halo, cin * h * w)
+    strips = [(first + r0, n) for r0, n in _row_strips(end - first, row_elements, halo,
+                                                        cin * h * w)]
     return _StripPlan(copies, gemm_rows, phases, halo, strips,
                       (strips[0][1] + halo) * row_elements)
 
@@ -209,9 +216,12 @@ def _kernel_row_windows(x: np.ndarray, kh: int, kw: int, stride: int, dilation: 
     rows = strips[0][1]
     cols = [_in_range(ow, dv - padding, stride, w) for _, dv in copies]
 
-    # Columns outside the input stay zero in every strip.
-    buf = np.zeros((len(phases), b, k, (rows + halo) * ow), dtype=x.dtype)
+    buf = np.empty((len(phases), b, k, (rows + halo) * ow), dtype=x.dtype)
     view = buf.reshape(len(phases), b, len(copies), cin, rows + halo, ow)
+    # Columns outside the input are zeroed once: no strip writes them.
+    for t, (j0, j1, _) in enumerate(cols):
+        view[:, :, t, :, :, :j0] = 0
+        view[:, :, t, :, :, j1:] = 0
     for r0, n_rows in strips:
         end = n_rows + halo
         for ai, a in enumerate(phases):
@@ -250,20 +260,26 @@ def _epilogue(dst: np.ndarray, bias: np.ndarray | None, residual: np.ndarray | N
     return dst
 
 
-def _kn2row(x: np.ndarray, weight: np.ndarray, oh: int, ow: int, dilation: int,
+def _kn2row(x: np.ndarray, weight: np.ndarray, rows: tuple[int, int], ow: int, dilation: int,
             padding: int, bias: np.ndarray | None, residual: np.ndarray | None,
             relu: bool, overwrite: bool) -> np.ndarray:
-    """The stride-1 forward kernel for narrow outputs: one GEMM of every
-    tap's weights with the unshifted input, then the taps' Cout-channel
-    maps shifted into a zeroed output and added in kernel order, and the
+    """The stride-1 forward kernel for narrow outputs, on the output rows
+    ``rows[0] <= r < rows[1]``: one GEMM of every tap's weights with the
+    unshifted input rows they read, then the taps' Cout-channel maps
+    shifted into a zeroed output and added in kernel order, and the
     epilogue last, on the whole output."""
     b, cin, h, w = x.shape
     cout, _, kh, kw = weight.shape
+    first, end = rows
+    oh = end - first
+    lo = min(h, max(0, first - padding))
+    hi = max(lo, min(h, end - padding + dilation * (kh - 1)))
     w_taps = weight.transpose(2, 3, 0, 1).reshape(kh * kw * cout, cin)
-    maps = np.matmul(w_taps, x.reshape(b, cin, h * w)).reshape(b, kh, kw, cout, h, w)
+    maps = np.matmul(w_taps, x[:, :, lo:hi].reshape(b, cin, (hi - lo) * w)).reshape(
+        b, kh, kw, cout, hi - lo, w)
     out = np.zeros((b, cout, oh, ow), dtype=x.dtype)
     for ki in range(kh):
-        i0, i1, rows = _in_range(oh, ki * dilation - padding, 1, h)
+        i0, i1, rows = _in_range(oh, first + ki * dilation - padding - lo, 1, hi - lo)
         for kj in range(kw):
             j0, j1, cols = _in_range(ow, kj * dilation - padding, 1, w)
             out[:, :, i0:i1, j0:j1] += maps[:, ki, kj, :, rows, cols]
@@ -273,20 +289,23 @@ def _kn2row(x: np.ndarray, weight: np.ndarray, oh: int, ow: int, dilation: int,
 def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
                padding: int, bias: np.ndarray | None = None,
                residual: np.ndarray | None = None, relu: bool = False,
-               overwrite: bool = False) -> np.ndarray:
-    """The forward kernel of :func:`conv2d` on arrays; with ``overwrite``
-    the output is written over ``residual``'s array."""
+               overwrite: bool = False, rows: tuple[int, int] | None = None) -> np.ndarray:
+    """The forward kernel of :func:`conv2d` on arrays, on the output rows
+    ``rows[0] <= r < rows[1]`` (by default all) of the whole input at its
+    padding; with ``overwrite`` the output is written over ``residual``'s
+    array."""
     b, cin, h, w = x.shape
     cout, _, kh, kw = weight.shape
-    oh = conv_out_extent(h, kh, stride, dilation, padding)
+    first, end = rows or (0, conv_out_extent(h, kh, stride, dilation, padding))
+    oh = end - first
     ow = conv_out_extent(w, kw, stride, dilation, padding)
     if residual is not None:
         residual = residual.reshape(b, cout, oh * ow)
     if stride == 1 and kh * cout < cin:
-        return _kn2row(x, weight, oh, ow, dilation, padding, bias, residual, relu,
+        return _kn2row(x, weight, (first, end), ow, dilation, padding, bias, residual, relu,
                        overwrite).reshape(b, cout, oh, ow)
     w_taps = weight.transpose(0, 2, 3, 1).reshape(cout, kh * kw * cin)
-    plan = _strip_plan(cin, h, w, kh, kw, stride, dilation, padding)
+    plan = _strip_plan(cin, h, w, kh, kw, stride, dilation, padding, (first, end))
     out = residual if overwrite else None
     scratch = None
     for item in _batch_slices(b, plan):
@@ -308,13 +327,13 @@ def _correlate(x: np.ndarray, weight: np.ndarray, stride: int, dilation: int,
                 scratch = (np.empty(shape, dtype=x.dtype) if len(windows) > 1 else None,
                            np.empty(shape, dtype=x.dtype) if overwrite else None)
             part, acc = scratch
-            rows = slice(r0 * ow, r0 * ow + n)
-            dst = acc[:m, :, :n] if overwrite else out[item, :, rows]
+            span = slice((r0 - first) * ow, (r0 - first) * ow + n)
+            dst = acc[:m, :, :n] if overwrite else out[item, :, span]
             k = windows[0].shape[1]
             np.matmul(w_taps[:, :k], windows[0], out=dst)
             for i, window in enumerate(windows[1:], 1):
                 dst += np.matmul(w_taps[:, i * k:(i + 1) * k], window, out=part[:m, :, :n])
-            _epilogue(dst, bias, None if residual is None else residual[item, :, rows], relu,
+            _epilogue(dst, bias, None if residual is None else residual[item, :, span], relu,
                       overwrite)
     return out.reshape(b, cout, oh, ow)
 
@@ -340,10 +359,20 @@ def _input_grad(g: np.ndarray, weight: np.ndarray, h: int, w: int,
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
            stride: int = 1, dilation: int = 1, padding: int = 0,
-           residual: Tensor | None = None, relu: bool = False) -> Tensor:
+           residual: Tensor | None = None, relu: bool = False,
+           rows: tuple[int, int] | None = None) -> Tensor:
     """Cross-correlation of x (B,Cin,H,W) with weight (Cout,Cin,KH,KW),
     plus the bias, plus ``residual`` (B,Cout,OH,OW) where given, clamped at
     0 with ``relu``: one op and one output map for the whole layer.
+
+    ``rows=(r0, r1)``, off a tape only, computes the output rows ``r0 <= r
+    < r1`` from the whole input at the same padding; the output and a
+    residual are then (B,Cout,r1-r0,OW). Its GEMMs span fewer columns, and
+    BLAS may round a GEMM's last columns by another kernel (OpenBLAS's
+    sgemm on an AVX-512 Xeon, in a GEMM of at most 100^3 multiply-adds: the
+    last 1 to 8 of a 16-column panel), so an output width that is a
+    multiple of 16 gives the whole output's rows bit for bit. Refine's
+    depth-first blocks use it (``model.refine``).
 
     With no active tape, a residual that does not require a gradient is
     consumed: the output is written over its array, which the returned
@@ -417,6 +446,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: non-positive output extent ({oh}, {ow}) "
                          f"for input {h}x{w}, kernel {kh}x{kw}")
+    if rows is not None:
+        if not 0 <= rows[0] < rows[1] <= oh or active_tape() is not None:
+            raise ShapeError(f"conv2d: output rows {rows} of {oh}, or rows on a tape")
+        oh = rows[1] - rows[0]
     if residual is not None and residual.shape != (b, cout, oh, ow):
         raise ShapeError(f"conv2d: residual shape {residual.shape} != {(b, cout, oh, ow)}")
     inputs = (x, weight) + tuple(t for t in (bias, residual) if t is not None)
@@ -425,7 +458,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
                  and not np.may_share_memory(residual.data, x.data))
     out = Tensor(_correlate(x.data, weight.data, stride, dilation, padding,
                             None if bias is None else bias.data,
-                            None if residual is None else residual.data, relu, overwrite))
+                            None if residual is None else residual.data, relu, overwrite,
+                            rows))
     # Only a ReLU's mask reads the output in backward.
     mask_source = out.data if relu else None
 

@@ -355,10 +355,10 @@ class TestCostVolume:
 
     def test_default_batch_keeps_the_one_level_peak(self, monkeypatch):
         """An untaped full-profile forward pass at 144x240 (16 levels, 2 per
-        batch) peaks within 2 % of the one-level schedule, at about 15.9 MB;
+        batch) peaks within 2 % of the one-level schedule, at about 13.1 MB;
         its peak lies in the refine net. 4 levels per batch move it into the
-        matching net's activations, at about 17.9 MB, 8 to 26.0 MB, and all
-        16 in one batch peak near three times as high, at 43.6 MB: each conv
+        matching net's activations, at about 13.3 MB, 8 to 21.4 MB, and all
+        16 in one batch peak three times as high, at 39.0 MB: each conv
         copies its input one level at a time, so only activations grow."""
         cfg = model.ModelConfig.full(max_disparity=48)
         weights = model.ModelWeights.initialize(cfg, seed=0)
@@ -374,10 +374,11 @@ class TestCostVolume:
         assert default <= 1.02 * peak_bytes()
 
     def test_untaped_forward_holds_only_live_maps(self):
-        """The setup above peaks below 17.0 MB (about 16.1): each stage's
-        weights, the features and the volume die once consumed, and each
-        refine block writes its sum over its input. Keeping every stage's
-        weights to the end of the pass reads about 19.9 MB."""
+        """The setup above peaks below 13.5 MB (about 13.1-13.2), in refine:
+        each stage's weights, the features and the volume die once consumed,
+        and each refine block runs depth-first, adding its sum into its
+        input slab by slab. Keeping the features to the end of the pass
+        reads about 14.1 MB; running the blocks whole, 16.05 MB."""
         cfg = model.ModelConfig.full(max_disparity=48)
         weights = model.ModelWeights.initialize(cfg, seed=0)
         rng = np.random.default_rng(0)
@@ -385,7 +386,29 @@ class TestCostVolume:
                        for _ in range(2))
         out, _, peak = traced_peak(lambda: model.forward_tensors(left, right, weights, cfg))
         assert sorted(out) == ["coarse", "entropy", "refined"]
-        assert peak < 17.0e6
+        assert peak < 13.5e6
+
+    def test_features_die_once_the_pair_terms_exist(self, rng, monkeypatch):
+        """forward_tensors hands both feature maps over to build_cost_volume,
+        which lets them go once the pair terms are made: no frame holds
+        them while the level batches run."""
+        cfg, weights = tiny_weights()
+        arrays, alive = [], []
+        extract, level_batch = model.extract_features, model._level_batch
+
+        def extracting(*args):
+            out = extract(*args)
+            arrays.append(weakref.ref(out.data))
+            return out
+
+        def batch(*args):
+            alive.append([a() is not None for a in arrays])
+            return level_batch(*args)
+
+        monkeypatch.setattr(model, "extract_features", extracting)
+        monkeypatch.setattr(model, "_level_batch", batch)
+        model.forward_tensors(random_image(rng, 48, 48), random_image(rng, 48, 48), weights, cfg)
+        assert alive[0] == [False, False]
 
     def test_untaped_tiny_forward_peaks_in_refine(self):
         """A tiny 96x96 pass (8 levels in one batch) peaks at about 5.96 MB,
@@ -752,6 +775,57 @@ class TestFusedRefine:
         unfused = model.forward_tensors(left, right, weights, cfg)
         for key, t in unfused.items():
             assert np.array_equal(fused[key].data, t.data), key
+
+    def test_depth_first_pass_bit_identical_to_the_unfused_chain(self, rng, monkeypatch):
+        """An untaped full-profile pass at 144x240 runs each refine block,
+        at dilations 1, 2, 4 and 8, in 3 slabs of 48 rows, and gives the
+        unfused chain's bits."""
+        cfg = model.ModelConfig.full(max_disparity=48)
+        weights = drawn_weights(cfg, 15)
+        left, right = random_image(rng, 144, 240, 3), random_image(rng, 144, 240, 3)
+        rows = []
+        conv2d = ops.conv2d
+
+        def recording(*args, **kwargs):
+            rows.append(kwargs.get("rows"))
+            return conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv2d", recording)
+        fused = model.forward_tensors(left, right, weights, cfg)
+        assert len([r for r in rows if r]) == 2 * 3 * len(cfg.refine_blocks)
+        monkeypatch.setattr(model, "refine", refine_unfused)
+        unfused = model.forward_tensors(left, right, weights, cfg)
+        for key, t in unfused.items():
+            assert np.array_equal(fused[key].data, t.data), key
+
+    def test_wide_refine_runs_whole_blocks_where_slabs_would_be_thin(self, rng, monkeypatch):
+        """At 32x720 the budget fits 20 slab rows of a dilation-1 block but
+        only 6 of a dilation-8 one, fewer than the 8 rows of y that the next
+        slab would read back: the blocks of dilation 1 and 2 run in 2 slabs,
+        those of 4 and 8 whole, and refine gives the unfused chain's bits."""
+        cfg = model.ModelConfig.full(max_disparity=48)
+        weights = drawn_weights(cfg, 16).folded().stage("refine")
+        maps = [Tensor(rng.uniform(0, 20, (1, 1, 32, 720)).astype(np.float32)),
+                random_image(rng, 32, 720, 3),
+                Tensor(rng.uniform(0, 2, (1, 1, 32, 720)).astype(np.float32))]
+        rows = []
+        conv2d = ops.conv2d
+
+        def recording(*args, **kwargs):
+            rows.append(kwargs.get("rows"))
+            return conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "conv2d", recording)
+        refined = model.refine(*maps, weights, cfg)
+        # 2 slabs of 2 convs in each of the 4 blocks of dilation 1 or 2
+        assert len([r for r in rows if r]) == 4 * 2 * 2
+        assert np.array_equal(refined.data, refine_unfused(*maps, weights, cfg).data)
+
+    def test_rows_of_a_normed_layer_are_refused(self, rng):
+        cfg, weights = tiny_weights()
+        x = Tensor(rng.standard_normal((1, 32, 12, 12)).astype(np.float32))
+        with pytest.raises(ShapeError):
+            model._block(x, "refine.block1.conv1", weights, rows=(0, 4))
 
     def test_folded_pass_runs_relu_only_for_the_clamp(self, rng, monkeypatch):
         """An untaped folded pass calls ``ops.relu`` only for refine's final

@@ -476,6 +476,77 @@ class TestKn2row:
         assert (3, 32, 3, 3) in calls
 
 
+class TestConvRows:
+    """conv2d restricted to a range of output rows, as refine's depth-first
+    blocks run it. The maps are 32 output columns wide, so that every GEMM
+    spans a multiple of 32 columns: OpenBLAS's sgemm rounds a small GEMM's
+    last columns by another kernel when they do not fill a panel (on an
+    AVX-512 Xeon, a last 1 to 8 of 16), and a narrower GEMM may end
+    elsewhere."""
+
+    @staticmethod
+    def _ranges(oh):
+        return [(0, 1), (0, oh // 2), (oh // 3, oh - 2), (oh - 1, oh), (0, oh)]
+
+    @pytest.mark.parametrize("stride, dilation, padding, cin, k", STRIP_GEOMETRIES)
+    def test_rows_are_those_of_the_whole_output(self, rng, monkeypatch, stride, dilation,
+                                                padding, cin, k):
+        """Over several strips, strided, dilated and every-tap: the rows
+        equal the whole output's, bit for bit, with bias and ReLU."""
+        seen = _split_into_strips(monkeypatch)
+        width = 31 * stride + 1 + dilation * (k - 1) - 2 * padding  # 32 output columns
+        x = Tensor(rng.standard_normal((2, cin, 13, width)).astype(np.float32))
+        w = Tensor(rng.standard_normal((16, cin, k, k)).astype(np.float32))
+        b = Tensor(rng.standard_normal((1, 16, 1, 1)).astype(np.float32))
+        kw = dict(stride=stride, dilation=dilation, padding=padding, relu=True)
+        whole = ops.conv2d(x, w, b, **kw).data
+        assert whole.shape[3] == 32
+        for r0, r1 in self._ranges(whole.shape[2]):
+            out = ops.conv2d(x, w, b, rows=(r0, r1), **kw).data
+            assert np.array_equal(out, whole[:, :, r0:r1]), (r0, r1)
+        assert len(seen[0]) >= 2
+
+    @pytest.mark.parametrize("cin, cout, k, dilation, padding", KN2ROW_GEOMETRIES)
+    def test_kn2row_rows_are_those_of_the_whole_output(self, rng, monkeypatch, cin, cout, k,
+                                                       dilation, padding):
+        calls = _record_kn2row(monkeypatch)
+        x = Tensor(rng.standard_normal((2, cin, 13, 32)).astype(np.float32))
+        w = Tensor(rng.standard_normal((cout, cin, k, k)).astype(np.float32))
+        b = Tensor(rng.standard_normal((1, cout, 1, 1)).astype(np.float32))
+        kw = dict(dilation=dilation, padding=padding)
+        whole = ops.conv2d(x, w, b, **kw).data
+        ranges = self._ranges(whole.shape[2])
+        for r0, r1 in ranges:
+            out = ops.conv2d(x, w, b, rows=(r0, r1), **kw).data
+            assert np.array_equal(out, whole[:, :, r0:r1]), (r0, r1)
+        assert len(calls) == 1 + len(ranges)
+
+    @pytest.mark.parametrize("dilation", [1, 8])
+    def test_rows_take_a_residual_of_their_height(self, rng, dilation):
+        """Slabs of rows, each with its rows of the residual, consumed, make
+        the map that one call writes, bit for bit."""
+        x = Tensor(rng.standard_normal((1, 8, 40, 32)).astype(np.float32))
+        w = Tensor(rng.standard_normal((8, 8, 3, 3)).astype(np.float32))
+        b = Tensor(rng.standard_normal((1, 8, 1, 1)).astype(np.float32))
+        skip = rng.standard_normal((1, 8, 40, 32)).astype(np.float32)
+        kw = dict(dilation=dilation, padding=dilation, relu=True)
+        whole = ops.conv2d(x, w, b, residual=Tensor(skip.copy()), **kw).data
+        for r0, r1 in [(0, 13), (13, 26), (26, 40)]:
+            residual = Tensor(skip[:, :, r0:r1])
+            out = ops.conv2d(x, w, b, rows=(r0, r1), residual=residual, **kw)
+            assert np.shares_memory(out.data, residual.data)
+            assert np.array_equal(out.data, whole[:, :, r0:r1]), (r0, r1)
+
+    def test_refuses_rows_outside_the_output_or_on_a_tape(self, rng):
+        x = Tensor(rng.standard_normal((1, 2, 6, 6)).astype(np.float32), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
+        for rows in [(2, 2), (-1, 3), (0, 7)]:
+            with pytest.raises(ShapeError):
+                ops.conv2d(x, w, padding=1, rows=rows)
+        with pytest.raises(ShapeError), Tape():
+            ops.conv2d(x, w, padding=1, rows=(0, 3))
+
+
 class TestBatchNorm:
     def _identity_stats(self, c, dtype=np.float64):
         gamma = Tensor(np.ones((1, c, 1, 1)), dtype=dtype)
